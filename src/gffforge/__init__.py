@@ -66,6 +66,7 @@ from .fields import (
     load_field,
     markov_decompose,
     sample_dgff,
+    sample_functionals,
     sample_gff_observables,
     sample_sas,
     sample_stable_field,

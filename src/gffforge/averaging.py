@@ -5,8 +5,8 @@ density sqrt(u) sin(theta) d(theta) on the semicircle of radius 1/sqrt(u)
 (total mass 2 sqrt(u)).  Pairings with singular measures are defined
 through the harmonic part of the domain Markov decomposition; the lattice
 backends below compute exactly that, with every linear functional of a
-harmonic extension collapsed once into a weight vector over ring sites so
-that per-replica work is a dot product.
+harmonic extension collapsed once into a weight vector over ring sites;
+``fields.sample_functionals`` then draws them without building a field.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, ResolutionError
-from .fields import CALIBRATION, FieldSample, dgff_matrix, sample_gff_observables, stable_matrix
+from .fields import FieldSample, sample_functionals, sample_gff_observables
 from .geometry import TestFunction, UpperHalfPlane, gauss_legendre, mollifier
-from .greens import LatticeDomain, covariance_of_observables, disk_lattice, halfplane_lattice
+from .greens import LatticeDomain, disk_lattice, halfplane_lattice
 
 __all__ = [
     "CircleMeasure",
@@ -260,6 +260,14 @@ def _pairing_weights(lat: LatticeDomain, member_idx: np.ndarray, nodes, weights)
     return cell, cell.ring_weights(q) + direct
 
 
+def _sample_ring_functionals(lat: LatticeDomain, weights, n, seed, law, alpha) -> np.ndarray:
+    """(n, k) replicas of k ring functionals (ring_idx, w), one column each."""
+    W = np.zeros((lat.n_sites, len(weights)))
+    for col, (ring_idx, w) in enumerate(weights):
+        W[ring_idx, col] = w
+    return sample_functionals(lat, W, n, seed, law, alpha)
+
+
 # ---------------------------------------------------------------------------
 # circle averages
 # ---------------------------------------------------------------------------
@@ -303,12 +311,12 @@ def circle_average_path(
     law: str = "gff",
     alpha: float = 2.0,
     center: complex = 0.0,
-    chunk: int = 512,
 ) -> ProcessPath:
     """Circle-average process X(t) = h_(e^-t)(center) on a fixed t grid.
 
     The exact backend draws from the min(t, t') covariance directly; the
-    lattice backend averages lattice fields (law "gff" or "stable").
+    lattice backend pairs lattice fields (law "gff" or "stable") with the
+    circle-average weights through ``fields.sample_functionals``.
     """
     t = np.asarray(t_grid, dtype=float)
     if np.any(t < 0):
@@ -322,25 +330,9 @@ def circle_average_path(
     if backend != "lattice":
         raise DomainError(f"unknown backend {backend!r}")
     lat = lattice if lattice is not None else disk_lattice(128)
-    radii = np.exp(-t)
-    weights = [_circle_weights(lat, complex(center), float(r)) if r < 1.0 else None for r in radii]
-    reps = np.empty((n, len(t)))
-    for start in range(0, n, chunk):
-        m = min(chunk, n - start)
-        if law == "gff":
-            vals = dgff_matrix(lat, m, seed, CALIBRATION, replica_offset=start)
-        elif law == "stable":
-            vals = stable_matrix(lat, alpha, m, seed, CALIBRATION, replica_offset=start)
-        else:
-            raise DomainError(f"unknown law {law!r}")
-        for col, wt in enumerate(weights):
-            if wt is None:
-                # radius >= 1: the ball exhausts the domain, the harmonic
-                # part is identically zero
-                reps[start : start + m, col] = 0.0
-            else:
-                ring_idx, w = wt
-                reps[start : start + m, col] = w @ vals[ring_idx, :]
+    # a ball that exhausts the domain has an empty ring: a zero column
+    weights = [_circle_weights(lat, complex(center), float(r)) for r in np.exp(-t)]
+    reps = _sample_ring_functionals(lat, weights, n, seed, law, alpha)
     return ProcessPath(t, reps, kind="circle", backend="lattice", seed=seed, meta={"law": law})
 
 
@@ -421,18 +413,19 @@ def sine_average_path(
     law: str = "gff",
     alpha: float = 2.0,
     r_factor: float = 2.0,
-    chunk: int = 256,
     domain=None,
 ) -> ProcessPath:
     """Sine-average process Y(u) on a fixed u grid.
 
     The sine measures live on semicircles about the origin in the upper
     half-plane; that is the only supported domain.  exact: jointly
-    Gaussian with the quadrature covariance of the sine measures.
-    lattice: pair the harmonic part of the domain Markov decomposition
-    at semi-disk scale u with the sine measure at test scale
-    r_factor * u; the choice of test scale is immaterial and exercised
-    by tests.
+    Gaussian with covariance (pi^2/2) min(u, u'), in closed form: between
+    concentric semicircles only the first angular mode of the half-plane
+    kernel survives the sin weights.  lattice: pair the harmonic part of
+    the domain Markov decomposition at semi-disk scale u with the sine
+    measure at test scale r_factor * u, through
+    ``fields.sample_functionals``; the choice of test scale is immaterial
+    and exercised by tests.
     """
     if domain is not None and not isinstance(domain, UpperHalfPlane):
         raise DomainError("sine averages are defined on the upper half-plane only")
@@ -442,24 +435,14 @@ def sine_average_path(
     if backend == "exact":
         if law != "gff":
             raise DomainError("the exact backend only carries the Gaussian law")
-        cov = covariance_of_observables([SineMeasure(v) for v in u], UpperHalfPlane())
+        cov = (np.pi**2 / 2.0) * np.minimum.outer(u, u)
         reps = sample_gff_observables(cov, n, seed)
         return ProcessPath(u, reps, kind="sine", backend="exact", seed=seed)
     if backend != "lattice":
         raise DomainError(f"unknown backend {backend!r}")
     lat = lattice if lattice is not None else sine_lattice_for(u)
     weights = [_sine_weights(lat, float(v), r_factor) for v in u]
-    reps = np.empty((n, len(u)))
-    for start in range(0, n, chunk):
-        m = min(chunk, n - start)
-        if law == "gff":
-            vals = dgff_matrix(lat, m, seed, CALIBRATION, replica_offset=start)
-        elif law == "stable":
-            vals = stable_matrix(lat, alpha, m, seed, CALIBRATION, replica_offset=start)
-        else:
-            raise DomainError(f"unknown law {law!r}")
-        for col, (ring_idx, w) in enumerate(weights):
-            reps[start : start + m, col] = w @ vals[ring_idx, :]
+    reps = _sample_ring_functionals(lat, weights, n, seed, law, alpha)
     return ProcessPath(u, reps, kind="sine", backend="lattice", seed=seed, meta={"law": law})
 
 

@@ -35,8 +35,8 @@ from .excursions import (
 )
 from .fields import (
     CALIBRATION,
-    dgff_matrix,
     sample_dgff,
+    sample_functionals,
     sample_stable_field,
     save_field,
 )
@@ -125,7 +125,7 @@ def _coerce(key: str, value: str):
 _DEFAULTS = {
     "excursion-mass": {"n_samples": 200_000, "r": 1.0, "eps": 1e-3},
     "char-bm-gff-sine": {"n_samples": 10_000},
-    "char-bm-gff-circle": {"n_samples": 10_000},
+    "char-bm-gff-circle": {"n_samples": 10_000, "t_grid": DEFAULT_U_GRID},
     "char-bm-stable": {"n_samples": 4_000, "lattice_size": 64, "alpha": 1.5},
     "wick-fourth": {"n_samples": 10_000, "lattice_size": 64},
     "conformal-rotation": {"n_samples": 400, "lattice_size": 96},
@@ -201,8 +201,7 @@ def _run_char_bm_gff_sine(cfg: ExperimentConfig, out: Path) -> list:
 
 
 def _run_char_bm_gff_circle(cfg: ExperimentConfig, out: Path) -> list:
-    grid = cfg.t_grid if cfg.t_grid != DEFAULT_T_GRID else DEFAULT_U_GRID
-    Y = circle_average_path(cfg.n_samples, grid, cfg.seed, backend="exact")
+    Y = circle_average_path(cfg.n_samples, cfg.t_grid, cfg.seed, backend="exact")
     Y.to_csv(out / "circle_path.csv")
     return [json.loads(characterize_bm(Y, seed=cfg.seed).to_json())]
 
@@ -221,11 +220,7 @@ def _run_wick_fourth(cfg: ExperimentConfig, out: Path) -> list:
     lat = disk_lattice(cfg.lattice_size)
     phi = disk_bump(0.0, 0.5)
     w = np.asarray(phi(lat.z)) * lat.spacing**2
-    samples = np.empty(cfg.n_samples)
-    chunk = 1000
-    for start in range(0, cfg.n_samples, chunk):
-        m = min(chunk, cfg.n_samples - start)
-        samples[start : start + m] = w @ dgff_matrix(lat, m, cfg.seed, CALIBRATION, start)
+    samples = sample_functionals(lat, w[:, None], cfg.n_samples, cfg.seed)[:, 0]
     np.savetxt(out / "pairings.csv", samples, fmt="%.17g")
     return [asdict(test_wick_fourth(samples))]
 
@@ -265,7 +260,10 @@ def _all_passed(reports: list) -> bool:
 def run(cfg: ExperimentConfig) -> int:
     """Execute one experiment; write report.json + manifest.json."""
     out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
     started = datetime.now(timezone.utc).isoformat()
     t0 = time.monotonic()
     reports = EXPERIMENTS[cfg.experiment](cfg, out)

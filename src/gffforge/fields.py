@@ -10,6 +10,9 @@ Three constructions share one calibration convention:
   Chambers-Mallows-Stuck variates, which keeps every linear-algebra
   property of the Gaussian field while breaking Gaussianity itself.
 
+Linear functionals w . h of a lattice field are drawn without the field,
+as c v . xi with v = U^-T w (``sample_functionals``).
+
 CALIBRATION = sqrt(2 pi) matches the lattice field to the continuum
 normalization in which a radius-eps circle average at the disk center has
 variance log(1/eps); the refinement study behind the constant lives in the
@@ -36,6 +39,7 @@ __all__ = [
     "sample_stable_field",
     "dgff_matrix",
     "stable_matrix",
+    "sample_functionals",
     "sample_sas",
     "markov_decompose",
     "evaluate",
@@ -147,15 +151,32 @@ def sample_gff_observables(cov, n: int, seed: int) -> np.ndarray:
     return out
 
 
+def _replica_noise(law: str, alpha: float, size: int, seed: int, r: int) -> np.ndarray:
+    """Noise of replica ``r``: unit Gaussians ("gff") or SaS variates ("stable")."""
+    rng = replica_rng(seed, r)
+    if law == "gff":
+        return rng.standard_normal(size)
+    if law == "stable":
+        if not 1.0 < alpha <= 2.0:
+            raise DomainError("stable field needs alpha in (1, 2]")
+        return sample_sas(alpha, size, rng, _SAS_DRIVER_SCALE)
+    raise DomainError(f"unknown law {law!r}")
+
+
+def _field_matrix(lat, law, alpha, n, seed, calibration, replica_offset) -> np.ndarray:
+    """(n_sites, n) calibrated fields; column r is replica replica_offset + r."""
+    xi = np.empty((lat.n_sites, n), order="F")
+    for r in range(n):
+        xi[:, r] = _replica_noise(law, alpha, lat.n_sites, seed, replica_offset + r)
+    return calibration * lat.white_to_field(xi)
+
+
 def dgff_matrix(
     lat: LatticeDomain, n: int, seed: int, calibration: float = CALIBRATION, replica_offset: int = 0
 ) -> np.ndarray:
     """(n_sites, n) matrix of lattice GFF samples; column r is replica
     ``replica_offset + r``, so chunked generation matches one big batch."""
-    xi = np.empty((lat.n_sites, n))
-    for r in range(n):
-        xi[:, r] = replica_rng(seed, replica_offset + r).standard_normal(lat.n_sites)
-    return calibration * lat.white_to_field(xi)
+    return _field_matrix(lat, "gff", 2.0, n, seed, calibration, replica_offset)
 
 
 def sample_dgff(lat: LatticeDomain, n: int, seed: int, calibration: float = CALIBRATION):
@@ -197,13 +218,26 @@ def stable_matrix(
     calibration: float = CALIBRATION,
     replica_offset: int = 0,
 ) -> np.ndarray:
-    if not 1.0 < alpha <= 2.0:
-        raise DomainError("stable field needs alpha in (1, 2]")
-    xi = np.empty((lat.n_sites, n))
+    """(n_sites, n) matrix of symmetric alpha-stable lattice fields; column
+    r is replica ``replica_offset + r``."""
+    return _field_matrix(lat, "stable", alpha, n, seed, calibration, replica_offset)
+
+
+def sample_functionals(
+    lat: LatticeDomain, W: np.ndarray, n: int, seed: int, law: str = "gff", alpha: float = 2.0
+) -> np.ndarray:
+    """(n, k) replicas of W.T @ field for an (n_sites, k) weight matrix W,
+    without building a field: replica r is c xi_r . V with V = U^-T W, U
+    the upper Cholesky factor of the Laplacian and xi_r the noise of column
+    r of dgff_matrix (law "gff") or stable_matrix (law "stable")."""
+    W = np.asarray(W, dtype=float)
+    if W.ndim != 2 or W.shape[0] != lat.n_sites:
+        raise DomainError("weights must be (n_sites, k)")
+    V = CALIBRATION * lat._solve_factor(W, "T")
+    out = np.empty((n, W.shape[1]))
     for r in range(n):
-        rng = replica_rng(seed, replica_offset + r)
-        xi[:, r] = sample_sas(alpha, lat.n_sites, rng, _SAS_DRIVER_SCALE)
-    return calibration * lat.white_to_field(xi)
+        out[r] = _replica_noise(law, alpha, lat.n_sites, seed, r) @ V
+    return out
 
 
 def sample_stable_field(

@@ -15,7 +15,8 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded, solve_banded
+from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg.lapack import dtbtrs
 
 from .errors import DomainError, ResolutionError, SingularityError
 from .geometry import Ball, TestFunction, UnitDisk, UpperHalfPlane, gauss_legendre
@@ -212,16 +213,12 @@ def _pair_discrete(obs_a, obs_b, domain, same: bool) -> float:
     from . import averaging  # local import: averaging depends on this module
 
     g = _green_for(domain)
-    if same:
-        if isinstance(obs_a, averaging.CircleMeasure):
-            return _circle_self(obs_a, domain)
-        if isinstance(obs_a, averaging.SineMeasure):
-            return _sine_self(obs_a, domain)
-        # fattened measures are absolutely continuous; offset node sets keep
-        # the log singularity integrable
-        xn, xw = obs_a.discretize(offset=0)
-        yn, yw = obs_a.discretize(offset=1)
-        return float(xw @ g(xn[:, None], yn[None, :]) @ yw)
+    if same and isinstance(obs_a, averaging.CircleMeasure):
+        return _circle_self(obs_a, domain)
+    if same and isinstance(obs_a, averaging.SineMeasure):
+        return _sine_self(obs_a, domain)
+    # offset node sets keep the log singularity of an absolutely continuous
+    # (fattened) self-pairing integrable
     xn, xw = obs_a.discretize(offset=0)
     yn, yw = obs_b.discretize(offset=1)
     return float(xw @ g(xn[:, None], yn[None, :]) @ yw)
@@ -351,7 +348,6 @@ class LatticeDomain:
             nbrs.append(shifted[miss])
         bnd = np.unique(np.concatenate(nbrs), axis=0)
         self.boundary_ij = bnd
-        self._band = None
         self._chol = None
         self._cells: dict = {}
         self._weights: dict = {}
@@ -390,31 +386,26 @@ class LatticeDomain:
     # -- Laplacian ----------------------------------------------------------
 
     def _banded(self):
-        if self._band is None:
-            rows, cols = _subdomain_pairs(self._codes)
-            bw = int(np.max(cols - rows)) if len(rows) else 0
-            ab = np.zeros((bw + 1, self.n_sites))
-            ab[bw, :] = 4.0
-            ab[bw + rows - cols, cols] = -1.0
-            self._band = (ab, bw)
-        return self._band
-
-    def _cholesky(self):
+        """(U, bandwidth): the Laplacian band, Cholesky-factored in place
+        into its upper factor U (LAPACK upper band storage)."""
         if self._chol is None:
-            ab, bw = self._banded()
-            self._chol = (cholesky_banded(ab, lower=False), bw)
+            self._chol = _factored_laplacian(self._codes)
         return self._chol
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """(graph Laplacian)^-1 rhs with Dirichlet elimination."""
-        cb, _ = self._cholesky()
+        cb, _ = self._banded()
         return cho_solve_banded((cb, False), rhs)
 
     def white_to_field(self, xi: np.ndarray) -> np.ndarray:
         """Solve U x = xi for the upper Cholesky factor U of the Laplacian,
         so that x has covariance (graph Laplacian)^-1."""
-        cb, bw = self._cholesky()
-        return solve_banded((0, bw), cb, xi)
+        return self._solve_factor(xi, "N")
+
+    def _solve_factor(self, b: np.ndarray, trans: str) -> np.ndarray:
+        """U^-1 b (trans "N") or U^-T b (trans "T") without copying the band;
+        U's diagonal is positive, so LAPACK's info is always 0."""
+        return dtbtrs(self._banded()[0], b, uplo="U", trans=trans)[0]
 
     def cell(self, member_idx: np.ndarray) -> "DirichletCell":
         key = np.asarray(member_idx, dtype=np.int64).tobytes()
@@ -465,13 +456,7 @@ class DirichletCell:
         self.parent = parent
         self.member_idx = np.sort(member_idx)
         codes = parent._codes[self.member_idx]
-        n = len(self.member_idx)
-        rows, cols = _subdomain_pairs(codes)
-        bw = int(np.max(cols - rows)) if len(rows) else 0
-        ab = np.zeros((bw + 1, n))
-        ab[bw, :] = 4.0
-        ab[bw + rows - cols, cols] = -1.0
-        self._cb = (cholesky_banded(ab, lower=False), bw)
+        self._cb, _ = _factored_laplacian(codes)
         # ring incidence: for each member, parent-interior neighbours outside
         # the membership (true-boundary neighbours carry zeros and drop out)
         member_mask = np.zeros(parent.n_sites, dtype=bool)
@@ -501,22 +486,26 @@ class DirichletCell:
         """Extension of the parent-interior ``values`` harmonically into the
         cell; returns values on the member sites only."""
         ring_values = values[self.ring_idx]
-        cb, _ = self._cb
-        return cho_solve_banded((cb, False), self._rhs_from_ring(ring_values))
+        return cho_solve_banded((self._cb, False), self._rhs_from_ring(ring_values))
 
     def ring_weights(self, member_coeffs: np.ndarray) -> np.ndarray:
         """Weights w with w . values[ring_idx] = member_coeffs . extension."""
-        cb, _ = self._cb
-        v = cho_solve_banded((cb, False), member_coeffs)
+        v = cho_solve_banded((self._cb, False), member_coeffs)
         w = np.zeros(len(self.ring_idx))
         np.add.at(w, self._ring_pos, v[self._inc_rows])
         return w
 
-    def green_column(self, member_pos: int) -> np.ndarray:
-        cb, _ = self._cb
-        e = np.zeros(len(self.member_idx))
-        e[member_pos] = 1.0
-        return cho_solve_banded((cb, False), e)
+
+def _factored_laplacian(codes: np.ndarray):
+    """(U, bandwidth) of the graph Laplacian (diagonal 4, Dirichlet rows
+    eliminated) on the sites with sorted ``codes``; the band is assembled
+    Fortran-ordered and factored in place, so only one band is ever held."""
+    rows, cols = _subdomain_pairs(codes)
+    bw = int(np.max(cols - rows)) if len(rows) else 0
+    ab = np.zeros((bw + 1, len(codes)), order="F")
+    ab[bw, :] = 4.0
+    ab[bw + rows - cols, cols] = -1.0
+    return cholesky_banded(ab, overwrite_ab=True, lower=False), bw
 
 
 def _subdomain_pairs(codes: np.ndarray):
@@ -565,8 +554,5 @@ def green_variance_ratio(lat: LatticeDomain) -> float:
     ratios = []
     for x, y in probes:
         kx, ky = lat.nearest_site(x), lat.nearest_site(y)
-        e = np.zeros(lat.n_sites)
-        e[ky] = 1.0
-        g_lat = float(lat.solve(e)[kx])
-        ratios.append(g_lat / float(green_disk(lat.z[kx], lat.z[ky])))
+        ratios.append(discrete_green(lat, x, y) / float(green_disk(lat.z[kx], lat.z[ky])))
     return float(np.mean(ratios))

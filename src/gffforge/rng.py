@@ -11,6 +11,8 @@ import os
 
 import numpy as np
 
+from .errors import ConfigError
+
 GOLDEN = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
 
@@ -35,9 +37,9 @@ def thread_count() -> int:
     try:
         n = int(raw)
     except ValueError as exc:
-        raise ValueError(f"GFFFORGE_THREADS must be an integer, got {raw!r}") from exc
+        raise ConfigError(f"GFFFORGE_THREADS must be an integer, got {raw!r}") from exc
     if n < 1:
-        raise ValueError("GFFFORGE_THREADS must be >= 1")
+        raise ConfigError("GFFFORGE_THREADS must be >= 1")
     return n
 
 

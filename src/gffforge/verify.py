@@ -18,7 +18,7 @@ from scipy.special import log_ndtr
 
 from .averaging import ProcessPath
 from .errors import DomainError
-from .fields import sample_sas
+from .fields import sample_functionals, sample_sas
 from .geometry import ConformalMap, Scaling, TestFunction, pullback_test_function
 from .greens import LatticeDomain, disk_lattice
 from .rng import parallel_map, replica_rng
@@ -334,21 +334,13 @@ def test_conformal_invariance(
 ) -> TestReport:
     """Two-sample KS between source-domain pairings (h, phi) and image
     pairings (h', phi^f) with phi^f the density-corrected pushforward."""
-    from .fields import CALIBRATION, dgff_matrix, stable_matrix
-
     lat = lattice_src if lattice_src is not None else disk_lattice(96)
     dst = lattice_dst if lattice_dst is not None else _image_lattice(lat, f)
     psi = pullback_test_function(phi, f)
     srcw = np.asarray(phi(lat.z)) * lat.spacing**2
     dstw = np.asarray(psi(dst.z)) * dst.spacing**2
-    if law == "gff":
-        a = srcw @ dgff_matrix(lat, n, seed, CALIBRATION)
-        b = dstw @ dgff_matrix(dst, n, seed + 1, CALIBRATION)
-    elif law == "stable":
-        a = srcw @ stable_matrix(lat, alpha, n, seed, CALIBRATION)
-        b = dstw @ stable_matrix(dst, alpha, n, seed + 1, CALIBRATION)
-    else:
-        raise DomainError(f"unknown law {law!r}")
+    a = sample_functionals(lat, srcw[:, None], n, seed, law, alpha)[:, 0]
+    b = sample_functionals(dst, dstw[:, None], n, seed + 1, law, alpha)[:, 0]
     ks = stats.ks_2samp(a, b)
     notes = f"lattice spacings {lat.spacing:.4g} -> {dst.spacing:.4g}; O(spacing) bias applies"
     if law != "gff":

@@ -281,12 +281,12 @@ def test_sine_path_r_factor_invariance():
     assert_allclose(cols[0], cols[2], atol=0.02)
 
 
-def test_sine_path_chunk_invariance():
+def test_sine_path_prefix_invariance():
     lat = sine_lattice_for((1.0,), points_per_radius=6, width_factor=3.0)
-    a = sine_average_path(11, (1.0, 2.0), seed=257, backend="lattice", lattice=lat, chunk=4)
-    b = sine_average_path(11, (1.0, 2.0), seed=257, backend="lattice", lattice=lat, chunk=256)
-    # replica streams are identical; only BLAS summation order may differ
-    assert_allclose(a.replicas, b.replicas, atol=1e-12)
+    a = sine_average_path(4, (1.0, 2.0), seed=257, backend="lattice", lattice=lat)
+    b = sine_average_path(11, (1.0, 2.0), seed=257, backend="lattice", lattice=lat)
+    # replica r depends on its own stream only, not on the batch size
+    assert np.array_equal(a.replicas, b.replicas[:4])
 
 
 def test_sine_path_validation():

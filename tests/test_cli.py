@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from gffforge.averaging import ProcessPath
+from gffforge.averaging import DEFAULT_T_GRID, DEFAULT_U_GRID, ProcessPath
 from gffforge.cli import ExperimentConfig, load_config, main, parse_config_file
 from gffforge.errors import ConfigError
 from gffforge.excursions import ExcursionSample
@@ -115,6 +115,20 @@ def test_verify_propagates_resolution_as_3(tmp_path, capsys):
     assert code == 3
 
 
+def test_bad_thread_count_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("GFFFORGE_THREADS", "many")
+    assert main(["excursions", "--eps", "0.05", "--n", "10"]) == 2
+    assert capsys.readouterr().err.startswith("error: GFFFORGE_THREADS")
+
+
+def test_uncreatable_output_dir_exits_2(tmp_path, capsys):
+    blocker = tmp_path / "taken"
+    blocker.write_text("a regular file\n")
+    code = main(["verify", "--experiment", "wick-fourth", "--output-dir", str(blocker)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: cannot create output directory")
+
+
 def test_empty_grid_exits_2(tmp_path, capsys):
     assert main(["paths", "--kind", "sine", "--grid", ",", "--n", "10"]) == 2
 
@@ -195,6 +209,21 @@ def test_wick_experiment_smoke(tmp_path):
     rep = json.loads((tmp_path / "out" / "report.json").read_text())
     assert abs(rep[0]["statistic"]) <= 0.15
     assert (tmp_path / "out" / "pairings.csv").exists()
+
+
+@pytest.mark.parametrize("t_grid", [None, DEFAULT_T_GRID])
+def test_circle_experiment_runs_on_the_recorded_grid(tmp_path, t_grid):
+    p = tmp_path / "c.cfg"
+    text = "n_samples = 200\n"
+    if t_grid is not None:
+        text += "t_grid = " + ",".join(repr(v) for v in t_grid) + "\n"
+    p.write_text(text)
+    main(["verify", "--experiment", "char-bm-gff-circle", "--config", str(p),
+          "--output-dir", str(tmp_path / "out"), "--seed", "3"])
+    man = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    header = np.loadtxt(tmp_path / "out" / "circle_path.csv", delimiter=",", max_rows=1)
+    assert man["config"]["t_grid"] == header.tolist()
+    assert header.tolist() == list(DEFAULT_U_GRID if t_grid is None else t_grid)
 
 
 def test_conformal_experiment_smoke(tmp_path):

@@ -16,6 +16,7 @@ from gffforge.fields import (
     load_field,
     markov_decompose,
     sample_dgff,
+    sample_functionals,
     sample_gff_observables,
     sample_sas,
     sample_stable_field,
@@ -144,6 +145,31 @@ def test_dgff_chunked_generation_matches_one_batch():
     whole = dgff_matrix(lat, 6, seed=21)
     tail = dgff_matrix(lat, 3, seed=21, replica_offset=3)
     assert_allclose(whole[:, 3:], tail, rtol=0, atol=0)
+
+
+@pytest.mark.parametrize("law", ["gff", "stable"])
+def test_sample_functionals_matches_field_pairings(law):
+    lat = disk_lattice(24)
+    z = lat.z
+    W = np.stack([np.asarray(disk_bump(0.1j, 0.5)(z)), z.real, np.zeros(lat.n_sites)], axis=1)
+    got = sample_functionals(lat, W, 7, seed=43, law=law, alpha=1.6)
+    if law == "gff":
+        ref = W.T @ dgff_matrix(lat, 7, seed=43)
+    else:
+        ref = W.T @ stable_matrix(lat, 1.6, 7, seed=43)
+    assert got.shape == (7, 3)
+    assert np.max(np.abs(got - ref.T)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.all(got[:, 2] == 0.0)
+
+
+def test_sample_functionals_validation():
+    lat = disk_lattice(12)
+    with pytest.raises(DomainError):
+        sample_functionals(lat, np.ones((lat.n_sites + 1, 1)), 2, seed=0)
+    with pytest.raises(DomainError):
+        sample_functionals(lat, np.ones((lat.n_sites, 1)), 2, seed=0, law="cauchy")
+    with pytest.raises(DomainError):
+        sample_functionals(lat, np.ones((lat.n_sites, 1)), 2, seed=0, law="stable", alpha=0.9)
 
 
 def test_dgff_sample_metadata():
