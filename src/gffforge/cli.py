@@ -42,6 +42,7 @@ from .fields import (
 )
 from .geometry import Rotation, disk_bump
 from .greens import disk_lattice, green_variance_ratio
+from .rng import thread_count
 from .verify import (
     TestReport,
     characterize_bm,
@@ -418,6 +419,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        thread_count()  # reject a bad GFFFORGE_THREADS even where no pool runs
         return _COMMANDS[args.command](args)
     except (ConfigError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)

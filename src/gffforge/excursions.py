@@ -4,6 +4,11 @@ The excursion measure from the origin assigns mass 4/(pi r) to paths
 reaching the radius-r upper semicircle, with hit angles distributed like
 (1/2) sin(theta).  The sampler realizes the measure as the eps -> 0 limit
 of Brownian paths started at i*eps, weighted by 1/eps.
+
+Paths move by walk-on-spheres (Muller 1956): each step samples the exact
+exit point of the largest disk around the path inside the half-disk.  A
+path stops in an eps-shell: absorbed below height ``eps * _FLOOR``, or a
+hit at radius ``r * _HIT_SHAVE``.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .rng import parallel_map, replica_rng
+from .rng import replica_rng
 
 __all__ = [
     "ExcursionHitRecord",
@@ -29,10 +34,11 @@ __all__ = [
 ]
 
 _HIT_SHAVE = 1.0 - 1e-4  # declare a hit at |z| >= r * _HIT_SHAVE
-# Paths per random stream (see sample_excursion_hits).  Each block pays
-# its own absorption tail, so smaller blocks cost more; 50,000 keeps the
-# n=200,000 acceptance run within budget on two cores while still giving
-# it 4 blocks to run in parallel.
+_FLOOR = 1e-3  # absorb a path started at i*eps once Im z < eps * _FLOOR
+# Paths per random stream (see sample_excursion_hits).  Fixed so that the
+# sample does not depend on how paths are scheduled; each block loops
+# until its slowest path stops, so blocks much smaller than this cost
+# more per path in interpreter overhead.
 _PATH_BLOCK = 50_000
 
 
@@ -128,11 +134,15 @@ class ExcursionSample:
         return out
 
     def to_csv(self, path) -> None:
+        eps = f"{self.eps:.17g}"
         with open(path, "w") as fh:
             fh.write("hit,angle,eps,weight\n")
-            for rec in self.records:
-                ang = f"{rec.angle:.17g}" if rec.hit else ""
-                fh.write(f"{int(rec.hit)},{ang},{rec.eps:.17g},{rec.weight:.17g}\n")
+            fh.writelines(
+                f"1,{a:.17g},{eps},{w:.17g}\n"
+                for a, w in zip(self.angles.tolist(), self.weights.tolist())
+            )
+            if self.mode == "literal":
+                fh.write(f"0,,{eps},1\n" * (self.n_paths - len(self.angles)))
 
     @staticmethod
     def read_records(path) -> list:
@@ -149,10 +159,10 @@ class ExcursionSample:
         return recs
 
 
-def _advance(z, w, roots, rng, r, floor, top, q):
-    """Run paths until absorption (Im < floor), a hit (|z| near r), or
-    escape above ``top``.  Steps are Gaussian with dt = q * d^2 where d is
-    the distance to the absorbing set."""
+def _advance(z, w, roots, rng, r, floor, top):
+    """Run paths until absorption (Im < floor), a hit (|z| >= r *
+    _HIT_SHAVE), or escape above ``top``.  A walk-on-spheres step jumps to
+    z + d e^(i phi), d = min(Im z, r - |z|), phi uniform on [0, 2 pi)."""
     hit_a = []
     hit_w = []
     hit_r = []
@@ -160,9 +170,7 @@ def _advance(z, w, roots, rng, r, floor, top, q):
     hit_rad = r * _HIT_SHAVE
     while z.size:
         d = np.minimum(z.imag, r - np.abs(z))
-        dt = q * d * d
-        step = np.sqrt(dt)
-        z = z + step * (rng.standard_normal(z.size) + 1j * rng.standard_normal(z.size))
+        z = z + d * np.exp(2j * np.pi * rng.random(z.size))
         dead = z.imag < floor
         hit = np.abs(z) >= hit_rad
         live_hit = hit & ~dead
@@ -180,42 +188,30 @@ def _advance(z, w, roots, rng, r, floor, top, q):
     def cat(parts, dtype=float):
         return np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
 
-    surv = (
-        (cat([p[0] for p in out], complex), cat([p[1] for p in out]), cat([p[2] for p in out], np.int64))
-        if out
-        else (np.empty(0, complex), np.empty(0), np.empty(0, np.int64))
-    )
+    surv = (cat([p[0] for p in out], complex), cat([p[1] for p in out]), cat([p[2] for p in out], np.int64))
     return cat(hit_a), cat(hit_w), cat(hit_r, np.int64), surv
 
 
-def _block_hits(args):
-    r, eps, count, base_seed, k, root0, q, split = args
+def _block_hits(r, eps, count, base_seed, k, root0, split):
     rng = replica_rng(base_seed, k)
-    floor = eps * 1e-3
+    floor = eps * _FLOOR
     z = np.full(count, 1j * eps)
     w = np.ones(count)
     roots = root0 + np.arange(count, dtype=np.int64)
     angles, weights, hit_roots = [], [], []
     absorbed = 0
-    level = 2.0 * eps
-    while True:
-        top = level if split else np.inf
+    # split survivors at each dyadic level below r/2; past it, run to the end
+    level = 2.0 * eps if split else np.inf
+    while z.size:
         before = z.size
-        a, aw, ar, (z, w, roots) = _advance(z, w, roots, rng, r, floor, top, q)
+        a, aw, ar, (z, w, roots) = _advance(z, w, roots, rng, r, floor, level)
         angles.append(a)
         weights.append(aw)
         hit_roots.append(ar)
         absorbed += before - z.size - len(a)
-        if z.size == 0 or not split:
-            break
         if level >= r / 2:
-            before = z.size
-            a, aw, ar, (z, w, roots) = _advance(z, w, roots, rng, r, floor, np.inf, q)
-            angles.append(a)
-            weights.append(aw)
-            hit_roots.append(ar)
-            absorbed += before - len(a)
-            break
+            level = np.inf
+            continue
         z = np.concatenate([z, z])
         w = np.concatenate([w, w]) * 0.5
         roots = np.concatenate([roots, roots])
@@ -233,7 +229,6 @@ def sample_excursion_hits(
     eps: float,
     n: int,
     seed: int,
-    q: float = 0.01,
     split: bool = True,
 ) -> ExcursionSample:
     """Sample n excursion attempts from i*eps against the radius-r arc.
@@ -245,9 +240,9 @@ def sample_excursion_hits(
 
     Paths ``[k B, (k+1) B)`` form block k (B = ``_PATH_BLOCK``) and draw
     from ``replica_rng(seed, k)``; split fragments of a path share their
-    block's stream.  Blocks are distributed over worker threads, and since
-    neither the block bounds nor the streams follow the worker count, the
-    sample is bit-identical at any ``GFFFORGE_THREADS``.
+    block's stream.  Blocks run one after another in the calling thread;
+    neither their bounds nor their streams depend on ``GFFFORGE_THREADS``,
+    so neither does the sample.
     """
     if not (r > 0 and eps > 0):
         raise DomainError("need r > 0 and eps > 0")
@@ -255,11 +250,10 @@ def sample_excursion_hits(
         raise DomainError("eps must be < r/10 for the excursion limit to apply")
     if n < 1:
         raise DomainError("need n >= 1")
-    jobs = [
-        (r, eps, min(_PATH_BLOCK, n - lo), seed, k, lo, q, split)
+    parts = [
+        _block_hits(r, eps, min(_PATH_BLOCK, n - lo), seed, k, lo, split)
         for k, lo in enumerate(range(0, n, _PATH_BLOCK))
     ]
-    parts = parallel_map(_block_hits, jobs)
     return ExcursionSample(
         r=r,
         eps=eps,
@@ -273,10 +267,11 @@ def sample_excursion_hits(
     )
 
 
-def continue_paths(z0, r_target: float, seed: int, q: float = 0.01, floor: float | None = None):
-    """Run killed Brownian motion from given points to the radius-r_target
-    arc.  Returns (hit mask, hit angles) aligned with the inputs; paths
-    absorbed at the real axis get no angle."""
+def continue_paths(z0, r_target: float, seed: int, floor: float | None = None):
+    """Run killed Brownian motion (walk-on-spheres, as in the sampler) from
+    given points to the radius-r_target arc.  Returns (hit mask, hit
+    angles) aligned with the inputs; paths absorbed at the real axis get
+    no angle."""
     z0 = np.atleast_1d(np.asarray(z0, dtype=complex))
     if np.any(z0.imag <= 0):
         raise DomainError("continuation must start inside the upper half-plane")
@@ -285,7 +280,7 @@ def continue_paths(z0, r_target: float, seed: int, q: float = 0.01, floor: float
     fl = floor if floor is not None else 1e-6 * r_target
     rng = replica_rng(seed, 0)
     roots = np.arange(len(z0), dtype=np.int64)
-    a, _, ar, _ = _advance(z0.copy(), np.ones(len(z0)), roots, rng, r_target, fl, np.inf, q)
+    a, _, ar, _ = _advance(z0.copy(), np.ones(len(z0)), roots, rng, r_target, fl, np.inf)
     mask = np.zeros(len(z0), dtype=bool)
     angles = np.full(len(z0), np.nan)
     mask[ar] = True

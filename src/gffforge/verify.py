@@ -57,12 +57,7 @@ class TestReport:
     notes: str = ""
 
     def __post_init__(self):
-        want = (
-            self.p_value >= SIGNIFICANCE
-            if self.p_value is not None
-            else abs(self.statistic) <= self.threshold
-        )
-        if bool(self.passed) != want:
+        if bool(self.passed) != _passes(self.statistic, self.p_value, self.threshold):
             raise DomainError(f"report {self.name!r} breaks the pass invariant")
 
     def to_json(self) -> str:
@@ -73,14 +68,17 @@ class TestReport:
         return cls(**json.loads(text))
 
 
+def _passes(statistic, p_value, threshold) -> bool:
+    """The pass rule: p >= SIGNIFICANCE, else |statistic| <= threshold."""
+    return bool(p_value >= SIGNIFICANCE if p_value is not None else abs(statistic) <= threshold)
+
+
 def _report(name, statistic, p_value, threshold, n, notes=""):
-    passed = (
-        p_value >= SIGNIFICANCE if p_value is not None else abs(statistic) <= threshold
-    )
+    passed = _passes(statistic, p_value, threshold)
     if p_value is not None:
         p_value = float(p_value)
     return TestReport(
-        name, float(statistic), p_value, float(threshold), bool(passed), int(n), notes
+        name, float(statistic), p_value, float(threshold), passed, int(n), notes
     )
 
 

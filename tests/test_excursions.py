@@ -186,11 +186,23 @@ def test_mass_scales_with_radius():
     assert abs(2.0 * s.mass_estimate - TARGET) < 3.0 * 2.0 * s.mass_stderr()
 
 
-def test_step_size_convergence():
-    # halving the adaptive step parameter must not move the estimate
-    # beyond joint noise
-    a = sample_excursion_hits(1.0, 1e-2, 15000, seed=139, q=0.01)
-    b = sample_excursion_hits(1.0, 1e-2, 15000, seed=139, q=0.005)
+def test_mass_exact_at_finite_eps():
+    # seen from i*eps the arc has harmonic measure (4/pi) atan(eps/r)
+    # exactly, so at finite eps the mass has a closed form with no
+    # eps -> 0 bias; at this n the 3-s.e. gate is about 1.4% of the mass
+    r, eps = 1.0, 1e-2
+    s = sample_excursion_hits(r, eps, 400_000, seed=173)
+    exact = (4.0 / np.pi) * np.arctan(eps / r) / eps
+    assert abs(s.mass_estimate - exact) < 3.0 * s.mass_stderr()
+
+
+def test_shell_width_convergence(monkeypatch):
+    # halving both widths of the eps-shell (absorption floor and hit
+    # shave) must not move the estimate beyond joint noise
+    a = sample_excursion_hits(1.0, 1e-2, 15000, seed=139)
+    monkeypatch.setattr(excursions, "_FLOOR", excursions._FLOOR / 2)
+    monkeypatch.setattr(excursions, "_HIT_SHAVE", 1.0 - (1.0 - excursions._HIT_SHAVE) / 2)
+    b = sample_excursion_hits(1.0, 1e-2, 15000, seed=139)
     gap = abs(a.mass_estimate - b.mass_estimate)
     assert gap < 3.0 * np.hypot(a.mass_stderr(), b.mass_stderr())
 
@@ -198,12 +210,12 @@ def test_step_size_convergence():
 def test_sample_independent_of_thread_count(monkeypatch):
     # streams are keyed by fixed path blocks, not by worker, so the thread
     # count cannot change the sample; a small block makes the run span six
-    # blocks, and the coarse step q only keeps the test fast
+    # blocks
     monkeypatch.setattr(excursions, "_PATH_BLOCK", 512)
     runs = []
     for threads in ("1", "2", "3"):
         monkeypatch.setenv("GFFFORGE_THREADS", threads)
-        runs.append(sample_excursion_hits(1.0, 1e-2, 3000, seed=167, q=0.05))
+        runs.append(sample_excursion_hits(1.0, 1e-2, 3000, seed=167))
     first = runs[0]
     for s in runs[1:]:
         assert_array_equal(s.angles, first.angles)
@@ -274,6 +286,25 @@ def test_records_round_trip_split(tmp_path):
     assert all(rec.hit for rec in back)
     assert_allclose([rec.angle for rec in back], s.angles, rtol=0, atol=0)
     assert_allclose([rec.weight for rec in back], s.weights, rtol=0, atol=0)
+
+
+def _records_csv(sample) -> str:
+    # reference rendering of hits.csv, one ExcursionHitRecord per row
+    rows = ["hit,angle,eps,weight\n"]
+    for rec in sample.records:
+        ang = f"{rec.angle:.17g}" if rec.hit else ""
+        rows.append(f"{int(rec.hit)},{ang},{rec.eps:.17g},{rec.weight:.17g}\n")
+    return "".join(rows)
+
+
+@pytest.mark.parametrize("split", [True, False])
+def test_to_csv_matches_records_rendering(tmp_path, split):
+    s = sample_excursion_hits(1.0, 1e-2, 400, seed=179, split=split)
+    if not split:
+        assert len(s.angles) < s.n_paths  # so miss rows are written
+    f = tmp_path / "hits.csv"
+    s.to_csv(f)
+    assert f.read_bytes() == _records_csv(s).encode()
 
 
 def test_read_records_rejects_bad_header(tmp_path):
