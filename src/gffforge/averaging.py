@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DomainError, ResolutionError
 from .fields import FieldSample, sample_functionals, sample_gff_observables
 from .geometry import TestFunction, UpperHalfPlane, gauss_legendre, mollifier
-from .greens import LatticeDomain, disk_lattice, halfplane_lattice
+from .greens import LatticeDomain, _encode, _lookup, disk_lattice, halfplane_lattice
 
 __all__ = [
     "CircleMeasure",
@@ -197,66 +197,46 @@ class ProcessPath:
 # ---------------------------------------------------------------------------
 
 
-def _interp_coeffs(lat: LatticeDomain, nodes: np.ndarray, weights: np.ndarray):
-    """Spread quadrature weights onto the four grid corners of each node.
+def _pairing_weights(lat: LatticeDomain, member_idx: np.ndarray, nodes, weights):
+    """Ring weight vector computing sum_q w_q * (harmonic extension)(z_q).
 
-    Returns a dict site-code -> coefficient; corners that are not interior
-    sites are returned separately (they must carry Dirichlet zeros).
+    Each quadrature weight is spread bilinearly onto the four grid corners
+    of its node, corner-major, and repeated corners are summed in that
+    order.  The extension is the field on ring sites and zero on the outer
+    lattice boundary, so corners there pick up the field value or drop
+    out; a corner strictly outside the cell closure means the node grid is
+    too coarse for the subdomain.
     """
-    a = lat.spacing
-    x = nodes.real / a
-    y = nodes.imag / a
+    cell = lat.cell(member_idx)
+    x = nodes.real / lat.spacing
+    y = nodes.imag / lat.spacing
     ix = np.floor(x).astype(np.int64)
     iy = np.floor(y).astype(np.int64)
     fx = x - ix
     fy = y - iy
-    coeffs: dict = {}
-    missing = 0.0
-    for di, dj, frac in (
-        (0, 0, (1 - fx) * (1 - fy)),
-        (1, 0, fx * (1 - fy)),
-        (0, 1, (1 - fx) * fy),
-        (1, 1, fx * fy),
-    ):
-        for k in range(len(nodes)):
-            c = frac[k] * weights[k]
-            if c == 0.0:
-                continue
-            key = (int(ix[k] + di), int(iy[k] + dj))
-            coeffs[key] = coeffs.get(key, 0.0) + c
-    return coeffs
-
-
-def _pairing_weights(lat: LatticeDomain, member_idx: np.ndarray, nodes, weights):
-    """Ring weight vector computing sum_q w_q * (harmonic extension)(z_q).
-
-    The extension is the field on ring sites and zero on the outer lattice
-    boundary, so interpolation corners there pick up the field value or
-    drop out; a corner strictly outside the cell closure means the node
-    grid is too coarse for the subdomain.
-    """
-    cell = lat.cell(member_idx)
-    member_pos = {int(k): p for p, k in enumerate(cell.member_idx)}
-    ring_pos = {int(k): p for p, k in enumerate(cell.ring_idx)}
-    coeffs = _interp_coeffs(lat, np.asarray(nodes), np.asarray(weights))
+    offsets = ((0, 0), (1, 0), (0, 1), (1, 1))
+    fracs = ((1 - fx) * (1 - fy), fx * (1 - fy), (1 - fx) * fy, fx * fy)
+    corners = np.concatenate([np.stack([ix + di, iy + dj], axis=1) for di, dj in offsets])
+    c = np.concatenate([frac * weights for frac in fracs])
+    keep = c != 0.0
+    corners, c = corners[keep], c[keep]
+    codes, first, inv = np.unique(_encode(corners), return_index=True, return_inverse=True)
+    c = np.bincount(inv, weights=c, minlength=len(codes))
+    inner = ~_lookup(_encode(lat.boundary_ij), codes)[1]
+    corners, codes, c = corners[first[inner]], codes[inner], c[inner]
+    site, on_lattice = _lookup(lat._codes, codes)
+    if not on_lattice.all():
+        bad = tuple(corners[~on_lattice][0].tolist())
+        raise ResolutionError(f"pairing node corner {bad} falls off the lattice")
+    p, in_member = _lookup(cell.member_idx, site)
     q = np.zeros(len(cell.member_idx))
+    q[p[in_member]] = c[in_member]
+    p, in_ring = _lookup(cell.ring_idx, site[~in_member])
+    if not in_ring.all():
+        bad = tuple(corners[~in_member][~in_ring][0].tolist())
+        raise ResolutionError(f"pairing node corner {bad} leaves the subdomain")
     direct = np.zeros(len(cell.ring_idx))
-    bnd = {(int(i), int(j)) for i, j in lat.boundary_ij}
-    for (i, j), c in coeffs.items():
-        if (i, j) in bnd:
-            continue
-        try:
-            site = lat.site_index((i, j))
-        except DomainError:
-            raise ResolutionError(f"pairing node corner {(i, j)} falls off the lattice")
-        p = member_pos.get(site)
-        if p is not None:
-            q[p] += c
-            continue
-        p = ring_pos.get(site)
-        if p is None:
-            raise ResolutionError(f"pairing node corner {(i, j)} leaves the subdomain")
-        direct[p] += c
+    direct[p] = c[~in_member]
     return cell, cell.ring_weights(q) + direct
 
 
@@ -292,8 +272,8 @@ def _circle_weights(lat: LatticeDomain, z: complex, eps: float):
         raise ResolutionError(f"ball B({z}, {eps}) captures fewer than 4 lattice sites")
     target = lat.nearest_site(z)
     cell = lat.cell(idx)
-    pos = np.searchsorted(cell.member_idx, target)
-    if pos >= len(cell.member_idx) or cell.member_idx[pos] != target:
+    pos, found = _lookup(cell.member_idx, target)
+    if not found:
         raise ResolutionError("nearest site to the center is not inside the ball")
     e = np.zeros(len(cell.member_idx))
     e[pos] = 1.0

@@ -8,6 +8,7 @@ test functions never need numerical differentiation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -370,9 +371,18 @@ def gauss_legendre(n: int, a: float, b: float):
         raise DomainError("gauss_legendre needs n >= 1")
     if not b > a:
         raise DomainError("gauss_legendre needs b > a")
-    x, w = leggauss(n)
+    x, w = _reference_rule(n)
     half = 0.5 * (b - a)
     return a + half * (x + 1.0), half * w
+
+
+@lru_cache(maxsize=None)
+def _reference_rule(n: int):
+    """leggauss(n) on [-1, 1], built once per order and kept read-only."""
+    x, w = leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
 
 
 # ---------------------------------------------------------------------------

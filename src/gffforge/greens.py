@@ -319,6 +319,13 @@ def _encode(ij: np.ndarray) -> np.ndarray:
     )
 
 
+def _lookup(sorted_keys: np.ndarray, keys):
+    """(pos, found): sorted_keys[pos] == keys exactly where found; pos is
+    always a valid index into the non-empty ``sorted_keys``."""
+    pos = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
+    return pos, sorted_keys[pos] == keys
+
+
 class LatticeDomain:
     """Square-lattice discretization of a planar domain.
 
@@ -341,11 +348,7 @@ class LatticeDomain:
         nbrs = []
         for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
             shifted = self.interior_ij + np.array([di, dj])
-            codes = _encode(shifted)
-            pos = np.searchsorted(self._codes, codes)
-            pos = np.clip(pos, 0, len(self._codes) - 1)
-            miss = self._codes[pos] != codes
-            nbrs.append(shifted[miss])
+            nbrs.append(shifted[~_lookup(self._codes, _encode(shifted))[1]])
         bnd = np.unique(np.concatenate(nbrs), axis=0)
         self.boundary_ij = bnd
         self._chol = None
@@ -363,11 +366,10 @@ class LatticeDomain:
         return (self.interior_ij[:, 0] + 1j * self.interior_ij[:, 1]) * self.spacing
 
     def site_index(self, ij) -> int:
-        code = _encode(np.asarray(ij, dtype=np.int64).reshape(1, 2))[0]
-        pos = int(np.searchsorted(self._codes, code))
-        if pos >= len(self._codes) or self._codes[pos] != code:
+        pos, found = _lookup(self._codes, _encode(np.asarray(ij, dtype=np.int64).reshape(1, 2))[0])
+        if not found:
             raise DomainError(f"site {tuple(ij)} is not interior")
-        return pos
+        return int(pos)
 
     def nearest_site(self, z: complex) -> int:
         return int(np.argmin(np.abs(self.z - z)))
@@ -464,13 +466,10 @@ class DirichletCell:
         src = []
         ring = []
         for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            target = codes + di * (2 * _CODE_SHIFT) + dj
-            pos = np.searchsorted(parent._codes, target)
-            pos_c = np.clip(pos, 0, parent.n_sites - 1)
-            hit = parent._codes[pos_c] == target
-            outside = hit & ~member_mask[pos_c]
+            pos, hit = _lookup(parent._codes, codes + di * (2 * _CODE_SHIFT) + dj)
+            outside = hit & ~member_mask[pos]
             src.append(np.nonzero(outside)[0])
-            ring.append(pos_c[outside])
+            ring.append(pos[outside])
         self._inc_rows = np.concatenate(src)
         self._inc_ring = np.concatenate(ring)
         self.ring_idx = np.unique(self._inc_ring)
@@ -509,17 +508,13 @@ def _factored_laplacian(codes: np.ndarray):
 
 
 def _subdomain_pairs(codes: np.ndarray):
-    n = len(codes)
-    base = np.arange(n)
+    base = np.arange(len(codes))
     rows = []
     cols = []
     for di, dj in ((1, 0), (0, 1)):
-        target = codes + di * (2 * _CODE_SHIFT) + dj
-        pos = np.searchsorted(codes, target)
-        pos_c = np.clip(pos, 0, n - 1)
-        hit = codes[pos_c] == target
+        pos, hit = _lookup(codes, codes + di * (2 * _CODE_SHIFT) + dj)
         rows.append(base[hit])
-        cols.append(pos_c[hit])
+        cols.append(pos[hit])
     return np.concatenate(rows), np.concatenate(cols)
 
 

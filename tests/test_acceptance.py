@@ -18,7 +18,7 @@ from gffforge.averaging import (
     sine_pair,
 )
 from gffforge.excursions import sample_excursion_hits, total_mass, weighted_ks_distance
-from gffforge.fields import CALIBRATION, dgff_matrix, markov_decompose, sample_dgff
+from gffforge.fields import CALIBRATION, markov_decompose, sample_dgff, sample_functionals
 from gffforge.geometry import UpperHalfPlane, disk_bump, radial_annulus_bump
 from gffforge.greens import (
     LatticeDomain,
@@ -206,7 +206,7 @@ def test_criterion_08_wick_fourth_moment():
     lat = disk_lattice(64)
     phi = disk_bump(0.0, 0.5)
     w = np.asarray(phi(lat.z)) * lat.spacing**2
-    pairings = w @ dgff_matrix(lat, 10_000, 4208)
+    pairings = sample_functionals(lat, w[:, None], 10_000, 4208)[:, 0]
     rep = vfy.test_wick_fourth(pairings)
     ratio = rep.statistic + 1.0
     dt = time.time() - t0
@@ -219,12 +219,10 @@ def test_criterion_08_wick_fourth_moment():
 def test_criterion_09_zero_boundary_decay():
     t0 = time.time()
     lat = disk_lattice(128)
-    vals = dgff_matrix(lat, 1200, 4209)
-    means = np.empty(5)
-    for k in range(1, 6):
-        phi = radial_annulus_bump(2.0 ** (-k))
-        w = np.asarray(phi(lat.z)) * lat.spacing**2
-        means[k - 1] = np.mean(np.abs(w @ vals))
+    W = np.stack(
+        [np.asarray(radial_annulus_bump(2.0 ** (-k))(lat.z)) for k in range(1, 6)], axis=1
+    )
+    means = np.mean(np.abs(sample_functionals(lat, W * lat.spacing**2, 1200, 4209)), axis=0)
     monotone = bool(np.all(np.diff(means) < 0))
     final_rel = float(means[-1] / means[0])
     dt = time.time() - t0

@@ -442,6 +442,112 @@ def test_rotational_check_validation(disk96):
 
 
 # ---------------------------------------------------------------------------
+# pairing weights
+# ---------------------------------------------------------------------------
+
+
+def _dict_pairing_weights(lat, member_idx, nodes, weights):
+    """Reference for _pairing_weights: one dict entry per bilinear corner,
+    accumulated node by node, resolved one site at a time."""
+    x = nodes.real / lat.spacing
+    y = nodes.imag / lat.spacing
+    ix = np.floor(x).astype(np.int64)
+    iy = np.floor(y).astype(np.int64)
+    fx = x - ix
+    fy = y - iy
+    coeffs = {}
+    for di, dj, frac in (
+        (0, 0, (1 - fx) * (1 - fy)),
+        (1, 0, fx * (1 - fy)),
+        (0, 1, (1 - fx) * fy),
+        (1, 1, fx * fy),
+    ):
+        for k in range(len(nodes)):
+            c = frac[k] * weights[k]
+            if c != 0.0:
+                key = (int(ix[k] + di), int(iy[k] + dj))
+                coeffs[key] = coeffs.get(key, 0.0) + c
+    cell = lat.cell(member_idx)
+    member_pos = {int(k): p for p, k in enumerate(cell.member_idx)}
+    ring_pos = {int(k): p for p, k in enumerate(cell.ring_idx)}
+    bnd = set(map(tuple, lat.boundary_ij.tolist()))
+    q = np.zeros(len(cell.member_idx))
+    direct = np.zeros(len(cell.ring_idx))
+    for ij, c in coeffs.items():
+        if ij in bnd:
+            continue
+        site = lat.site_index(ij)
+        if site in member_pos:
+            q[member_pos[site]] += c
+        else:
+            direct[ring_pos[site]] += c
+    return cell.ring_idx, cell.ring_weights(q) + direct
+
+
+def _assert_same_weights(got, want):
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+
+
+def _record_pairing_calls(monkeypatch):
+    """Arguments of every _pairing_weights call, in order."""
+    from gffforge import averaging
+
+    calls = []
+    real = averaging._pairing_weights
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(averaging, "_pairing_weights", spy)
+    return calls
+
+
+@pytest.mark.parametrize("u", [1.0, 2.0, 4.0])
+def test_rotated_pairing_weights_match_dict_reference(monkeypatch, u):
+    from gffforge.averaging import _rotated_semidisk_weights
+
+    lat = disk_lattice(96)
+    calls = _record_pairing_calls(monkeypatch)
+    for alpha in (0.0, 0.7, 2.0 * np.pi * 5 / 13):
+        got = _rotated_semidisk_weights(lat, u, alpha, 256)
+        _assert_same_weights(got, _dict_pairing_weights(*calls[-1]))
+    assert len(calls) == 3
+
+
+def test_sine_pairing_weights_match_dict_reference(monkeypatch):
+    from gffforge.averaging import _sine_weights
+
+    lat = halfplane_lattice(4.0, 1.0 / 24.0)
+    calls = _record_pairing_calls(monkeypatch)
+    for u in (1.0, 2.0, 4.0):
+        got = _sine_weights(lat, u, 2.0)
+        _assert_same_weights(got, _dict_pairing_weights(*calls[-1]))
+    assert len(calls) == 3
+
+
+def test_pairing_corner_off_the_lattice_raises():
+    from gffforge.averaging import _pairing_weights
+
+    lat = disk_lattice(16)
+    member_idx = lat.indices_of(lambda z: np.abs(z) < 0.5)
+    # corners around 2+2i are neither interior nor on the outer boundary
+    with pytest.raises(ResolutionError, match="falls off the lattice"):
+        _pairing_weights(lat, member_idx, np.array([0.1 + 0.1j, 2.03 + 2.05j]), np.ones(2))
+
+
+def test_pairing_corner_outside_the_cell_raises():
+    from gffforge.averaging import _pairing_weights
+
+    lat = disk_lattice(16)
+    member_idx = lat.indices_of(lambda z: np.abs(z) < 0.3)
+    # 0.7 is interior to the disk but several sites beyond the cell's ring
+    with pytest.raises(ResolutionError, match="leaves the subdomain"):
+        _pairing_weights(lat, member_idx, np.array([0.1 + 0.1j, 0.71 + 0.03j]), np.ones(2))
+
+
+# ---------------------------------------------------------------------------
 # ProcessPath plumbing
 # ---------------------------------------------------------------------------
 

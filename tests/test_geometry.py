@@ -244,6 +244,29 @@ def test_gauss_legendre_polynomial_exactness(k):
     assert w @ x**k == pytest.approx(exact, rel=1e-12)
 
 
+def test_gauss_legendre_cached_rule_is_not_shared_out():
+    from numpy.polynomial.legendre import leggauss
+
+    from gffforge.geometry import _reference_rule
+
+    x, w = gauss_legendre(7, 0.0, 1.0)
+    x0, w0 = x.copy(), w.copy()
+    x[:] = 99.0
+    w[:] = -1.0
+    x1, w1 = gauss_legendre(7, 0.0, 1.0)
+    assert np.array_equal(x1, x0) and np.array_equal(w1, w0)
+    # another interval maps the same reference rule
+    xr, wr = leggauss(7)
+    x2, w2 = gauss_legendre(7, -2.0, 4.0)
+    assert np.array_equal(x2, -2.0 + 3.0 * (xr + 1.0))
+    assert np.array_equal(w2, 3.0 * wr)
+    ref_x, ref_w = _reference_rule(7)
+    with pytest.raises(ValueError):
+        ref_x[0] = 0.0
+    with pytest.raises(ValueError):
+        ref_w[0] = 0.0
+
+
 def test_gauss_legendre_validation():
     with pytest.raises(DomainError):
         gauss_legendre(0, 0.0, 1.0)
