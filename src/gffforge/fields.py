@@ -261,7 +261,7 @@ def markov_decompose(sample: FieldSample, subdomain) -> MarkovDecomposition:
     lat = sample.lattice
     if isinstance(subdomain, DirichletCell):
         cell = subdomain
-        if cell.parent is not lat:
+        if cell._parent() is not lat:
             raise DomainError("cell belongs to a different lattice")
     else:
         idx = (

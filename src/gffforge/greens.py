@@ -12,6 +12,7 @@ keeps the bandwidth at one grid row.
 from __future__ import annotations
 
 import csv
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -455,7 +456,9 @@ class DirichletCell:
     def __init__(self, parent: LatticeDomain, member_idx: np.ndarray):
         if len(member_idx) == 0:
             raise ResolutionError("empty subdomain")
-        self.parent = parent
+        # weak, because the parent caches its cells: a strong reference back
+        # would keep a dropped lattice and its cell factors until a gc pass
+        self._parent = weakref.ref(parent)
         self.member_idx = np.sort(member_idx)
         codes = parent._codes[self.member_idx]
         self._cb, _ = _factored_laplacian(codes)

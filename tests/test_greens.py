@@ -1,5 +1,8 @@
 """Tests for continuum Green kernels, covariance assembly, and the lattice inverse."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -218,6 +221,19 @@ def test_lattice_interior_neighbors_are_interior_or_boundary():
     for i, j in interior:
         for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
             assert (i + di, j + dj) in interior or (i + di, j + dj) in boundary
+
+
+def test_dropped_lattice_with_cells_is_freed_without_gc():
+    # the lattice caches its cells, so a cell must not hold the lattice strongly
+    gc.disable()
+    try:
+        lat = disk_lattice(16)
+        lat.cell(np.arange(10))
+        ref = weakref.ref(lat)
+        del lat
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_lattice_site_lookup_errors():

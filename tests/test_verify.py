@@ -138,6 +138,49 @@ def test_distance_correlation_caps_large_samples():
     assert p < 0.01
 
 
+def _ix_distance_correlation(x, y, seed=0, cap=800):
+    """distance_correlation with the permuted matrix gathered by np.ix_:
+    the reference the take-based gather must reproduce bit for bit."""
+    x = np.asarray(x, float)
+    y = np.asarray(y, float)
+    n = len(x)
+    rng = replica_rng(seed, 0)
+    if n > cap:
+        idx = rng.choice(n, size=cap, replace=False)
+        x, y = x[idx], y[idx]
+        n = cap
+    A = vfy._center(vfy._dist_matrix(x))
+    B = vfy._center(vfy._dist_matrix(y))
+    denom = np.sqrt(np.mean(A * A) * np.mean(B * B))
+    if denom < 1e-300:
+        return 0.0, 1.0
+    cross0 = max(np.mean(A * B), 0.0)
+    hits = 0
+    for _ in range(vfy._N_PERM):
+        perm = rng.permutation(n)
+        cross = max(np.mean(A * B[np.ix_(perm, perm)]), 0.0)
+        hits += cross >= cross0 - 1e-15
+    return float(np.sqrt(cross0 / denom)), (1.0 + hits) / (vfy._N_PERM + 1.0)
+
+
+def test_distance_correlation_matches_ix_reference():
+    rng = replica_rng(11, 0)
+    x = rng.standard_normal(400)
+    y2 = np.column_stack([rng.standard_normal(400), 0.1 * x + rng.standard_normal(400)])
+    big = rng.standard_normal(1200)
+    cases = [
+        (x, rng.standard_normal(400)),  # 1-D y
+        (x, y2),  # 2-D y
+        (big, np.abs(big) + 8.0 * rng.standard_normal(1200)),  # n above cap
+        (rng.integers(0, 3, 400), rng.integers(0, 3, 400)),  # tied distances
+    ]
+    for k, (a, b) in enumerate(cases):
+        want = _ix_distance_correlation(a, b, seed=k)
+        # an interior p-value is one that a wrong permuted matrix would move
+        assert 0.02 < want[1] < 0.98
+        assert distance_correlation(a, b, seed=k) == want
+
+
 def test_sigma_hat_recovers_diffusivity():
     Y = bm_path(LONG_GRID, 4000, 21, sigma=2.0)
     assert sigma_hat(Y) == pytest.approx(2.0, rel=0.03)
