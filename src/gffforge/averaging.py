@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError, ResolutionError
 from .fields import FieldSample, sample_functionals, sample_gff_observables
-from .geometry import TestFunction, UpperHalfPlane, gauss_legendre, mollifier
+from .geometry import TestFunction, gauss_legendre, mollifier
 from .greens import LatticeDomain, _encode, _lookup, disk_lattice, halfplane_lattice
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "ProcessPath",
     "DEFAULT_U_GRID",
     "DEFAULT_T_GRID",
-    "circle_average",
     "circle_average_path",
     "sine_pair",
     "fattened_sine_pair",
@@ -253,16 +252,12 @@ def _sample_ring_functionals(lat: LatticeDomain, weights, n, seed, law, alpha) -
 # ---------------------------------------------------------------------------
 
 
-def circle_average(sample: FieldSample, z: complex, eps: float) -> float:
-    """Harmonic extension of the field from the lattice boundary of
-    B_z(eps), evaluated at the interior site nearest z."""
-    ring_idx, w = _circle_weights(sample.lattice, complex(z), float(eps))
-    return float(w @ sample.values[ring_idx])
-
-
 def _circle_weights(lat: LatticeDomain, z: complex, eps: float):
+    """Ring weights of the circle average at B_z(eps): the harmonic
+    extension of the field from the ball's lattice boundary, evaluated at
+    the interior site nearest z."""
     if not eps > 0:
-        raise DomainError("circle_average needs eps > 0")
+        raise DomainError("circle average needs eps > 0")
     key = ("circle", complex(z), float(eps))
     hit = lat._weights.get(key)
     if hit is not None:
@@ -393,7 +388,6 @@ def sine_average_path(
     law: str = "gff",
     alpha: float = 2.0,
     r_factor: float = 2.0,
-    domain=None,
 ) -> ProcessPath:
     """Sine-average process Y(u) on a fixed u grid.
 
@@ -407,8 +401,6 @@ def sine_average_path(
     ``fields.sample_functionals``; the choice of test scale is immaterial
     and exercised by tests.
     """
-    if domain is not None and not isinstance(domain, UpperHalfPlane):
-        raise DomainError("sine averages are defined on the upper half-plane only")
     u = np.asarray(u_grid, dtype=float)
     if np.any(u <= 0) or np.any(np.diff(u) <= 0):
         raise DomainError("u grid must be positive and increasing")
@@ -459,7 +451,8 @@ def rotational_average_check(
         ring_idx, w = _rotated_semidisk_weights(lat, u, alpha, n_theta)
         vals_by_angle[k] = w @ sample.values[ring_idx]
     lhs = float(vals_by_angle.mean())
-    rhs = float(np.sqrt(u) * circle_average(sample, 0.0, 1.0 / np.sqrt(u)))
+    ring_idx, w = _circle_weights(lat, 0j, 1.0 / np.sqrt(u))
+    rhs = float(np.sqrt(u) * (w @ sample.values[ring_idx]))
     return lhs, rhs
 
 

@@ -42,9 +42,9 @@ from .fields import (
 )
 from .geometry import Rotation, disk_bump
 from .greens import disk_lattice, green_variance_ratio
-from .rng import thread_count
+from .rng import derived_seed, thread_count
 from .verify import (
-    TestReport,
+    _report,
     characterize_bm,
     test_conformal_invariance,
     test_wick_fourth,
@@ -75,8 +75,7 @@ class ExperimentConfig:
         for key in ("lattice_size", "n_samples"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be positive")
-        if self.seed < 0:
-            raise ConfigError("seed must be a nonnegative 64-bit integer")
+        derived_seed(self.seed, 0)  # raises ConfigError for a seed outside [0, 2^64)
         if not 0.0 < self.alpha <= 2.0:
             raise ConfigError("alpha must lie in (0, 2]")
         if self.r <= 0 or self.eps <= 0:
@@ -170,21 +169,19 @@ def _run_excursion_mass(cfg: ExperimentConfig, out: Path) -> list:
     target = total_mass(cfg.r)
     rel = abs(sample.mass_estimate / target - 1.0)
     ks = weighted_ks_distance(sample.angles, sample.weights)
-    mass_rep = TestReport(
+    mass_rep = _report(
         "excursion_mass",
         rel,
         None,
         cfg.tol.get("mass", 0.03),
-        rel <= cfg.tol.get("mass", 0.03),
         cfg.n_samples,
         notes=f"target 4/(pi r) = {target:.6f}",
     )
-    ks_rep = TestReport(
+    ks_rep = _report(
         "hit_angle_ks",
         ks,
         None,
         cfg.tol.get("ks", 0.02),
-        ks <= cfg.tol.get("ks", 0.02),
         len(sample.angles),
         notes="weighted one-sample KS against the sine hitting law",
     )

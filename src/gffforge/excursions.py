@@ -21,7 +21,6 @@ from .errors import DomainError
 from .rng import replica_rng
 
 __all__ = [
-    "ExcursionHitRecord",
     "ExcursionSample",
     "total_mass",
     "hitting_density",
@@ -29,7 +28,6 @@ __all__ = [
     "arc_mass",
     "sample_excursion_hits",
     "continue_paths",
-    "hit_functional",
     "weighted_ks_distance",
 ]
 
@@ -76,20 +74,6 @@ def arc_mass(r: float, a: float, b: float) -> float:
     return (2.0 / (np.pi * r)) * (np.cos(a) - np.cos(b))
 
 
-@dataclass(frozen=True)
-class ExcursionHitRecord:
-    """Terminal event of one sampled path (or split fragment)."""
-
-    hit: bool
-    angle: float | None
-    eps: float
-    weight: float = 1.0
-
-    def __post_init__(self):
-        if self.hit != (self.angle is not None):
-            raise DomainError("angle must be present exactly when hit is set")
-
-
 @dataclass
 class ExcursionSample:
     """Hit statistics of a batch of excursion attempts.
@@ -120,19 +104,6 @@ class ExcursionSample:
         np.add.at(per_root, self.roots, self.weights / self.eps)
         return float(per_root.std(ddof=1) / np.sqrt(self.n_paths))
 
-    @property
-    def records(self) -> list:
-        out = [
-            ExcursionHitRecord(True, float(a), self.eps, float(w))
-            for a, w in zip(self.angles, self.weights)
-        ]
-        if self.mode == "literal":
-            out.extend(
-                ExcursionHitRecord(False, None, self.eps)
-                for _ in range(self.n_paths - len(self.angles))
-            )
-        return out
-
     def to_csv(self, path) -> None:
         eps = f"{self.eps:.17g}"
         with open(path, "w") as fh:
@@ -143,20 +114,6 @@ class ExcursionSample:
             )
             if self.mode == "literal":
                 fh.write(f"0,,{eps},1\n" * (self.n_paths - len(self.angles)))
-
-    @staticmethod
-    def read_records(path) -> list:
-        recs = []
-        with open(path) as fh:
-            header = fh.readline().strip()
-            if header != "hit,angle,eps,weight":
-                raise DomainError(f"unexpected hit record header {header!r}")
-            for line in fh:
-                h, a, e, w = line.strip().split(",")
-                recs.append(
-                    ExcursionHitRecord(bool(int(h)), float(a) if a else None, float(e), float(w))
-                )
-        return recs
 
 
 def _advance(z, w, roots, rng, r, floor, top):
@@ -267,7 +224,7 @@ def sample_excursion_hits(
     )
 
 
-def continue_paths(z0, r_target: float, seed: int, floor: float | None = None):
+def continue_paths(z0, r_target: float, seed: int):
     """Run killed Brownian motion (walk-on-spheres, as in the sampler) from
     given points to the radius-r_target arc.  Returns (hit mask, hit
     angles) aligned with the inputs; paths absorbed at the real axis get
@@ -277,10 +234,10 @@ def continue_paths(z0, r_target: float, seed: int, floor: float | None = None):
         raise DomainError("continuation must start inside the upper half-plane")
     if np.any(np.abs(z0) >= r_target):
         raise DomainError("continuation must start inside the target radius")
-    fl = floor if floor is not None else 1e-6 * r_target
+    floor = 1e-6 * r_target
     rng = replica_rng(seed, 0)
     roots = np.arange(len(z0), dtype=np.int64)
-    a, _, ar, _ = _advance(z0.copy(), np.ones(len(z0)), roots, rng, r_target, fl, np.inf)
+    a, _, ar, _ = _advance(z0.copy(), np.ones(len(z0)), roots, rng, r_target, floor, np.inf)
     mask = np.zeros(len(z0), dtype=bool)
     angles = np.full(len(z0), np.nan)
     mask[ar] = True
@@ -300,11 +257,3 @@ def weighted_ks_distance(values, weights, cdf=hitting_cdf) -> float:
     model = np.asarray(cdf(v), dtype=float)
     lo = np.concatenate([[0.0], ecdf[:-1]])
     return float(np.max(np.maximum(np.abs(ecdf - model), np.abs(lo - model))))
-
-
-def hit_functional(sample: ExcursionSample, f) -> float:
-    """Monte Carlo pairing sum_hits w f(r e^(i angle)) / (n eps), the
-    sampler's estimate of the boundary integral of f against the hitting
-    density."""
-    vals = np.asarray(f(sample.r * np.exp(1j * sample.angles)), dtype=float)
-    return float(np.sum(sample.weights * vals) / (sample.n_paths * sample.eps))

@@ -42,7 +42,6 @@ __all__ = [
     "sample_functionals",
     "sample_sas",
     "markov_decompose",
-    "evaluate",
     "save_field",
     "load_field",
 ]
@@ -163,27 +162,25 @@ def _replica_noise(law: str, alpha: float, size: int, seed: int, r: int) -> np.n
     raise DomainError(f"unknown law {law!r}")
 
 
-def _field_matrix(lat, law, alpha, n, seed, calibration, replica_offset) -> np.ndarray:
+def _field_matrix(lat, law, alpha, n, seed, replica_offset) -> np.ndarray:
     """(n_sites, n) calibrated fields; column r is replica replica_offset + r."""
     xi = np.empty((lat.n_sites, n), order="F")
     for r in range(n):
         xi[:, r] = _replica_noise(law, alpha, lat.n_sites, seed, replica_offset + r)
-    return calibration * lat.white_to_field(xi)
+    return CALIBRATION * lat.white_to_field(xi)
 
 
-def dgff_matrix(
-    lat: LatticeDomain, n: int, seed: int, calibration: float = CALIBRATION, replica_offset: int = 0
-) -> np.ndarray:
+def dgff_matrix(lat: LatticeDomain, n: int, seed: int, replica_offset: int = 0) -> np.ndarray:
     """(n_sites, n) matrix of lattice GFF samples; column r is replica
     ``replica_offset + r``, so chunked generation matches one big batch."""
-    return _field_matrix(lat, "gff", 2.0, n, seed, calibration, replica_offset)
+    return _field_matrix(lat, "gff", 2.0, n, seed, replica_offset)
 
 
-def sample_dgff(lat: LatticeDomain, n: int, seed: int, calibration: float = CALIBRATION):
+def sample_dgff(lat: LatticeDomain, n: int, seed: int):
     """n lattice Gaussian free field samples on ``lat``."""
-    vals = dgff_matrix(lat, n, seed, calibration)
+    vals = dgff_matrix(lat, n, seed)
     return [
-        FieldSample(lat, np.ascontiguousarray(vals[:, r]), "gff", 2.0, seed, calibration)
+        FieldSample(lat, np.ascontiguousarray(vals[:, r]), "gff", 2.0, seed)
         for r in range(n)
     ]
 
@@ -215,12 +212,11 @@ def stable_matrix(
     alpha: float,
     n: int,
     seed: int,
-    calibration: float = CALIBRATION,
     replica_offset: int = 0,
 ) -> np.ndarray:
     """(n_sites, n) matrix of symmetric alpha-stable lattice fields; column
     r is replica ``replica_offset + r``."""
-    return _field_matrix(lat, "stable", alpha, n, seed, calibration, replica_offset)
+    return _field_matrix(lat, "stable", alpha, n, seed, replica_offset)
 
 
 def sample_functionals(
@@ -240,13 +236,11 @@ def sample_functionals(
     return out
 
 
-def sample_stable_field(
-    lat: LatticeDomain, alpha: float, n: int, seed: int, calibration: float = CALIBRATION
-):
+def sample_stable_field(lat: LatticeDomain, alpha: float, n: int, seed: int):
     """n symmetric alpha-stable fields through the Gaussian Cholesky filter."""
-    vals = stable_matrix(lat, alpha, n, seed, calibration)
+    vals = stable_matrix(lat, alpha, n, seed)
     return [
-        FieldSample(lat, np.ascontiguousarray(vals[:, r]), "stable", alpha, seed, calibration)
+        FieldSample(lat, np.ascontiguousarray(vals[:, r]), "stable", alpha, seed)
         for r in range(n)
     ]
 
@@ -278,12 +272,6 @@ def markov_decompose(sample: FieldSample, subdomain) -> MarkovDecomposition:
     harmonic = replace(sample, values=harm_vals)
     residual = replace(sample, values=res_vals)
     return MarkovDecomposition(sample=sample, cell=cell, harmonic=harmonic, residual=residual)
-
-
-def evaluate(sample: FieldSample, phi) -> float:
-    """Riemann pairing (h, phi) = spacing^2 * sum phi(site) * value."""
-    f = phi if callable(phi) else phi.evaluator
-    return float(sample.lattice.spacing ** 2 * np.sum(np.asarray(f(sample.lattice.z)) * sample.values))
 
 
 # ---------------------------------------------------------------------------
@@ -328,20 +316,6 @@ class GridField:
     alpha: float
     seed: int
     calibration: float
-
-    def attach(self, lattice: LatticeDomain) -> FieldSample:
-        """Rebind grid values to interior sites of a matching lattice."""
-        if abs(lattice.spacing - self.spacing) > 1e-15 * max(1.0, self.spacing):
-            raise DomainError("lattice spacing does not match the file")
-        ij = lattice.interior_ij
-        ii = ij[:, 0] - self.i0
-        jj = ij[:, 1] - self.j0
-        nx, ny = self.values.shape
-        if ii.min() < 0 or jj.min() < 0 or ii.max() >= nx or jj.max() >= ny:
-            raise DomainError("lattice does not fit inside the stored grid")
-        return FieldSample(
-            lattice, self.values[ii, jj].copy(), self.law, self.alpha, self.seed, self.calibration
-        )
 
 
 def load_field(path) -> GridField:

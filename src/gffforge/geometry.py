@@ -1,15 +1,15 @@
 """Planar domains, conformal maps, test functions, mollifiers, quadrature.
 
-Points are plain complex numbers throughout.  Maps evaluate on scalars or
+Points are plain complex numbers throughout.  Maps act on scalars or
 numpy arrays and carry analytic derivatives and inverses, so pullbacks of
 test functions never need numerical differentiation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -19,23 +19,15 @@ from .errors import DomainError
 __all__ = [
     "UnitDisk",
     "UpperHalfPlane",
-    "SemiDisk",
-    "HalfPlaneAnnulus",
-    "Ball",
     "ConformalMap",
     "Mobius",
     "Rotation",
     "Scaling",
-    "Inversion",
-    "JoukowskiLike",
-    "Composition",
     "Support",
     "TestFunction",
     "MollifierProfile",
     "mobius_to_disk",
-    "halfplane_annulus_map",
     "pullback_test_function",
-    "shrink_radius",
     "gauss_legendre",
     "mollifier",
     "disk_bump",
@@ -58,95 +50,11 @@ class UnitDisk:
     def contains(self, z) -> np.ndarray:
         return np.abs(_as_complex(z)) < 1.0
 
-    @property
-    def bbox(self):
-        return (-1.0, 1.0, -1.0, 1.0)
-
 
 @dataclass(frozen=True)
 class UpperHalfPlane:
     def contains(self, z) -> np.ndarray:
         return _as_complex(z).imag > 0.0
-
-    @property
-    def bbox(self):
-        return (-np.inf, np.inf, 0.0, np.inf)
-
-
-@dataclass(frozen=True)
-class SemiDisk:
-    """Upper half-disk of radius 1/sqrt(u) about the origin."""
-
-    u: float
-
-    def __post_init__(self):
-        if not self.u > 0:
-            raise DomainError("SemiDisk requires u > 0")
-
-    @property
-    def radius(self) -> float:
-        return 1.0 / np.sqrt(self.u)
-
-    def contains(self, z) -> np.ndarray:
-        z = _as_complex(z)
-        return (z.imag > 0.0) & (np.abs(z) < self.radius)
-
-    @property
-    def bbox(self):
-        r = self.radius
-        return (-r, r, 0.0, r)
-
-
-@dataclass(frozen=True)
-class HalfPlaneAnnulus:
-    """Half-plane annulus: SemiDisk(s) minus the closure of SemiDisk(r).
-
-    Needs s < r, so the inner radius 1/sqrt(r) is smaller than the outer
-    radius 1/sqrt(s).
-    """
-
-    r: float
-    s: float
-
-    def __post_init__(self):
-        if not (0 < self.s < self.r):
-            raise DomainError("HalfPlaneAnnulus requires 0 < s < r")
-
-    @property
-    def inner_radius(self) -> float:
-        return 1.0 / np.sqrt(self.r)
-
-    @property
-    def outer_radius(self) -> float:
-        return 1.0 / np.sqrt(self.s)
-
-    def contains(self, z) -> np.ndarray:
-        z = _as_complex(z)
-        a = np.abs(z)
-        return (z.imag > 0.0) & (a > self.inner_radius) & (a < self.outer_radius)
-
-    @property
-    def bbox(self):
-        r = self.outer_radius
-        return (-r, r, 0.0, r)
-
-
-@dataclass(frozen=True)
-class Ball:
-    center: complex
-    radius: float
-
-    def __post_init__(self):
-        if not self.radius > 0:
-            raise DomainError("Ball requires radius > 0")
-
-    def contains(self, z) -> np.ndarray:
-        return np.abs(_as_complex(z) - self.center) < self.radius
-
-    @property
-    def bbox(self):
-        c, r = self.center, self.radius
-        return (c.real - r, c.real + r, c.imag - r, c.imag + r)
 
 
 # ---------------------------------------------------------------------------
@@ -226,97 +134,6 @@ class Scaling(ConformalMap):
         return Scaling(1.0 / self.c)
 
 
-@dataclass(frozen=True)
-class Inversion(ConformalMap):
-    """z -> -1/z, an involution of the upper half-plane."""
-
-    def __call__(self, z):
-        return -1.0 / _as_complex(z)
-
-    def derivative(self, z):
-        return 1.0 / _as_complex(z) ** 2
-
-    def inverse(self) -> "Inversion":
-        return Inversion()
-
-
-@dataclass(frozen=True)
-class JoukowskiLike(ConformalMap):
-    """z -> z + r^2/z on the upper half-plane outside the radius-r disk.
-
-    Sends the upper semicircle of radius r to the real segment [-2r, 2r]:
-    r*e^(i*theta) maps to 2r*cos(theta).
-    """
-
-    r: float
-
-    def __post_init__(self):
-        if not self.r > 0:
-            raise DomainError("JoukowskiLike requires r > 0")
-
-    def __call__(self, z):
-        z = _as_complex(z)
-        return z + self.r**2 / z
-
-    def derivative(self, z):
-        z = _as_complex(z)
-        return 1.0 - self.r**2 / z**2
-
-    def inverse(self) -> "JoukowskiInverse":
-        return JoukowskiInverse(self.r)
-
-
-@dataclass(frozen=True)
-class JoukowskiInverse(ConformalMap):
-    """Branch of w/2 + sqrt(w^2/4 - r^2) landing outside the radius-r disk."""
-
-    r: float
-
-    def __call__(self, w):
-        w = _as_complex(w)
-        s = np.sqrt(w * w / 4.0 - self.r**2)
-        z_plus = w / 2.0 + s
-        z_minus = w / 2.0 - s
-        # the two roots multiply to r^2; exactly one lies outside |z| = r
-        return np.where(np.abs(z_plus) >= np.abs(z_minus), z_plus, z_minus)
-
-    def derivative(self, w):
-        z = self(w)
-        return 1.0 / (1.0 - self.r**2 / z**2)
-
-    def inverse(self) -> JoukowskiLike:
-        return JoukowskiLike(self.r)
-
-
-@dataclass(frozen=True)
-class Composition(ConformalMap):
-    """Apply ``maps`` left to right: Composition([f, g])(z) = g(f(z))."""
-
-    maps: tuple
-
-    def __init__(self, maps: Sequence[ConformalMap]):
-        object.__setattr__(self, "maps", tuple(maps))
-        if not self.maps:
-            raise DomainError("Composition needs at least one map")
-
-    def __call__(self, z):
-        w = _as_complex(z)
-        for m in self.maps:
-            w = m(w)
-        return w
-
-    def derivative(self, z):
-        w = _as_complex(z)
-        d = np.ones_like(w)
-        for m in self.maps:
-            d = d * m.derivative(w)
-            w = m(w)
-        return d
-
-    def inverse(self) -> "Composition":
-        return Composition([m.inverse() for m in reversed(self.maps)])
-
-
 def mobius_to_disk(z0: complex) -> Mobius:
     """Disk automorphism sending z0 to 0 with positive real derivative there.
 
@@ -326,43 +143,6 @@ def mobius_to_disk(z0: complex) -> Mobius:
     if not abs(z0) < 1:
         raise DomainError("mobius_to_disk needs |z0| < 1")
     return Mobius(1.0, -z0, -np.conj(z0), 1.0)
-
-
-def halfplane_annulus_map(r: float) -> JoukowskiLike:
-    """Map from the half-plane outside the radius-r semicircle onto the
-    half-plane, folding the semicircle into the segment [-2r, 2r]."""
-    return JoukowskiLike(r)
-
-
-def shrink_radius(z: complex, eps: float, n_boundary: int = 720, tol: float = 1e-9) -> float:
-    """Largest r such that mobius_to_disk(z) pulls B_0(r) back inside B_z(eps).
-
-    Bisection on r; containment is checked on a dense sampling of the
-    boundary circle (Mobius preimages of circles are circles, so the max
-    over the sampled boundary converges quadratically in the mesh).
-    """
-    z = complex(z)
-    if not abs(z) < 1:
-        raise DomainError("shrink_radius needs |z| < 1")
-    if not 0 < eps < 1.0 - abs(z):
-        raise DomainError("shrink_radius needs 0 < eps < d(z, boundary)")
-    finv = mobius_to_disk(z).inverse()
-    t = np.linspace(0.0, 2.0 * np.pi, n_boundary, endpoint=False)
-    ring = np.exp(1j * t)
-
-    def contained(r: float) -> bool:
-        return bool(np.max(np.abs(finv(r * ring) - z)) <= eps)
-
-    lo, hi = 0.0, 1.0 - 1e-12
-    if contained(hi):
-        return 1.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if contained(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
 
 
 def gauss_legendre(n: int, a: float, b: float):
@@ -393,24 +173,12 @@ def _reference_rule(n: int):
 @dataclass(frozen=True)
 class Support:
     """Support descriptor: bounding box, membership test, and a boundary
-    sampler used to transport the box through conformal maps."""
+    sampler (``boundary(n)`` gives n points) used to transport the box
+    through conformal maps."""
 
     bbox: tuple
     contains: Callable[[np.ndarray], np.ndarray]
-    boundary: Callable[[int], np.ndarray] = None
-
-    def boundary_points(self, n: int = 256) -> np.ndarray:
-        if self.boundary is not None:
-            return self.boundary(n)
-        x0, x1, y0, y1 = self.bbox
-        t = np.linspace(0.0, 1.0, n // 4, endpoint=False)
-        edges = [
-            x0 + t * (x1 - x0) + 1j * y0,
-            x1 + 1j * (y0 + t * (y1 - y0)),
-            x1 - t * (x1 - x0) + 1j * y1,
-            x0 + 1j * (y1 - t * (y1 - y0)),
-        ]
-        return np.concatenate(edges)
+    boundary: Callable[[int], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -424,7 +192,6 @@ class TestFunction:
 
     evaluator: Callable[[np.ndarray], np.ndarray]
     support: Support
-    smooth: bool = True
     label: str = ""
     radial: tuple | None = None
 
@@ -473,9 +240,7 @@ def disk_bump(center: complex, radius: float, height: float = 1.0, label: str = 
             return ev(np.asarray(r, dtype=float) + 0j)
 
         radial = (0.0, radius, rprof)
-    return TestFunction(
-        ev, sup, smooth=True, label=label or f"bump({center:.3g},{radius:.3g})", radial=radial
-    )
+    return TestFunction(ev, sup, label=label or f"bump({center:.3g},{radius:.3g})", radial=radial)
 
 
 def radial_annulus_bump(
@@ -528,13 +293,7 @@ def radial_annulus_bump(
     def rprof(r):
         return scale * profile(r)
 
-    return TestFunction(
-        ev,
-        sup,
-        smooth=True,
-        label=f"annulus_bump(delta={delta:.3g})",
-        radial=(lo, hi, rprof),
-    )
+    return TestFunction(ev, sup, label=f"annulus_bump(delta={delta:.3g})", radial=(lo, hi, rprof))
 
 
 def pullback_test_function(phi: TestFunction, f: ConformalMap) -> TestFunction:
@@ -546,7 +305,7 @@ def pullback_test_function(phi: TestFunction, f: ConformalMap) -> TestFunction:
         w = finv(z)
         return np.abs(finv.derivative(z)) ** 2 * phi(w)
 
-    pts = f(phi.support.boundary_points(512))
+    pts = f(phi.support.boundary(512))
     pad = 1e-9 + 1e-3 * (np.max(np.abs(pts)) if pts.size else 1.0)
     bbox = (
         float(pts.real.min() - pad),
@@ -556,14 +315,14 @@ def pullback_test_function(phi: TestFunction, f: ConformalMap) -> TestFunction:
     )
 
     def boundary(n):
-        return f(phi.support.boundary_points(n))
+        return f(phi.support.boundary(n))
 
     sup = Support(
         bbox=bbox,
         contains=lambda z: phi.support.contains(finv(z)),
         boundary=boundary,
     )
-    return TestFunction(ev, sup, smooth=phi.smooth, label=f"{phi.label}^f")
+    return TestFunction(ev, sup, label=f"{phi.label}^f")
 
 
 def integrate_test_function(phi: TestFunction, n: int = 256) -> float:

@@ -20,7 +20,7 @@ from scipy.linalg import cho_solve_banded, cholesky_banded
 from scipy.linalg.lapack import dtbtrs
 
 from .errors import DomainError, ResolutionError, SingularityError
-from .geometry import Ball, TestFunction, UnitDisk, UpperHalfPlane, gauss_legendre
+from .geometry import TestFunction, UnitDisk, UpperHalfPlane, gauss_legendre
 
 __all__ = [
     "green_disk",
@@ -78,13 +78,6 @@ def _kernel_parts(domain):
         return (lambda x, y: np.log(np.abs(1.0 - x * np.conj(y)))), domain.contains
     if isinstance(domain, UpperHalfPlane):
         return (lambda x, y: np.log(np.abs(x - np.conj(y)))), domain.contains
-    if isinstance(domain, Ball):
-        c, R = domain.center, domain.radius
-
-        def harm(x, y):
-            return np.log(np.abs(1.0 - (x - c) / R * np.conj((y - c) / R))) + np.log(R)
-
-        return harm, domain.contains
     raise DomainError(f"no Green function implemented for domain {domain!r}")
 
 

@@ -18,7 +18,11 @@ _MASK64 = (1 << 64) - 1
 
 
 def derived_seed(base_seed: int, k: int) -> int:
-    """64-bit seed for replica ``k`` of a batch keyed by ``base_seed``."""
+    """64-bit seed for replica ``k`` of a batch keyed by ``base_seed``, which
+    must lie in [0, 2^64): a seed outside that range would be masked into
+    it and run silently as another seed."""
+    if not 0 <= base_seed <= _MASK64:
+        raise ConfigError(f"seed must lie in [0, 2^64), got {base_seed}")
     if k < 0:
         raise ValueError("replica index must be nonnegative")
     return (int(base_seed) ^ ((k * GOLDEN) & _MASK64)) & _MASK64

@@ -332,13 +332,12 @@ def test_conformal_invariance(
     n: int,
     seed: int,
     lattice_src: LatticeDomain | None = None,
-    lattice_dst: LatticeDomain | None = None,
     alpha: float = 2.0,
 ) -> TestReport:
     """Two-sample KS between source-domain pairings (h, phi) and image
     pairings (h', phi^f) with phi^f the density-corrected pushforward."""
     lat = lattice_src if lattice_src is not None else disk_lattice(96)
-    dst = lattice_dst if lattice_dst is not None else _image_lattice(lat, f)
+    dst = _image_lattice(lat, f)
     psi = pullback_test_function(phi, f)
     srcw = np.asarray(phi(lat.z)) * lat.spacing**2
     dstw = np.asarray(psi(dst.z)) * dst.spacing**2
@@ -348,8 +347,8 @@ def test_conformal_invariance(
     notes = f"lattice spacings {lat.spacing:.4g} -> {dst.spacing:.4g}; O(spacing) bias applies"
     if law != "gff":
         notes += (
-            "; linear stable constructions are scale-covariant, so this test can pass:"
-            " the discriminating axiom is Gaussianity of averages"
+            "; the stable field's law depends on the Cholesky site order, so it is"
+            " not invariant even under lattice rotations"
         )
     return _report(
         f"conformal[{law}]", float(ks.statistic), float(ks.pvalue), SIGNIFICANCE, n, notes
@@ -362,7 +361,7 @@ def _image_lattice(lat: LatticeDomain, f: ConformalMap) -> LatticeDomain:
     probe = np.exp(1j * np.linspace(0, 2 * np.pi, 64, endpoint=False))
     if np.max(np.abs(np.abs(np.asarray(f(probe))) - 1.0)) < 1e-9:
         return lat
-    raise DomainError("cannot derive an image lattice for this map; pass lattice_dst")
+    raise DomainError("cannot derive an image lattice for this map")
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ import pytest
 from gffforge.averaging import DEFAULT_T_GRID, DEFAULT_U_GRID, ProcessPath
 from gffforge.cli import ExperimentConfig, load_config, main, parse_config_file
 from gffforge.errors import ConfigError
-from gffforge.excursions import ExcursionSample
 from gffforge.fields import CALIBRATION, load_field
 
 
@@ -127,6 +126,26 @@ def test_uncreatable_output_dir_exits_2(tmp_path, capsys):
     code = main(["verify", "--experiment", "wick-fourth", "--output-dir", str(blocker)])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: cannot create output directory")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--size", "8", "--seed", "-1"],
+        ["sample", "--size", "8", "--seed", str(2**64)],
+        ["verify", "--experiment", "wick-fourth", "--seed", str(2**64 + 7)],
+        ["excursions", "--eps", "0.05", "--n", "10", "--seed", "-1"],
+        ["paths", "--kind", "sine", "--grid", "1,2", "--n", "5", "--seed", str(2**64)],
+    ],
+    ids=["sample-negative", "sample-2^64", "verify-2^64+7", "excursions-negative", "paths-2^64"],
+)
+def test_seed_outside_64_bits_exits_2(tmp_path, capsys, argv):
+    # masked into range, such a seed would run silently as another seed
+    out = tmp_path / "out"
+    flag = "--output-dir" if argv[0] == "verify" else "--out"
+    assert main(argv + [flag, str(out)]) == 2
+    assert "seed must lie in [0, 2^64)" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_empty_grid_exits_2(tmp_path, capsys):
@@ -262,8 +281,9 @@ def test_excursions_subcommand(tmp_path, capsys):
     assert summary["mass_estimate"] == pytest.approx(4.0 / np.pi, rel=0.2)
     assert summary["n_hits"] > 100
     assert 0.0 < summary["hit_angle_ks"] < 0.2
-    records = ExcursionSample.read_records(out)
-    assert sum(rec.hit for rec in records) == summary["n_hits"]
+    rows = out.read_text().splitlines()
+    assert rows[0] == "hit,angle,eps,weight"
+    assert sum(row.startswith("1,") for row in rows[1:]) == summary["n_hits"]
 
 
 def test_calibrate_recovers_lattice_constant(capsys):

@@ -4,16 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose, assert_array_equal
+from numpy.testing import assert_array_equal
 
 from gffforge import excursions
 from gffforge.errors import DomainError
 from gffforge.excursions import (
-    ExcursionHitRecord,
-    ExcursionSample,
     arc_mass,
     continue_paths,
-    hit_functional,
     hitting_cdf,
     hitting_density,
     sample_excursion_hits,
@@ -89,15 +86,6 @@ def test_arc_mass_additive(r, cuts):
     assert abs(whole - split) < 1e-12 * max(1.0, abs(whole))
 
 
-def test_hit_record_invariant():
-    ExcursionHitRecord(True, 1.0, 1e-3)
-    ExcursionHitRecord(False, None, 1e-3)
-    with pytest.raises(DomainError):
-        ExcursionHitRecord(True, None, 1e-3)
-    with pytest.raises(DomainError):
-        ExcursionHitRecord(False, 1.0, 1e-3)
-
-
 # ---------------------------------------------------------------------------
 # sampler
 # ---------------------------------------------------------------------------
@@ -118,17 +106,6 @@ def test_hit_angle_law(base_sample):
     s = base_sample
     assert len(s.angles) >= 10000
     assert weighted_ks_distance(s.angles, s.weights) < 0.02
-
-
-def test_hit_functional_imaginary_part(base_sample):
-    # sum_hits w Im(hit) / (n eps) estimates (2/pi) int sin^2 = 1
-    val = hit_functional(base_sample, lambda z: z.imag)
-    assert abs(val - 1.0) < 0.05
-
-
-def test_hit_functional_of_one_is_mass(base_sample):
-    val = hit_functional(base_sample, lambda z: np.ones_like(z, dtype=float))
-    assert abs(val - base_sample.mass_estimate) < 1e-12
 
 
 def test_markov_continuation(base_sample):
@@ -264,36 +241,14 @@ def test_weighted_ks_detects_wrong_law():
 # ---------------------------------------------------------------------------
 
 
-def test_records_round_trip_literal(tmp_path):
-    s = sample_excursion_hits(1.0, 1e-2, 500, seed=157, split=False)
-    f = tmp_path / "hits.csv"
-    s.to_csv(f)
-    back = s.read_records(f)
-    recs = s.records
-    assert len(back) == len(recs) == s.n_paths
-    for x, y in zip(recs, back):
-        assert x.hit == y.hit and x.eps == y.eps and x.weight == y.weight
-        if x.hit:
-            assert x.angle == y.angle
-
-
-def test_records_round_trip_split(tmp_path):
-    s = sample_excursion_hits(1.0, 1e-2, 300, seed=163)
-    f = tmp_path / "hits.csv"
-    s.to_csv(f)
-    back = s.read_records(f)
-    assert len(back) == len(s.angles)
-    assert all(rec.hit for rec in back)
-    assert_allclose([rec.angle for rec in back], s.angles, rtol=0, atol=0)
-    assert_allclose([rec.weight for rec in back], s.weights, rtol=0, atol=0)
-
-
-def _records_csv(sample) -> str:
-    # reference rendering of hits.csv, one ExcursionHitRecord per row
+def _hits_csv(sample) -> str:
+    # reference rendering of hits.csv: one row per hit, then (literal
+    # mode only) one row per path that missed
     rows = ["hit,angle,eps,weight\n"]
-    for rec in sample.records:
-        ang = f"{rec.angle:.17g}" if rec.hit else ""
-        rows.append(f"{int(rec.hit)},{ang},{rec.eps:.17g},{rec.weight:.17g}\n")
+    for a, w in zip(sample.angles, sample.weights):
+        rows.append(f"1,{a:.17g},{sample.eps:.17g},{w:.17g}\n")
+    if sample.mode == "literal":
+        rows += [f"0,,{sample.eps:.17g},1\n"] * (sample.n_paths - len(sample.angles))
     return "".join(rows)
 
 
@@ -304,11 +259,10 @@ def test_to_csv_matches_records_rendering(tmp_path, split):
         assert len(s.angles) < s.n_paths  # so miss rows are written
     f = tmp_path / "hits.csv"
     s.to_csv(f)
-    assert f.read_bytes() == _records_csv(s).encode()
-
-
-def test_read_records_rejects_bad_header(tmp_path):
-    f = tmp_path / "bad.csv"
-    f.write_text("nope\n1,0.5,0.001,1\n")
-    with pytest.raises(DomainError):
-        ExcursionSample.read_records(f)
+    assert f.read_bytes() == _hits_csv(s).encode()
+    # the 17 significant digits read back exactly
+    rows = np.genfromtxt(f, delimiter=",", skip_header=1, ndmin=2)
+    hits = rows[rows[:, 0] == 1]
+    assert len(rows) == (len(s.angles) if split else s.n_paths)
+    assert_array_equal(hits[:, 1], s.angles)
+    assert_array_equal(hits[:, 3], s.weights)

@@ -6,25 +6,19 @@ import weakref
 import numpy as np
 import pytest
 
-from gffforge import (
-    CircleMeasure,
+from gffforge.averaging import CircleMeasure, SineMeasure
+from gffforge.errors import DomainError, SingularityError
+from gffforge.geometry import Mobius, UnitDisk, UpperHalfPlane, disk_bump, radial_annulus_bump
+from gffforge.greens import (
     CovarianceMatrix,
-    DomainError,
     LatticeDomain,
-    Mobius,
-    SineMeasure,
-    SingularityError,
-    UnitDisk,
-    UpperHalfPlane,
     covariance_of_observables,
-    disk_bump,
     disk_lattice,
     discrete_green,
     green_disk,
     green_halfplane,
     green_variance_ratio,
     h_minus1_inner,
-    radial_annulus_bump,
 )
 
 _HALF_TO_DISK = Mobius(1.0, -1.0j, 1.0, 1.0j)  # z -> (z - i)/(z + i)

@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+from gffforge.errors import ConfigError
 from gffforge.rng import GOLDEN, derived_seed, parallel_map, replica_rng, thread_count
 
 
@@ -15,6 +16,17 @@ def test_derived_seed_is_deterministic_and_distinct():
     assert len(seeds) == 1000
     with pytest.raises(ValueError):
         derived_seed(7, -1)
+
+
+def test_derived_seed_rejects_seeds_outside_64_bits():
+    top = 2**64 - 1
+    assert derived_seed(top, 0) == top
+    assert derived_seed(0, 1) == GOLDEN
+    for bad in (-1, 2**64, 2**64 + 7):
+        with pytest.raises(ConfigError, match=r"\[0, 2\^64\)"):
+            derived_seed(bad, 0)
+        with pytest.raises(ConfigError):
+            replica_rng(bad, 3)
 
 
 def test_replica_rng_streams():

@@ -412,14 +412,14 @@ def test_conformal_scaling_gff(lat48):
     assert "O(spacing) bias" in r.notes
 
 
-def test_conformal_scaling_stable_notes_discriminating_axiom(lat48):
-    # the linear stable construction is scale-covariant, so the KS check
-    # can pass; the report must say which axiom tells the laws apart
+def test_conformal_stable_notes_cholesky_order(lat48):
+    # the stable field U^-1 xi depends on the Cholesky site order, so its
+    # law is not even rotation invariant; the report must say so
     phi = disk_bump(0.3 + 0.0j, 0.25)
     r = vfy.test_conformal_invariance(
         "stable", Scaling(2.0), phi, 800, 13, lattice_src=lat48, alpha=1.5
     )
-    assert "Gaussianity of averages" in r.notes
+    assert "depends on the Cholesky site order" in r.notes
 
 
 def test_conformal_validation(lat48):
