@@ -323,7 +323,7 @@ def _build_parser() -> argparse.ArgumentParser:
     w.add_argument("--seed", type=int, default=7)
     w.add_argument("--law", choices=("gff", "stable"), default="gff")
     w.add_argument("--alpha", type=float, default=1.5)
-    w.add_argument("--size", type=int, default=128)
+    w.add_argument("--size", type=int, default=None, help="circle lattice size (default 128)")
     w.add_argument("--out", default=None)
     return p
 
@@ -388,12 +388,13 @@ def _cmd_paths(args) -> int:
     grid = tuple(float(v) for v in args.grid.split(",") if v.strip())
     if not grid:
         raise ConfigError("empty --grid")
-    kwargs = {}
-    if args.backend == "lattice":
-        kwargs["lattice"] = disk_lattice(args.size) if args.kind == "circle" else None
-        kwargs["law"] = args.law
-        kwargs["alpha"] = args.alpha
-        kwargs = {k: v for k, v in kwargs.items() if v is not None}
+    circle_lattice = args.kind == "circle" and args.backend == "lattice"
+    if args.size is not None and not circle_lattice:
+        raise ConfigError("--size only applies to --kind circle --backend lattice")
+    # the exact backends reject law "stable" themselves
+    kwargs = {"law": args.law, "alpha": args.alpha}
+    if circle_lattice:
+        kwargs["lattice"] = disk_lattice(128 if args.size is None else args.size)
     if args.kind == "circle":
         path = circle_average_path(args.n, grid, args.seed, backend=args.backend, **kwargs)
     else:

@@ -5,13 +5,17 @@ Three constructions share one calibration convention:
 * exact observables: finite Gaussian vectors with covariance assembled by
   the greens module, Cholesky with a tiny diagonal jitter fallback;
 * lattice Gaussian: covariance (graph Laplacian)^-1 scaled by CALIBRATION,
-  sampled by solving the upper Cholesky factor against white noise;
-* symmetric alpha-stable: the same Cholesky filter driven by
+  sampled as R xi for a root R with R R^T = L^-1 applied to white noise:
+  the symmetric root L^(-1/2) on box lattices (full rectangles of sites,
+  by DST-I), the inverse upper Cholesky factor U^-1 elsewhere;
+* symmetric alpha-stable: the same filter R driven by
   Chambers-Mallows-Stuck variates, which keeps every linear-algebra
-  property of the Gaussian field while breaking Gaussianity itself.
+  property of the Gaussian field while breaking Gaussianity itself.  On a
+  box the symmetric root keeps the box's mirror symmetry; U^-1 depends on
+  the site order, so the stable law on other lattices does not.
 
 Linear functionals w . h of a lattice field are drawn without the field,
-as c v . xi with v = U^-T w (``sample_functionals``).
+as c v . xi with v = R^T w (``sample_functionals``).
 
 CALIBRATION = sqrt(2 pi) matches the lattice field to the continuum
 normalization in which a radius-eps circle average at the disk center has
@@ -223,13 +227,14 @@ def sample_functionals(
     lat: LatticeDomain, W: np.ndarray, n: int, seed: int, law: str = "gff", alpha: float = 2.0
 ) -> np.ndarray:
     """(n, k) replicas of W.T @ field for an (n_sites, k) weight matrix W,
-    without building a field: replica r is c xi_r . V with V = U^-T W, U
-    the upper Cholesky factor of the Laplacian and xi_r the noise of column
-    r of dgff_matrix (law "gff") or stable_matrix (law "stable")."""
+    without building a field: replica r is c xi_r . V with V = R^T W, R the
+    lattice's root of the inverse Laplacian (L^(-1/2) on a box, U^-1 for
+    the upper Cholesky factor U elsewhere) and xi_r the noise of column r
+    of dgff_matrix (law "gff") or stable_matrix (law "stable")."""
     W = np.asarray(W, dtype=float)
     if W.ndim != 2 or W.shape[0] != lat.n_sites:
         raise DomainError("weights must be (n_sites, k)")
-    V = CALIBRATION * lat._solve_factor(W, "T")
+    V = CALIBRATION * lat._root_transpose(W)
     out = np.empty((n, W.shape[1]))
     for r in range(n):
         out[r] = _replica_noise(law, alpha, lat.n_sites, seed, r) @ V
@@ -237,7 +242,7 @@ def sample_functionals(
 
 
 def sample_stable_field(lat: LatticeDomain, alpha: float, n: int, seed: int):
-    """n symmetric alpha-stable fields through the Gaussian Cholesky filter."""
+    """n symmetric alpha-stable fields through the Gaussian field's filter."""
     vals = stable_matrix(lat, alpha, n, seed)
     return [
         FieldSample(lat, np.ascontiguousarray(vals[:, r]), "stable", alpha, seed)

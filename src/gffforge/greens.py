@@ -5,8 +5,11 @@ variance of a circle average of radius eps about the disk center is
 log(1/eps).
 
 The lattice side inverts the graph Laplacian (diagonal 4, Dirichlet rows
-eliminated) with a banded Cholesky factorization; row-major site ordering
-keeps the bandwidth at one grid row.
+eliminated).  On a full rectangle of sites the Laplacian is diagonal in the
+orthonormal DST-I basis on both axes, so L^-1 and the symmetric root
+L^(-1/2) cost two transforms and no factorization; any other site set uses
+a banded Cholesky factorization, where row-major site ordering keeps the
+bandwidth at one grid row.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import dstn
 from scipy.linalg import cho_solve_banded, cholesky_banded
 from scipy.linalg.lapack import dtbtrs
 
@@ -327,6 +331,10 @@ class LatticeDomain:
     spacing, lexicographically sorted; ``boundary_ij`` is the outer vertex
     boundary (4-neighbours of interior sites that are not interior), which
     carries Dirichlet zeros.
+
+    The field is ``white_to_field(xi) = R xi`` for a root R with R R^T = L^-1:
+    the symmetric root L^(-1/2) when the sites fill a full rectangle (a
+    "box"), and U^-1 for the upper Cholesky factor U of L otherwise.
     """
 
     def __init__(self, spacing: float, interior_ij: np.ndarray, label: str = ""):
@@ -345,6 +353,9 @@ class LatticeDomain:
             nbrs.append(shifted[~_lookup(self._codes, _encode(shifted))[1]])
         bnd = np.unique(np.concatenate(nbrs), axis=0)
         self.boundary_ij = bnd
+        # sorted i-major, a full m x n rectangle is a C-ordered (m, n) array
+        m, n = self.interior_ij.max(axis=0) - self.interior_ij.min(axis=0) + 1
+        self._box = (int(m), int(n)) if self.n_sites == m * n else None
         self._chol = None
         self._cells: dict = {}
         self._weights: dict = {}
@@ -388,20 +399,40 @@ class LatticeDomain:
             self._chol = _factored_laplacian(self._codes)
         return self._chol
 
+    def _box_power(self, b: np.ndarray, power: float) -> np.ndarray:
+        """L^power b on a box: S diag(lam)^power S b, with S the orthonormal
+        DST-I on both axes (its own inverse) and lam the Laplacian's
+        eigenvalues 4 - 2 cos(pi p/(m+1)) - 2 cos(pi q/(n+1))."""
+        m, n = self._box
+        lam_i = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, m + 1) / (m + 1))
+        lam_j = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, n + 1) / (n + 1))
+        scale = (lam_i[:, None] + lam_j[None, :]) ** power
+        b = np.asarray(b, dtype=float)
+        x = dstn(b.reshape((m, n) + b.shape[1:]), type=1, axes=(0, 1), norm="ortho")
+        x *= scale.reshape(scale.shape + (1,) * (b.ndim - 1))
+        return dstn(x, type=1, axes=(0, 1), norm="ortho", overwrite_x=True).reshape(b.shape)
+
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """(graph Laplacian)^-1 rhs with Dirichlet elimination."""
+        if self._box is not None:
+            return self._box_power(rhs, -1.0)
         cb, _ = self._banded()
         return cho_solve_banded((cb, False), rhs)
 
     def white_to_field(self, xi: np.ndarray) -> np.ndarray:
-        """Solve U x = xi for the upper Cholesky factor U of the Laplacian,
-        so that x has covariance (graph Laplacian)^-1."""
-        return self._solve_factor(xi, "N")
+        """R xi for the lattice's root R of the inverse Laplacian (see the
+        class docstring), so that x has covariance (graph Laplacian)^-1."""
+        if self._box is not None:
+            return self._box_power(xi, -0.5)
+        # dtbtrs solves against the band without copying it; U's diagonal
+        # is positive, so LAPACK's info is always 0
+        return dtbtrs(self._banded()[0], xi, uplo="U", trans="N")[0]
 
-    def _solve_factor(self, b: np.ndarray, trans: str) -> np.ndarray:
-        """U^-1 b (trans "N") or U^-T b (trans "T") without copying the band;
-        U's diagonal is positive, so LAPACK's info is always 0."""
-        return dtbtrs(self._banded()[0], b, uplo="U", trans=trans)[0]
+    def _root_transpose(self, w: np.ndarray) -> np.ndarray:
+        """R^T w, so that w . white_to_field(xi) == _root_transpose(w) . xi."""
+        if self._box is not None:
+            return self._box_power(w, -0.5)
+        return dtbtrs(self._banded()[0], w, uplo="U", trans="T")[0]
 
     def cell(self, member_idx: np.ndarray) -> "DirichletCell":
         key = np.asarray(member_idx, dtype=np.int64).tobytes()

@@ -148,6 +148,26 @@ def test_seed_outside_64_bits_exits_2(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--kind", "sine", "--law", "stable"], "exact backend only carries the Gaussian law"),
+        (["--kind", "circle", "--law", "stable"], "exact backend only carries the Gaussian law"),
+        (["--kind", "sine", "--size", "16"], "--size only applies to --kind circle --backend lattice"),
+        (["--kind", "circle", "--size", "16"], "--size only applies to --kind circle --backend lattice"),
+        (["--kind", "sine", "--backend", "lattice", "--size", "16"], "--size only applies"),
+    ],
+    ids=["sine-exact-stable", "circle-exact-stable", "sine-exact-size", "circle-exact-size",
+         "sine-lattice-size"],
+)
+def test_paths_rejects_options_it_would_ignore(tmp_path, capsys, argv, message):
+    # an ignored option would silently write another path than the one asked for
+    out = tmp_path / "p.csv"
+    assert main(["paths", *argv, "--grid", "1,2", "--n", "5", "--seed", "3", "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_empty_grid_exits_2(tmp_path, capsys):
     assert main(["paths", "--kind", "sine", "--grid", ",", "--n", "10"]) == 2
 
@@ -251,6 +271,18 @@ def test_conformal_experiment_smoke(tmp_path):
     code = main(["verify", "--experiment", "conformal-rotation", "--config", str(p),
                  "--output-dir", str(tmp_path / "out"), "--seed", "9"])
     assert code == 0
+
+
+def test_conformal_experiment_at_the_largest_seed(tmp_path):
+    # the image side draws from the next seed, which wraps to 0 here
+    p = tmp_path / "c.cfg"
+    p.write_text("n_samples = 50\nlattice_size = 24\n")
+    out = tmp_path / "out"
+    code = main(["verify", "--experiment", "conformal-rotation", "--config", str(p),
+                 "--output-dir", str(out), "--seed", str(2**64 - 1)])
+    assert code == 0
+    (rep,) = json.loads((out / "report.json").read_text())
+    assert rep["name"] == "conformal[gff]"
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import stats
+from scipy.linalg.lapack import dtbtrs
 
 from gffforge.errors import DomainError, ResolutionError
 from gffforge.fields import (
@@ -30,6 +31,7 @@ from gffforge.greens import (
     discrete_green,
     disk_lattice,
     h_minus1_inner,
+    halfplane_lattice,
 )
 from gffforge.verify import anderson_darling_p
 
@@ -148,17 +150,41 @@ def test_dgff_chunked_generation_matches_one_batch():
 
 @pytest.mark.parametrize("law", ["gff", "stable"])
 def test_sample_functionals_matches_field_pairings(law):
-    lat = disk_lattice(24)
+    # a disk (Cholesky root) and a box (symmetric DST root)
+    for lat in (disk_lattice(24), halfplane_lattice(1.2, 0.1)):
+        z = lat.z
+        W = np.stack([np.asarray(disk_bump(0.1j, 0.5)(z)), z.real, np.zeros(lat.n_sites)], axis=1)
+        got = sample_functionals(lat, W, 7, seed=43, law=law, alpha=1.6)
+        if law == "gff":
+            ref = W.T @ dgff_matrix(lat, 7, seed=43)
+        else:
+            ref = W.T @ stable_matrix(lat, 1.6, 7, seed=43)
+        assert got.shape == (7, 3)
+        assert np.max(np.abs(got - ref.T)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.all(got[:, 2] == 0.0)
+
+
+def test_box_functional_gram_matches_cholesky():
+    # the Gaussian law of the functionals depends on V only through V^T V
+    lat = halfplane_lattice(1.2, 0.1)
     z = lat.z
-    W = np.stack([np.asarray(disk_bump(0.1j, 0.5)(z)), z.real, np.zeros(lat.n_sites)], axis=1)
-    got = sample_functionals(lat, W, 7, seed=43, law=law, alpha=1.6)
-    if law == "gff":
-        ref = W.T @ dgff_matrix(lat, 7, seed=43)
-    else:
-        ref = W.T @ stable_matrix(lat, 1.6, 7, seed=43)
-    assert got.shape == (7, 3)
-    assert np.max(np.abs(got - ref.T)) <= 1e-12 * np.max(np.abs(ref))
-    assert np.all(got[:, 2] == 0.0)
+    W = np.stack([np.asarray(disk_bump(0.3 + 0.4j, 0.5)(z)), z.imag, np.ones(lat.n_sites)], axis=1)
+    V = lat._root_transpose(W)
+    V_chol = dtbtrs(lat._banded()[0], W, uplo="U", trans="T")[0]
+    ref = V_chol.T @ V_chol
+    assert np.max(np.abs(V.T @ V - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_box_stable_functionals_keep_mirror_symmetry():
+    # i -> -i maps the box onto itself; the symmetric root commutes with it,
+    # so a bump and its mirror image get the same stable scale ||v||_alpha
+    # (a Cholesky root, tied to the site order, misses by about 2%)
+    lat = halfplane_lattice(2.0, 0.05)
+    a = lat.spacing
+    W = np.stack([disk_bump(0.7 + 0.5j, 0.4)(lat.z), disk_bump(-0.7 + 0.5j, 0.4)(lat.z)], axis=1)
+    V = lat._root_transpose(W * a * a)
+    norms = np.sum(np.abs(V) ** 1.5, axis=0) ** (1.0 / 1.5)
+    assert abs(norms[1] / norms[0] - 1.0) <= 1e-12
 
 
 def test_sample_functionals_validation():

@@ -5,6 +5,8 @@ import weakref
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve_banded
+from scipy.linalg.lapack import dtbtrs
 
 from gffforge.averaging import CircleMeasure, SineMeasure
 from gffforge.errors import DomainError, SingularityError
@@ -19,6 +21,7 @@ from gffforge.greens import (
     green_halfplane,
     green_variance_ratio,
     h_minus1_inner,
+    halfplane_lattice,
 )
 
 _HALF_TO_DISK = Mobius(1.0, -1.0j, 1.0, 1.0j)  # z -> (z - i)/(z + i)
@@ -192,6 +195,43 @@ def test_discrete_green_nonnegative():
     e[k] = 1.0
     col = lat.solve(e)
     assert col.min() >= 0.0
+
+
+def test_box_solve_matches_banded_cholesky():
+    lat = halfplane_lattice(1.0, 0.1)
+    assert lat._box == (21, 10) and lat.n_sites == 210
+    b = np.random.default_rng(3).standard_normal((lat.n_sites, 4))
+    got, got_vec = lat.solve(b), lat.solve(b[:, 1])
+    assert lat._chol is None  # the box path builds no band
+    ref = cho_solve_banded((lat._banded()[0], False), b)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.max(np.abs(got_vec - ref[:, 1])) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_box_root_is_symmetric_and_squares_to_inverse():
+    lat = halfplane_lattice(1.0, 0.1)
+    eye = np.eye(lat.n_sites)
+    R = lat.white_to_field(eye)
+    L_inv = lat.solve(eye)
+    assert lat._chol is None
+    assert np.max(np.abs(R - R.T)) <= 1e-14 * np.max(np.abs(R))
+    assert np.max(np.abs(R @ R - L_inv)) <= 1e-12 * np.max(np.abs(L_inv))
+    assert np.array_equal(lat._root_transpose(eye), R)
+
+
+@pytest.mark.parametrize("which", ["disk", "box-minus-site"])
+def test_non_rectangular_sites_use_banded_factor(which):
+    if which == "disk":
+        lat = disk_lattice(16)
+    else:
+        ij = halfplane_lattice(1.0, 0.1).interior_ij
+        lat = LatticeDomain(0.1, np.delete(ij, 37, axis=0))
+    assert lat._box is None
+    xi = np.random.default_rng(5).standard_normal((lat.n_sites, 3))
+    U = lat._banded()[0]
+    assert np.array_equal(lat.white_to_field(xi), dtbtrs(U, xi, uplo="U", trans="N")[0])
+    assert np.array_equal(lat._root_transpose(xi), dtbtrs(U, xi, uplo="U", trans="T")[0])
+    assert np.array_equal(lat.solve(xi), cho_solve_banded((U, False), xi))
 
 
 def test_discrete_green_refinement_toward_continuum():
