@@ -3,8 +3,9 @@
 Experiments are named pipelines over the library: they build sample
 batches, run the statistical battery, and emit deterministic report.json
 plus data CSVs into an output directory.  A manifest.json records the
-resolved configuration, library version, and wall time.  Exit codes:
-0 all tests passed, 1 a test failed, 2 invalid configuration, 3 a
+resolved configuration, library version, wall time and the machine (core
+count, GFFFORGE_THREADS in effect, Python/numpy/scipy versions).  Exit
+codes: 0 all tests passed, 1 a test failed, 2 invalid configuration, 3 a
 resolution or numerical failure.
 """
 
@@ -12,6 +13,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -19,6 +22,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .averaging import (
@@ -262,6 +266,13 @@ def run(cfg: ExperimentConfig) -> int:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
+    machine = {
+        "cpu_count": os.cpu_count(),
+        "threads": thread_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+    }
     started = datetime.now(timezone.utc).isoformat()
     t0 = time.monotonic()
     reports = EXPERIMENTS[cfg.experiment](cfg, out)
@@ -273,6 +284,7 @@ def run(cfg: ExperimentConfig) -> int:
         "version": __version__,
         "started_at": started,
         "wall_seconds": wall,
+        "machine": machine,
         "reports": reports,
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
@@ -294,7 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("sample", help="draw one lattice field and save it")
     s.add_argument("--law", choices=("gff", "stable"), default="gff")
-    s.add_argument("--alpha", type=float, default=1.5)
+    s.add_argument("--alpha", type=float, default=None, help="stable index (default 1.5)")
     s.add_argument("--size", type=int, default=64)
     s.add_argument("--seed", type=int, default=7)
     s.add_argument("--out", required=True)
@@ -322,18 +334,29 @@ def _build_parser() -> argparse.ArgumentParser:
     w.add_argument("--n", type=int, default=1000)
     w.add_argument("--seed", type=int, default=7)
     w.add_argument("--law", choices=("gff", "stable"), default="gff")
-    w.add_argument("--alpha", type=float, default=1.5)
+    w.add_argument("--alpha", type=float, default=None, help="stable index (default 1.5)")
     w.add_argument("--size", type=int, default=None, help="circle lattice size (default 128)")
     w.add_argument("--out", default=None)
     return p
 
 
+def _law_kwargs(args) -> dict:
+    """law/alpha keywords of ``sample`` and ``paths``: ``--alpha`` applies
+    only to ``--law stable``, where it defaults to 1.5."""
+    if args.law != "stable":
+        if args.alpha is not None:
+            raise ConfigError("--alpha only applies to --law stable")
+        return {"law": args.law}
+    return {"law": args.law, "alpha": 1.5 if args.alpha is None else args.alpha}
+
+
 def _cmd_sample(args) -> int:
+    kwargs = _law_kwargs(args)
     lat = disk_lattice(args.size)
     if args.law == "gff":
         sample = sample_dgff(lat, 1, args.seed)[0]
     else:
-        sample = sample_stable_field(lat, args.alpha, 1, args.seed)[0]
+        sample = sample_stable_field(lat, kwargs["alpha"], 1, args.seed)[0]
     save_field(sample, args.out)
     print(json.dumps({"law": args.law, "sites": lat.n_sites, "out": str(args.out)}))
     return 0
@@ -392,7 +415,7 @@ def _cmd_paths(args) -> int:
     if args.size is not None and not circle_lattice:
         raise ConfigError("--size only applies to --kind circle --backend lattice")
     # the exact backends reject law "stable" themselves
-    kwargs = {"law": args.law, "alpha": args.alpha}
+    kwargs = _law_kwargs(args)
     if circle_lattice:
         kwargs["lattice"] = disk_lattice(128 if args.size is None else args.size)
     if args.kind == "circle":

@@ -347,6 +347,9 @@ class LatticeDomain:
         self.interior_ij = np.ascontiguousarray(interior_ij[order], dtype=np.int64)
         self.label = label
         self._codes = _encode(self.interior_ij)
+        dup = np.flatnonzero(np.diff(self._codes) == 0)
+        if len(dup):
+            raise DomainError(f"site {tuple(self.interior_ij[dup[0]].tolist())} is given twice")
         nbrs = []
         for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
             shifted = self.interior_ij + np.array([di, dj])

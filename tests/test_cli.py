@@ -156,9 +156,12 @@ def test_seed_outside_64_bits_exits_2(tmp_path, capsys, argv):
         (["--kind", "sine", "--size", "16"], "--size only applies to --kind circle --backend lattice"),
         (["--kind", "circle", "--size", "16"], "--size only applies to --kind circle --backend lattice"),
         (["--kind", "sine", "--backend", "lattice", "--size", "16"], "--size only applies"),
+        (["--kind", "sine", "--alpha", "1.9"], "--alpha only applies to --law stable"),
+        (["--kind", "circle", "--backend", "lattice", "--law", "gff", "--alpha", "1.5"],
+         "--alpha only applies to --law stable"),
     ],
     ids=["sine-exact-stable", "circle-exact-stable", "sine-exact-size", "circle-exact-size",
-         "sine-lattice-size"],
+         "sine-lattice-size", "sine-exact-alpha", "circle-lattice-gff-alpha"],
 )
 def test_paths_rejects_options_it_would_ignore(tmp_path, capsys, argv, message):
     # an ignored option would silently write another path than the one asked for
@@ -215,7 +218,10 @@ def test_manifest_schema(excursion_run):
     out, _, _, _ = excursion_run
     man = json.loads((out / "run1" / "manifest.json").read_text())
     assert set(man) == {"experiment", "config", "version", "started_at",
-                        "wall_seconds", "reports"}
+                        "wall_seconds", "machine", "reports"}
+    assert set(man["machine"]) == {"cpu_count", "threads", "python", "numpy", "scipy"}
+    assert man["machine"]["threads"] >= 1
+    assert man["machine"]["numpy"] == np.__version__
     assert man["experiment"] == "excursion-mass"
     assert man["config"]["seed"] == 11
     assert man["config"]["tol"] == {"mass": 0.12, "ks": 0.06}
@@ -301,6 +307,15 @@ def test_sample_round_trip(tmp_path, capsys):
     assert json.loads(lines[0])["sites"] > 0
     assert load_field(f1).law == "gff"
     assert load_field(f2).law == "stable"
+
+
+def test_sample_alpha_only_with_stable_law(tmp_path, capsys):
+    out = tmp_path / "f.bin"
+    assert main(["sample", "--alpha", "1.9", "--size", "8", "--out", str(out)]) == 2
+    assert "--alpha only applies to --law stable" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["sample", "--law", "stable", "--size", "8", "--out", str(out)]) == 0
+    assert load_field(out).alpha == 1.5
 
 
 def test_excursions_subcommand(tmp_path, capsys):

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 from scipy import stats
 from scipy.linalg.lapack import dtbtrs
 
+from gffforge import fields
 from gffforge.errors import DomainError, ResolutionError
 from gffforge.fields import (
     CALIBRATION,
@@ -24,6 +25,7 @@ from gffforge.fields import (
     stable_matrix,
 )
 from gffforge.averaging import CircleMeasure
+from gffforge.rng import replica_rng
 from gffforge.geometry import disk_bump, radial_annulus_bump
 from gffforge.greens import (
     LatticeDomain,
@@ -162,6 +164,41 @@ def test_sample_functionals_matches_field_pairings(law):
         assert got.shape == (7, 3)
         assert np.max(np.abs(got - ref.T)) <= 1e-12 * np.max(np.abs(ref))
         assert np.all(got[:, 2] == 0.0)
+
+
+def _serial_noise(law, alpha, size, n, seed, replica_offset=0):
+    """Reference: row r is replica replica_offset + r's noise, drawn one
+    replica at a time from its own stream."""
+    rows = np.empty((n, size))
+    for r in range(n):
+        rng = replica_rng(seed, replica_offset + r)
+        rows[r] = rng.standard_normal(size) if law == "gff" else sample_sas(alpha, size, rng, 2.0**-0.5)
+    return rows
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
+def test_replica_blocks_match_serial_reference(monkeypatch, threads):
+    # 16 replicas in blocks of 3: five full blocks and a short one, spread
+    # over the pool even on these small lattices; every output must equal
+    # the one-replica-at-a-time loop
+    monkeypatch.setattr(fields, "_REPLICA_BLOCK", 3)
+    monkeypatch.setattr(fields, "_PARALLEL_SITES", 0)
+    monkeypatch.setenv("GFFFORGE_THREADS", threads)
+    n, seed = 16, 29
+    for lat in (disk_lattice(16), halfplane_lattice(1.2, 0.1)):
+        W = np.stack([np.asarray(disk_bump(0.1j, 0.5)(lat.z)), lat.z.real], axis=1)
+        V = CALIBRATION * lat._root_transpose(W)
+        for law in ("gff", "stable"):
+            rows = _serial_noise(law, 1.6, lat.n_sites, n, seed)
+            ref = np.stack([rows[r] @ V for r in range(n)])
+            assert np.array_equal(sample_functionals(lat, W, n, seed, law, 1.6), ref)
+    lat = disk_lattice(16)
+    for law, got in (
+        ("gff", dgff_matrix(lat, n, seed, replica_offset=5)),
+        ("stable", stable_matrix(lat, 1.6, n, seed, replica_offset=5)),
+    ):
+        rows = _serial_noise(law, 1.6, lat.n_sites, n, seed, replica_offset=5)
+        assert np.array_equal(got, CALIBRATION * lat.white_to_field(rows.T))
 
 
 def test_box_functional_gram_matches_cholesky():

@@ -234,6 +234,20 @@ def test_non_rectangular_sites_use_banded_factor(which):
     assert np.array_equal(lat.solve(xi), cho_solve_banded((U, False), xi))
 
 
+def test_duplicate_sites_rejected():
+    with pytest.raises(DomainError, match=r"site \(0, 0\) is given twice"):
+        LatticeDomain(1.0, np.array([[0, 0], [1, 0], [0, 0]]))
+
+
+def test_duplicate_site_cannot_fill_a_holed_rectangle():
+    # a rectangle with one site missing and another repeated has m*n rows;
+    # without the check it would pass the box test and take the DST path
+    ij = halfplane_lattice(1.0, 0.1).interior_ij
+    holed = np.delete(ij, 37, axis=0)
+    with pytest.raises(DomainError, match="given twice"):
+        LatticeDomain(0.1, np.vstack([holed, holed[:1]]))
+
+
 def test_discrete_green_refinement_toward_continuum():
     # ratio of lattice to continuum Green values approaches 1/(2 pi) with
     # monotone error decrease under refinement; no spacing prefactor
