@@ -116,8 +116,6 @@ class FattenedSineMeasure:
     delta: float
     side: str = "in"
     profile: str = "default"
-    n_x: int = 24
-    n_theta: int = 512
 
     def __post_init__(self):
         if self.side not in ("in", "out"):
@@ -133,9 +131,10 @@ class FattenedSineMeasure:
 
     def discretize(self, offset: int = 0):
         m = mollifier(self.delta, self.profile)
-        xs, wx = gauss_legendre(self.n_x + offset, 0.0, self.delta)
-        h = np.pi / self.n_theta
-        t = (np.arange(self.n_theta) + (0.25 if offset == 0 else 0.75)) * h
+        n_x, n_theta = 24, 512  # radial Gauss-Legendre and angular midpoint nodes
+        xs, wx = gauss_legendre(n_x + offset, 0.0, self.delta)
+        h = np.pi / n_theta
+        t = (np.arange(n_theta) + (0.25 if offset == 0 else 0.75)) * h
         chi = m.chi(t)
         sgn = 1.0 if self.side == "in" else -1.0
         scales = self.u * (1.0 + sgn * xs)  # (n_x,)
@@ -285,9 +284,8 @@ def circle_average_path(
     lattice: LatticeDomain | None = None,
     law: str = "gff",
     alpha: float = 2.0,
-    center: complex = 0.0,
 ) -> ProcessPath:
-    """Circle-average process X(t) = h_(e^-t)(center) on a fixed t grid.
+    """Circle-average process X(t) = h_(e^-t)(0) on a fixed t grid.
 
     The exact backend draws from the min(t, t') covariance directly; the
     lattice backend pairs lattice fields (law "gff" or "stable") with the
@@ -306,7 +304,7 @@ def circle_average_path(
         raise DomainError(f"unknown backend {backend!r}")
     lat = lattice if lattice is not None else disk_lattice(128)
     # a ball that exhausts the domain has an empty ring: a zero column
-    weights = [_circle_weights(lat, complex(center), float(r)) for r in np.exp(-t)]
+    weights = [_circle_weights(lat, 0j, float(r)) for r in np.exp(-t)]
     reps = _sample_ring_functionals(lat, weights, n, seed, law, alpha)
     return ProcessPath(t, reps, kind="circle", backend="lattice", seed=seed, meta={"law": law})
 
@@ -424,7 +422,7 @@ def sine_average_path(
 
 
 def rotational_average_check(
-    sample: FieldSample, u: float, n_angles: int = 64, n_theta: int = 256
+    sample: FieldSample, u: float, n_angles: int = 64
 ) -> tuple:
     """Both sides of the rotational identity for a disk field.
 
@@ -448,7 +446,7 @@ def rotational_average_check(
     vals_by_angle = np.empty(n_angles)
     for k in range(n_angles):
         alpha = 2.0 * np.pi * k / n_angles
-        ring_idx, w = _rotated_semidisk_weights(lat, u, alpha, n_theta)
+        ring_idx, w = _rotated_semidisk_weights(lat, u, alpha, 256)
         vals_by_angle[k] = w @ sample.values[ring_idx]
     lhs = float(vals_by_angle.mean())
     ring_idx, w = _circle_weights(lat, 0j, 1.0 / np.sqrt(u))

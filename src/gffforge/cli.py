@@ -2,11 +2,13 @@
 
 Experiments are named pipelines over the library: they build sample
 batches, run the statistical battery, and emit deterministic report.json
-plus data CSVs into an output directory.  A manifest.json records the
-resolved configuration, library version, wall time and the machine (core
-count, GFFFORGE_THREADS in effect, Python/numpy/scipy versions).  Exit
-codes: 0 all tests passed, 1 a test failed, 2 invalid configuration, 3 a
-resolution or numerical failure.
+plus data CSVs into an output directory.  Each experiment reads a fixed
+set of config keys, listed with their defaults in ``_KEYS``; setting any
+other key is a configuration error, raised before the output directory is
+made.  A manifest.json records the values of those keys, library version,
+wall time and the machine (core count, GFFFORGE_THREADS in effect,
+Python/numpy/scipy versions).  Exit codes: 0 all tests passed, 1 a test
+failed, 2 invalid configuration, 3 a resolution or numerical failure.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import os
 import platform
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -57,43 +59,77 @@ from .verify import (
 __all__ = ["ExperimentConfig", "load_config", "run", "main", "EXPERIMENTS"]
 
 
-@dataclass
+# The keys each experiment reads, with their defaults: any other key is
+# rejected.  A value is parsed as the type of its key's default; the tol.*
+# keys are the experiment's pass/fail gates.
+_COMMON = {"seed": 7, "output_dir": "."}
+_KEYS = {
+    "excursion-mass": {**_COMMON, "n_samples": 200_000, "r": 1.0, "eps": 1e-3,
+                       "tol.mass": 0.03, "tol.ks": 0.02},
+    "char-bm-gff-sine": {**_COMMON, "n_samples": 10_000, "u_grid": DEFAULT_U_GRID},
+    "char-bm-gff-circle": {**_COMMON, "n_samples": 10_000, "t_grid": DEFAULT_U_GRID},
+    "char-bm-stable": {**_COMMON, "n_samples": 4_000, "lattice_size": 64, "alpha": 1.5,
+                       "t_grid": DEFAULT_T_GRID},
+    "wick-fourth": {**_COMMON, "n_samples": 10_000, "lattice_size": 64},
+    "conformal-rotation": {**_COMMON, "n_samples": 400, "lattice_size": 96},
+}
+
+
+def _parse(key: str, value, default):
+    """``value`` parsed, if a string, as the type of ``default`` (a tuple
+    from comma-separated floats), then checked."""
+    if isinstance(value, str):
+        try:
+            if isinstance(default, tuple):
+                value = tuple(float(v) for v in value.split(",") if v.strip())
+            else:
+                value = type(default)(value)
+        except ValueError as exc:
+            raise ConfigError(f"bad value for {key}: {value!r}") from exc
+    if key == "seed":
+        derived_seed(value, 0)  # raises ConfigError for a seed outside [0, 2^64)
+    elif key in ("n_samples", "lattice_size", "r", "eps") and not value > 0:
+        raise ConfigError(f"{key} must be positive")
+    elif key == "alpha" and not 1.0 < value <= 2.0:
+        raise ConfigError("alpha must lie in (1, 2], the stable field's range")
+    elif key.endswith("_grid"):
+        g = np.asarray(value, dtype=float)
+        if g.ndim != 1 or len(g) == 0 or np.any(np.diff(g) <= 0):
+            raise ConfigError(f"{key} must be a nonempty increasing list")
+    return value
+
+
 class ExperimentConfig:
-    experiment: str
-    lattice_size: int = 64
-    n_samples: int = 2000
-    seed: int = 7
-    alpha: float = 1.5
-    r: float = 1.0
-    eps: float = 1e-3
-    u_grid: tuple = DEFAULT_U_GRID
-    t_grid: tuple = DEFAULT_T_GRID
-    output_dir: str = "."
-    tol: dict = field(default_factory=dict)
+    """The resolved keys of one experiment as attributes (``cfg.seed``,
+    ``cfg.u_grid``, ...), its ``tol.*`` gates in ``cfg.tol`` by their short
+    names.  Keys not given take their defaults; a key the experiment does
+    not read raises ConfigError."""
 
-    def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
+    def __init__(self, experiment: str, **values):
+        if experiment not in _KEYS:
             raise ConfigError(
-                f"unknown experiment {self.experiment!r}; known: {', '.join(sorted(EXPERIMENTS))}"
+                f"unknown experiment {experiment!r}; known: {', '.join(sorted(_KEYS))}"
             )
-        for key in ("lattice_size", "n_samples"):
-            if getattr(self, key) < 1:
-                raise ConfigError(f"{key} must be positive")
-        derived_seed(self.seed, 0)  # raises ConfigError for a seed outside [0, 2^64)
-        if not 0.0 < self.alpha <= 2.0:
-            raise ConfigError("alpha must lie in (0, 2]")
-        if self.r <= 0 or self.eps <= 0:
-            raise ConfigError("r and eps must be positive")
-        for name in ("u_grid", "t_grid"):
-            g = np.asarray(getattr(self, name), dtype=float)
-            if g.ndim != 1 or len(g) == 0 or np.any(np.diff(g) <= 0):
-                raise ConfigError(f"{name} must be a nonempty increasing list")
+        keys = _KEYS[experiment]
+        unread = sorted(set(values) - set(keys))
+        if unread:
+            raise ConfigError(
+                f"experiment {experiment!r} does not read {', '.join(unread)}; "
+                f"it reads {', '.join(keys)}"
+            )
+        self.experiment = experiment
+        self.tol: dict = {}
+        for key, default in keys.items():
+            value = _parse(key, values.get(key, default), default)
+            if key.startswith("tol."):
+                self.tol[key[4:]] = value
+            else:
+                setattr(self, key, value)
 
-
-_INT_KEYS = {"lattice_size", "n_samples", "seed"}
-_FLOAT_KEYS = {"alpha", "r", "eps"}
-_LIST_KEYS = {"u_grid", "t_grid"}
-_STR_KEYS = {"experiment", "output_dir"}
+    def resolved(self) -> dict:
+        """The keys the experiment reads, its gates under ``tol``."""
+        out = {k: getattr(self, k) for k in _KEYS[self.experiment] if not k.startswith("tol.")}
+        return {**out, "tol": self.tol} if self.tol else out
 
 
 def parse_config_file(path) -> dict:
@@ -110,56 +146,16 @@ def parse_config_file(path) -> dict:
     return out
 
 
-def _coerce(key: str, value: str):
-    try:
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS or key.startswith("tol."):
-            return float(value)
-        if key in _LIST_KEYS:
-            return tuple(float(v) for v in value.split(",") if v.strip())
-        if key in _STR_KEYS:
-            return value
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {key}: {value!r}") from exc
-    raise ConfigError(f"unknown config key {key!r}")
-
-
-# per-experiment defaults layered under file/flag overrides
-_DEFAULTS = {
-    "excursion-mass": {"n_samples": 200_000, "r": 1.0, "eps": 1e-3},
-    "char-bm-gff-sine": {"n_samples": 10_000},
-    "char-bm-gff-circle": {"n_samples": 10_000, "t_grid": DEFAULT_U_GRID},
-    "char-bm-stable": {"n_samples": 4_000, "lattice_size": 64, "alpha": 1.5},
-    "wick-fourth": {"n_samples": 10_000, "lattice_size": 64},
-    "conformal-rotation": {"n_samples": 400, "lattice_size": 96},
-}
-
-
 def load_config(experiment: str, path=None, overrides: dict | None = None) -> ExperimentConfig:
-    """Resolve experiment defaults, then a config file, then overrides."""
-    raw: dict = dict(_DEFAULTS.get(experiment, {}))
-    raw["experiment"] = experiment
-    file_items = parse_config_file(path) if path else {}
-    merged: dict = {}
-    tol: dict = {}
-    for source in (file_items, overrides or {}):
-        for key, value in source.items():
-            coerced = _coerce(key, value) if isinstance(value, str) else value
-            if key.startswith("tol."):
-                tol[key[4:]] = coerced
-            else:
-                merged[key] = coerced
-    raw.update(merged)
-    if "experiment" in merged and merged["experiment"] != experiment:
+    """Resolve experiment defaults, then a config file, then overrides; the
+    file may name its experiment, which must be the one asked for."""
+    values = {**(parse_config_file(path) if path else {}), **(overrides or {})}
+    named = values.pop("experiment", experiment)
+    if named != experiment:
         raise ConfigError(
-            f"config file names experiment {merged['experiment']!r}, command line says {experiment!r}"
+            f"config file names experiment {named!r}, command line says {experiment!r}"
         )
-    known = {f.name for f in fields(ExperimentConfig)} - {"tol"}
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    return ExperimentConfig(**raw, tol=tol)
+    return ExperimentConfig(experiment, **values)
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +173,7 @@ def _run_excursion_mass(cfg: ExperimentConfig, out: Path) -> list:
         "excursion_mass",
         rel,
         None,
-        cfg.tol.get("mass", 0.03),
+        cfg.tol["mass"],
         cfg.n_samples,
         notes=f"target 4/(pi r) = {target:.6f}",
     )
@@ -185,7 +181,7 @@ def _run_excursion_mass(cfg: ExperimentConfig, out: Path) -> list:
         "hit_angle_ks",
         ks,
         None,
-        cfg.tol.get("ks", 0.02),
+        cfg.tol["ks"],
         len(sample.angles),
         notes="weighted one-sample KS against the sine hitting law",
     )
@@ -280,7 +276,7 @@ def run(cfg: ExperimentConfig) -> int:
     (out / "report.json").write_text(json.dumps(reports, indent=2, sort_keys=True) + "\n")
     manifest = {
         "experiment": cfg.experiment,
-        "config": {**asdict(cfg), "u_grid": list(cfg.u_grid), "t_grid": list(cfg.t_grid)},
+        "config": cfg.resolved(),
         "version": __version__,
         "started_at": started,
         "wall_seconds": wall,
@@ -408,7 +404,7 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_paths(args) -> int:
-    grid = tuple(float(v) for v in args.grid.split(",") if v.strip())
+    grid = _parse("--grid", args.grid, ())
     if not grid:
         raise ConfigError("empty --grid")
     circle_lattice = args.kind == "circle" and args.backend == "lattice"

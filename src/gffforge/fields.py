@@ -153,11 +153,7 @@ def sample_gff_observables(cov, n: int, seed: int) -> np.ndarray:
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise DomainError("covariance must be square")
     L = _chol_with_jitter(matrix)
-    k = matrix.shape[0]
-    out = np.empty((n, k))
-    for r in range(n):
-        out[r] = L @ replica_rng(seed, r).standard_normal(k)
-    return out
+    return _replica_rows("gff", 2.0, matrix.shape[0], n, seed, V=L.T)
 
 
 def _replica_noise(law: str, alpha: float, size: int, seed: int, r: int) -> np.ndarray:
@@ -194,6 +190,8 @@ def _replica_rows(law, alpha, size, n, seed, replica_offset=0, V=None) -> np.nda
     the replicas' own streams, so the array is the same at any thread
     count and block size.
     """
+    if n < 0:
+        raise DomainError("replica count must be nonnegative")
     out = np.empty((n, size if V is None else V.shape[1]))
 
     def fill(lo):

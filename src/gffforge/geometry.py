@@ -341,31 +341,22 @@ def integrate_test_function(phi: TestFunction, n: int = 256) -> float:
 _N_CDF_TABLE = 16385
 
 
+@lru_cache(maxsize=None)
 def _profile_table(beta: float):
-    """Cumulative table of the normalized bump exp(-beta/(x(1-x)))."""
+    """Nodes, norm and normalized cumulative of the bump exp(-beta/(x(1-x))),
+    built once per beta and kept read-only."""
     x = np.linspace(0.0, 1.0, _N_CDF_TABLE)
     vals = _smooth_profile(x, beta)
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1]) * np.diff(x))])
     norm = cdf[-1]
-    return x, norm, cdf / norm
-
-
-def _norm_constant(beta: float) -> float:
-    return _tables(beta)[1]
-
-
-_TABLES: dict = {}
-
-
-def _tables(beta: float):
-    if beta not in _TABLES:
-        _TABLES[beta] = _profile_table(beta)
-    return _TABLES[beta]
+    cdf /= norm
+    x.flags.writeable = cdf.flags.writeable = False
+    return x, norm, cdf
 
 
 def _smoothstep(t, beta: float = 1.0):
     """C-infinity step: 0 for t <= 0, 1 for t >= 1, integrated bump between."""
-    x, _, cdf = _tables(beta)
+    x, _, cdf = _profile_table(beta)
     return np.interp(np.clip(np.asarray(t, dtype=float), 0.0, 1.0), x, cdf)
 
 
@@ -392,7 +383,7 @@ class MollifierProfile:
         # closed form; the norm constant comes from the tabulated cumulative,
         # which is spectrally accurate because every derivative of the bump
         # vanishes at 0 and 1
-        return _smooth_profile(x, self.beta) / _norm_constant(self.beta)
+        return _smooth_profile(x, self.beta) / _profile_table(self.beta)[1]
 
     def eta_scaled(self, x):
         """eta compressed onto (0, delta), still of unit mass."""

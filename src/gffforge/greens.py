@@ -128,12 +128,11 @@ def h_minus1_inner(
     g: TestFunction,
     domain=UnitDisk(),
     n: int = 48,
-    h_split: float = 1e-3,
 ) -> float:
     """Double integral of G_domain against two test functions.
 
     Tensor Gauss-Legendre on offset grids (orders n and n+1, so nodes never
-    collide); pairs closer than ``h_split`` keep only the harmonic part of
+    collide); pairs closer than 1e-3 keep only the harmonic part of
     the kernel, and the -log singularity is integrated analytically over the
     matching disk and added back.  Symmetrized over the argument order.
     """
@@ -142,7 +141,7 @@ def h_minus1_inner(
     if radial_f is not None and radial_g is not None and isinstance(domain, UnitDisk):
         return _radial_pairing(f, g)
     return 0.5 * (
-        _h_minus1_once(f, g, domain, n, h_split) + _h_minus1_once(g, f, domain, n, h_split)
+        _h_minus1_once(f, g, domain, n) + _h_minus1_once(g, f, domain, n)
     )
 
 
@@ -160,7 +159,7 @@ def _area_nodes(phi: TestFunction, domain, n: int):
     return zz[nz], (ww * vals)[nz]
 
 
-def _h_minus1_once(f, g, domain, n, h_split):
+def _h_minus1_once(f, g, domain, n):
     harm, _ = _kernel_parts(domain)
     xz, xw = _area_nodes(f, domain, n)
     yz, yw = _area_nodes(g, domain, n + 1)
@@ -169,6 +168,7 @@ def _h_minus1_once(f, g, domain, n, h_split):
     X = xz[:, None]
     Y = yz[None, :]
     D = np.abs(X - Y)
+    h_split = 1e-3
     far = D >= h_split
     K = harm(X, Y) - np.where(far, np.log(np.maximum(D, h_split)), 0.0)
     total = float(xw @ K @ yw)

@@ -409,13 +409,13 @@ def _verdict(reports: dict, sig: float) -> CharBMVerdict:
     return CharBMVerdict(reports=reports, sigma_hat=sig, overall=overall)
 
 
-def _dyadic_triples(grid: np.ndarray, k_max: int = 3) -> list:
+def _dyadic_triples(grid: np.ndarray) -> list:
     triples = [
         (float(s), float(2 * s), float(4 * s))
         for s in grid
         if _on_grid(grid, 2 * s) and _on_grid(grid, 4 * s)
     ]
-    return triples[:k_max]
+    return triples[:3]  # the first three (s, 2s, 4s) on the grid
 
 
 def _continuity_report(Y: ProcessPath) -> TestReport:
@@ -513,8 +513,8 @@ def levy_path(grid, n: int, seed: int, alpha: float = 1.5) -> ProcessPath:
     return ProcessPath(g, reps, kind="levy", backend="synthetic", seed=seed, meta={"alpha": alpha})
 
 
-def compound_poisson_path(grid, n: int, seed: int, rate: float = 1.0, jump_scale: float = 1.0) -> ProcessPath:
-    """Compound Poisson path with Gaussian jumps; piecewise-constant jump
+def compound_poisson_path(grid, n: int, seed: int, rate: float = 1.0) -> ProcessPath:
+    """Compound Poisson path with unit Gaussian jumps; piecewise-constant jump
     structure breaks normality of increments and the harness residual."""
     g = np.asarray(grid, dtype=float)
     du = np.concatenate([[g[0]], np.diff(g)])
@@ -522,7 +522,7 @@ def compound_poisson_path(grid, n: int, seed: int, rate: float = 1.0, jump_scale
     for k in range(n):
         rng = replica_rng(seed, k)
         counts = rng.poisson(rate * du)
-        inc = np.where(counts > 0, np.sqrt(counts) * jump_scale, 0.0) * rng.standard_normal(len(g))
+        inc = np.where(counts > 0, np.sqrt(counts), 0.0) * rng.standard_normal(len(g))
         reps[k] = np.cumsum(inc)
     return ProcessPath(g, reps, kind="compound_poisson", backend="synthetic", seed=seed)
 

@@ -33,15 +33,16 @@ def test_parse_config_file_rejects_bare_lines(tmp_path):
 
 def test_load_config_layers_defaults_file_overrides(tmp_path):
     p = tmp_path / "a.cfg"
-    p.write_text("n_samples = 500\nseed = 3\nu_grid = 1, 2, 4\ntol.mass = 0.2\n")
+    p.write_text("n_samples = 500\nseed = 3\ntol.mass = 0.2\n")
     cfg = load_config("excursion-mass", p, {"seed": 11})
     # experiment default eps survives, file sets n_samples, flag wins seed
     assert cfg.eps == 1e-3
     assert cfg.n_samples == 500
     assert cfg.seed == 11
-    assert cfg.u_grid == (1.0, 2.0, 4.0)
-    assert cfg.tol == {"mass": 0.2}
+    assert cfg.tol == {"mass": 0.2, "ks": 0.02}
     assert load_config("excursion-mass").n_samples == 200_000
+    p.write_text("u_grid = 1, 2, 4\n")
+    assert load_config("char-bm-gff-sine", p).u_grid == (1.0, 2.0, 4.0)
 
 
 def test_load_config_rejects_experiment_mismatch(tmp_path):
@@ -73,7 +74,7 @@ def test_config_field_validation():
     with pytest.raises(ConfigError):
         ExperimentConfig(experiment="excursion-mass", eps=-1.0)
     with pytest.raises(ConfigError):
-        ExperimentConfig(experiment="wick-fourth", u_grid=(2.0, 1.0))
+        ExperimentConfig(experiment="char-bm-gff-sine", u_grid=(2.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +93,28 @@ def test_bad_config_exits_2(tmp_path, capsys):
     p.write_text("widgets = 3\n")
     assert main(["verify", "--experiment", "wick-fourth", "--config", str(p)]) == 2
     assert "widgets" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "experiment, text, message",
+    [
+        ("wick-fourth", "alpha = 1.2\n", "experiment 'wick-fourth' does not read alpha"),
+        ("excursion-mass", "u_grid = 9, 10\n", "experiment 'excursion-mass' does not read u_grid"),
+        ("excursion-mass", "tol.mas = 0.5\n", "experiment 'excursion-mass' does not read tol.mas"),
+        ("char-bm-gff-sine", "tol.mass = 0.5\n", "experiment 'char-bm-gff-sine' does not read tol.mass"),
+        ("char-bm-stable", "alpha = 0.9\n", "alpha must lie in (1, 2]"),
+    ],
+    ids=["wick-alpha", "excursion-u_grid", "excursion-tol.mas", "sine-tol.mass", "stable-alpha-0.9"],
+)
+def test_config_error_exits_2_before_the_output_dir(tmp_path, capsys, experiment, text, message):
+    # an unread key would run silently and still be echoed in the manifest
+    p = tmp_path / "x.cfg"
+    p.write_text(text)
+    out = tmp_path / "out"
+    assert main(["verify", "--experiment", experiment, "--config", str(p),
+                 "--output-dir", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unresolvable_circles_exit_3(tmp_path, capsys):
@@ -175,6 +198,22 @@ def test_empty_grid_exits_2(tmp_path, capsys):
     assert main(["paths", "--kind", "sine", "--grid", ",", "--n", "10"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--grid", "1,x", "--n", "5"], "bad value for --grid: '1,x'"),
+        (["--grid", "1,2", "--n", "-1"], "replica count must be nonnegative"),
+        (["--grid", "1,2", "--n", "-1", "--backend", "lattice"], "replica count must be nonnegative"),
+    ],
+    ids=["bad-grid-entry", "negative-n-exact", "negative-n-lattice"],
+)
+def test_paths_malformed_input_exits_2(tmp_path, capsys, argv, message):
+    out = tmp_path / "p.csv"
+    assert main(["paths", "--kind", "sine", *argv, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_failing_tolerance_exits_1(tmp_path):
     p = tmp_path / "f.cfg"
     p.write_text("n_samples = 2000\neps = 5e-3\ntol.mass = 1e-9\n")
@@ -254,6 +293,17 @@ def test_wick_experiment_smoke(tmp_path):
     rep = json.loads((tmp_path / "out" / "report.json").read_text())
     assert abs(rep[0]["statistic"]) <= 0.15
     assert (tmp_path / "out" / "pairings.csv").exists()
+
+
+def test_wick_manifest_records_exactly_its_keys(tmp_path):
+    p = tmp_path / "w.cfg"
+    p.write_text("n_samples = 1000\nlattice_size = 16\n")
+    out = tmp_path / "out"
+    main(["verify", "--experiment", "wick-fourth", "--config", str(p),
+          "--output-dir", str(out), "--seed", "5"])
+    man = json.loads((out / "manifest.json").read_text())
+    assert man["config"] == {"seed": 5, "output_dir": str(out), "n_samples": 1000,
+                             "lattice_size": 16}
 
 
 @pytest.mark.parametrize("t_grid", [None, DEFAULT_T_GRID])

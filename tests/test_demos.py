@@ -1,6 +1,7 @@
-"""The demo scripts and canonical configs stay in step with the library:
-every name a demo imports from gffforge exists, and every config loads.
-Nothing here runs a demo."""
+"""The demo scripts, canonical configs and README stay in step with the
+library: every name a demo imports from gffforge exists, every config
+loads, and README's config-key table is the harness's.  Nothing here runs
+a demo."""
 
 import ast
 import importlib
@@ -8,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from gffforge.cli import load_config
+from gffforge.averaging import DEFAULT_T_GRID, DEFAULT_U_GRID
+from gffforge.cli import _KEYS, load_config
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 SCRIPTS = sorted(DEMOS.glob("*.py"))
@@ -40,3 +42,30 @@ def test_canonical_config_loads(config):
     cfg = load_config(config.stem, config)
     assert cfg.experiment == config.stem
     assert cfg.output_dir == f"runs/{config.stem}"
+
+
+def test_readme_key_table_matches_the_harness():
+    # README's table of the keys each experiment reads, with defaults, is
+    # the harness's own; U and T stand for the default grids
+    text = (DEMOS.parent / "README.md").read_text()
+    lines = text.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("| key |"))
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        rows.append(line.strip("|").split("|"))
+    header = [c.strip() for c in rows[0]]
+    table = {name: {} for name in header[1:]}
+    for row in rows[2:]:
+        key, *cells = (c.strip().strip("`") for c in row)
+        for name, cell in zip(header[1:], cells):
+            if cell:
+                table[name][key] = cell
+    names = {DEFAULT_U_GRID: "U", DEFAULT_T_GRID: "T"}
+    assert table == {
+        experiment: {key: names.get(default, str(default)) for key, default in keys.items()}
+        for experiment, keys in _KEYS.items()
+    }
+    for name, grid in (("U", DEFAULT_U_GRID), ("T", DEFAULT_T_GRID)):
+        assert f"- {name}: `{', '.join(map(str, grid))}`" in lines
