@@ -50,6 +50,8 @@ from .geometry import Rotation, disk_bump
 from .greens import disk_lattice, green_variance_ratio
 from .rng import derived_seed, thread_count
 from .verify import (
+    MIN_BATTERY_REPLICAS,
+    MIN_WICK_SAMPLES,
     _report,
     characterize_bm,
     test_conformal_invariance,
@@ -73,6 +75,14 @@ _KEYS = {
     "wick-fourth": {**_COMMON, "n_samples": 10_000, "lattice_size": 64},
     "conformal-rotation": {**_COMMON, "n_samples": 400, "lattice_size": 96},
 }
+# The smallest n_samples each experiment's tests take (1 where none is set),
+# checked at load so a run that its tests would refuse makes no output.
+_MIN_SAMPLES = {
+    "char-bm-gff-sine": MIN_BATTERY_REPLICAS,
+    "char-bm-gff-circle": MIN_BATTERY_REPLICAS,
+    "char-bm-stable": MIN_BATTERY_REPLICAS,
+    "wick-fourth": MIN_WICK_SAMPLES,
+}
 
 
 def _parse(key: str, value, default):
@@ -88,7 +98,7 @@ def _parse(key: str, value, default):
             raise ConfigError(f"bad value for {key}: {value!r}") from exc
     if key == "seed":
         derived_seed(value, 0)  # raises ConfigError for a seed outside [0, 2^64)
-    elif key in ("n_samples", "lattice_size", "r", "eps") and not value > 0:
+    elif key in ("lattice_size", "r", "eps") and not value > 0:
         raise ConfigError(f"{key} must be positive")
     elif key == "alpha" and not 1.0 < value <= 2.0:
         raise ConfigError("alpha must lie in (1, 2], the stable field's range")
@@ -125,6 +135,11 @@ class ExperimentConfig:
                 self.tol[key[4:]] = value
             else:
                 setattr(self, key, value)
+        low = _MIN_SAMPLES.get(experiment, 1)
+        if not self.n_samples >= low:
+            raise ConfigError(
+                f"experiment {experiment!r} needs n_samples >= {low}, got {self.n_samples}"
+            )
 
     def resolved(self) -> dict:
         """The keys the experiment reads, its gates under ``tol``."""

@@ -156,9 +156,8 @@ def sample_gff_observables(cov, n: int, seed: int) -> np.ndarray:
     return _replica_rows("gff", 2.0, matrix.shape[0], n, seed, V=L.T)
 
 
-def _replica_noise(law: str, alpha: float, size: int, seed: int, r: int) -> np.ndarray:
-    """Noise of replica ``r``: unit Gaussians ("gff") or SaS variates ("stable")."""
-    rng = replica_rng(seed, r)
+def _replica_noise(law: str, alpha: float, size: int, rng) -> np.ndarray:
+    """Noise drawn from ``rng``: unit Gaussians ("gff") or SaS variates ("stable")."""
     if law == "gff":
         return rng.standard_normal(size)
     if law == "stable":
@@ -195,8 +194,10 @@ def _replica_rows(law, alpha, size, n, seed, replica_offset=0, V=None) -> np.nda
     out = np.empty((n, size if V is None else V.shape[1]))
 
     def fill(lo):
+        rng = None
         for r in range(lo, min(lo + _REPLICA_BLOCK, n)):
-            xi = _replica_noise(law, alpha, size, seed, replica_offset + r)
+            rng = replica_rng(seed, replica_offset + r, rng)
+            xi = _replica_noise(law, alpha, size, rng)
             out[r] = xi if V is None else xi @ V
 
     blocks = range(0, n, _REPLICA_BLOCK)

@@ -103,8 +103,11 @@ def test_bad_config_exits_2(tmp_path, capsys):
         ("excursion-mass", "tol.mas = 0.5\n", "experiment 'excursion-mass' does not read tol.mas"),
         ("char-bm-gff-sine", "tol.mass = 0.5\n", "experiment 'char-bm-gff-sine' does not read tol.mass"),
         ("char-bm-stable", "alpha = 0.9\n", "alpha must lie in (1, 2]"),
+        ("char-bm-gff-sine", "n_samples = 50\n", "experiment 'char-bm-gff-sine' needs n_samples >= 100"),
+        ("wick-fourth", "n_samples = 999\n", "experiment 'wick-fourth' needs n_samples >= 1000"),
     ],
-    ids=["wick-alpha", "excursion-u_grid", "excursion-tol.mas", "sine-tol.mass", "stable-alpha-0.9"],
+    ids=["wick-alpha", "excursion-u_grid", "excursion-tol.mas", "sine-tol.mass", "stable-alpha-0.9",
+         "sine-n_samples-50", "wick-n_samples-999"],
 )
 def test_config_error_exits_2_before_the_output_dir(tmp_path, capsys, experiment, text, message):
     # an unread key would run silently and still be echoed in the manifest
@@ -129,7 +132,9 @@ def test_unresolvable_circles_exit_3(tmp_path, capsys):
 
 def test_verify_propagates_resolution_as_3(tmp_path, capsys):
     p = tmp_path / "res.cfg"
-    p.write_text("lattice_size = 16\nt_grid = 6,7,8,9\nn_samples = 50\n")
+    # n_samples at the battery's minimum, so the config loads and the
+    # lattice, not the sample size, is what fails
+    p.write_text("lattice_size = 16\nt_grid = 6,7,8,9\nn_samples = 100\n")
     code = main(
         ["verify", "--experiment", "char-bm-stable", "--config", str(p),
          "--output-dir", str(tmp_path / "out")]

@@ -35,6 +35,14 @@ def test_replica_rng_streams():
     c = replica_rng(42, 4).standard_normal(8)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+    # a re-keyed generator restarts the stream, whatever it drew before:
+    # float32 draws leave a cached half word that must not leak
+    g = replica_rng(42, 4)
+    g.random(3, dtype=np.float32)
+    assert replica_rng(42, 3, g) is g
+    assert np.array_equal(g.standard_normal(8), a)
+    g.integers(0, 9, 5)
+    assert np.array_equal(replica_rng(42, 4, g).standard_normal(8), c)
 
 
 def test_thread_count_env(monkeypatch):

@@ -139,8 +139,9 @@ def test_distance_correlation_caps_large_samples():
 
 
 def _ix_distance_correlation(x, y, seed=0, cap=800):
-    """distance_correlation with the permuted matrix gathered by np.ix_:
-    the reference the take-based gather must reproduce bit for bit."""
+    """distance_correlation with each permuted cross term taken over the whole
+    matrix ``A * B[np.ix_(p, p)]``: the reference whose ``(t, p)`` the
+    blocked upper-triangle loop must reproduce exactly."""
     x = np.asarray(x, float)
     y = np.asarray(y, float)
     n = len(x)
@@ -179,6 +180,34 @@ def test_distance_correlation_matches_ix_reference():
         # an interior p-value is one that a wrong permuted matrix would move
         assert 0.02 < want[1] < 0.98
         assert distance_correlation(a, b, seed=k) == want
+
+
+def _dcor_case(kind):
+    rng = replica_rng(13, 0)
+    if kind == "n40-1d":  # fewer rows than one block
+        x = rng.standard_normal(40)
+        return x, rng.standard_normal(40), 800
+    if kind == "n150-2d":  # last block partial
+        x = rng.standard_normal(150)
+        return x, np.column_stack([rng.standard_normal(150), 0.1 * x]), 800
+    if kind == "n1000-cap300":
+        x = rng.standard_normal(1000)
+        return x, np.column_stack([rng.standard_normal(1000), rng.standard_normal(1000)]), 300
+    # compound Poisson increments: about 90% exact zeros, so most distances tie
+    inc = np.diff(compound_poisson_path((0.1, 0.2, 0.3, 0.4), 500, 17).replicas, axis=1)
+    return inc[:, 0], inc[:, 1:], 800
+
+
+@pytest.mark.parametrize(
+    "kind", ["n40-1d", "n150-2d", "n1000-cap300", "compound-poisson-ties"]
+)
+def test_distance_correlation_blocks_match_whole_matrix_loop(kind):
+    x, y, cap = _dcor_case(kind)
+    for seed in range(3):
+        want = _ix_distance_correlation(x, y, seed=seed, cap=cap)
+        # an interior p-value is one that a wrong permuted cross term would move
+        assert 0.02 < want[1] < 0.98
+        assert distance_correlation(x, y, seed=seed, cap=cap) == want
 
 
 def test_sigma_hat_recovers_diffusivity():
