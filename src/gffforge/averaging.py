@@ -11,14 +11,14 @@ harmonic extension collapsed once into a weight vector over ring sites;
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, ResolutionError
 from .fields import FieldSample, sample_functionals, sample_gff_observables
 from .geometry import TestFunction, gauss_legendre, mollifier
-from .greens import LatticeDomain, _encode, _lookup, disk_lattice, halfplane_lattice
+from .greens import LatticeDomain, disk_lattice, halfplane_lattice
 
 __all__ = [
     "CircleMeasure",
@@ -156,7 +156,6 @@ class ProcessPath:
     kind: str
     backend: str
     seed: int
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.grid = np.asarray(self.grid, dtype=float)
@@ -195,49 +194,6 @@ class ProcessPath:
 # ---------------------------------------------------------------------------
 
 
-def _pairing_weights(lat: LatticeDomain, member_idx: np.ndarray, nodes, weights):
-    """Ring weight vector computing sum_q w_q * (harmonic extension)(z_q).
-
-    Each quadrature weight is spread bilinearly onto the four grid corners
-    of its node, corner-major, and repeated corners are summed in that
-    order.  The extension is the field on ring sites and zero on the outer
-    lattice boundary, so corners there pick up the field value or drop
-    out; a corner strictly outside the cell closure means the node grid is
-    too coarse for the subdomain.
-    """
-    cell = lat.cell(member_idx)
-    x = nodes.real / lat.spacing
-    y = nodes.imag / lat.spacing
-    ix = np.floor(x).astype(np.int64)
-    iy = np.floor(y).astype(np.int64)
-    fx = x - ix
-    fy = y - iy
-    offsets = ((0, 0), (1, 0), (0, 1), (1, 1))
-    fracs = ((1 - fx) * (1 - fy), fx * (1 - fy), (1 - fx) * fy, fx * fy)
-    corners = np.concatenate([np.stack([ix + di, iy + dj], axis=1) for di, dj in offsets])
-    c = np.concatenate([frac * weights for frac in fracs])
-    keep = c != 0.0
-    corners, c = corners[keep], c[keep]
-    codes, first, inv = np.unique(_encode(corners), return_index=True, return_inverse=True)
-    c = np.bincount(inv, weights=c, minlength=len(codes))
-    inner = ~_lookup(_encode(lat.boundary_ij), codes)[1]
-    corners, codes, c = corners[first[inner]], codes[inner], c[inner]
-    site, on_lattice = _lookup(lat._codes, codes)
-    if not on_lattice.all():
-        bad = tuple(corners[~on_lattice][0].tolist())
-        raise ResolutionError(f"pairing node corner {bad} falls off the lattice")
-    p, in_member = _lookup(cell.member_idx, site)
-    q = np.zeros(len(cell.member_idx))
-    q[p[in_member]] = c[in_member]
-    p, in_ring = _lookup(cell.ring_idx, site[~in_member])
-    if not in_ring.all():
-        bad = tuple(corners[~in_member][~in_ring][0].tolist())
-        raise ResolutionError(f"pairing node corner {bad} leaves the subdomain")
-    direct = np.zeros(len(cell.ring_idx))
-    direct[p] = c[~in_member]
-    return cell, cell.ring_weights(q) + direct
-
-
 def _sample_ring_functionals(lat: LatticeDomain, weights, n, seed, law, alpha) -> np.ndarray:
     """(n, k) replicas of k ring functionals (ring_idx, w), one column each."""
     W = np.zeros((lat.n_sites, len(weights)))
@@ -251,29 +207,22 @@ def _sample_ring_functionals(lat: LatticeDomain, weights, n, seed, law, alpha) -
 # ---------------------------------------------------------------------------
 
 
-def _circle_weights(lat: LatticeDomain, z: complex, eps: float):
-    """Ring weights of the circle average at B_z(eps): the harmonic
+def _circle_weights(lat: LatticeDomain, eps: float):
+    """Ring weights of the circle average at B_0(eps): the harmonic
     extension of the field from the ball's lattice boundary, evaluated at
-    the interior site nearest z."""
+    the center site (0, 0), as a one-node pairing."""
     if not eps > 0:
         raise DomainError("circle average needs eps > 0")
-    key = ("circle", complex(z), float(eps))
-    hit = lat._weights.get(key)
-    if hit is not None:
-        return hit
-    idx = lat.indices_of(lambda zz: np.abs(zz - z) < eps)
-    if len(idx) < 4:
-        raise ResolutionError(f"ball B({z}, {eps}) captures fewer than 4 lattice sites")
-    target = lat.nearest_site(z)
-    cell = lat.cell(idx)
-    pos, found = _lookup(cell.member_idx, target)
-    if not found:
-        raise ResolutionError("nearest site to the center is not inside the ball")
-    e = np.zeros(len(cell.member_idx))
-    e[pos] = 1.0
-    w = cell.ring_weights(e)
-    lat._weights[key] = (cell.ring_idx, w)
-    return lat._weights[key]
+
+    def build():
+        idx = lat.indices_of(lambda z: np.abs(z) < eps)
+        if len(idx) < 4:
+            raise ResolutionError(f"ball B(0, {eps}) captures fewer than 4 lattice sites")
+        if not np.any(lat.z[idx] == 0.0):
+            raise ResolutionError("the disk center (0, 0) is not an interior lattice site")
+        return lat.cell(idx).pairing_weights(np.zeros(1, dtype=complex), np.ones(1))
+
+    return lat.functional(("circle", float(eps)), build)
 
 
 def circle_average_path(
@@ -304,9 +253,9 @@ def circle_average_path(
         raise DomainError(f"unknown backend {backend!r}")
     lat = lattice if lattice is not None else disk_lattice(128)
     # a ball that exhausts the domain has an empty ring: a zero column
-    weights = [_circle_weights(lat, 0j, float(r)) for r in np.exp(-t)]
+    weights = [_circle_weights(lat, float(r)) for r in np.exp(-t)]
     reps = _sample_ring_functionals(lat, weights, n, seed, law, alpha)
-    return ProcessPath(t, reps, kind="circle", backend="lattice", seed=seed, meta={"law": law})
+    return ProcessPath(t, reps, kind="circle", backend="lattice", seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -346,10 +295,13 @@ def sine_lattice_for(
 ) -> LatticeDomain:
     """Dirichlet box truncation of the half-plane sized for a u grid.
 
-    The box wall removes long-range Green mass; at width 4/sqrt(min u) the
-    sine covariance sits ~7% low, at 8/sqrt(min u) the deficit is inside
-    Monte Carlo noise, hence the default.  Spacing resolves the smallest
-    pairing semicircle with ``points_per_radius`` sites.
+    The box wall removes long-range Green mass.  The exact lattice
+    variances of the sine averages (2 pi w . L^-1 w over the sine weights,
+    no sampling) on the grid (1, 2, 4) sit 3.6-6.8% below (pi^2/2) u at
+    width 4/sqrt(min u) and 2.6-2.8% below at the default 8/sqrt(min u);
+    on DEFAULT_U_GRID at the default, 1.8-3.4% below.  A 2.8% deficit is
+    2 s.e. of a variance from 10,000 replicas.  Spacing resolves the
+    smallest pairing semicircle with ``points_per_radius`` sites.
     """
     u = np.asarray(u_grid, dtype=float)
     if np.any(u <= 0):
@@ -359,22 +311,18 @@ def sine_lattice_for(
     return halfplane_lattice(width, smallest / points_per_radius)
 
 
-def _sine_weights(lat: LatticeDomain, u: float, r_factor: float, n_nodes: int = 256):
-    key = ("sine", float(u), float(r_factor), n_nodes)
-    hit = lat._weights.get(key)
-    if hit is not None:
-        return hit
-    radius = 1.0 / np.sqrt(u)
-    idx = lat.indices_of(lambda z: np.abs(z) < radius)
-    if len(idx) < 16:
-        raise ResolutionError(f"semi-disk at u={u} captures too few lattice sites")
-    r = r_factor * u
-    t, wq = gauss_legendre(n_nodes, 0.0, np.pi)
-    nodes = np.exp(1j * t) / np.sqrt(r)
-    weights = np.sqrt(r) * np.sin(t) * wq
-    cell, pair = _pairing_weights(lat, idx, nodes, weights)
-    lat._weights[key] = (cell.ring_idx, pair)
-    return lat._weights[key]
+def _sine_weights(lat: LatticeDomain, u: float, r_factor: float):
+    def build():
+        radius = 1.0 / np.sqrt(u)
+        idx = lat.indices_of(lambda z: np.abs(z) < radius)
+        if len(idx) < 16:
+            raise ResolutionError(f"semi-disk at u={u} captures too few lattice sites")
+        r = r_factor * u
+        t, wq = gauss_legendre(256, 0.0, np.pi)
+        nodes = np.exp(1j * t) / np.sqrt(r)
+        return lat.cell(idx).pairing_weights(nodes, np.sqrt(r) * np.sin(t) * wq)
+
+    return lat.functional(("sine", float(u), float(r_factor)), build)
 
 
 def sine_average_path(
@@ -413,7 +361,7 @@ def sine_average_path(
     lat = lattice if lattice is not None else sine_lattice_for(u)
     weights = [_sine_weights(lat, float(v), r_factor) for v in u]
     reps = _sample_ring_functionals(lat, weights, n, seed, law, alpha)
-    return ProcessPath(u, reps, kind="sine", backend="lattice", seed=seed, meta={"law": law})
+    return ProcessPath(u, reps, kind="sine", backend="lattice", seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +382,9 @@ def rotational_average_check(
     contributes there.  rhs: sqrt(u) times the circle average at the
     same radius.  Averaging the rotated sine densities over the frames
     gives the uniform density on the circle, so for the Gaussian law
-    lhs equals rhs up to lattice and quadrature discretization.
+    lhs equals rhs up to lattice and quadrature discretization.  The
+    frame pairings are averaged once per lattice into one ring
+    functional, so each side is one dot product.
     """
     if not u >= 1.0:
         raise DomainError("rotational check needs u >= 1 (pairing circle inside the disk)")
@@ -443,29 +393,36 @@ def rotational_average_check(
         raise ResolutionError(
             f"radius {1.0 / np.sqrt(u):.4g} unresolved at spacing {lat.spacing:.4g}"
         )
-    vals_by_angle = np.empty(n_angles)
-    for k in range(n_angles):
-        alpha = 2.0 * np.pi * k / n_angles
-        ring_idx, w = _rotated_semidisk_weights(lat, u, alpha, 256)
-        vals_by_angle[k] = w @ sample.values[ring_idx]
-    lhs = float(vals_by_angle.mean())
-    ring_idx, w = _circle_weights(lat, 0j, 1.0 / np.sqrt(u))
+    ring_idx, w = _rotational_weights(lat, u, n_angles)
+    lhs = float(w @ sample.values[ring_idx])
+    ring_idx, w = _circle_weights(lat, 1.0 / np.sqrt(u))
     rhs = float(np.sqrt(u) * (w @ sample.values[ring_idx]))
     return lhs, rhs
 
 
-def _rotated_semidisk_weights(lat: LatticeDomain, u: float, alpha: float, n_theta: int):
-    key = ("rotavg", float(u), round(float(alpha), 12), n_theta)
-    hit = lat._weights.get(key)
-    if hit is not None:
-        return hit
+def _rotational_weights(lat: LatticeDomain, u: float, n_angles: int):
+    """The frame mean of the n_angles rotated semi-disk pairings as one
+    ring functional."""
+
+    def build():
+        total = np.zeros(lat.n_sites)
+        for k in range(n_angles):
+            ring_idx, w = _rotated_semidisk_weights(lat, u, 2.0 * np.pi * k / n_angles)
+            total[ring_idx] += w
+        ring_idx = np.flatnonzero(total)
+        return ring_idx, total[ring_idx] / n_angles
+
+    return lat.functional(("rotavg", float(u), n_angles), build)
+
+
+def _rotated_semidisk_weights(lat: LatticeDomain, u: float, alpha: float):
     rot = np.exp(1j * alpha)
     radius = 1.0 / np.sqrt(u)
     idx = lat.indices_of(lambda z: (np.abs(z) < radius) & ((np.conj(rot) * z).imag > 1e-12))
     if len(idx) < 16:
         raise ResolutionError("rotated semi-disk captures too few lattice sites")
     a = lat.spacing
-    t, wq = gauss_legendre(n_theta, 0.0, np.pi)
+    t, wq = gauss_legendre(256, 0.0, np.pi)
     # quadrature nodes sit inside the arc so every bilinear corner is a
     # member site; reading at two offsets and extrapolating linearly to
     # the arc removes the O(spacing) inward bias.  Nodes closer than two
@@ -478,7 +435,4 @@ def _rotated_semidisk_weights(lat: LatticeDomain, u: float, alpha: float, n_thet
     w = 0.5 * np.sqrt(u) * np.sin(t) * wq
     w *= np.sqrt(u) / w.sum()
     nodes = np.concatenate([rot * rho_out * np.exp(1j * t), rot * rho_in * np.exp(1j * t)])
-    weights = np.concatenate([2.0 * w, -w])
-    cell, pair = _pairing_weights(lat, idx, nodes, weights)
-    lat._weights[key] = (cell.ring_idx, pair)
-    return lat._weights[key]
+    return lat.cell(idx).pairing_weights(nodes, np.concatenate([2.0 * w, -w]))

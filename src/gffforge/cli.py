@@ -210,13 +210,13 @@ def _run_excursion_mass(cfg: ExperimentConfig, out: Path) -> list:
 def _run_char_bm_gff_sine(cfg: ExperimentConfig, out: Path) -> list:
     Y = sine_average_path(cfg.n_samples, cfg.u_grid, cfg.seed, backend="exact")
     Y.to_csv(out / "sine_path.csv")
-    return [json.loads(characterize_bm(Y, seed=cfg.seed).to_json())]
+    return [asdict(characterize_bm(Y, seed=cfg.seed))]
 
 
 def _run_char_bm_gff_circle(cfg: ExperimentConfig, out: Path) -> list:
     Y = circle_average_path(cfg.n_samples, cfg.t_grid, cfg.seed, backend="exact")
     Y.to_csv(out / "circle_path.csv")
-    return [json.loads(characterize_bm(Y, seed=cfg.seed).to_json())]
+    return [asdict(characterize_bm(Y, seed=cfg.seed))]
 
 
 def _run_char_bm_stable(cfg: ExperimentConfig, out: Path) -> list:
@@ -226,7 +226,7 @@ def _run_char_bm_stable(cfg: ExperimentConfig, out: Path) -> list:
         lattice=lat, law="stable", alpha=cfg.alpha,
     )
     Y.to_csv(out / "stable_circle_path.csv")
-    return [json.loads(characterize_bm(Y, seed=cfg.seed).to_json())]
+    return [asdict(characterize_bm(Y, seed=cfg.seed))]
 
 
 def _run_wick_fourth(cfg: ExperimentConfig, out: Path) -> list:

@@ -281,8 +281,6 @@ def covariance_of_observables(observables, domain=UnitDisk(), n_quad: int = 48) 
     Every entry is the double pairing of G_domain against the pair of
     observables; symmetric by construction.
     """
-    from . import averaging
-
     obs = list(observables)
     k = len(obs)
     mat = np.zeros((k, k))
@@ -437,6 +435,15 @@ class LatticeDomain:
             return self._box_power(w, -0.5)
         return dtbtrs(self._banded()[0], w, uplo="U", trans="T")[0]
 
+    def functional(self, key, build) -> tuple:
+        """The ring functional cached under ``key``: (ring_idx, w) with
+        value w . values[ring_idx] for a field's interior ``values``.
+        ``build()`` returns it and runs only on a miss."""
+        hit = self._weights.get(key)
+        if hit is None:
+            hit = self._weights[key] = build()
+        return hit
+
     def cell(self, member_idx: np.ndarray) -> "DirichletCell":
         key = np.asarray(member_idx, dtype=np.int64).tobytes()
         cell = self._cells.get(key)
@@ -523,6 +530,49 @@ class DirichletCell:
         w = np.zeros(len(self.ring_idx))
         np.add.at(w, self._ring_pos, v[self._inc_rows])
         return w
+
+    def pairing_weights(self, nodes, weights) -> tuple:
+        """Ring functional (ring_idx, w) computing sum_q weights_q *
+        (harmonic extension)(nodes_q).
+
+        Each quadrature weight is spread bilinearly onto the four grid
+        corners of its node, corner-major, and repeated corners are summed
+        in that order.  The extension is the field on ring sites and zero on
+        the outer lattice boundary, so corners there pick up the field value
+        or drop out; a corner strictly outside the cell closure means the
+        node grid is too coarse for the subdomain.
+        """
+        lat = self._parent()
+        x = nodes.real / lat.spacing
+        y = nodes.imag / lat.spacing
+        ix = np.floor(x).astype(np.int64)
+        iy = np.floor(y).astype(np.int64)
+        fx = x - ix
+        fy = y - iy
+        offsets = ((0, 0), (1, 0), (0, 1), (1, 1))
+        fracs = ((1 - fx) * (1 - fy), fx * (1 - fy), (1 - fx) * fy, fx * fy)
+        corners = np.concatenate([np.stack([ix + di, iy + dj], axis=1) for di, dj in offsets])
+        c = np.concatenate([frac * weights for frac in fracs])
+        keep = c != 0.0
+        corners, c = corners[keep], c[keep]
+        codes, first, inv = np.unique(_encode(corners), return_index=True, return_inverse=True)
+        c = np.bincount(inv, weights=c, minlength=len(codes))
+        inner = ~_lookup(_encode(lat.boundary_ij), codes)[1]
+        corners, codes, c = corners[first[inner]], codes[inner], c[inner]
+        site, on_lattice = _lookup(lat._codes, codes)
+        if not on_lattice.all():
+            bad = tuple(corners[~on_lattice][0].tolist())
+            raise ResolutionError(f"pairing node corner {bad} falls off the lattice")
+        p, in_member = _lookup(self.member_idx, site)
+        q = np.zeros(len(self.member_idx))
+        q[p[in_member]] = c[in_member]
+        p, in_ring = _lookup(self.ring_idx, site[~in_member])
+        if not in_ring.all():
+            bad = tuple(corners[~in_member][~in_ring][0].tolist())
+            raise ResolutionError(f"pairing node corner {bad} leaves the subdomain")
+        direct = np.zeros(len(self.ring_idx))
+        direct[p] = c[~in_member]
+        return self.ring_idx, self.ring_weights(q) + direct
 
 
 def _factored_laplacian(codes: np.ndarray):

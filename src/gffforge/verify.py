@@ -330,7 +330,7 @@ def test_harness(Y: ProcessPath, s: float, u: float, r: float, seed: int = 0) ->
     return _report(f"harness[{s:g},{u:g},{r:g}]", gate, None, 1.0, n, notes)
 
 
-def test_moment_bootstrap(Y: ProcessPath, seed: int = 0, u0: float = 1.0) -> TestReport:
+def test_moment_bootstrap(Y: ProcessPath, u0: float = 1.0) -> TestReport:
     """Split Y(u0) = Y(2 u0)/2 + Z: Z decorrelated from Y(2 u0), Var(Z)
     near sigma^2 u0/2, and the replica-wise product identity
     Y(u0)(Y(2 u0)-Y(u0)) = Y(2 u0)^2/4 - Z^2 to near machine precision."""
@@ -411,13 +411,7 @@ class CharBMVerdict:
         return self.overall == "consistent-with-BM"
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "reports": {k: asdict(r) for k, r in self.reports.items()},
-                "sigma_hat": self.sigma_hat,
-                "overall": self.overall,
-            }
-        )
+        return json.dumps(asdict(self))
 
     @classmethod
     def from_json(cls, text: str) -> "CharBMVerdict":
@@ -507,7 +501,7 @@ def characterize_bm(Y: ProcessPath, seed: int = 0) -> CharBMVerdict:
         ("scaling[c=2]", lambda: test_brownian_scaling(Y, 2.0)),
         ("scaling[c=4]", lambda: test_brownian_scaling(Y, 4.0)),
         ("independent_increments", lambda: test_independent_increments(Y, seed=seed)),
-        ("moment_bootstrap", lambda: test_moment_bootstrap(Y, seed=seed, u0=u0)),
+        ("moment_bootstrap", lambda: test_moment_bootstrap(Y, u0=u0)),
         ("normality", lambda: test_normality(std_inc)),
     ] + [
         (f"harness[{s:g},{u:g},{r:g}]", lambda s=s, u=u, r=r: test_harness(Y, s, u, r, seed=seed))
@@ -536,7 +530,7 @@ def levy_path(grid, n: int, seed: int, alpha: float = 1.5) -> ProcessPath:
         rng = replica_rng(seed, k)
         inc = sample_sas(alpha, len(g), rng) * du ** (1.0 / alpha)
         reps[k] = np.cumsum(inc)
-    return ProcessPath(g, reps, kind="levy", backend="synthetic", seed=seed, meta={"alpha": alpha})
+    return ProcessPath(g, reps, kind="levy", backend="synthetic", seed=seed)
 
 
 def compound_poisson_path(grid, n: int, seed: int, rate: float = 1.0) -> ProcessPath:
@@ -569,4 +563,4 @@ def ar1_increment_path(grid, n: int, seed: int, rho: float = 0.3) -> ProcessPath
         for j in range(1, len(g)):
             eps[j] = rho * eps[j - 1] + np.sqrt(1.0 - rho * rho) * xi[j]
         reps[k] = np.cumsum(eps * np.sqrt(du))
-    return ProcessPath(g, reps, kind="ar1", backend="synthetic", seed=seed, meta={"rho": rho})
+    return ProcessPath(g, reps, kind="ar1", backend="synthetic", seed=seed)

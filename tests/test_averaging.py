@@ -1,5 +1,8 @@
 """Circle averages, sine averages, path laws, and the rotational identity."""
 
+import ast
+import inspect
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -18,7 +21,7 @@ from gffforge.averaging import (
 )
 from gffforge.errors import DomainError, ResolutionError
 from gffforge.fields import FieldSample, dgff_matrix, markov_decompose, sample_dgff
-from gffforge.greens import disk_lattice, halfplane_lattice
+from gffforge.greens import DirichletCell, LatticeDomain, disk_lattice, halfplane_lattice
 from gffforge.verify import anderson_darling_p
 
 HALF_PI = np.pi / 2.0
@@ -162,13 +165,37 @@ def test_circle_average_of_harmonic_field():
     v = harmonic_lattice_field(lat, lambda z: np.real(z ** 2) + 0.5)
     k = lat.nearest_site(0.0j)
     for eps in (0.2, np.exp(-1.0), 0.6):
-        ring_idx, w = _circle_weights(lat, 0.0j, eps)
+        ring_idx, w = _circle_weights(lat, eps)
         assert abs(w @ v[ring_idx] - v[k]) < 1e-10
 
 
 def test_circle_average_resolution_error():
     with pytest.raises(ResolutionError):
-        _circle_weights(disk_lattice(16), 0.0j, 0.05)
+        _circle_weights(disk_lattice(16), 0.05)
+
+
+@pytest.mark.parametrize("size", [16, 32, 64, 128])
+def test_circle_weights_match_center_unit_vector(size):
+    # reference: the harmonic extension read at the center site, as the
+    # adjoint of a unit vector on the ball's members
+    lat = disk_lattice(size)
+    for eps in (0.2, np.exp(-1.0), 0.6, 0.9):
+        cell = lat.cell(lat.indices_of(lambda z: np.abs(z) < eps))
+        e = (cell.member_idx == lat.site_index((0, 0))).astype(float)
+        ring_idx, w = _circle_weights(lat, eps)
+        assert np.array_equal(ring_idx, cell.ring_idx)
+        assert np.array_equal(w, cell.ring_weights(e))
+
+
+def test_circle_weights_need_the_center_site():
+    # without site (0, 0) the one pairing node lands on the outer boundary,
+    # which would read as a zero functional
+    lat = disk_lattice(32)
+    holed = LatticeDomain(lat.spacing, lat.interior_ij[np.any(lat.interior_ij != 0, axis=1)])
+    with pytest.raises(ResolutionError, match="center"):
+        _circle_weights(holed, 0.5)
+    with pytest.raises(ResolutionError, match="center"):
+        _circle_weights(halfplane_lattice(2.0, 0.1), 0.5)
 
 
 @pytest.fixture(scope="module")
@@ -348,7 +375,7 @@ def test_annulus_harmonic_pairings_fit_a_line_analytic():
 
 def test_interpolation_property(halfplane_batch):
     # the annulus harmonic part's pairing at u interpolates Y(s), Y(r)
-    from gffforge.averaging import _pairing_weights, _sine_weights
+    from gffforge.averaging import _sine_weights
 
     lat, vals = halfplane_batch
     s_scale, r_scale, u_scale = 1.0, 4.0, 2.0
@@ -360,8 +387,8 @@ def test_interpolation_property(halfplane_batch):
     member_idx = lat.indices_of(lambda z: (np.abs(z) > 0.5) & (np.abs(z) < 1.0))
     m = SineMeasure(u_scale, n_nodes=512)
     nodes, weights = m.discretize()
-    cell, w = _pairing_weights(lat, member_idx, nodes, weights)
-    lhs = w @ vals[cell.ring_idx, :]
+    ring_idx, w = lat.cell(member_idx).pairing_weights(nodes, weights)
+    lhs = w @ vals[ring_idx, :]
 
     lam = (u_scale - s_scale) / (r_scale - s_scale)
     rhs = lam * y_r + (1.0 - lam) * y_s
@@ -436,14 +463,33 @@ def test_rotational_check_validation(disk96):
         rotational_average_check(s96, 0.5)
 
 
+def test_rotational_lhs_matches_per_frame_mean(disk96):
+    # reference: the mean over frames of each frame's own pairing; the
+    # cached frame sum differs from it only by rounding
+    from gffforge.averaging import _rotated_semidisk_weights
+
+    vals = dgff_matrix(disk96, 40, seed=291)
+    for u in (1.1, 2.0, 4.0):
+        for n_angles in (16, 64):
+            frames = [
+                _rotated_semidisk_weights(disk96, u, 2.0 * np.pi * k / n_angles)
+                for k in range(n_angles)
+            ]
+            ref = np.mean([w @ vals[ring_idx] for ring_idx, w in frames], axis=0)
+            samples = [FieldSample(disk96, v, "gff", 2.0, 291) for v in vals.T]
+            lhs = np.array([rotational_average_check(s, u, n_angles)[0] for s in samples])
+            assert np.max(np.abs(lhs - ref)) <= 1e-14 * np.sqrt(np.mean(ref**2))
+
+
 # ---------------------------------------------------------------------------
 # pairing weights
 # ---------------------------------------------------------------------------
 
 
-def _dict_pairing_weights(lat, member_idx, nodes, weights):
-    """Reference for _pairing_weights: one dict entry per bilinear corner,
-    accumulated node by node, resolved one site at a time."""
+def _dict_pairing_weights(cell, nodes, weights):
+    """Reference for DirichletCell.pairing_weights: one dict entry per
+    bilinear corner, accumulated node by node, resolved one site at a time."""
+    lat = cell._parent()
     x = nodes.real / lat.spacing
     y = nodes.imag / lat.spacing
     ix = np.floor(x).astype(np.int64)
@@ -462,7 +508,6 @@ def _dict_pairing_weights(lat, member_idx, nodes, weights):
             if c != 0.0:
                 key = (int(ix[k] + di), int(iy[k] + dj))
                 coeffs[key] = coeffs.get(key, 0.0) + c
-    cell = lat.cell(member_idx)
     member_pos = {int(k): p for p, k in enumerate(cell.member_idx)}
     ring_pos = {int(k): p for p, k in enumerate(cell.ring_idx)}
     bnd = set(map(tuple, lat.boundary_ij.tolist()))
@@ -485,17 +530,15 @@ def _assert_same_weights(got, want):
 
 
 def _record_pairing_calls(monkeypatch):
-    """Arguments of every _pairing_weights call, in order."""
-    from gffforge import averaging
-
+    """Arguments (cell, nodes, weights) of every pairing_weights call, in order."""
     calls = []
-    real = averaging._pairing_weights
+    real = DirichletCell.pairing_weights
 
     def spy(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(averaging, "_pairing_weights", spy)
+    monkeypatch.setattr(DirichletCell, "pairing_weights", spy)
     return calls
 
 
@@ -506,7 +549,7 @@ def test_rotated_pairing_weights_match_dict_reference(monkeypatch, u):
     lat = disk_lattice(96)
     calls = _record_pairing_calls(monkeypatch)
     for alpha in (0.0, 0.7, 2.0 * np.pi * 5 / 13):
-        got = _rotated_semidisk_weights(lat, u, alpha, 256)
+        got = _rotated_semidisk_weights(lat, u, alpha)
         _assert_same_weights(got, _dict_pairing_weights(*calls[-1]))
     assert len(calls) == 3
 
@@ -523,23 +566,60 @@ def test_sine_pairing_weights_match_dict_reference(monkeypatch):
 
 
 def test_pairing_corner_off_the_lattice_raises():
-    from gffforge.averaging import _pairing_weights
-
     lat = disk_lattice(16)
-    member_idx = lat.indices_of(lambda z: np.abs(z) < 0.5)
+    cell = lat.cell(lat.indices_of(lambda z: np.abs(z) < 0.5))
     # corners around 2+2i are neither interior nor on the outer boundary
     with pytest.raises(ResolutionError, match="falls off the lattice"):
-        _pairing_weights(lat, member_idx, np.array([0.1 + 0.1j, 2.03 + 2.05j]), np.ones(2))
+        cell.pairing_weights(np.array([0.1 + 0.1j, 2.03 + 2.05j]), np.ones(2))
 
 
 def test_pairing_corner_outside_the_cell_raises():
-    from gffforge.averaging import _pairing_weights
-
     lat = disk_lattice(16)
-    member_idx = lat.indices_of(lambda z: np.abs(z) < 0.3)
+    cell = lat.cell(lat.indices_of(lambda z: np.abs(z) < 0.3))
     # 0.7 is interior to the disk but several sites beyond the cell's ring
     with pytest.raises(ResolutionError, match="leaves the subdomain"):
-        _pairing_weights(lat, member_idx, np.array([0.1 + 0.1j, 0.71 + 0.03j]), np.ones(2))
+        cell.pairing_weights(np.array([0.1 + 0.1j, 0.71 + 0.03j]), np.ones(2))
+
+
+def test_weight_cache_hit_builds_no_quadrature_and_no_cell(monkeypatch):
+    from gffforge import averaging
+
+    lat = disk_lattice(48)
+    (s,) = sample_dgff(lat, 1, seed=293)
+    first = rotational_average_check(s, 2.0, n_angles=16)
+    path = circle_average_path(3, (0.5, 1.0), seed=295, backend="lattice", lattice=lat)
+    built = []
+    monkeypatch.setattr(averaging, "gauss_legendre", lambda *a: built.append("nodes"))
+    monkeypatch.setattr(LatticeDomain, "cell", lambda *a: built.append("cell"))
+    monkeypatch.setattr(LatticeDomain, "indices_of", lambda *a: built.append("members"))
+    assert rotational_average_check(s, 2.0, n_angles=16) == first
+    again = circle_average_path(3, (0.5, 1.0), seed=295, backend="lattice", lattice=lat)
+    assert np.array_equal(again.replicas, path.replicas)
+    assert built == []
+
+
+def test_weight_cache_has_one_reader_and_averaging_no_site_codes():
+    # the per-lattice weight cache is touched only where LatticeDomain
+    # creates it and where it is looked up, and averaging reaches the
+    # lattice's site codes only through public greens names
+    from gffforge import averaging, cli, excursions, fields, geometry, greens, rng, verify
+
+    touching = set()
+    for mod in (averaging, cli, excursions, fields, geometry, greens, rng, verify):
+        tree = ast.parse(inspect.getsource(mod))
+        for cls in [n for n in tree.body if isinstance(n, ast.ClassDef)] + [tree]:
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef) and any(
+                    isinstance(n, ast.Attribute) and n.attr == "_weights" for n in ast.walk(fn)
+                ):
+                    touching.add(f"{getattr(cls, 'name', mod.__name__)}.{fn.name}")
+    assert touching == {"LatticeDomain.__init__", "LatticeDomain.functional"}
+    tree = ast.parse(inspect.getsource(averaging))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "greens":
+            assert not [a.name for a in node.names if a.name.startswith("_")]
+        if isinstance(node, ast.Attribute):
+            assert node.attr not in ("_codes", "_weights", "_cells")
 
 
 # ---------------------------------------------------------------------------
