@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DomainError, ResolutionError
 from .fields import FieldSample, sample_functionals, sample_gff_observables
 from .geometry import TestFunction, gauss_legendre, mollifier
-from .greens import LatticeDomain, disk_lattice, halfplane_lattice
+from .greens import DirichletCell, LatticeDomain, disk_lattice, halfplane_lattice
 
 __all__ = [
     "CircleMeasure",
@@ -435,4 +435,6 @@ def _rotated_semidisk_weights(lat: LatticeDomain, u: float, alpha: float):
     w = 0.5 * np.sqrt(u) * np.sin(t) * wq
     w *= np.sqrt(u) / w.sum()
     nodes = np.concatenate([rot * rho_out * np.exp(1j * t), rot * rho_in * np.exp(1j * t)])
-    return lat.cell(idx).pairing_weights(nodes, np.concatenate([2.0 * w, -w]))
+    # a frame cell is read once, into the cached frame sum, so it is built
+    # outside the lattice's cell cache and freed with this call
+    return DirichletCell(lat, idx).pairing_weights(nodes, np.concatenate([2.0 * w, -w]))

@@ -14,14 +14,17 @@ Three constructions share one calibration convention:
   box the symmetric root keeps the box's mirror symmetry; U^-1 depends on
   the site order, so the stable law on other lattices does not.
 
-Linear functionals w . h of a lattice field are drawn without the field,
-as c v . xi with v = R^T w (``sample_functionals``).
+Linear functionals W^T h of a lattice field are drawn without the field
+(``sample_functionals``), from V = c R^T W.  Gaussian functionals are
+N(0, V^T V), so they draw k normals per replica through the triangular QR
+factor of V (a k x k root of that Gram matrix); stable functionals draw
+the field's own site noise xi and return xi . V.
 
 Lattice replica noise is drawn in contiguous blocks of replica indices
-through ``rng.parallel_map`` (serially on lattices of under 2,000 sites):
-each block fills its own rows (functionals) or columns (fields) of one
-array, replica r always from stream r, so the output is the same at any
-GFFFORGE_THREADS.
+through ``rng.parallel_map`` (serially for noise vectors of under 2,000
+entries): each block fills its own rows (functionals) or columns (fields)
+of one array, replica r always from stream r, so the output is the same at
+any GFFFORGE_THREADS.
 
 CALIBRATION = sqrt(2 pi) matches the lattice field to the continuum
 normalization in which a radius-eps circle average at the disk center has
@@ -169,14 +172,16 @@ def _replica_noise(law: str, alpha: float, size: int, rng) -> np.ndarray:
 
 # Replicas per parallel_map item in _replica_rows.  Rows are independent, so
 # the value never changes a result, only the load balance: on 2 cores, 32 to
-# 256 time alike on the 1,000-10,000 replica batches, and 32 also splits the
-# 64-replica sine path on its 147,153-site box (0.25 s -> 0.15 s).
+# 256 time alike on the 1,000-10,000 replica batches of site noise, and 32
+# also splits the 64 replicas of a stable sine path on its 147,153-site box
+# (0.25 s -> 0.15 s, measured with one unit normal per site).
 _REPLICA_BLOCK = 32
 
 # Smallest noise vector worth a worker thread.  Below it a replica's work is
 # mostly Python under the interpreter lock: on 2 cores, 2 threads took 1.1-1.4x
 # the serial wall time at 193 and 793 sites, 0.76-0.91x at 1,789 (with 30-46%
-# more CPU) and 0.52-0.80x from 3,205 sites up.
+# more CPU) and 0.52-0.80x from 3,205 sites up.  Gaussian functionals draw
+# only k normals per replica, so they always run serially.
 _PARALLEL_SITES = 2_000
 
 
@@ -268,18 +273,28 @@ def sample_functionals(
     lat: LatticeDomain, W: np.ndarray, n: int, seed: int, law: str = "gff", alpha: float = 2.0
 ) -> np.ndarray:
     """(n, k) replicas of W.T @ field for an (n_sites, k) weight matrix W,
-    without building a field: replica r is c xi_r . V with V = R^T W, R the
-    lattice's root of the inverse Laplacian (L^(-1/2) on a box, U^-1 for
-    the upper Cholesky factor U elsewhere) and xi_r the noise of column r
-    of dgff_matrix (law "gff") or stable_matrix (law "stable").
+    without building a field.  V = c R^T W, with R the lattice's root of
+    the inverse Laplacian (L^(-1/2) on a box, U^-1 for the upper Cholesky
+    factor U elsewhere).
 
-    Replicas run in blocks over the thread pool; each row is one
-    replica's own gemv, so the result is the same at any thread count."""
+    Law "gff": the functionals are exactly N(0, V^T V).  Replica r is
+    z_r @ T, with T the triangular QR factor of V (T^T T = V^T V) and z_r
+    the min(k, n_sites) normals of stream r: k normals per replica instead
+    of one per site.  A zero column of W gives exact zeros.
+    Law "stable": an SaS functional is not a function of its Gram matrix,
+    so replica r is xi_r . V with xi_r the noise of column r of
+    stable_matrix, the field's own pairing.
+
+    Replica r draws from stream r, each row by its own gemv, so the
+    result is the same at any thread count and n replicas are a prefix of
+    any larger batch."""
     W = np.asarray(W, dtype=float)
     if W.ndim != 2 or W.shape[0] != lat.n_sites:
         raise DomainError("weights must be (n_sites, k)")
     V = CALIBRATION * lat._root_transpose(W)
-    return _replica_rows(law, alpha, lat.n_sites, n, seed, V=V)
+    if law == "gff":
+        V = np.linalg.qr(V, mode="r")
+    return _replica_rows(law, alpha, V.shape[0], n, seed, V=V)
 
 
 def sample_stable_field(lat: LatticeDomain, alpha: float, n: int, seed: int):

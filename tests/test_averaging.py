@@ -481,6 +481,23 @@ def test_rotational_lhs_matches_per_frame_mean(disk96):
             assert np.max(np.abs(lhs - ref)) <= 1e-14 * np.sqrt(np.mean(ref**2))
 
 
+def test_rotational_frame_cells_are_not_cached(monkeypatch):
+    # the frame cells are read once, into the cached frame sum, so none may
+    # stay in the lattice's cell cache; the reference lattice builds them
+    # through that cache, and (lhs, rhs) must agree bit for bit
+    from gffforge import averaging
+
+    vals = dgff_matrix(disk_lattice(48), 8, seed=297)
+    u, n_angles = 2.0, 16
+    lat, ref_lat = disk_lattice(48), disk_lattice(48)
+    got = [rotational_average_check(FieldSample(lat, v, "gff", 2.0, 297), u, n_angles) for v in vals.T]
+    with monkeypatch.context() as m:
+        m.setattr(averaging, "DirichletCell", lambda parent, idx: parent.cell(idx))
+        ref = [rotational_average_check(FieldSample(ref_lat, v, "gff", 2.0, 297), u, n_angles) for v in vals.T]
+    assert len(set(ref_lat._cells) - set(lat._cells)) == n_angles
+    assert got == ref
+
+
 # ---------------------------------------------------------------------------
 # pairing weights
 # ---------------------------------------------------------------------------

@@ -3,14 +3,23 @@ exit-code contract, report/manifest emission, determinism, and each
 subcommand at smoke scale."""
 
 import json
+import os
+import subprocess
+import sys
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gffforge
+from gffforge import verify
 from gffforge.averaging import DEFAULT_T_GRID, DEFAULT_U_GRID, ProcessPath
 from gffforge.cli import ExperimentConfig, load_config, main, parse_config_file
 from gffforge.errors import ConfigError
-from gffforge.fields import CALIBRATION, load_field
+from gffforge.fields import CALIBRATION, load_field, sample_functionals
+from gffforge.geometry import Rotation, disk_bump
+from gffforge.greens import disk_lattice
 
 
 # ---------------------------------------------------------------------------
@@ -334,16 +343,58 @@ def test_conformal_experiment_smoke(tmp_path):
     assert code == 0
 
 
-def test_conformal_experiment_at_the_largest_seed(tmp_path):
-    # the image side draws from the next seed, which wraps to 0 here
+def test_conformal_experiment_at_the_largest_seed(tmp_path, monkeypatch):
+    # the image side draws from the next seed, which wraps to 0 here.  The
+    # 50-sample KS verdict at this seed is a chance outcome, so the report
+    # is checked against a direct call and the exit code against the report
+    seed = 2**64 - 1
+    drawn = []
+
+    def spy(lat, W, n, seed, *args):
+        drawn.append(seed)
+        return sample_functionals(lat, W, n, seed, *args)
+
+    monkeypatch.setattr(verify, "sample_functionals", spy)
     p = tmp_path / "c.cfg"
     p.write_text("n_samples = 50\nlattice_size = 24\n")
     out = tmp_path / "out"
     code = main(["verify", "--experiment", "conformal-rotation", "--config", str(p),
-                 "--output-dir", str(out), "--seed", str(2**64 - 1)])
-    assert code == 0
+                 "--output-dir", str(out), "--seed", str(seed)])
+    assert drawn == [seed, 0]
     (rep,) = json.loads((out / "report.json").read_text())
+    direct = verify.test_conformal_invariance(
+        "gff", Rotation(np.pi / 3.0), disk_bump(0.25 + 0.1j, 0.35), 50, seed, lattice_src=disk_lattice(24)
+    )
+    assert rep == json.loads(json.dumps(asdict(direct)))
     assert rep["name"] == "conformal[gff]"
+    assert code == (0 if rep["passed"] else 1)
+
+
+def test_lattice_functionals_ignore_thread_and_blas_settings(tmp_path):
+    # the Gram root of the Gaussian functionals comes from a LAPACK QR, so
+    # a small wick-fourth (one column) and a lattice circle path (three)
+    # must write the same bytes at any GFFFORGE_THREADS and OpenBLAS
+    # thread count
+    src = str(Path(gffforge.__file__).resolve().parents[1])
+    cfg = tmp_path / "w.cfg"
+    cfg.write_text("lattice_size = 24\nn_samples = 1000\nseed = 13\n")
+    outputs = []
+    for threads in ("1", "2"):
+        for blas in ("1", None):
+            env = {**os.environ, "GFFFORGE_THREADS": threads, "PYTHONPATH": src}
+            env.pop("OPENBLAS_NUM_THREADS", None)
+            if blas is not None:
+                env["OPENBLAS_NUM_THREADS"] = blas
+            out = tmp_path / f"t{threads}-b{blas}"
+            for argv in (
+                ["verify", "--experiment", "wick-fourth", "--config", str(cfg), "--output-dir", str(out)],
+                ["paths", "--kind", "circle", "--backend", "lattice", "--size", "32", "--grid", "0.25,0.5,1",
+                 "--n", "200", "--seed", "13", "--out", str(out / "circle.csv")],
+            ):
+                done = subprocess.run([sys.executable, "-m", "gffforge.cli", *argv], env=env, capture_output=True)
+                assert done.returncode in (0, 1), done.stderr
+            outputs.append([(out / name).read_bytes() for name in ("pairings.csv", "report.json", "circle.csv")])
+    assert all(o == outputs[0] for o in outputs[1:])
 
 
 # ---------------------------------------------------------------------------

@@ -150,20 +150,51 @@ def test_dgff_chunked_generation_matches_one_batch():
     assert_allclose(whole[:, 3:], tail, rtol=0, atol=0)
 
 
+def _gram_root(lat, W):
+    """The triangular root R, R^T R = V^T V, that Gaussian functionals
+    draw through: k normals per replica instead of one per site."""
+    return np.linalg.qr(CALIBRATION * lat._root_transpose(W), mode="r")
+
+
 @pytest.mark.parametrize("law", ["gff", "stable"])
 def test_sample_functionals_matches_field_pairings(law):
-    # a disk (Cholesky root) and a box (symmetric DST root)
+    # a disk (Cholesky root) and a box (symmetric DST root).  Stable
+    # functionals draw the fields' own site noise, so they equal the
+    # fields' pairings replica by replica; Gaussian ones draw k normals
+    # through a root of the exact Gram matrix c^2 W^T L^-1 W, so they
+    # match the pairings in law
     for lat in (disk_lattice(24), halfplane_lattice(1.2, 0.1)):
         z = lat.z
         W = np.stack([np.asarray(disk_bump(0.1j, 0.5)(z)), z.real, np.zeros(lat.n_sites)], axis=1)
         got = sample_functionals(lat, W, 7, seed=43, law=law, alpha=1.6)
+        assert got.shape == (7, 3)
+        assert np.all(got[:, 2] == 0.0)
         if law == "gff":
-            ref = W.T @ dgff_matrix(lat, 7, seed=43)
+            R = _gram_root(lat, W)
+            gram = CALIBRATION**2 * W.T @ lat.solve(W)
+            assert np.max(np.abs(R.T @ R - gram)) <= 1e-12 * np.max(np.abs(gram))
+            rows = _serial_noise("gff", 2.0, R.shape[0], 7, 43)
+            assert np.array_equal(got, np.stack([row @ R for row in rows]))
         else:
             ref = W.T @ stable_matrix(lat, 1.6, 7, seed=43)
-        assert got.shape == (7, 3)
-        assert np.max(np.abs(got - ref.T)) <= 1e-12 * np.max(np.abs(ref))
-        assert np.all(got[:, 2] == 0.0)
+            assert np.max(np.abs(got - ref.T)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_gff_functionals_covariance_matches_exact_gram():
+    # 4,000 replicas of three correlated functionals on a disk and a box;
+    # each entry of X^T X / n has standard error sqrt((G_ii G_jj + G_ij^2) / n)
+    # about the exact Gram G, and every entry must lie within 5 of them
+    n = 4000
+    for lat in (disk_lattice(24), halfplane_lattice(1.2, 0.1)):
+        z = lat.z
+        W = np.stack(
+            [np.asarray(disk_bump(0.1j, 0.5)(z)), np.asarray(disk_bump(0.3 + 0.3j, 0.5)(z)), z.real],
+            axis=1,
+        ) * lat.spacing**2
+        gram = CALIBRATION**2 * W.T @ lat.solve(W)
+        X = sample_functionals(lat, W, n, seed=47)
+        se = np.sqrt((np.outer(np.diag(gram), np.diag(gram)) + gram**2) / n)
+        assert np.all(np.abs(X.T @ X / n - gram) <= 5.0 * se)
 
 
 def _serial_noise(law, alpha, size, n, seed, replica_offset=0):
@@ -187,9 +218,10 @@ def test_replica_blocks_match_serial_reference(monkeypatch, threads):
     n, seed = 16, 29
     for lat in (disk_lattice(16), halfplane_lattice(1.2, 0.1)):
         W = np.stack([np.asarray(disk_bump(0.1j, 0.5)(lat.z)), lat.z.real], axis=1)
-        V = CALIBRATION * lat._root_transpose(W)
-        for law in ("gff", "stable"):
-            rows = _serial_noise(law, 1.6, lat.n_sites, n, seed)
+        # Gaussian functionals draw k normals through the Gram root R,
+        # stable ones the site noise through V = c R_lat^T W
+        for law, V in (("gff", _gram_root(lat, W)), ("stable", CALIBRATION * lat._root_transpose(W))):
+            rows = _serial_noise(law, 1.6, V.shape[0], n, seed)
             ref = np.stack([rows[r] @ V for r in range(n)])
             assert np.array_equal(sample_functionals(lat, W, n, seed, law, 1.6), ref)
     lat = disk_lattice(16)
