@@ -173,8 +173,8 @@ def _replica_noise(law: str, alpha: float, size: int, rng) -> np.ndarray:
 # Replicas per parallel_map item in _replica_rows.  Rows are independent, so
 # the value never changes a result, only the load balance: on 2 cores, 32 to
 # 256 time alike on the 1,000-10,000 replica batches of site noise, and 32
-# also splits the 64 replicas of a stable sine path on its 147,153-site box
-# (0.25 s -> 0.15 s, measured with one unit normal per site).
+# also splits the 64 replicas of a stable (alpha 1.5) sine path on its
+# 147,153-site box over 2 threads (0.83-0.93 s as one block -> 0.46-0.52 s).
 _REPLICA_BLOCK = 32
 
 # Smallest noise vector worth a worker thread.  Below it a replica's work is
@@ -280,7 +280,9 @@ def sample_functionals(
     Law "gff": the functionals are exactly N(0, V^T V).  Replica r is
     z_r @ T, with T the triangular QR factor of V (T^T T = V^T V) and z_r
     the min(k, n_sites) normals of stream r: k normals per replica instead
-    of one per site.  A zero column of W gives exact zeros.
+    of one per site.  A zero column of W gives exact zeros.  Column j of T
+    depends on the columns of W before it, so at one seed a column's
+    replicas change with the rest of W; its law does not.
     Law "stable": an SaS functional is not a function of its Gram matrix,
     so replica r is xi_r . V with xi_r the noise of column r of
     stable_matrix, the field's own pairing.

@@ -12,6 +12,7 @@ from gffforge.averaging import (
     ProcessPath,
     SineMeasure,
     _circle_weights,
+    _sine_weights,
     circle_average_path,
     fattened_sine_pair,
     rotational_average_check,
@@ -20,7 +21,7 @@ from gffforge.averaging import (
     sine_pair,
 )
 from gffforge.errors import DomainError, ResolutionError
-from gffforge.fields import FieldSample, dgff_matrix, markov_decompose, sample_dgff
+from gffforge.fields import CALIBRATION, FieldSample, dgff_matrix, markov_decompose, sample_dgff
 from gffforge.greens import DirichletCell, LatticeDomain, disk_lattice, halfplane_lattice
 from gffforge.verify import anderson_darling_p
 
@@ -291,16 +292,28 @@ def test_sine_path_lattice_matches_exact_marginal():
 
 def test_sine_path_r_factor_invariance():
     # the pairing scale r > u is arbitrary; all choices read the same
-    # harmonic part
+    # harmonic part.  Identical in the continuum; the lattice readings
+    # differ by the node-interpolation error, far below the path scale
+    # sd ~ 2.1
     lat = sine_lattice_for((1.0,), points_per_radius=12, width_factor=4.0)
-    cols = []
-    for rf in (1.5, 2.0, 4.0):
-        path = sine_average_path(
-            50, (1.0,), seed=251, backend="lattice", lattice=lat, r_factor=rf
-        )
-        cols.append(path.column(1.0))
-    # identical in the continuum; the lattice readings differ by the
-    # node-interpolation error, far below the path scale sd ~ 2.2
+    rfs = (1.5, 2.0, 4.0)
+    weights = []
+    for rf in rfs:
+        ring_idx, w = _sine_weights(lat, 1.0, rf)
+        weights.append(np.zeros(lat.n_sites))
+        weights[-1][ring_idx] = w
+    # Gaussian law: the exact sd of the difference of two readings of one
+    # field, c sqrt(d . L^-1 d), puts 3 sd inside the pathwise tolerance
+    for d in (weights[0] - weights[1], weights[0] - weights[2]):
+        assert CALIBRATION * np.sqrt(d @ lat.solve(d)) < 0.02 / 3.0
+    # pathwise on law stable, whose functionals pair the field's own site
+    # noise, so the readings at one seed share it
+    cols = [
+        sine_average_path(
+            50, (1.0,), seed=251, backend="lattice", lattice=lat, law="stable", r_factor=rf
+        ).column(1.0)
+        for rf in rfs
+    ]
     assert_allclose(cols[0], cols[1], atol=0.02)
     assert_allclose(cols[0], cols[2], atol=0.02)
 
@@ -375,8 +388,6 @@ def test_annulus_harmonic_pairings_fit_a_line_analytic():
 
 def test_interpolation_property(halfplane_batch):
     # the annulus harmonic part's pairing at u interpolates Y(s), Y(r)
-    from gffforge.averaging import _sine_weights
-
     lat, vals = halfplane_batch
     s_scale, r_scale, u_scale = 1.0, 4.0, 2.0
     ys = _sine_weights(lat, s_scale, 2.0)
@@ -572,8 +583,6 @@ def test_rotated_pairing_weights_match_dict_reference(monkeypatch, u):
 
 
 def test_sine_pairing_weights_match_dict_reference(monkeypatch):
-    from gffforge.averaging import _sine_weights
-
     lat = halfplane_lattice(4.0, 1.0 / 24.0)
     calls = _record_pairing_calls(monkeypatch)
     for u in (1.0, 2.0, 4.0):

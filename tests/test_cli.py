@@ -372,9 +372,11 @@ def test_conformal_experiment_at_the_largest_seed(tmp_path, monkeypatch):
 
 def test_lattice_functionals_ignore_thread_and_blas_settings(tmp_path):
     # the Gram root of the Gaussian functionals comes from a LAPACK QR, so
-    # a small wick-fourth (one column) and a lattice circle path (three)
-    # must write the same bytes at any GFFFORGE_THREADS and OpenBLAS
-    # thread count
+    # a small wick-fourth (one column), a lattice circle path (three) and a
+    # sine path (eight columns on the 147,153-site box of the grid 1..4)
+    # must write the same bytes at any GFFFORGE_THREADS and OpenBLAS thread
+    # count.  On 2 cores OpenBLAS splits that sine QR over both threads
+    # (CPU time twice the wall time from 6 columns up); below it runs on one
     src = str(Path(gffforge.__file__).resolve().parents[1])
     cfg = tmp_path / "w.cfg"
     cfg.write_text("lattice_size = 24\nn_samples = 1000\nseed = 13\n")
@@ -390,10 +392,12 @@ def test_lattice_functionals_ignore_thread_and_blas_settings(tmp_path):
                 ["verify", "--experiment", "wick-fourth", "--config", str(cfg), "--output-dir", str(out)],
                 ["paths", "--kind", "circle", "--backend", "lattice", "--size", "32", "--grid", "0.25,0.5,1",
                  "--n", "200", "--seed", "13", "--out", str(out / "circle.csv")],
+                ["paths", "--kind", "sine", "--backend", "lattice", "--grid", "1,1.25,1.5,2,2.5,3,3.5,4",
+                 "--n", "8", "--seed", "13", "--out", str(out / "sine.csv")],
             ):
                 done = subprocess.run([sys.executable, "-m", "gffforge.cli", *argv], env=env, capture_output=True)
                 assert done.returncode in (0, 1), done.stderr
-            outputs.append([(out / name).read_bytes() for name in ("pairings.csv", "report.json", "circle.csv")])
+            outputs.append([(out / name).read_bytes() for name in ("pairings.csv", "report.json", "circle.csv", "sine.csv")])
     assert all(o == outputs[0] for o in outputs[1:])
 
 
