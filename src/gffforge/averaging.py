@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError, ResolutionError
 from .fields import FieldSample, sample_functionals, sample_gff_observables
-from .geometry import TestFunction, gauss_legendre, mollifier
+from .geometry import gauss_legendre, mollifier
 from .greens import DirichletCell, LatticeDomain, disk_lattice, halfplane_lattice
 
 __all__ = [
@@ -59,10 +59,6 @@ class CircleMeasure:
         if not self.radius > 0:
             raise DomainError("CircleMeasure needs radius > 0")
 
-    @property
-    def label(self) -> str:
-        return f"circle(z={self.center:.6g},eps={self.radius:.6g})"
-
     def discretize(self, offset: int = 0):
         h = 2.0 * np.pi / self.n_nodes
         t = (np.arange(self.n_nodes) + (0.25 if offset == 0 else 0.75)) * h
@@ -89,10 +85,6 @@ class SineMeasure:
     @property
     def total_mass(self) -> float:
         return 2.0 * np.sqrt(self.u)
-
-    @property
-    def label(self) -> str:
-        return f"sine(u={self.u:.6g})"
 
     def discretize(self, offset: int = 0):
         h = np.pi / self.n_nodes
@@ -124,10 +116,6 @@ class FattenedSineMeasure:
             raise DomainError("FattenedSineMeasure needs u > 0")
         if self.side == "out" and self.delta >= 1.0:
             raise DomainError("outward fattening needs delta < 1")
-
-    @property
-    def label(self) -> str:
-        return f"fattened_sine(u={self.u:.6g},delta={self.delta:.4g},{self.side})"
 
     def discretize(self, offset: int = 0):
         m = mollifier(self.delta, self.profile)
@@ -220,9 +208,9 @@ def _circle_weights(lat: LatticeDomain, eps: float):
             raise ResolutionError(f"ball B(0, {eps}) captures fewer than 4 lattice sites")
         if not np.any(lat.z[idx] == 0.0):
             raise ResolutionError("the disk center (0, 0) is not an interior lattice site")
-        return lat.cell(idx).pairing_weights(np.zeros(1, dtype=complex), np.ones(1))
+        return DirichletCell(lat, idx).pairing_weights(np.zeros(1, dtype=complex), np.ones(1))
 
-    return lat.functional(("circle", float(eps)), build)
+    return lat.cached(("circle", float(eps)), build)
 
 
 def circle_average_path(
@@ -263,31 +251,28 @@ def circle_average_path(
 # ---------------------------------------------------------------------------
 
 
-def _as_evaluator(f):
+def _pair(f, nodes, weights) -> float:
+    """sum_q weights_q f(nodes_q); a FieldSample pairs through its lattice's
+    bilinear site rule, ``LatticeDomain.site_weights``."""
     if isinstance(f, FieldSample):
-        return f.interp
-    if isinstance(f, TestFunction):
-        return f.evaluator
-    if callable(f):
-        return f
-    raise DomainError("expected a callable, TestFunction, or FieldSample")
+        site_idx, c = f.lattice.site_weights(nodes, weights)
+        return float(c @ f.values[site_idx])
+    if not callable(f):
+        raise DomainError("expected a callable, TestFunction, or FieldSample")
+    return float(np.sum(weights * np.asarray(f(nodes), dtype=float)))
 
 
 def sine_pair(f, u: float, n_nodes: int = 256) -> float:
     """Quadrature pairing sqrt(u) * integral of sin(theta) f(e^(i theta)/sqrt(u))."""
     if not u > 0:
         raise DomainError("sine_pair needs u > 0")
-    ev = _as_evaluator(f)
     t, w = gauss_legendre(n_nodes, 0.0, np.pi)
-    vals = np.asarray(ev(np.exp(1j * t) / np.sqrt(u)), dtype=float)
-    return float(np.sqrt(u) * np.sum(w * np.sin(t) * vals))
+    return _pair(f, np.exp(1j * t) / np.sqrt(u), np.sqrt(u) * w * np.sin(t))
 
 
 def fattened_sine_pair(f, measure: FattenedSineMeasure) -> float:
     """Pairing with the smooth fattened density via nested quadrature."""
-    ev = _as_evaluator(f)
-    nodes, weights = measure.discretize(offset=0)
-    return float(np.sum(weights * np.asarray(ev(nodes), dtype=float)))
+    return _pair(f, *measure.discretize(offset=0))
 
 
 def sine_lattice_for(
@@ -320,9 +305,9 @@ def _sine_weights(lat: LatticeDomain, u: float, r_factor: float):
         r = r_factor * u
         t, wq = gauss_legendre(256, 0.0, np.pi)
         nodes = np.exp(1j * t) / np.sqrt(r)
-        return lat.cell(idx).pairing_weights(nodes, np.sqrt(r) * np.sin(t) * wq)
+        return DirichletCell(lat, idx).pairing_weights(nodes, np.sqrt(r) * np.sin(t) * wq)
 
-    return lat.functional(("sine", float(u), float(r_factor)), build)
+    return lat.cached(("sine", float(u), float(r_factor)), build)
 
 
 def sine_average_path(
@@ -412,7 +397,7 @@ def _rotational_weights(lat: LatticeDomain, u: float, n_angles: int):
         ring_idx = np.flatnonzero(total)
         return ring_idx, total[ring_idx] / n_angles
 
-    return lat.functional(("rotavg", float(u), n_angles), build)
+    return lat.cached(("rotavg", float(u), n_angles), build)
 
 
 def _rotated_semidisk_weights(lat: LatticeDomain, u: float, alpha: float):
@@ -435,6 +420,6 @@ def _rotated_semidisk_weights(lat: LatticeDomain, u: float, alpha: float):
     w = 0.5 * np.sqrt(u) * np.sin(t) * wq
     w *= np.sqrt(u) / w.sum()
     nodes = np.concatenate([rot * rho_out * np.exp(1j * t), rot * rho_in * np.exp(1j * t)])
-    # a frame cell is read once, into the cached frame sum, so it is built
-    # outside the lattice's cell cache and freed with this call
+    # a frame cell is read once, into the cached frame sum, and freed with
+    # this call
     return DirichletCell(lat, idx).pairing_weights(nodes, np.concatenate([2.0 * w, -w]))

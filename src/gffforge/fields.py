@@ -40,7 +40,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError, NumericalError, ResolutionError
-from .greens import CovarianceMatrix, DirichletCell, LatticeDomain
+from .greens import DirichletCell, LatticeDomain
 from .rng import parallel_map, replica_rng
 
 __all__ = [
@@ -92,34 +92,6 @@ class FieldSample:
         arr[ij[:, 0] - i0, ij[:, 1] - j0] = self.values
         return arr, i0, j0
 
-    def interp(self, z) -> np.ndarray:
-        """Bilinear interpolation at complex points; zero off the grid."""
-        arr, i0, j0 = self._grid_cache()
-        a = self.lattice.spacing
-        z = np.asarray(z, dtype=np.complex128)
-        x = z.real / a - i0
-        y = z.imag / a - j0
-        nx, ny = arr.shape
-        ix = np.clip(np.floor(x).astype(int), 0, nx - 2)
-        iy = np.clip(np.floor(y).astype(int), 0, ny - 2)
-        fx = np.clip(x - ix, 0.0, 1.0)
-        fy = np.clip(y - iy, 0.0, 1.0)
-        v = (
-            arr[ix, iy] * (1 - fx) * (1 - fy)
-            + arr[ix + 1, iy] * fx * (1 - fy)
-            + arr[ix, iy + 1] * (1 - fx) * fy
-            + arr[ix + 1, iy + 1] * fx * fy
-        )
-        inside = (x >= 0) & (x <= nx - 1) & (y >= 0) & (y <= ny - 1)
-        return np.where(inside, v, 0.0)
-
-    def _grid_cache(self):
-        cached = getattr(self, "_grid", None)
-        if cached is None:
-            cached = self.grid()
-            object.__setattr__(self, "_grid", cached)
-        return cached
-
 
 @dataclass
 class MarkovDecomposition:
@@ -152,7 +124,7 @@ def sample_gff_observables(cov, n: int, seed: int) -> np.ndarray:
     Replica k draws from its own derived stream, so results do not depend
     on batch splitting.
     """
-    matrix = cov.entries if isinstance(cov, CovarianceMatrix) else np.asarray(cov, dtype=float)
+    matrix = np.asarray(cov, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise DomainError("covariance must be square")
     L = _chol_with_jitter(matrix)
@@ -313,7 +285,8 @@ def markov_decompose(sample: FieldSample, subdomain) -> MarkovDecomposition:
 
     ``subdomain`` is a site-index array, a boolean mask over interior sites,
     a predicate on embedded points, or an already-built DirichletCell of the
-    same lattice.
+    same lattice.  The cell of a site set is built once per lattice, in the
+    lattice's cache.
     """
     lat = sample.lattice
     if isinstance(subdomain, DirichletCell):
@@ -328,7 +301,8 @@ def markov_decompose(sample: FieldSample, subdomain) -> MarkovDecomposition:
         )
         if len(idx) < 1:
             raise ResolutionError("subdomain resolves to no lattice sites")
-        cell = lat.cell(idx)
+        idx = np.asarray(idx, dtype=np.int64)
+        cell = lat.cached(("cell", idx.tobytes()), lambda: DirichletCell(lat, idx))
     harm_vals = sample.values.copy()
     harm_vals[cell.member_idx] = cell.harmonic_extension(sample.values)
     res_vals = sample.values - harm_vals

@@ -14,9 +14,7 @@ bandwidth at one grid row.
 
 from __future__ import annotations
 
-import csv
 import weakref
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import dstn
@@ -31,7 +29,6 @@ __all__ = [
     "green_halfplane",
     "h_minus1_inner",
     "covariance_of_observables",
-    "CovarianceMatrix",
     "LatticeDomain",
     "disk_lattice",
     "halfplane_lattice",
@@ -183,29 +180,6 @@ def _h_minus1_once(f, g, domain, n):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CovarianceMatrix:
-    labels: list
-    entries: np.ndarray
-    domain: object = None
-
-    def to_csv(self, path) -> None:
-        # labels may contain commas; quote the header row
-        with open(path, "w", newline="") as fh:
-            csv.writer(fh).writerow([str(l) for l in self.labels])
-            for row in self.entries:
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-
-    @classmethod
-    def from_csv(cls, path) -> "CovarianceMatrix":
-        with open(path, newline="") as fh:
-            labels = next(csv.reader(fh))
-            matrix = np.loadtxt(fh, delimiter=",", ndmin=2)
-        if matrix.shape != (len(labels), len(labels)):
-            raise ValueError("covariance CSV is not square against its header")
-        return cls(labels=labels, entries=matrix)
-
-
 def _pair_discrete(obs_a, obs_b, domain, same: bool) -> float:
     """Pairing of two discretizable observables (measures on curves)."""
     from . import averaging  # local import: averaging depends on this module
@@ -275,8 +249,8 @@ def _pair_function_measure(phi: TestFunction, m, domain) -> float:
     return float(xw @ K @ zw)
 
 
-def covariance_of_observables(observables, domain=UnitDisk(), n_quad: int = 48) -> CovarianceMatrix:
-    """Covariance matrix of jointly Gaussian field observables.
+def covariance_of_observables(observables, domain=UnitDisk(), n_quad: int = 48) -> np.ndarray:
+    """(k, k) covariance matrix of k jointly Gaussian field observables.
 
     Every entry is the double pairing of G_domain against the pair of
     observables; symmetric by construction.
@@ -298,8 +272,7 @@ def covariance_of_observables(observables, domain=UnitDisk(), n_quad: int = 48) 
             else:
                 v = _pair_discrete(a, b, domain, same=(i == j and a is b) or a == b)
             mat[i, j] = mat[j, i] = v
-    labels = [getattr(o, "label", None) or repr(o) for o in obs]
-    return CovarianceMatrix(labels=labels, entries=mat, domain=domain)
+    return mat
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +331,7 @@ class LatticeDomain:
         m, n = self.interior_ij.max(axis=0) - self.interior_ij.min(axis=0) + 1
         self._box = (int(m), int(n)) if self.n_sites == m * n else None
         self._chol = None
-        self._cells: dict = {}
-        self._weights: dict = {}
+        self._cache: dict = {}
 
     # -- basic geometry ----------------------------------------------------
 
@@ -435,22 +407,46 @@ class LatticeDomain:
             return self._box_power(w, -0.5)
         return dtbtrs(self._banded()[0], w, uplo="U", trans="T")[0]
 
-    def functional(self, key, build) -> tuple:
-        """The ring functional cached under ``key``: (ring_idx, w) with
-        value w . values[ring_idx] for a field's interior ``values``.
-        ``build()`` returns it and runs only on a miss."""
-        hit = self._weights.get(key)
+    def cached(self, key, build):
+        """The value cached under ``key``: a ring functional (ring_idx, w),
+        with value w . values[ring_idx] for a field's interior ``values``,
+        or a DirichletCell.  ``build()`` returns it and runs only on a miss."""
+        hit = self._cache.get(key)
         if hit is None:
-            hit = self._weights[key] = build()
+            hit = self._cache[key] = build()
         return hit
 
-    def cell(self, member_idx: np.ndarray) -> "DirichletCell":
-        key = np.asarray(member_idx, dtype=np.int64).tobytes()
-        cell = self._cells.get(key)
-        if cell is None:
-            cell = DirichletCell(self, np.asarray(member_idx, dtype=np.int64))
-            self._cells[key] = cell
-        return cell
+    def site_weights(self, nodes, weights) -> tuple:
+        """(site_idx, c) with c . values[site_idx] = sum_q weights_q *
+        (bilinear interpolation)(nodes_q) of a field's interior ``values``.
+
+        Each weight is spread bilinearly onto the four grid corners of its
+        node, corner-major, and repeated corners are summed in that order.
+        The field is zero on the outer lattice boundary, so corners there
+        drop out; a corner that is neither interior nor on that boundary
+        raises ResolutionError.
+        """
+        x = nodes.real / self.spacing
+        y = nodes.imag / self.spacing
+        ix = np.floor(x).astype(np.int64)
+        iy = np.floor(y).astype(np.int64)
+        fx = x - ix
+        fy = y - iy
+        offsets = ((0, 0), (1, 0), (0, 1), (1, 1))
+        fracs = ((1 - fx) * (1 - fy), fx * (1 - fy), (1 - fx) * fy, fx * fy)
+        corners = np.concatenate([np.stack([ix + di, iy + dj], axis=1) for di, dj in offsets])
+        c = np.concatenate([frac * weights for frac in fracs])
+        keep = c != 0.0
+        corners, c = corners[keep], c[keep]
+        codes, first, inv = np.unique(_encode(corners), return_index=True, return_inverse=True)
+        c = np.bincount(inv, weights=c, minlength=len(codes))
+        inner = ~_lookup(_encode(self.boundary_ij), codes)[1]
+        corners, codes, c = corners[first[inner]], codes[inner], c[inner]
+        site, on_lattice = _lookup(self._codes, codes)
+        if not on_lattice.all():
+            bad = tuple(corners[~on_lattice][0].tolist())
+            raise ResolutionError(f"pairing node corner {bad} falls off the lattice")
+        return site, c
 
 
 def disk_lattice(size: int) -> LatticeDomain:
@@ -490,8 +486,9 @@ class DirichletCell:
     def __init__(self, parent: LatticeDomain, member_idx: np.ndarray):
         if len(member_idx) == 0:
             raise ResolutionError("empty subdomain")
-        # weak, because the parent caches its cells: a strong reference back
-        # would keep a dropped lattice and its cell factors until a gc pass
+        # weak, because the parent caches the cells of markov_decompose: a
+        # strong reference back would keep a dropped lattice and its cell
+        # factors until a gc pass
         self._parent = weakref.ref(parent)
         self.member_idx = np.sort(member_idx)
         codes = parent._codes[self.member_idx]
@@ -535,40 +532,20 @@ class DirichletCell:
         """Ring functional (ring_idx, w) computing sum_q weights_q *
         (harmonic extension)(nodes_q).
 
-        Each quadrature weight is spread bilinearly onto the four grid
-        corners of its node, corner-major, and repeated corners are summed
-        in that order.  The extension is the field on ring sites and zero on
-        the outer lattice boundary, so corners there pick up the field value
-        or drop out; a corner strictly outside the cell closure means the
-        node grid is too coarse for the subdomain.
+        The quadrature is spread onto lattice sites by
+        ``LatticeDomain.site_weights``.  The extension is the field on ring
+        sites and zero on the outer lattice boundary, so a corner on the
+        ring picks up the field value; a corner strictly outside the cell
+        closure means the node grid is too coarse for the subdomain.
         """
         lat = self._parent()
-        x = nodes.real / lat.spacing
-        y = nodes.imag / lat.spacing
-        ix = np.floor(x).astype(np.int64)
-        iy = np.floor(y).astype(np.int64)
-        fx = x - ix
-        fy = y - iy
-        offsets = ((0, 0), (1, 0), (0, 1), (1, 1))
-        fracs = ((1 - fx) * (1 - fy), fx * (1 - fy), (1 - fx) * fy, fx * fy)
-        corners = np.concatenate([np.stack([ix + di, iy + dj], axis=1) for di, dj in offsets])
-        c = np.concatenate([frac * weights for frac in fracs])
-        keep = c != 0.0
-        corners, c = corners[keep], c[keep]
-        codes, first, inv = np.unique(_encode(corners), return_index=True, return_inverse=True)
-        c = np.bincount(inv, weights=c, minlength=len(codes))
-        inner = ~_lookup(_encode(lat.boundary_ij), codes)[1]
-        corners, codes, c = corners[first[inner]], codes[inner], c[inner]
-        site, on_lattice = _lookup(lat._codes, codes)
-        if not on_lattice.all():
-            bad = tuple(corners[~on_lattice][0].tolist())
-            raise ResolutionError(f"pairing node corner {bad} falls off the lattice")
+        site, c = lat.site_weights(nodes, weights)
         p, in_member = _lookup(self.member_idx, site)
         q = np.zeros(len(self.member_idx))
         q[p[in_member]] = c[in_member]
         p, in_ring = _lookup(self.ring_idx, site[~in_member])
         if not in_ring.all():
-            bad = tuple(corners[~in_member][~in_ring][0].tolist())
+            bad = tuple(lat.interior_ij[site[~in_member][~in_ring][0]].tolist())
             raise ResolutionError(f"pairing node corner {bad} leaves the subdomain")
         direct = np.zeros(len(self.ring_idx))
         direct[p] = c[~in_member]

@@ -9,8 +9,7 @@ statistic with threshold 1.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
@@ -67,13 +66,6 @@ class TestReport:
     def __post_init__(self):
         if bool(self.passed) != _passes(self.statistic, self.p_value, self.threshold):
             raise DomainError(f"report {self.name!r} breaks the pass invariant")
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))
-
-    @classmethod
-    def from_json(cls, text: str) -> "TestReport":
-        return cls(**json.loads(text))
 
 
 def _passes(statistic, p_value, threshold) -> bool:
@@ -373,8 +365,9 @@ def test_conformal_invariance(
     notes = f"lattice spacings {lat.spacing:.4g} -> {dst.spacing:.4g}; O(spacing) bias applies"
     if law != "gff":
         notes += (
-            "; the stable field's law depends on the Cholesky site order, so it is"
-            " not invariant even under lattice rotations"
+            "; the stable field's law is invariant only under the symmetries of its"
+            " filter: off a box it depends on the Cholesky site order, on a box"
+            " (symmetric DST root) it keeps only the box's own symmetries"
         )
     return _report(
         f"conformal[{law}]", float(ks.statistic), float(ks.pvalue), SIGNIFICANCE, n, notes
@@ -409,18 +402,6 @@ class CharBMVerdict:
     @property
     def consistent(self) -> bool:
         return self.overall == "consistent-with-BM"
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))
-
-    @classmethod
-    def from_json(cls, text: str) -> "CharBMVerdict":
-        d = json.loads(text)
-        return cls(
-            reports={k: TestReport(**v) for k, v in d["reports"].items()},
-            sigma_hat=d["sigma_hat"],
-            overall=d["overall"],
-        )
 
 
 def _verdict(reports: dict, sig: float) -> CharBMVerdict:
@@ -520,31 +501,38 @@ def _on_grid(grid: np.ndarray, v: float) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def levy_path(grid, n: int, seed: int, alpha: float = 1.5) -> ProcessPath:
-    """Symmetric alpha-stable Levy motion on the grid: independent
-    increments scaled du^(1/alpha); violates the sqrt-c diffusive scaling."""
+def _synthetic_path(grid, n: int, seed: int, kind: str, increments) -> ProcessPath:
+    """Replica k is the cumulative sum of ``increments(rng, du)``, with rng
+    on stream k and du the grid steps from 0."""
     g = np.asarray(grid, dtype=float)
     du = np.concatenate([[g[0]], np.diff(g)])
     reps = np.empty((n, len(g)))
+    rng = None
     for k in range(n):
-        rng = replica_rng(seed, k)
-        inc = sample_sas(alpha, len(g), rng) * du ** (1.0 / alpha)
-        reps[k] = np.cumsum(inc)
-    return ProcessPath(g, reps, kind="levy", backend="synthetic", seed=seed)
+        rng = replica_rng(seed, k, rng)
+        reps[k] = np.cumsum(increments(rng, du))
+    return ProcessPath(g, reps, kind=kind, backend="synthetic", seed=seed)
+
+
+def levy_path(grid, n: int, seed: int, alpha: float = 1.5) -> ProcessPath:
+    """Symmetric alpha-stable Levy motion on the grid: independent
+    increments scaled du^(1/alpha); violates the sqrt-c diffusive scaling."""
+
+    def increments(rng, du):
+        return sample_sas(alpha, len(du), rng) * du ** (1.0 / alpha)
+
+    return _synthetic_path(grid, n, seed, "levy", increments)
 
 
 def compound_poisson_path(grid, n: int, seed: int, rate: float = 1.0) -> ProcessPath:
     """Compound Poisson path with unit Gaussian jumps; piecewise-constant jump
     structure breaks normality of increments and the harness residual."""
-    g = np.asarray(grid, dtype=float)
-    du = np.concatenate([[g[0]], np.diff(g)])
-    reps = np.empty((n, len(g)))
-    for k in range(n):
-        rng = replica_rng(seed, k)
+
+    def increments(rng, du):
         counts = rng.poisson(rate * du)
-        inc = np.where(counts > 0, np.sqrt(counts), 0.0) * rng.standard_normal(len(g))
-        reps[k] = np.cumsum(inc)
-    return ProcessPath(g, reps, kind="compound_poisson", backend="synthetic", seed=seed)
+        return np.where(counts > 0, np.sqrt(counts), 0.0) * rng.standard_normal(len(du))
+
+    return _synthetic_path(grid, n, seed, "compound_poisson", increments)
 
 
 def ar1_increment_path(grid, n: int, seed: int, rho: float = 0.3) -> ProcessPath:
@@ -552,15 +540,13 @@ def ar1_increment_path(grid, n: int, seed: int, rho: float = 0.3) -> ProcessPath
     violates independence of increments while keeping normal marginals."""
     if not -1.0 < rho < 1.0:
         raise DomainError("AR coefficient must lie in (-1, 1)")
-    g = np.asarray(grid, dtype=float)
-    du = np.concatenate([[g[0]], np.diff(g)])
-    reps = np.empty((n, len(g)))
-    for k in range(n):
-        rng = replica_rng(seed, k)
-        xi = rng.standard_normal(len(g))
-        eps = np.empty(len(g))
+
+    def increments(rng, du):
+        xi = rng.standard_normal(len(du))
+        eps = np.empty(len(du))
         eps[0] = xi[0]
-        for j in range(1, len(g)):
+        for j in range(1, len(du)):
             eps[j] = rho * eps[j - 1] + np.sqrt(1.0 - rho * rho) * xi[j]
-        reps[k] = np.cumsum(eps * np.sqrt(du))
-    return ProcessPath(g, reps, kind="ar1", backend="synthetic", seed=seed)
+        return eps * np.sqrt(du)
+
+    return _synthetic_path(grid, n, seed, "ar1", increments)

@@ -85,7 +85,7 @@ def test_criterion_03_sine_covariance():
             worst = max(worst, abs(C[i, j] - khat * m[i, j]) / (3.0 * se))
     Q = covariance_of_observables(
         [SineMeasure(u) for u in u_values], UpperHalfPlane()
-    ).entries
+    )
     k_quad = float(Q[0, 0])
     rel = abs(khat / k_quad - 1.0)
     dt = time.time() - t0

@@ -1,7 +1,9 @@
 """Circle averages, sine averages, path laws, and the rotational identity."""
 
 import ast
+import gc
 import inspect
+import weakref
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from gffforge.averaging import (
 )
 from gffforge.errors import DomainError, ResolutionError
 from gffforge.fields import CALIBRATION, FieldSample, dgff_matrix, markov_decompose, sample_dgff
+from gffforge.geometry import gauss_legendre
 from gffforge.greens import DirichletCell, LatticeDomain, disk_lattice, halfplane_lattice
 from gffforge.verify import anderson_darling_p
 
@@ -181,7 +184,7 @@ def test_circle_weights_match_center_unit_vector(size):
     # adjoint of a unit vector on the ball's members
     lat = disk_lattice(size)
     for eps in (0.2, np.exp(-1.0), 0.6, 0.9):
-        cell = lat.cell(lat.indices_of(lambda z: np.abs(z) < eps))
+        cell = DirichletCell(lat, lat.indices_of(lambda z: np.abs(z) < eps))
         e = (cell.member_idx == lat.site_index((0, 0))).astype(float)
         ring_idx, w = _circle_weights(lat, eps)
         assert np.array_equal(ring_idx, cell.ring_idx)
@@ -377,6 +380,27 @@ def test_annulus_harmonic_pairings_fit_a_line_lattice():
     assert resid < 1e-3
 
 
+def test_field_pairing_is_bilinear_up_to_the_dirichlet_boundary():
+    # between the last interior row j = 1 and the boundary row j = 0 a
+    # constant field reads linearly in the distance to the boundary, as the
+    # lattice pairings of sample_functionals do; a node off the lattice
+    # raises instead of reading 0
+    lat = halfplane_lattice(2.0, 0.1)
+    a = lat.spacing
+    one = FieldSample(lat, np.ones(lat.n_sites), "deterministic", 0.0, 0)
+    for s in (0.25, 0.7, 1.0):
+        site_idx, c = lat.site_weights(np.array([0.33 + 1j * s * a]), np.ones(1))
+        assert abs(c @ one.values[site_idx] - s) < 1e-12
+    u = 4.0
+    t, w = gauss_legendre(256, 0.0, np.pi)
+    nodes = np.exp(1j * t) / np.sqrt(u)
+    want = np.sum(np.sqrt(u) * w * np.sin(t) * np.minimum(nodes.imag / a, 1.0))
+    assert abs(sine_pair(one, u) - want) < 1e-12
+    assert want < 2.0 * np.sqrt(u) - 1e-3
+    with pytest.raises(ResolutionError, match="falls off the lattice"):
+        sine_pair(one, 0.2)
+
+
 def test_annulus_harmonic_pairings_fit_a_line_analytic():
     f = lambda z: 0.7 * z.imag - 1.3 * z.imag / np.abs(z) ** 2
     us = np.array([1.5, 2.0, 2.5, 3.0, 3.5])
@@ -398,7 +422,7 @@ def test_interpolation_property(halfplane_batch):
     member_idx = lat.indices_of(lambda z: (np.abs(z) > 0.5) & (np.abs(z) < 1.0))
     m = SineMeasure(u_scale, n_nodes=512)
     nodes, weights = m.discretize()
-    ring_idx, w = lat.cell(member_idx).pairing_weights(nodes, weights)
+    ring_idx, w = DirichletCell(lat, member_idx).pairing_weights(nodes, weights)
     lhs = w @ vals[ring_idx, :]
 
     lam = (u_scale - s_scale) / (r_scale - s_scale)
@@ -493,20 +517,60 @@ def test_rotational_lhs_matches_per_frame_mean(disk96):
 
 
 def test_rotational_frame_cells_are_not_cached(monkeypatch):
-    # the frame cells are read once, into the cached frame sum, so none may
-    # stay in the lattice's cell cache; the reference lattice builds them
-    # through that cache, and (lhs, rhs) must agree bit for bit
+    # the frame cells and the circle's cell are each read once, into a
+    # cached functional, so none may outlive the call; gc stays off, so a
+    # cell kept by any reference would still be alive
     from gffforge import averaging
 
-    vals = dgff_matrix(disk_lattice(48), 8, seed=297)
-    u, n_angles = 2.0, 16
-    lat, ref_lat = disk_lattice(48), disk_lattice(48)
-    got = [rotational_average_check(FieldSample(lat, v, "gff", 2.0, 297), u, n_angles) for v in vals.T]
-    with monkeypatch.context() as m:
-        m.setattr(averaging, "DirichletCell", lambda parent, idx: parent.cell(idx))
-        ref = [rotational_average_check(FieldSample(ref_lat, v, "gff", 2.0, 297), u, n_angles) for v in vals.T]
-    assert len(set(ref_lat._cells) - set(lat._cells)) == n_angles
-    assert got == ref
+    built = []
+
+    def spy(parent, idx):
+        cell = DirichletCell(parent, idx)
+        built.append(weakref.ref(cell))
+        return cell
+
+    monkeypatch.setattr(averaging, "DirichletCell", spy)
+    lat = disk_lattice(48)
+    (s,) = sample_dgff(lat, 1, seed=297)
+    n_angles = 16
+    gc.disable()
+    try:
+        first = rotational_average_check(s, 2.0, n_angles)
+        assert len(built) == n_angles + 1
+        assert [r() for r in built] == [None] * len(built)
+    finally:
+        gc.enable()
+    assert rotational_average_check(s, 2.0, n_angles) == first
+    assert len(built) == n_angles + 1
+
+
+def test_only_markov_cells_stay_in_the_lattice_cache(monkeypatch):
+    # markov_decompose builds one cell per site set and keeps it; circle,
+    # sine and frame cells leave only their cached functionals behind
+    built = []
+    real_init = DirichletCell.__init__
+
+    def spy(cell, *args):
+        real_init(cell, *args)
+        built.append(weakref.ref(cell))
+
+    monkeypatch.setattr(DirichletCell, "__init__", spy)
+    lat, box = disk_lattice(32), halfplane_lattice(2.0, 1.0 / 24.0)
+    (s,) = sample_dgff(lat, 1, seed=298)
+    mask = np.abs(lat.z) < 0.5
+    first, again = markov_decompose(s, mask), markov_decompose(s, mask)
+    assert len(built) == 1 and first.cell is again.cell is built[0]()
+    gc.disable()
+    try:
+        del first, again
+        _circle_weights(lat, 0.5)
+        _sine_weights(box, 1.0, 2.0)
+        rotational_average_check(s, 2.0, 8)
+        assert len(built) == 1 + 1 + 1 + (8 + 1)  # markov, circle, sine, frames and their circle
+        assert built[0]() is not None
+        assert [r() for r in built[1:]] == [None] * (len(built) - 1)
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +657,7 @@ def test_sine_pairing_weights_match_dict_reference(monkeypatch):
 
 def test_pairing_corner_off_the_lattice_raises():
     lat = disk_lattice(16)
-    cell = lat.cell(lat.indices_of(lambda z: np.abs(z) < 0.5))
+    cell = DirichletCell(lat, lat.indices_of(lambda z: np.abs(z) < 0.5))
     # corners around 2+2i are neither interior nor on the outer boundary
     with pytest.raises(ResolutionError, match="falls off the lattice"):
         cell.pairing_weights(np.array([0.1 + 0.1j, 2.03 + 2.05j]), np.ones(2))
@@ -601,7 +665,7 @@ def test_pairing_corner_off_the_lattice_raises():
 
 def test_pairing_corner_outside_the_cell_raises():
     lat = disk_lattice(16)
-    cell = lat.cell(lat.indices_of(lambda z: np.abs(z) < 0.3))
+    cell = DirichletCell(lat, lat.indices_of(lambda z: np.abs(z) < 0.3))
     # 0.7 is interior to the disk but several sites beyond the cell's ring
     with pytest.raises(ResolutionError, match="leaves the subdomain"):
         cell.pairing_weights(np.array([0.1 + 0.1j, 0.71 + 0.03j]), np.ones(2))
@@ -616,7 +680,7 @@ def test_weight_cache_hit_builds_no_quadrature_and_no_cell(monkeypatch):
     path = circle_average_path(3, (0.5, 1.0), seed=295, backend="lattice", lattice=lat)
     built = []
     monkeypatch.setattr(averaging, "gauss_legendre", lambda *a: built.append("nodes"))
-    monkeypatch.setattr(LatticeDomain, "cell", lambda *a: built.append("cell"))
+    monkeypatch.setattr(averaging, "DirichletCell", lambda *a: built.append("cell"))
     monkeypatch.setattr(LatticeDomain, "indices_of", lambda *a: built.append("members"))
     assert rotational_average_check(s, 2.0, n_angles=16) == first
     again = circle_average_path(3, (0.5, 1.0), seed=295, backend="lattice", lattice=lat)
@@ -636,16 +700,16 @@ def test_weight_cache_has_one_reader_and_averaging_no_site_codes():
         for cls in [n for n in tree.body if isinstance(n, ast.ClassDef)] + [tree]:
             for fn in cls.body:
                 if isinstance(fn, ast.FunctionDef) and any(
-                    isinstance(n, ast.Attribute) and n.attr == "_weights" for n in ast.walk(fn)
+                    isinstance(n, ast.Attribute) and n.attr == "_cache" for n in ast.walk(fn)
                 ):
                     touching.add(f"{getattr(cls, 'name', mod.__name__)}.{fn.name}")
-    assert touching == {"LatticeDomain.__init__", "LatticeDomain.functional"}
+    assert touching == {"LatticeDomain.__init__", "LatticeDomain.cached"}
     tree = ast.parse(inspect.getsource(averaging))
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "greens":
             assert not [a.name for a in node.names if a.name.startswith("_")]
         if isinstance(node, ast.Attribute):
-            assert node.attr not in ("_codes", "_weights", "_cells")
+            assert node.attr not in ("_codes", "_cache")
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from gffforge.averaging import CircleMeasure
 from gffforge.rng import replica_rng
 from gffforge.geometry import disk_bump, radial_annulus_bump
 from gffforge.greens import (
+    DirichletCell,
     LatticeDomain,
     covariance_of_observables,
     discrete_green,
@@ -399,7 +400,7 @@ def test_markov_rejects_empty_and_foreign_subdomains():
     with pytest.raises(ResolutionError):
         markov_decompose(s, lambda z: np.abs(z) > 5.0)
     other = disk_lattice(12)
-    cell = other.cell(np.arange(4))
+    cell = DirichletCell(other, np.arange(4))
     with pytest.raises(DomainError):
         markov_decompose(s, cell)
 
@@ -438,7 +439,7 @@ def test_evaluate_variance_matches_h_minus1(lat64, dgff64):
 def markov_batch():
     lat = disk_lattice(32)
     vals = dgff_matrix(lat, 5000, seed=71)
-    cell = lat.cell(lat.indices_of(lambda z: np.abs(z) < 0.5))
+    cell = DirichletCell(lat, lat.indices_of(lambda z: np.abs(z) < 0.5))
     harm_members = cell.harmonic_extension(vals)
     residual_members = vals[cell.member_idx] - harm_members
     return lat, vals, cell, harm_members, residual_members
@@ -461,7 +462,7 @@ def test_residual_independence_stable_rank_correlation():
     # heavy tails break Pearson moments, so the stable check uses ranks
     lat = disk_lattice(24)
     vals = stable_matrix(lat, 1.5, 5000, seed=73)
-    cell = lat.cell(lat.indices_of(lambda z: np.abs(z) < 0.5))
+    cell = DirichletCell(lat, lat.indices_of(lambda z: np.abs(z) < 0.5))
     harm = cell.harmonic_extension(vals)
     res = vals[cell.member_idx] - harm
     harmonic_full = vals.copy()

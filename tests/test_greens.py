@@ -11,8 +11,8 @@ from scipy.linalg.lapack import dtbtrs
 from gffforge.averaging import CircleMeasure, SineMeasure
 from gffforge.errors import DomainError, SingularityError
 from gffforge.geometry import Mobius, UnitDisk, UpperHalfPlane, disk_bump, radial_annulus_bump
+from gffforge.fields import FieldSample, markov_decompose
 from gffforge.greens import (
-    CovarianceMatrix,
     LatticeDomain,
     covariance_of_observables,
     disk_lattice,
@@ -128,13 +128,12 @@ def test_h_minus1_bilinear_and_symmetric():
 def test_circle_average_covariance_matrix():
     obs = [CircleMeasure(0.0, np.exp(-2.0)), CircleMeasure(0.0, np.exp(-1.0))]
     cov = covariance_of_observables(obs, UnitDisk())
-    np.testing.assert_allclose(cov.entries, [[2.0, 1.0], [1.0, 1.0]], atol=1e-8)
+    np.testing.assert_allclose(cov, [[2.0, 1.0], [1.0, 1.0]], atol=1e-8)
 
 
 def test_sine_average_covariance_structure():
     obs = [SineMeasure(1.0), SineMeasure(2.0)]
-    cov = covariance_of_observables(obs, UpperHalfPlane())
-    c = cov.entries
+    c = covariance_of_observables(obs, UpperHalfPlane())
     sigma2 = c[0, 0]
     assert sigma2 == pytest.approx(np.pi**2 / 2.0, rel=1e-6)
     np.testing.assert_allclose(c / sigma2, [[1.0, 1.0], [1.0, 2.0]], atol=1e-6)
@@ -142,8 +141,8 @@ def test_sine_average_covariance_structure():
 
 def test_single_observable_variance():
     cov = covariance_of_observables([disk_bump(0.0, 0.4)], UnitDisk())
-    assert cov.entries.shape == (1, 1)
-    assert cov.entries[0, 0] > 0
+    assert cov.shape == (1, 1)
+    assert cov[0, 0] > 0
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -155,18 +154,8 @@ def test_covariance_matrices_are_psd(seed):
         c = 0.5 * (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1))
         obs.append(disk_bump(c, rng.uniform(0.1, 0.3)))
     cov = covariance_of_observables(obs, UnitDisk(), n_quad=24)
-    w = np.linalg.eigvalsh(cov.entries)
-    assert w.min() >= -1e-8 * np.trace(cov.entries)
-
-
-def test_covariance_csv_round_trip(tmp_path):
-    obs = [CircleMeasure(0.0, 0.5), CircleMeasure(0.0, 0.25)]
-    cov = covariance_of_observables(obs, UnitDisk())
-    path = tmp_path / "cov.csv"
-    cov.to_csv(path)
-    back = CovarianceMatrix.from_csv(path)
-    assert back.labels == cov.labels
-    np.testing.assert_array_equal(back.entries, cov.entries)
+    w = np.linalg.eigvalsh(cov)
+    assert w.min() >= -1e-8 * np.trace(cov)
 
 
 # ---------------------------------------------------------------------------
@@ -272,13 +261,16 @@ def test_lattice_interior_neighbors_are_interior_or_boundary():
 
 
 def test_dropped_lattice_with_cells_is_freed_without_gc():
-    # the lattice caches its cells, so a cell must not hold the lattice strongly
+    # the lattice caches the cells of markov_decompose, so a cell must not
+    # hold the lattice strongly
     gc.disable()
     try:
         lat = disk_lattice(16)
-        lat.cell(np.arange(10))
+        field = FieldSample(lat, np.zeros(lat.n_sites), "deterministic", 0.0, 0)
+        markov_decompose(field, np.arange(10))
+        markov_decompose(field, np.arange(20, 30))
         ref = weakref.ref(lat)
-        del lat
+        del lat, field
         assert ref() is None
     finally:
         gc.enable()
