@@ -39,7 +39,7 @@ def main():
     R = np.empty(len(fields))
     for i, f in enumerate(fields):
         R[i] = markov_decompose(f, cell_mask).residual.values[cell_mask][center_j]
-    sub = LatticeDomain(lat.spacing, idx, label="cell")
+    sub = LatticeDomain(lat.spacing, idx)
     c = int(np.argmin(np.abs(sub.z)))
     target = CALIBRATION**2 * discrete_green(sub, sub.z[c], sub.z[c])
     print(f"residual variance at the center: {R.var(ddof=1):.4f} "

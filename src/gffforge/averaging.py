@@ -141,9 +141,6 @@ class ProcessPath:
 
     grid: np.ndarray
     replicas: np.ndarray
-    kind: str
-    backend: str
-    seed: int
 
     def __post_init__(self):
         self.grid = np.asarray(self.grid, dtype=float)
@@ -172,9 +169,9 @@ class ProcessPath:
                 fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
     @classmethod
-    def from_csv(cls, path, kind: str = "", backend: str = "", seed: int = 0) -> "ProcessPath":
+    def from_csv(cls, path) -> "ProcessPath":
         data = np.loadtxt(path, delimiter=",", ndmin=2)
-        return cls(grid=data[0], replicas=data[1:], kind=kind, backend=backend, seed=seed)
+        return cls(grid=data[0], replicas=data[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -236,14 +233,14 @@ def circle_average_path(
             raise DomainError("the exact backend only carries the Gaussian law")
         cov = np.minimum(t[:, None], t[None, :])
         reps = sample_gff_observables(cov, n, seed)
-        return ProcessPath(t, reps, kind="circle", backend="exact", seed=seed)
+        return ProcessPath(t, reps)
     if backend != "lattice":
         raise DomainError(f"unknown backend {backend!r}")
     lat = lattice if lattice is not None else disk_lattice(128)
     # a ball that exhausts the domain has an empty ring: a zero column
     weights = [_circle_weights(lat, float(r)) for r in np.exp(-t)]
     reps = _sample_ring_functionals(lat, weights, n, seed, law, alpha)
-    return ProcessPath(t, reps, kind="circle", backend="lattice", seed=seed)
+    return ProcessPath(t, reps)
 
 
 # ---------------------------------------------------------------------------
@@ -340,13 +337,13 @@ def sine_average_path(
             raise DomainError("the exact backend only carries the Gaussian law")
         cov = (np.pi**2 / 2.0) * np.minimum.outer(u, u)
         reps = sample_gff_observables(cov, n, seed)
-        return ProcessPath(u, reps, kind="sine", backend="exact", seed=seed)
+        return ProcessPath(u, reps)
     if backend != "lattice":
         raise DomainError(f"unknown backend {backend!r}")
     lat = lattice if lattice is not None else sine_lattice_for(u)
     weights = [_sine_weights(lat, float(v), r_factor) for v in u]
     reps = _sample_ring_functionals(lat, weights, n, seed, law, alpha)
-    return ProcessPath(u, reps, kind="sine", backend="lattice", seed=seed)
+    return ProcessPath(u, reps)
 
 
 # ---------------------------------------------------------------------------

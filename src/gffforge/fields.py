@@ -5,9 +5,8 @@ Three constructions share one calibration convention:
 * exact observables: finite Gaussian vectors with covariance assembled by
   the greens module, Cholesky with a tiny diagonal jitter fallback;
 * lattice Gaussian: covariance (graph Laplacian)^-1 scaled by CALIBRATION,
-  sampled as R xi for a root R with R R^T = L^-1 applied to white noise:
-  the symmetric root L^(-1/2) on box lattices (full rectangles of sites,
-  by DST-I), the inverse upper Cholesky factor U^-1 elsewhere;
+  sampled as R xi for white noise xi, with R the root of ``LatticeDomain``
+  (R R^T = L^-1);
 * symmetric alpha-stable: the same filter R driven by
   Chambers-Mallows-Stuck variates, which keeps every linear-algebra
   property of the Gaussian field while breaking Gaussianity itself.  On a
@@ -245,9 +244,8 @@ def sample_functionals(
     lat: LatticeDomain, W: np.ndarray, n: int, seed: int, law: str = "gff", alpha: float = 2.0
 ) -> np.ndarray:
     """(n, k) replicas of W.T @ field for an (n_sites, k) weight matrix W,
-    without building a field.  V = c R^T W, with R the lattice's root of
-    the inverse Laplacian (L^(-1/2) on a box, U^-1 for the upper Cholesky
-    factor U elsewhere).
+    without building a field.  V = c R^T W, with R the root of
+    ``LatticeDomain``.
 
     Law "gff": the functionals are exactly N(0, V^T V).  Replica r is
     z_r @ T, with T the triangular QR factor of V (T^T T = V^T V) and z_r
@@ -265,7 +263,7 @@ def sample_functionals(
     W = np.asarray(W, dtype=float)
     if W.ndim != 2 or W.shape[0] != lat.n_sites:
         raise DomainError("weights must be (n_sites, k)")
-    V = CALIBRATION * lat._root_transpose(W)
+    V = CALIBRATION * lat._root(W, "T")
     if law == "gff":
         V = np.linalg.qr(V, mode="r")
     return _replica_rows(law, alpha, V.shape[0], n, seed, V=V)

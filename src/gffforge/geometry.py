@@ -192,7 +192,6 @@ class TestFunction:
 
     evaluator: Callable[[np.ndarray], np.ndarray]
     support: Support
-    label: str = ""
     radial: tuple | None = None
 
     def __call__(self, z):
@@ -211,7 +210,7 @@ def _smooth_profile(t, beta: float = 1.0):
     return out
 
 
-def disk_bump(center: complex, radius: float, height: float = 1.0, label: str = "") -> TestFunction:
+def disk_bump(center: complex, radius: float, height: float = 1.0) -> TestFunction:
     """Radially symmetric bump supported on B_center(radius)."""
     if not radius > 0:
         raise DomainError("disk_bump needs radius > 0")
@@ -240,7 +239,7 @@ def disk_bump(center: complex, radius: float, height: float = 1.0, label: str = 
             return ev(np.asarray(r, dtype=float) + 0j)
 
         radial = (0.0, radius, rprof)
-    return TestFunction(ev, sup, label=label or f"bump({center:.3g},{radius:.3g})", radial=radial)
+    return TestFunction(ev, sup, radial=radial)
 
 
 def radial_annulus_bump(
@@ -293,7 +292,7 @@ def radial_annulus_bump(
     def rprof(r):
         return scale * profile(r)
 
-    return TestFunction(ev, sup, label=f"annulus_bump(delta={delta:.3g})", radial=(lo, hi, rprof))
+    return TestFunction(ev, sup, radial=(lo, hi, rprof))
 
 
 def pullback_test_function(phi: TestFunction, f: ConformalMap) -> TestFunction:
@@ -322,7 +321,7 @@ def pullback_test_function(phi: TestFunction, f: ConformalMap) -> TestFunction:
         contains=lambda z: phi.support.contains(finv(z)),
         boundary=boundary,
     )
-    return TestFunction(ev, sup, label=f"{phi.label}^f")
+    return TestFunction(ev, sup)
 
 
 def integrate_test_function(phi: TestFunction, n: int = 256) -> float:

@@ -5,11 +5,11 @@ variance of a circle average of radius eps about the disk center is
 log(1/eps).
 
 The lattice side inverts the graph Laplacian (diagonal 4, Dirichlet rows
-eliminated).  On a full rectangle of sites the Laplacian is diagonal in the
-orthonormal DST-I basis on both axes, so L^-1 and the symmetric root
-L^(-1/2) cost two transforms and no factorization; any other site set uses
-a banded Cholesky factorization, where row-major site ordering keeps the
-bandwidth at one grid row.
+eliminated) through one root R with R R^T = L^-1.  On a full rectangle of
+sites the Laplacian is diagonal in the orthonormal DST-I basis on both
+axes, so the symmetric root L^(-1/2) costs two transforms and no
+factorization; any other site set uses a banded Cholesky factorization,
+where row-major site ordering keeps the bandwidth at one grid row.
 """
 
 from __future__ import annotations
@@ -143,7 +143,7 @@ def h_minus1_inner(
 
 
 def _area_nodes(phi: TestFunction, domain, n: int):
-    harm, contains = _kernel_parts(domain)
+    _, contains = _kernel_parts(domain)
     x0, x1, y0, y1 = phi.support.bbox
     gx, wx = gauss_legendre(n, x0, x1)
     gy, wy = gauss_legendre(n, y0, y1)
@@ -235,40 +235,24 @@ def _sine_self(m, domain) -> float:
     return 2.0 * value(2 * n) - value(n)
 
 
-def _pair_function_measure(phi: TestFunction, m, domain) -> float:
-    """TestFunction against a curve measure: measure nodes outside, tensor
-    Gauss-Legendre over the function inside, near hits guarded."""
-    harm, contains = _kernel_parts(domain)
-    zn, zw = m.discretize(offset=0)
-    xz, xw = _area_nodes(phi, domain, 64)
-    X = xz[:, None]
-    Z = zn[None, :]
-    D = np.abs(X - Z)
-    np.maximum(D, 1e-12, out=D)
-    K = harm(X, Z) - np.log(D)
-    return float(xw @ K @ zw)
-
-
 def covariance_of_observables(observables, domain=UnitDisk(), n_quad: int = 48) -> np.ndarray:
-    """(k, k) covariance matrix of k jointly Gaussian field observables.
+    """(k, k) covariance matrix of k jointly Gaussian field observables,
+    either all test functions or all curve measures.
 
     Every entry is the double pairing of G_domain against the pair of
     observables; symmetric by construction.
     """
     obs = list(observables)
+    functions = [isinstance(o, TestFunction) for o in obs]
+    if any(functions) and not all(functions):
+        raise DomainError("cannot pair a test function with a curve measure")
     k = len(obs)
     mat = np.zeros((k, k))
     for i in range(k):
         for j in range(i, k):
             a, b = obs[i], obs[j]
-            fa = isinstance(a, TestFunction)
-            fb = isinstance(b, TestFunction)
-            if fa and fb:
+            if functions[i]:
                 v = h_minus1_inner(a, b, domain, n=n_quad)
-            elif fa:
-                v = _pair_function_measure(a, b, domain)
-            elif fb:
-                v = _pair_function_measure(b, a, domain)
             else:
                 v = _pair_discrete(a, b, domain, same=(i == j and a is b) or a == b)
             mat[i, j] = mat[j, i] = v
@@ -306,9 +290,10 @@ class LatticeDomain:
     The field is ``white_to_field(xi) = R xi`` for a root R with R R^T = L^-1:
     the symmetric root L^(-1/2) when the sites fill a full rectangle (a
     "box"), and U^-1 for the upper Cholesky factor U of L otherwise.
+    ``_root`` is the one place that chooses R; ``solve`` is R R^T.
     """
 
-    def __init__(self, spacing: float, interior_ij: np.ndarray, label: str = ""):
+    def __init__(self, spacing: float, interior_ij: np.ndarray):
         if interior_ij.ndim != 2 or interior_ij.shape[1] != 2:
             raise DomainError("interior_ij must be (m, 2)")
         if len(interior_ij) == 0:
@@ -316,7 +301,6 @@ class LatticeDomain:
         order = np.lexsort((interior_ij[:, 1], interior_ij[:, 0]))
         self.spacing = float(spacing)
         self.interior_ij = np.ascontiguousarray(interior_ij[order], dtype=np.int64)
-        self.label = label
         self._codes = _encode(self.interior_ij)
         dup = np.flatnonzero(np.diff(self._codes) == 0)
         if len(dup):
@@ -372,40 +356,36 @@ class LatticeDomain:
             self._chol = _factored_laplacian(self._codes)
         return self._chol
 
-    def _box_power(self, b: np.ndarray, power: float) -> np.ndarray:
-        """L^power b on a box: S diag(lam)^power S b, with S the orthonormal
+    def _root(self, x: np.ndarray, trans: str = "N") -> np.ndarray:
+        """R x, or R^T x for trans="T" (so w . R xi == R^T w . xi).
+
+        On a box R = S diag(lam)^(-1/2) S is symmetric, with S the orthonormal
         DST-I on both axes (its own inverse) and lam the Laplacian's
-        eigenvalues 4 - 2 cos(pi p/(m+1)) - 2 cos(pi q/(n+1))."""
+        eigenvalues 4 - 2 cos(pi p/(m+1)) - 2 cos(pi q/(n+1)).  Elsewhere
+        R = U^-1 by dtbtrs against the band, uncopied; U's diagonal is
+        positive, so LAPACK's info is always 0.
+        """
+        x = np.asarray(x, dtype=float)
+        if x.size == 0:
+            # dtbtrs corrupts the heap on a right-hand side with no columns
+            return np.zeros(x.shape)
+        if self._box is None:
+            return dtbtrs(self._banded()[0], x, uplo="U", trans=trans)[0]
         m, n = self._box
         lam_i = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, m + 1) / (m + 1))
         lam_j = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, n + 1) / (n + 1))
-        scale = (lam_i[:, None] + lam_j[None, :]) ** power
-        b = np.asarray(b, dtype=float)
-        x = dstn(b.reshape((m, n) + b.shape[1:]), type=1, axes=(0, 1), norm="ortho")
-        x *= scale.reshape(scale.shape + (1,) * (b.ndim - 1))
-        return dstn(x, type=1, axes=(0, 1), norm="ortho", overwrite_x=True).reshape(b.shape)
+        scale = (lam_i[:, None] + lam_j[None, :]) ** -0.5
+        y = dstn(x.reshape((m, n) + x.shape[1:]), type=1, axes=(0, 1), norm="ortho")
+        y *= scale.reshape(scale.shape + (1,) * (x.ndim - 1))
+        return dstn(y, type=1, axes=(0, 1), norm="ortho", overwrite_x=True).reshape(x.shape)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """(graph Laplacian)^-1 rhs with Dirichlet elimination."""
-        if self._box is not None:
-            return self._box_power(rhs, -1.0)
-        cb, _ = self._banded()
-        return cho_solve_banded((cb, False), rhs)
+        """(graph Laplacian)^-1 rhs = R R^T rhs, with Dirichlet elimination."""
+        return self._root(self._root(rhs, "T"))
 
     def white_to_field(self, xi: np.ndarray) -> np.ndarray:
-        """R xi for the lattice's root R of the inverse Laplacian (see the
-        class docstring), so that x has covariance (graph Laplacian)^-1."""
-        if self._box is not None:
-            return self._box_power(xi, -0.5)
-        # dtbtrs solves against the band without copying it; U's diagonal
-        # is positive, so LAPACK's info is always 0
-        return dtbtrs(self._banded()[0], xi, uplo="U", trans="N")[0]
-
-    def _root_transpose(self, w: np.ndarray) -> np.ndarray:
-        """R^T w, so that w . white_to_field(xi) == _root_transpose(w) . xi."""
-        if self._box is not None:
-            return self._box_power(w, -0.5)
-        return dtbtrs(self._banded()[0], w, uplo="U", trans="T")[0]
+        """R xi, so that x has covariance (graph Laplacian)^-1."""
+        return self._root(xi)
 
     def cached(self, key, build):
         """The value cached under ``key``: a ring functional (ring_idx, w),
@@ -459,7 +439,7 @@ def disk_lattice(size: int) -> LatticeDomain:
     ii, jj = np.meshgrid(r, r, indexing="ij")
     ij = np.stack([ii.ravel(), jj.ravel()], axis=1)
     z = (ij[:, 0] + 1j * ij[:, 1]) * a
-    return LatticeDomain(a, ij[np.abs(z) < 1.0], label=f"disk{size}")
+    return LatticeDomain(a, ij[np.abs(z) < 1.0])
 
 
 def halfplane_lattice(width: float, spacing: float) -> LatticeDomain:
@@ -471,7 +451,7 @@ def halfplane_lattice(width: float, spacing: float) -> LatticeDomain:
     j = np.arange(1, ni + 1)
     ii, jj = np.meshgrid(i, j, indexing="ij")
     ij = np.stack([ii.ravel(), jj.ravel()], axis=1)
-    return LatticeDomain(spacing, ij, label=f"halfplane(W={width:g},a={spacing:g})")
+    return LatticeDomain(spacing, ij)
 
 
 class DirichletCell:
@@ -556,15 +536,6 @@ def _factored_laplacian(codes: np.ndarray):
     """(U, bandwidth) of the graph Laplacian (diagonal 4, Dirichlet rows
     eliminated) on the sites with sorted ``codes``; the band is assembled
     Fortran-ordered and factored in place, so only one band is ever held."""
-    rows, cols = _subdomain_pairs(codes)
-    bw = int(np.max(cols - rows)) if len(rows) else 0
-    ab = np.zeros((bw + 1, len(codes)), order="F")
-    ab[bw, :] = 4.0
-    ab[bw + rows - cols, cols] = -1.0
-    return cholesky_banded(ab, overwrite_ab=True, lower=False), bw
-
-
-def _subdomain_pairs(codes: np.ndarray):
     base = np.arange(len(codes))
     rows = []
     cols = []
@@ -572,7 +543,12 @@ def _subdomain_pairs(codes: np.ndarray):
         pos, hit = _lookup(codes, codes + di * (2 * _CODE_SHIFT) + dj)
         rows.append(base[hit])
         cols.append(pos[hit])
-    return np.concatenate(rows), np.concatenate(cols)
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    bw = int(np.max(cols - rows)) if len(rows) else 0
+    ab = np.zeros((bw + 1, len(codes)), order="F")
+    ab[bw, :] = 4.0
+    ab[bw + rows - cols, cols] = -1.0
+    return cholesky_banded(ab, overwrite_ab=True, lower=False), bw
 
 
 def discrete_green(lat: LatticeDomain, x, y) -> float:

@@ -376,7 +376,7 @@ def test_conformal_invariance(
 
 def _image_lattice(lat: LatticeDomain, f: ConformalMap) -> LatticeDomain:
     if isinstance(f, Scaling):
-        return LatticeDomain(lat.spacing * f.c, lat.interior_ij.copy(), label=f"{lat.label}*{f.c:g}")
+        return LatticeDomain(lat.spacing * f.c, lat.interior_ij.copy())
     probe = np.exp(1j * np.linspace(0, 2 * np.pi, 64, endpoint=False))
     if np.max(np.abs(np.abs(np.asarray(f(probe))) - 1.0)) < 1e-9:
         return lat
@@ -501,7 +501,7 @@ def _on_grid(grid: np.ndarray, v: float) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _synthetic_path(grid, n: int, seed: int, kind: str, increments) -> ProcessPath:
+def _synthetic_path(grid, n: int, seed: int, increments) -> ProcessPath:
     """Replica k is the cumulative sum of ``increments(rng, du)``, with rng
     on stream k and du the grid steps from 0."""
     g = np.asarray(grid, dtype=float)
@@ -511,7 +511,7 @@ def _synthetic_path(grid, n: int, seed: int, kind: str, increments) -> ProcessPa
     for k in range(n):
         rng = replica_rng(seed, k, rng)
         reps[k] = np.cumsum(increments(rng, du))
-    return ProcessPath(g, reps, kind=kind, backend="synthetic", seed=seed)
+    return ProcessPath(g, reps)
 
 
 def levy_path(grid, n: int, seed: int, alpha: float = 1.5) -> ProcessPath:
@@ -521,7 +521,7 @@ def levy_path(grid, n: int, seed: int, alpha: float = 1.5) -> ProcessPath:
     def increments(rng, du):
         return sample_sas(alpha, len(du), rng) * du ** (1.0 / alpha)
 
-    return _synthetic_path(grid, n, seed, "levy", increments)
+    return _synthetic_path(grid, n, seed, increments)
 
 
 def compound_poisson_path(grid, n: int, seed: int, rate: float = 1.0) -> ProcessPath:
@@ -532,7 +532,7 @@ def compound_poisson_path(grid, n: int, seed: int, rate: float = 1.0) -> Process
         counts = rng.poisson(rate * du)
         return np.where(counts > 0, np.sqrt(counts), 0.0) * rng.standard_normal(len(du))
 
-    return _synthetic_path(grid, n, seed, "compound_poisson", increments)
+    return _synthetic_path(grid, n, seed, increments)
 
 
 def ar1_increment_path(grid, n: int, seed: int, rho: float = 0.3) -> ProcessPath:
@@ -549,4 +549,4 @@ def ar1_increment_path(grid, n: int, seed: int, rho: float = 0.3) -> ProcessPath
             eps[j] = rho * eps[j - 1] + np.sqrt(1.0 - rho * rho) * xi[j]
         return eps * np.sqrt(du)
 
-    return _synthetic_path(grid, n, seed, "ar1", increments)
+    return _synthetic_path(grid, n, seed, increments)

@@ -254,7 +254,7 @@ def test_criterion_10_domain_markov():
         R[i] = d.residual.values[cell_mask]
     pick = replica_rng(4210, 1).choice(n_cell, size=10, replace=False)
     worst_corr = max(abs(np.corrcoef(R[:, j], H[:, j])[0, 1]) for j in pick)
-    sub = LatticeDomain(lat.spacing, lat.interior_ij[first.cell.member_idx], label="sub")
+    sub = LatticeDomain(lat.spacing, lat.interior_ij[first.cell.member_idx])
     center = int(np.argmin(np.abs(sub.z)))
     target = CALIBRATION**2 * discrete_green(sub, sub.z[center], sub.z[center])
     j_center = int(np.argmin(np.abs(lat.z[cell_mask])))

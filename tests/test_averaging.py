@@ -719,13 +719,13 @@ def test_weight_cache_has_one_reader_and_averaging_no_site_codes():
 
 def test_process_path_validation():
     with pytest.raises(DomainError):
-        ProcessPath(np.array([1.0, 1.0]), np.zeros((2, 2)), "sine", "exact", 0)
+        ProcessPath(np.array([1.0, 1.0]), np.zeros((2, 2)))
     with pytest.raises(DomainError):
-        ProcessPath(np.array([1.0, 2.0]), np.zeros((2, 3)), "sine", "exact", 0)
+        ProcessPath(np.array([1.0, 2.0]), np.zeros((2, 3)))
 
 
 def test_process_path_column_interpolation():
-    path = ProcessPath(np.array([0.0, 2.0]), np.array([[0.0, 4.0], [1.0, 3.0]]), "t", "exact", 0)
+    path = ProcessPath(np.array([0.0, 2.0]), np.array([[0.0, 4.0], [1.0, 3.0]]))
     assert_allclose(path.column(1.0), [2.0, 2.0])
     with pytest.raises(DomainError):
         path.column(3.0)
@@ -735,6 +735,6 @@ def test_process_path_csv_round_trip(tmp_path):
     path = sine_average_path(5, (0.5, 1.0, 2.0), seed=307, backend="exact")
     f = tmp_path / "path.csv"
     path.to_csv(f)
-    back = ProcessPath.from_csv(f, kind="sine", backend="exact", seed=307)
+    back = ProcessPath.from_csv(f)
     assert_allclose(back.grid, path.grid, rtol=0, atol=0)
     assert_allclose(back.replicas, path.replicas, rtol=0, atol=0)

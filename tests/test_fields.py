@@ -1,5 +1,10 @@
 """Field samplers, the domain Markov decomposition, and serialization."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -40,7 +45,7 @@ from gffforge.verify import anderson_darling_p
 
 
 def point_lattice():
-    return LatticeDomain(1.0, np.array([[0, 0]]), label="point")
+    return LatticeDomain(1.0, np.array([[0, 0]]))
 
 
 def harmonic_lattice_field(lat, bfun):
@@ -154,7 +159,7 @@ def test_dgff_chunked_generation_matches_one_batch():
 def _gram_root(lat, W):
     """The triangular root R, R^T R = V^T V, that Gaussian functionals
     draw through: k normals per replica instead of one per site."""
-    return np.linalg.qr(CALIBRATION * lat._root_transpose(W), mode="r")
+    return np.linalg.qr(CALIBRATION * lat._root(W, "T"), mode="r")
 
 
 @pytest.mark.parametrize("law", ["gff", "stable"])
@@ -221,7 +226,7 @@ def test_replica_blocks_match_serial_reference(monkeypatch, threads):
         W = np.stack([np.asarray(disk_bump(0.1j, 0.5)(lat.z)), lat.z.real], axis=1)
         # Gaussian functionals draw k normals through the Gram root R,
         # stable ones the site noise through V = c R_lat^T W
-        for law, V in (("gff", _gram_root(lat, W)), ("stable", CALIBRATION * lat._root_transpose(W))):
+        for law, V in (("gff", _gram_root(lat, W)), ("stable", CALIBRATION * lat._root(W, "T"))):
             rows = _serial_noise(law, 1.6, V.shape[0], n, seed)
             ref = np.stack([rows[r] @ V for r in range(n)])
             assert np.array_equal(sample_functionals(lat, W, n, seed, law, 1.6), ref)
@@ -239,7 +244,7 @@ def test_box_functional_gram_matches_cholesky():
     lat = halfplane_lattice(1.2, 0.1)
     z = lat.z
     W = np.stack([np.asarray(disk_bump(0.3 + 0.4j, 0.5)(z)), z.imag, np.ones(lat.n_sites)], axis=1)
-    V = lat._root_transpose(W)
+    V = lat._root(W, "T")
     V_chol = dtbtrs(lat._banded()[0], W, uplo="U", trans="T")[0]
     ref = V_chol.T @ V_chol
     assert np.max(np.abs(V.T @ V - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -252,9 +257,27 @@ def test_box_stable_functionals_keep_mirror_symmetry():
     lat = halfplane_lattice(2.0, 0.05)
     a = lat.spacing
     W = np.stack([disk_bump(0.7 + 0.5j, 0.4)(lat.z), disk_bump(-0.7 + 0.5j, 0.4)(lat.z)], axis=1)
-    V = lat._root_transpose(W * a * a)
+    V = lat._root(W * a * a, "T")
     norms = np.sum(np.abs(V) ** 1.5, axis=0) ** (1.0 / 1.5)
     assert abs(norms[1] / norms[0] - 1.0) <= 1e-12
+
+
+def test_zero_replicas_on_a_banded_lattice_exit_cleanly():
+    # LAPACK dtbtrs corrupts the heap on a right-hand side with no columns,
+    # and the interpreter then crashes after the call has returned: run the
+    # calls in a child and require a clean exit
+    code = (
+        "from gffforge.averaging import circle_average_path\n"
+        "from gffforge.fields import dgff_matrix\n"
+        "from gffforge.greens import disk_lattice\n"
+        "print(dgff_matrix(disk_lattice(16), 0, 1).shape)\n"
+        "print(circle_average_path(5, [], 1, backend='lattice', lattice=disk_lattice(16)).replicas.shape)\n"
+    )
+    src = str(Path(fields.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n") == ["(193, 0)", "(5, 0)", ""]
 
 
 def test_sample_functionals_validation():
@@ -477,7 +500,7 @@ def test_residual_independence_stable_rank_correlation():
 
 def test_residual_law_is_subdomain_field(markov_batch):
     lat, vals, cell, harm_members, residual_members = markov_batch
-    sublat = LatticeDomain(lat.spacing, lat.interior_ij[cell.member_idx], label="sub")
+    sublat = LatticeDomain(lat.spacing, lat.interior_ij[cell.member_idx])
     k_parent = np.argmin(np.abs(lat.z[cell.member_idx]))
     z0 = lat.z[cell.member_idx][k_parent]
     target = CALIBRATION ** 2 * discrete_green(sublat, z0, z0)
@@ -543,7 +566,7 @@ def test_field_round_trip(tmp_path):
     seed=st.integers(min_value=0, max_value=2 ** 40),
 )
 def test_field_round_trip_metadata(tmp_path_factory, law, alpha, seed):
-    lat = LatticeDomain(0.25, np.array([[0, 0], [1, 0], [0, 1]]), label="tri")
+    lat = LatticeDomain(0.25, np.array([[0, 0], [1, 0], [0, 1]]))
     s = FieldSample(lat, np.array([1.5, -2.25, 0.125]), law, alpha, seed)
     path = tmp_path_factory.mktemp("fieldmeta") / "f.gffs"
     save_field(s, path)

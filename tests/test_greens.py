@@ -1,13 +1,17 @@
 """Tests for continuum Green kernels, covariance assembly, and the lattice inverse."""
 
+import ast
 import gc
+import inspect
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import cho_solve_banded
 from scipy.linalg.lapack import dtbtrs
 
+from gffforge import greens
 from gffforge.averaging import CircleMeasure, SineMeasure
 from gffforge.errors import DomainError, SingularityError
 from gffforge.geometry import Mobius, UnitDisk, UpperHalfPlane, disk_bump, radial_annulus_bump
@@ -139,6 +143,14 @@ def test_sine_average_covariance_structure():
     np.testing.assert_allclose(c / sigma2, [[1.0, 1.0], [1.0, 2.0]], atol=1e-6)
 
 
+def test_mixed_function_and_measure_list_is_rejected():
+    obs = [disk_bump(0.0, 0.4), CircleMeasure(0.0, 0.5)]
+    with pytest.raises(DomainError, match="test function with a curve measure"):
+        covariance_of_observables(obs, UnitDisk())
+    with pytest.raises(DomainError, match="test function with a curve measure"):
+        covariance_of_observables(obs[::-1], UnitDisk())
+
+
 def test_single_observable_variance():
     cov = covariance_of_observables([disk_bump(0.0, 0.4)], UnitDisk())
     assert cov.shape == (1, 1)
@@ -164,7 +176,7 @@ def test_covariance_matrices_are_psd(seed):
 
 
 def test_discrete_green_single_site():
-    lat = LatticeDomain(1.0, np.array([[0, 0]]), label="point")
+    lat = LatticeDomain(1.0, np.array([[0, 0]]))
     assert discrete_green(lat, (0, 0), (0, 0)) == pytest.approx(0.25)
 
 
@@ -205,7 +217,7 @@ def test_box_root_is_symmetric_and_squares_to_inverse():
     assert lat._chol is None
     assert np.max(np.abs(R - R.T)) <= 1e-14 * np.max(np.abs(R))
     assert np.max(np.abs(R @ R - L_inv)) <= 1e-12 * np.max(np.abs(L_inv))
-    assert np.array_equal(lat._root_transpose(eye), R)
+    assert np.array_equal(lat._root(eye, "T"), R)
 
 
 @pytest.mark.parametrize("which", ["disk", "box-minus-site"])
@@ -219,8 +231,30 @@ def test_non_rectangular_sites_use_banded_factor(which):
     xi = np.random.default_rng(5).standard_normal((lat.n_sites, 3))
     U = lat._banded()[0]
     assert np.array_equal(lat.white_to_field(xi), dtbtrs(U, xi, uplo="U", trans="N")[0])
-    assert np.array_equal(lat._root_transpose(xi), dtbtrs(U, xi, uplo="U", trans="T")[0])
+    assert np.array_equal(lat._root(xi, "T"), dtbtrs(U, xi, uplo="U", trans="T")[0])
     assert np.array_equal(lat.solve(xi), cho_solve_banded((U, False), xi))
+
+
+def test_one_method_chooses_the_lattice_root():
+    # the box/band decision is made in _root alone: every other method
+    # reaches R through it, and dtbtrs has a single call site in src/
+    tree = ast.parse(inspect.getsource(greens))
+    lat_cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "LatticeDomain")
+    readers = {
+        fn.name
+        for fn in lat_cls.body
+        if isinstance(fn, ast.FunctionDef)
+        for n in ast.walk(fn)
+        if isinstance(n, ast.Attribute) and n.attr == "_box" and isinstance(n.ctx, ast.Load)
+        and isinstance(n.value, ast.Name) and n.value.id == "self"
+    }
+    assert readers == {"_root"}
+    calls = sum(
+        isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "dtbtrs"
+        for path in Path(greens.__file__).parent.glob("*.py")
+        for n in ast.walk(ast.parse(path.read_text()))
+    )
+    assert calls == 1
 
 
 def test_duplicate_sites_rejected():

@@ -37,7 +37,7 @@ def bm_path(grid, n, seed, sigma=1.0):
     du = np.concatenate([[g[0]], np.diff(g)])
     rng = replica_rng(seed, 0)
     reps = np.cumsum(rng.standard_normal((n, len(g))) * sigma * np.sqrt(du), axis=1)
-    return ProcessPath(g, reps, kind="bm", backend="synthetic", seed=seed)
+    return ProcessPath(g, reps)
 
 
 # ---------------------------------------------------------------------------
@@ -498,9 +498,7 @@ def test_characterize_rejects_compound_poisson_on_normality():
 
 
 def test_characterize_zero_path_degenerate():
-    Z = ProcessPath(
-        np.asarray(SHORT_GRID), np.zeros((50, 4)), kind="zero", backend="synthetic", seed=0
-    )
+    Z = ProcessPath(np.asarray(SHORT_GRID), np.zeros((50, 4)))
     v = characterize_bm(Z)
     assert v.consistent
     assert v.sigma_hat == 0.0
