@@ -17,19 +17,17 @@ import numpy as np
 
 from .errors import DomainError, ResolutionError
 from .fields import FieldSample, sample_functionals, sample_gff_observables
-from .geometry import gauss_legendre, mollifier
+from .geometry import gauss_legendre
 from .greens import DirichletCell, LatticeDomain, disk_lattice, halfplane_lattice
 
 __all__ = [
     "CircleMeasure",
     "SineMeasure",
-    "FattenedSineMeasure",
     "ProcessPath",
     "DEFAULT_U_GRID",
     "DEFAULT_T_GRID",
     "circle_average_path",
     "sine_pair",
-    "fattened_sine_pair",
     "sine_average_path",
     "sine_lattice_for",
     "rotational_average_check",
@@ -92,47 +90,6 @@ class SineMeasure:
         nodes = np.exp(1j * t) * self.radius
         weights = np.sqrt(self.u) * np.sin(t) * h
         return nodes, weights
-
-
-@dataclass(frozen=True)
-class FattenedSineMeasure:
-    """Smooth two-sided approximation of a sine measure.
-
-    The angular cutoff chi kills a delta-neighbourhood of the real axis and
-    the radial mollification spreads the semicircle over scales u(1 + x)
-    (side "in") or u(1 - x) (side "out") with x ~ eta(x/delta)/delta on
-    (0, delta).
-    """
-
-    u: float
-    delta: float
-    side: str = "in"
-    profile: str = "default"
-
-    def __post_init__(self):
-        if self.side not in ("in", "out"):
-            raise DomainError("side must be 'in' or 'out'")
-        if not self.u > 0:
-            raise DomainError("FattenedSineMeasure needs u > 0")
-        if self.side == "out" and self.delta >= 1.0:
-            raise DomainError("outward fattening needs delta < 1")
-
-    def discretize(self, offset: int = 0):
-        m = mollifier(self.delta, self.profile)
-        n_x, n_theta = 24, 512  # radial Gauss-Legendre and angular midpoint nodes
-        xs, wx = gauss_legendre(n_x + offset, 0.0, self.delta)
-        h = np.pi / n_theta
-        t = (np.arange(n_theta) + (0.25 if offset == 0 else 0.75)) * h
-        chi = m.chi(t)
-        sgn = 1.0 if self.side == "in" else -1.0
-        scales = self.u * (1.0 + sgn * xs)  # (n_x,)
-        radii = 1.0 / np.sqrt(scales)
-        nodes = radii[:, None] * np.exp(1j * t)[None, :]
-        weights = (
-            (wx * m.eta_scaled(xs) * np.sqrt(scales))[:, None]
-            * (np.sin(t) * chi * h)[None, :]
-        )
-        return nodes.ravel(), weights.ravel()
 
 
 @dataclass
@@ -248,28 +205,20 @@ def circle_average_path(
 # ---------------------------------------------------------------------------
 
 
-def _pair(f, nodes, weights) -> float:
-    """sum_q weights_q f(nodes_q); a FieldSample pairs through its lattice's
-    bilinear site rule, ``LatticeDomain.site_weights``."""
+def sine_pair(f, u: float, n_nodes: int = 256) -> float:
+    """Quadrature pairing sqrt(u) * integral of sin(theta) f(e^(i theta)/sqrt(u));
+    a FieldSample pairs through its lattice's ``site_weights``."""
+    if not u > 0:
+        raise DomainError("sine_pair needs u > 0")
+    t, w = gauss_legendre(n_nodes, 0.0, np.pi)
+    nodes = np.exp(1j * t) / np.sqrt(u)
+    weights = np.sqrt(u) * w * np.sin(t)
     if isinstance(f, FieldSample):
         site_idx, c = f.lattice.site_weights(nodes, weights)
         return float(c @ f.values[site_idx])
     if not callable(f):
         raise DomainError("expected a callable, TestFunction, or FieldSample")
     return float(np.sum(weights * np.asarray(f(nodes), dtype=float)))
-
-
-def sine_pair(f, u: float, n_nodes: int = 256) -> float:
-    """Quadrature pairing sqrt(u) * integral of sin(theta) f(e^(i theta)/sqrt(u))."""
-    if not u > 0:
-        raise DomainError("sine_pair needs u > 0")
-    t, w = gauss_legendre(n_nodes, 0.0, np.pi)
-    return _pair(f, np.exp(1j * t) / np.sqrt(u), np.sqrt(u) * w * np.sin(t))
-
-
-def fattened_sine_pair(f, measure: FattenedSineMeasure) -> float:
-    """Pairing with the smooth fattened density via nested quadrature."""
-    return _pair(f, *measure.discretize(offset=0))
 
 
 def sine_lattice_for(

@@ -58,7 +58,14 @@ from .verify import (
     test_wick_fourth,
 )
 
-__all__ = ["ExperimentConfig", "load_config", "run", "main", "EXPERIMENTS"]
+__all__ = [
+    "ExperimentConfig",
+    "parse_config_file",
+    "load_config",
+    "run",
+    "main",
+    "EXPERIMENTS",
+]
 
 
 # The keys each experiment reads, with their defaults: any other key is

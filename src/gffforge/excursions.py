@@ -88,7 +88,6 @@ class ExcursionSample:
     r: float
     eps: float
     n_paths: int
-    seed: int
     mode: str
     angles: np.ndarray
     weights: np.ndarray
@@ -215,7 +214,6 @@ def sample_excursion_hits(
         r=r,
         eps=eps,
         n_paths=n,
-        seed=seed,
         mode="split" if split else "literal",
         angles=np.concatenate([p[0] for p in parts]),
         weights=np.concatenate([p[1] for p in parts]),

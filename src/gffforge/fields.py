@@ -56,6 +56,7 @@ __all__ = [
     "markov_decompose",
     "save_field",
     "load_field",
+    "GridField",
 ]
 
 CALIBRATION = float(np.sqrt(2.0 * np.pi))

@@ -1,4 +1,4 @@
-"""Planar domains, conformal maps, test functions, mollifiers, quadrature.
+"""Planar domains, conformal maps, test functions, quadrature.
 
 Points are plain complex numbers throughout.  Maps act on scalars or
 numpy arrays and carry analytic derivatives and inverses, so pullbacks of
@@ -25,11 +25,9 @@ __all__ = [
     "Scaling",
     "Support",
     "TestFunction",
-    "MollifierProfile",
     "mobius_to_disk",
     "pullback_test_function",
     "gauss_legendre",
-    "mollifier",
     "disk_bump",
     "radial_annulus_bump",
     "integrate_test_function",
@@ -199,15 +197,36 @@ class TestFunction:
         return np.asarray(self.evaluator(z), dtype=float)
 
 
-def _smooth_profile(t, beta: float = 1.0):
-    """exp(-beta / (t (1 - t))) on (0, 1), zero outside; all derivatives
+def _smooth_profile(t):
+    """exp(-1 / (t (1 - t))) on (0, 1), zero outside; all derivatives
     vanish at both endpoints."""
     t = np.asarray(t, dtype=float)
     out = np.zeros_like(t)
     inside = (t > 0.0) & (t < 1.0)
     ti = t[inside]
-    out[inside] = np.exp(-beta / (ti * (1.0 - ti)))
+    out[inside] = np.exp(-1.0 / (ti * (1.0 - ti)))
     return out
+
+
+_N_CDF_TABLE = 16385
+
+
+@lru_cache(maxsize=None)
+def _profile_table():
+    """Nodes and normalized cumulative of the bump exp(-1/(x(1-x))), built
+    once and kept read-only."""
+    x = np.linspace(0.0, 1.0, _N_CDF_TABLE)
+    vals = _smooth_profile(x)
+    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1]) * np.diff(x))])
+    cdf /= cdf[-1]
+    x.flags.writeable = cdf.flags.writeable = False
+    return x, cdf
+
+
+def _smoothstep(t):
+    """C-infinity step: 0 for t <= 0, 1 for t >= 1, integrated bump between."""
+    x, cdf = _profile_table()
+    return np.interp(np.clip(np.asarray(t, dtype=float), 0.0, 1.0), x, cdf)
 
 
 def disk_bump(center: complex, radius: float, height: float = 1.0) -> TestFunction:
@@ -261,12 +280,11 @@ def radial_annulus_bump(
     r_lo = 1.0 - delta if inner is None else inner
     r_hi = 1.0 - delta / 2.0 if outer is None else outer
     pad = delta / 10.0
-    step = _smoothstep
 
     def profile(r):
         r = np.asarray(r, dtype=float)
-        up = step((r - (r_lo - pad)) / pad)
-        down = 1.0 - step((r - r_hi) / pad)
+        up = _smoothstep((r - (r_lo - pad)) / pad)
+        down = 1.0 - _smoothstep((r - r_hi) / pad)
         return height * up * down
 
     scale = 1.0
@@ -332,77 +350,3 @@ def integrate_test_function(phi: TestFunction, n: int = 256) -> float:
     zz = gx[:, None] + 1j * gy[None, :]
     return float(np.sum(wx[:, None] * wy[None, :] * phi(zz)))
 
-
-# ---------------------------------------------------------------------------
-# mollifiers
-# ---------------------------------------------------------------------------
-
-_N_CDF_TABLE = 16385
-
-
-@lru_cache(maxsize=None)
-def _profile_table(beta: float):
-    """Nodes, norm and normalized cumulative of the bump exp(-beta/(x(1-x))),
-    built once per beta and kept read-only."""
-    x = np.linspace(0.0, 1.0, _N_CDF_TABLE)
-    vals = _smooth_profile(x, beta)
-    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1]) * np.diff(x))])
-    norm = cdf[-1]
-    cdf /= norm
-    x.flags.writeable = cdf.flags.writeable = False
-    return x, norm, cdf
-
-
-def _smoothstep(t, beta: float = 1.0):
-    """C-infinity step: 0 for t <= 0, 1 for t >= 1, integrated bump between."""
-    x, _, cdf = _profile_table(beta)
-    return np.interp(np.clip(np.asarray(t, dtype=float), 0.0, 1.0), x, cdf)
-
-
-_PROFILE_BETAS = {"default": 1.0, "sharp": 2.0}
-
-
-@dataclass(frozen=True)
-class MollifierProfile:
-    """Bump eta of unit mass on (0, 1) and the matching angular cutoff.
-
-    ``chi`` equals 1 on [delta, pi - delta], vanishes on [0, delta/2] and
-    [pi - delta/2, pi], and interpolates with the integrated bump, so both
-    pieces are infinitely differentiable.
-    """
-
-    delta: float
-    beta: float = 1.0
-
-    def __post_init__(self):
-        if not 0 < self.delta < np.pi / 2:
-            raise DomainError("mollifier needs 0 < delta < pi/2")
-
-    def eta(self, x):
-        # closed form; the norm constant comes from the tabulated cumulative,
-        # which is spectrally accurate because every derivative of the bump
-        # vanishes at 0 and 1
-        return _smooth_profile(x, self.beta) / _profile_table(self.beta)[1]
-
-    def eta_scaled(self, x):
-        """eta compressed onto (0, delta), still of unit mass."""
-        return self.eta(np.asarray(x, dtype=float) / self.delta) / self.delta
-
-    def chi(self, theta):
-        th = np.asarray(theta, dtype=float)
-        d = self.delta
-        rise = _smoothstep((th - d / 2.0) / (d / 2.0), self.beta)
-        fall = _smoothstep(((np.pi - th) - d / 2.0) / (d / 2.0), self.beta)
-        return rise * fall
-
-
-def mollifier(delta: float, profile: str = "default") -> MollifierProfile:
-    """Mollifier pair (eta, chi) at scale delta.
-
-    ``profile`` picks the bump family; "default" is exp(-1/(x(1-x))),
-    "sharp" squeezes the same shape with a doubled exponent.  Downstream
-    limits must not depend on the choice.
-    """
-    if profile not in _PROFILE_BETAS:
-        raise DomainError(f"unknown mollifier profile {profile!r}")
-    return MollifierProfile(delta, beta=_PROFILE_BETAS[profile])

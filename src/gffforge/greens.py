@@ -15,6 +15,7 @@ where row-major site ordering keeps the bandwidth at one grid row.
 from __future__ import annotations
 
 import weakref
+from dataclasses import replace
 
 import numpy as np
 from scipy.fft import dstn
@@ -180,59 +181,43 @@ def _h_minus1_once(f, g, domain, n):
 # ---------------------------------------------------------------------------
 
 
+def _pair_offset(obs_a, obs_b, g) -> float:
+    """Offset-0 nodes of obs_a against offset-1 nodes of obs_b under the
+    kernel g; the two node sets never collide."""
+    xn, xw = obs_a.discretize(offset=0)
+    yn, yw = obs_b.discretize(offset=1)
+    return float(xw @ g(xn[:, None], yn[None, :]) @ yw)
+
+
 def _pair_discrete(obs_a, obs_b, domain, same: bool) -> float:
     """Pairing of two discretizable observables (measures on curves)."""
     from . import averaging  # local import: averaging depends on this module
 
-    g = _green_for(domain)
     if same and isinstance(obs_a, averaging.CircleMeasure):
         return _circle_self(obs_a, domain)
+    g = _green_for(domain)
     if same and isinstance(obs_a, averaging.SineMeasure):
-        return _sine_self(obs_a, domain)
-    # offset node sets keep the log singularity of an absolutely continuous
-    # (fattened) self-pairing integrable
-    xn, xw = obs_a.discretize(offset=0)
-    yn, yw = obs_b.discretize(offset=1)
-    return float(xw @ g(xn[:, None], yn[None, :]) @ yw)
+        # one Richardson step kills the O(1/n) diagonal error of the offset
+        # midpoint rule
+        m2 = replace(obs_a, n_nodes=2 * obs_a.n_nodes)
+        return 2.0 * _pair_offset(m2, m2, g) - _pair_offset(obs_a, obs_a, g)
+    return _pair_offset(obs_a, obs_b, g)
 
 
 def _circle_self(m, domain) -> float:
     """Variance pairing of a uniform unit-mass circle measure with itself.
 
     The angular average of -log|x - y| over a circle of radius eps is
-    exactly -log(eps); only the harmonic part needs quadrature.
+    exactly -log(eps); only the harmonic part needs quadrature, on the
+    measure's own offset nodes.
     """
     harm, contains = _kernel_parts(domain)
-    n = 512
-    h = 2.0 * np.pi / n
-    ta = (np.arange(n) + 0.25) * h
-    tb = (np.arange(n) + 0.75) * h
-    x = m.center + m.radius * np.exp(1j * ta)
-    y = m.center + m.radius * np.exp(1j * tb)
+    x, w = m.discretize(offset=0)
+    y, _ = m.discretize(offset=1)
     if not (np.all(contains(x)) and np.all(contains(y))):
         raise DomainError("circle measure leaves the domain")
-    w = np.full(n, 1.0 / n)
     smooth = float(w @ harm(x[:, None], y[None, :]) @ w)
     return smooth - np.log(m.radius)
-
-
-def _sine_self(m, domain) -> float:
-    """Self-pairing of a sine measure: offset-midpoint quadrature with one
-    Richardson step to kill the O(1/n) diagonal error."""
-    g = _green_for(domain)
-
-    def value(n):
-        h = np.pi / n
-        ta = (np.arange(n) + 0.25) * h
-        tb = (np.arange(n) + 0.75) * h
-        x = np.exp(1j * ta) / np.sqrt(m.u)
-        y = np.exp(1j * tb) / np.sqrt(m.u)
-        wa = np.sqrt(m.u) * np.sin(ta) * h
-        wb = np.sqrt(m.u) * np.sin(tb) * h
-        return float(wa @ g(x[:, None], y[None, :]) @ wb)
-
-    n = m.n_nodes
-    return 2.0 * value(2 * n) - value(n)
 
 
 def covariance_of_observables(observables, domain=UnitDisk(), n_quad: int = 48) -> np.ndarray:

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 from scipy.special import log_ndtr
 
 from .averaging import ProcessPath
@@ -258,6 +257,8 @@ def test_brownian_scaling(Y: ProcessPath, c: float) -> TestReport:
         raise DomainError(f"no grid pair (u, {c}u) available for the scaling test")
     if n < MIN_BATTERY_REPLICAS:
         raise DomainError(f"scaling test needs at least {MIN_BATTERY_REPLICAS} replicas")
+    from scipy import stats  # imported here: it is most of the CLI's start-up time
+
     half = n // 2
     ps = []
     ds = []
@@ -361,6 +362,8 @@ def test_conformal_invariance(
     dstw = np.asarray(psi(dst.z)) * dst.spacing**2
     a = sample_functionals(lat, srcw[:, None], n, seed, law, alpha)[:, 0]
     b = sample_functionals(dst, dstw[:, None], n, (seed + 1) % 2**64, law, alpha)[:, 0]
+    from scipy import stats
+
     ks = stats.ks_2samp(a, b)
     notes = f"lattice spacings {lat.spacing:.4g} -> {dst.spacing:.4g}; O(spacing) bias applies"
     if law != "gff":

@@ -10,13 +10,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from gffforge.averaging import (
-    FattenedSineMeasure,
     ProcessPath,
     SineMeasure,
     _circle_weights,
     _sine_weights,
     circle_average_path,
-    fattened_sine_pair,
     rotational_average_check,
     sine_average_path,
     sine_lattice_for,
@@ -63,27 +61,6 @@ def test_sine_measure_radius():
     assert abs(SineMeasure(4.0).radius - 0.5) < 1e-15
 
 
-def test_fattened_mass_converges():
-    # the chi cutoff and radial smearing cost O(delta) mass; halving delta
-    # must shrink the deficit, on both sides
-    for side in ("in", "out"):
-        errs = []
-        for delta in (0.1, 0.05, 0.025):
-            m = FattenedSineMeasure(1.0, delta, side=side)
-            _, w = m.discretize()
-            errs.append(abs(w.sum() - 2.0))
-        assert errs[0] > errs[1] > errs[2]
-
-
-def test_fattened_measure_validation():
-    with pytest.raises(DomainError):
-        FattenedSineMeasure(1.0, 0.05, side="both")
-    with pytest.raises(DomainError):
-        FattenedSineMeasure(-1.0, 0.05)
-    with pytest.raises(DomainError):
-        FattenedSineMeasure(1.0, 1.5, side="out")
-
-
 # ---------------------------------------------------------------------------
 # sine_pair quadrature oracles
 # ---------------------------------------------------------------------------
@@ -115,48 +92,6 @@ def test_sine_pair_inverted_imaginary_is_linear():
 def test_sine_pair_rejects_bad_scale():
     with pytest.raises(DomainError):
         sine_pair(lambda z: z.imag, 0.0)
-
-
-# ---------------------------------------------------------------------------
-# fattened pairings
-# ---------------------------------------------------------------------------
-
-
-def test_fattened_pair_zero_function():
-    m = FattenedSineMeasure(1.0, 0.05)
-    assert fattened_sine_pair(lambda z: np.zeros_like(z, dtype=float), m) == 0.0
-
-
-def test_fattened_pair_mollification_bias():
-    m = FattenedSineMeasure(1.0, 0.05, side="in")
-    assert abs(fattened_sine_pair(lambda z: z.imag, m) - HALF_PI) < 0.02
-
-
-def test_fattened_sides_converge_together():
-    f = lambda z: z.imag
-    diffs = []
-    for delta in (0.1, 0.025):
-        p_in = fattened_sine_pair(f, FattenedSineMeasure(1.0, delta, side="in"))
-        p_out = fattened_sine_pair(f, FattenedSineMeasure(1.0, delta, side="out"))
-        diffs.append(abs(p_in - p_out))
-    assert diffs[1] < diffs[0]
-
-
-def test_mollifier_profile_independence():
-    # the fattening limit cannot depend on the bump choice: both profiles
-    # land within the same bias envelope and tighten together
-    f = lambda z: z.imag / np.abs(z) ** 2
-    target = HALF_PI  # linear-in-u pairing at u = 1
-    for side in ("in", "out"):
-        errs = {}
-        for profile in ("default", "sharp"):
-            errs[profile] = [
-                abs(fattened_sine_pair(f, FattenedSineMeasure(1.0, d, side=side, profile=profile)) - target)
-                for d in (0.1, 0.025)
-            ]
-            assert errs[profile][1] < errs[profile][0]
-        envelope = max(errs["default"][0], errs["sharp"][0])
-        assert abs(errs["default"][0] - errs["sharp"][0]) < envelope
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,11 @@
 exit-code contract, report/manifest emission, determinism, and each
 subcommand at smoke scale."""
 
+import importlib
+import inspect
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from dataclasses import asdict
@@ -399,6 +402,41 @@ def test_lattice_functionals_ignore_thread_and_blas_settings(tmp_path):
                 assert done.returncode in (0, 1), done.stderr
             outputs.append([(out / name).read_bytes() for name in ("pairings.csv", "report.json", "circle.csv", "sine.csv")])
     assert all(o == outputs[0] for o in outputs[1:])
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is most of the start-up time of every gffforge process;
+    # only two battery tests use it, and they import it themselves
+    src = str(Path(gffforge.__file__).resolve().parents[1])
+    code = "import sys, gffforge.cli; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
+
+
+def _defines_all(info):
+    return hasattr(importlib.import_module(f"gffforge.{info.name}"), "__all__")
+
+
+@pytest.mark.parametrize(
+    "name", [info.name for info in pkgutil.iter_modules(gffforge.__path__) if _defines_all(info)]
+)
+def test_all_lists_exactly_the_public_names(name):
+    # every listed name exists, and the listed functions and classes are
+    # exactly the module's own public ones; other entries are constants
+    mod = importlib.import_module(f"gffforge.{name}")
+    assert [n for n in mod.__all__ if not hasattr(mod, n)] == []
+
+    def is_code(obj):
+        return inspect.isfunction(obj) or inspect.isclass(obj)
+
+    own = {
+        n for n, obj in vars(mod).items()
+        if not n.startswith("_") and is_code(obj) and obj.__module__ == mod.__name__
+    }
+    listed = {n for n in mod.__all__ if is_code(getattr(mod, n))}
+    assert listed == own
 
 
 # ---------------------------------------------------------------------------

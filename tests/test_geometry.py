@@ -1,4 +1,4 @@
-"""Tests for domains, conformal maps, quadrature, and mollifiers."""
+"""Tests for domains, conformal maps, test functions, and quadrature."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from gffforge.errors import DomainError
 from gffforge.geometry import (
     Mobius,
-    MollifierProfile,
     Rotation,
     Scaling,
     UnitDisk,
@@ -15,7 +14,6 @@ from gffforge.geometry import (
     gauss_legendre,
     integrate_test_function,
     mobius_to_disk,
-    mollifier,
     pullback_test_function,
 )
 
@@ -206,47 +204,3 @@ def test_pullback_preserves_total_integral(seed):
         integrate_test_function(phi, n=384), abs=1e-6
     )
 
-
-# ---------------------------------------------------------------------------
-# mollifiers
-# ---------------------------------------------------------------------------
-
-
-def test_mollifier_bump_unit_mass():
-    prof = mollifier(0.1)
-    x, w = gauss_legendre(256, 0.0, 0.1)
-    assert w @ prof.eta_scaled(x) == pytest.approx(1.0, abs=1e-10)
-
-
-def test_mollifier_cutoff_plateau_and_zeros():
-    for delta in (0.05, 0.1, 0.4):
-        prof = mollifier(delta)
-        assert prof.chi(np.pi / 2) == pytest.approx(1.0)
-        assert prof.chi(delta / 4) == 0.0
-        assert prof.chi(np.pi - delta / 4) == 0.0
-        mid = np.linspace(delta, np.pi - delta, 50)
-        np.testing.assert_allclose(prof.chi(mid), 1.0, atol=1e-12)
-        edge = np.linspace(0, delta / 2, 20)
-        np.testing.assert_allclose(prof.chi(edge), 0.0, atol=1e-12)
-
-
-def test_mollifier_range_and_validation():
-    # nonnegative bump vanishing at the endpoints; unit integral fixes
-    # the height (a sup bound of 1 would contradict the normalization)
-    prof = mollifier(0.2)
-    x = np.linspace(0, 1, 300)
-    vals = prof.eta(x)
-    assert np.all(vals >= 0)
-    assert vals[0] == 0.0 and vals[-1] == 0.0
-    with pytest.raises(DomainError):
-        mollifier(0.0)
-    with pytest.raises(DomainError):
-        mollifier(np.pi / 2)
-
-
-def test_mollifier_profiles_differ():
-    a = mollifier(0.1, profile="default")
-    b = mollifier(0.1, profile="sharp")
-    x = np.linspace(0.05, 0.95, 64)
-    assert not np.allclose(a.eta(x), b.eta(x))
-    assert isinstance(a, MollifierProfile)

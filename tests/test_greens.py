@@ -143,6 +143,18 @@ def test_sine_average_covariance_structure():
     np.testing.assert_allclose(c / sigma2, [[1.0, 1.0], [1.0, 2.0]], atol=1e-6)
 
 
+def test_circle_diagonal_uses_the_measure_own_nodes():
+    # the diagonal is the measure's own offset quadrature of the harmonic
+    # part of the kernel plus the exact -log r of the singular part, so
+    # n_nodes sets the diagonal as it sets the off-diagonal entries
+    m = CircleMeasure(0.5 + 0.2j, 0.3, n_nodes=4)
+    x, w = m.discretize(offset=0)
+    y, _ = m.discretize(offset=1)
+    harmonic = w @ np.log(np.abs(1.0 - x[:, None] * np.conj(y[None, :]))) @ w
+    cov = covariance_of_observables([m], UnitDisk())
+    assert cov[0, 0] == pytest.approx(harmonic - np.log(0.3), rel=1e-14)
+
+
 def test_mixed_function_and_measure_list_is_rejected():
     obs = [disk_bump(0.0, 0.4), CircleMeasure(0.0, 0.5)]
     with pytest.raises(DomainError, match="test function with a curve measure"):
