@@ -46,7 +46,7 @@ from .fields import (
     sample_stable_field,
     save_field,
 )
-from .geometry import Rotation, disk_bump
+from .geometry import Mobius, disk_bump
 from .greens import disk_lattice, green_variance_ratio
 from .rng import derived_seed, thread_count
 from .verify import (
@@ -248,7 +248,7 @@ def _run_wick_fourth(cfg: ExperimentConfig, out: Path) -> list:
 def _run_conformal_rotation(cfg: ExperimentConfig, out: Path) -> list:
     rep = test_conformal_invariance(
         "gff",
-        Rotation(np.pi / 3.0),
+        Mobius(np.exp(1j * np.pi / 3.0), 0, 0, 1),  # rotation by pi/3
         disk_bump(0.25 + 0.1j, 0.35),
         cfg.n_samples,
         cfg.seed,

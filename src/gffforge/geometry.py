@@ -19,11 +19,7 @@ from .errors import DomainError
 __all__ = [
     "UnitDisk",
     "UpperHalfPlane",
-    "ConformalMap",
     "Mobius",
-    "Rotation",
-    "Scaling",
-    "Support",
     "TestFunction",
     "mobius_to_disk",
     "pullback_test_function",
@@ -60,22 +56,12 @@ class UpperHalfPlane:
 # ---------------------------------------------------------------------------
 
 
-class ConformalMap:
-    """Base class: callable on complex scalars/arrays, with analytic
-    derivative and an exact inverse map."""
-
-    def __call__(self, z):
-        raise NotImplementedError
-
-    def derivative(self, z):
-        raise NotImplementedError
-
-    def inverse(self) -> "ConformalMap":
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class Mobius(ConformalMap):
+class Mobius:
+    """z -> (a z + b) / (c z + d) on complex scalars/arrays, with analytic
+    derivative and exact inverse; rotations and scalings are the b = c = 0
+    cases."""
+
     a: complex
     b: complex
     c: complex
@@ -96,40 +82,6 @@ class Mobius(ConformalMap):
 
     def inverse(self) -> "Mobius":
         return Mobius(self.d, -self.b, -self.c, self.a)
-
-
-@dataclass(frozen=True)
-class Rotation(ConformalMap):
-    alpha: float
-
-    def __call__(self, z):
-        return _as_complex(z) * np.exp(1j * self.alpha)
-
-    def derivative(self, z):
-        z = _as_complex(z)
-        return np.full_like(z, np.exp(1j * self.alpha))
-
-    def inverse(self) -> "Rotation":
-        return Rotation(-self.alpha)
-
-
-@dataclass(frozen=True)
-class Scaling(ConformalMap):
-    c: float
-
-    def __post_init__(self):
-        if not self.c > 0:
-            raise DomainError("Scaling requires c > 0")
-
-    def __call__(self, z):
-        return _as_complex(z) * self.c
-
-    def derivative(self, z):
-        z = _as_complex(z)
-        return np.full_like(z, self.c)
-
-    def inverse(self) -> "Scaling":
-        return Scaling(1.0 / self.c)
 
 
 def mobius_to_disk(z0: complex) -> Mobius:
@@ -169,27 +121,19 @@ def _reference_rule(n: int):
 
 
 @dataclass(frozen=True)
-class Support:
-    """Support descriptor: bounding box, membership test, and a boundary
-    sampler (``boundary(n)`` gives n points) used to transport the box
-    through conformal maps."""
-
-    bbox: tuple
-    contains: Callable[[np.ndarray], np.ndarray]
-    boundary: Callable[[int], np.ndarray]
-
-
-@dataclass(frozen=True)
 class TestFunction:
     """Smooth compactly supported observable phi: C -> R.
 
-    ``radial`` marks profiles that are rotation invariant about the origin,
-    as (r_lo, r_hi, profile); pairings of such functions collapse to 1-D
-    integrals.
+    ``bbox`` = (x0, x1, y0, y1) bounds the support; ``boundary(n)`` gives n
+    points on the support's boundary, used to transport the box through
+    conformal maps.  ``radial`` marks profiles that are rotation invariant
+    about the origin, as (r_lo, r_hi, profile); pairings of such functions
+    collapse to 1-D integrals.
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
-    support: Support
+    bbox: tuple
+    boundary: Callable[[int], np.ndarray]
     radial: tuple | None = None
 
     def __call__(self, z):
@@ -247,30 +191,25 @@ def disk_bump(center: complex, radius: float, height: float = 1.0) -> TestFuncti
         t = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
         return center + radius * np.exp(1j * t)
 
-    sup = Support(
-        bbox=(center.real - radius, center.real + radius, center.imag - radius, center.imag + radius),
-        contains=lambda z: np.abs(_as_complex(z) - center) < radius,
-        boundary=boundary,
-    )
+    bbox = (center.real - radius, center.real + radius, center.imag - radius, center.imag + radius)
     radial = None
     if center == 0:
         def rprof(r):
             return ev(np.asarray(r, dtype=float) + 0j)
 
         radial = (0.0, radius, rprof)
-    return TestFunction(ev, sup, radial=radial)
+    return TestFunction(ev, bbox, boundary, radial=radial)
 
 
 def radial_annulus_bump(
     delta: float,
-    height: float = 1.0,
     normalize: bool = False,
     inner: float | None = None,
     outer: float | None = None,
 ) -> TestFunction:
     """Radial plateau bump hugging the unit circle from inside.
 
-    Equal to ``height`` for 1 - delta <= |z| <= 1 - delta/2, zero outside a
+    Equal to 1 for 1 - delta <= |z| <= 1 - delta/2, zero outside a
     delta/10 neighbourhood of that annulus, with smoothstep shoulders.  With
     ``normalize`` the profile is divided by its 2-D integral.  ``inner`` and
     ``outer`` override the plateau radii.
@@ -285,7 +224,7 @@ def radial_annulus_bump(
         r = np.asarray(r, dtype=float)
         up = _smoothstep((r - (r_lo - pad)) / pad)
         down = 1.0 - _smoothstep((r - r_hi) / pad)
-        return height * up * down
+        return up * down
 
     scale = 1.0
     if normalize:
@@ -301,19 +240,13 @@ def radial_annulus_bump(
         t = np.linspace(0.0, 2.0 * np.pi, n // 2, endpoint=False)
         return np.concatenate([lo * np.exp(1j * t), hi * np.exp(1j * t)])
 
-    sup = Support(
-        bbox=(-hi, hi, -hi, hi),
-        contains=lambda z: (np.abs(_as_complex(z)) > lo) & (np.abs(_as_complex(z)) < hi),
-        boundary=boundary,
-    )
-
     def rprof(r):
         return scale * profile(r)
 
-    return TestFunction(ev, sup, radial=(lo, hi, rprof))
+    return TestFunction(ev, (-hi, hi, -hi, hi), boundary, radial=(lo, hi, rprof))
 
 
-def pullback_test_function(phi: TestFunction, f: ConformalMap) -> TestFunction:
+def pullback_test_function(phi: TestFunction, f: Mobius) -> TestFunction:
     """Transport phi under f so that integrals against fields are preserved:
     phi^f(z) = |(f^{-1})'(z)|^2 * phi(f^{-1}(z))."""
     finv = f.inverse()
@@ -322,7 +255,7 @@ def pullback_test_function(phi: TestFunction, f: ConformalMap) -> TestFunction:
         w = finv(z)
         return np.abs(finv.derivative(z)) ** 2 * phi(w)
 
-    pts = f(phi.support.boundary(512))
+    pts = f(phi.boundary(512))
     pad = 1e-9 + 1e-3 * (np.max(np.abs(pts)) if pts.size else 1.0)
     bbox = (
         float(pts.real.min() - pad),
@@ -332,19 +265,14 @@ def pullback_test_function(phi: TestFunction, f: ConformalMap) -> TestFunction:
     )
 
     def boundary(n):
-        return f(phi.support.boundary(n))
+        return f(phi.boundary(n))
 
-    sup = Support(
-        bbox=bbox,
-        contains=lambda z: phi.support.contains(finv(z)),
-        boundary=boundary,
-    )
-    return TestFunction(ev, sup)
+    return TestFunction(ev, bbox, boundary)
 
 
 def integrate_test_function(phi: TestFunction, n: int = 256) -> float:
     """Plane integral of phi by tensor Gauss-Legendre over its bounding box."""
-    x0, x1, y0, y1 = phi.support.bbox
+    x0, x1, y0, y1 = phi.bbox
     gx, wx = gauss_legendre(n, x0, x1)
     gy, wy = gauss_legendre(n, y0, y1)
     zz = gx[:, None] + 1j * gy[None, :]

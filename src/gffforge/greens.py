@@ -71,26 +71,17 @@ def green_halfplane(x, y):
 
 
 def _kernel_parts(domain):
-    """(harmonic part, domain membership) for the supported domains.
+    """(Green function, its harmonic part) for the supported domains.
 
-    The singular part is always -log|x - y|; splitting it off lets the
+    The Green function raises DomainError for points off the domain.  The
+    singular part is always -log|x - y|; splitting it off lets the
     quadrature code treat the near-diagonal band separately.
     """
     if isinstance(domain, UnitDisk):
-        return (lambda x, y: np.log(np.abs(1.0 - x * np.conj(y)))), domain.contains
+        return green_disk, (lambda x, y: np.log(np.abs(1.0 - x * np.conj(y))))
     if isinstance(domain, UpperHalfPlane):
-        return (lambda x, y: np.log(np.abs(x - np.conj(y)))), domain.contains
+        return green_halfplane, (lambda x, y: np.log(np.abs(x - np.conj(y))))
     raise DomainError(f"no Green function implemented for domain {domain!r}")
-
-
-def _green_for(domain):
-    harm, _ = _kernel_parts(domain)
-
-    def g(x, y):
-        with np.errstate(divide="ignore"):
-            return harm(x, y) - np.log(np.abs(x - y))
-
-    return g
 
 
 # ---------------------------------------------------------------------------
@@ -144,21 +135,20 @@ def h_minus1_inner(
 
 
 def _area_nodes(phi: TestFunction, domain, n: int):
-    _, contains = _kernel_parts(domain)
-    x0, x1, y0, y1 = phi.support.bbox
+    x0, x1, y0, y1 = phi.bbox
     gx, wx = gauss_legendre(n, x0, x1)
     gy, wy = gauss_legendre(n, y0, y1)
     zz = (gx[:, None] + 1j * gy[None, :]).ravel()
     ww = (wx[:, None] * wy[None, :]).ravel()
-    keep = np.asarray(phi.support.contains(zz)) & np.asarray(contains(zz))
+    keep = np.asarray(domain.contains(zz))
     zz, ww = zz[keep], ww[keep]
     vals = phi(zz)
-    nz = vals != 0.0
+    nz = vals != 0.0  # phi is 0 off its support
     return zz[nz], (ww * vals)[nz]
 
 
 def _h_minus1_once(f, g, domain, n):
-    harm, _ = _kernel_parts(domain)
+    _, harm = _kernel_parts(domain)
     xz, xw = _area_nodes(f, domain, n)
     yz, yw = _area_nodes(g, domain, n + 1)
     if xz.size == 0 or yz.size == 0:
@@ -183,7 +173,8 @@ def _h_minus1_once(f, g, domain, n):
 
 def _pair_offset(obs_a, obs_b, g) -> float:
     """Offset-0 nodes of obs_a against offset-1 nodes of obs_b under the
-    kernel g; the two node sets never collide."""
+    Green function g; the two node sets never collide, and g raises
+    DomainError for nodes off the domain."""
     xn, xw = obs_a.discretize(offset=0)
     yn, yw = obs_b.discretize(offset=1)
     return float(xw @ g(xn[:, None], yn[None, :]) @ yw)
@@ -195,7 +186,7 @@ def _pair_discrete(obs_a, obs_b, domain, same: bool) -> float:
 
     if same and isinstance(obs_a, averaging.CircleMeasure):
         return _circle_self(obs_a, domain)
-    g = _green_for(domain)
+    g, _ = _kernel_parts(domain)
     if same and isinstance(obs_a, averaging.SineMeasure):
         # one Richardson step kills the O(1/n) diagonal error of the offset
         # midpoint rule
@@ -211,10 +202,10 @@ def _circle_self(m, domain) -> float:
     exactly -log(eps); only the harmonic part needs quadrature, on the
     measure's own offset nodes.
     """
-    harm, contains = _kernel_parts(domain)
+    _, harm = _kernel_parts(domain)
     x, w = m.discretize(offset=0)
     y, _ = m.discretize(offset=1)
-    if not (np.all(contains(x)) and np.all(contains(y))):
+    if not (np.all(domain.contains(x)) and np.all(domain.contains(y))):
         raise DomainError("circle measure leaves the domain")
     smooth = float(w @ harm(x[:, None], y[None, :]) @ w)
     return smooth - np.log(m.radius)

@@ -17,7 +17,7 @@ from scipy.special import log_ndtr
 from .averaging import ProcessPath
 from .errors import DomainError
 from .fields import sample_functionals, sample_sas
-from .geometry import ConformalMap, Scaling, TestFunction, pullback_test_function
+from .geometry import Mobius, TestFunction, pullback_test_function
 from .greens import LatticeDomain, disk_lattice
 from .rng import parallel_map, replica_rng
 
@@ -248,11 +248,7 @@ def test_brownian_scaling(Y: ProcessPath, c: float) -> TestReport:
     if c == 1.0:
         return _report("scaling[c=1]", 0.0, 1.0, SIGNIFICANCE, n, notes="identity scaling")
     g = Y.grid
-    pairs = [
-        (u, c * u)
-        for u in g
-        if np.any(np.isclose(g, c * u, rtol=1e-9, atol=1e-12))
-    ]
+    pairs = [(u, c * u) for u in g if _on_grid(g, c * u)]
     if not pairs:
         raise DomainError(f"no grid pair (u, {c}u) available for the scaling test")
     if n < MIN_BATTERY_REPLICAS:
@@ -324,19 +320,16 @@ def test_harness(Y: ProcessPath, s: float, u: float, r: float, seed: int = 0) ->
 
 
 def test_moment_bootstrap(Y: ProcessPath, u0: float = 1.0) -> TestReport:
-    """Split Y(u0) = Y(2 u0)/2 + Z: Z decorrelated from Y(2 u0), Var(Z)
-    near sigma^2 u0/2, and the replica-wise product identity
-    Y(u0)(Y(2 u0)-Y(u0)) = Y(2 u0)^2/4 - Z^2 to near machine precision."""
+    """Split Y(u0) = Y(2 u0)/2 + Z: Z decorrelated from Y(2 u0) and Var(Z)
+    near sigma^2 u0/2."""
     n = Y.replicas.shape[0]
     y1, y2 = Y.column(u0), Y.column(2.0 * u0)
     Z = y1 - y2 / 2.0
     rho = abs(_pearson(Z, y2))
     target = sigma_hat(Y) ** 2 * u0 / 2.0
     vgate, m2, _ = _var_gate(Z, target)
-    scale = max(1.0, np.max(np.abs(y2)) ** 2)
-    alg = np.max(np.abs(y1 * (y2 - y1) - (y2 * y2 / 4.0 - Z * Z))) / scale
-    gate = max(rho / (4.0 / np.sqrt(n)), vgate, alg / 1e-12)
-    notes = f"|rho|={rho:.4f}, Var(Z)={m2:.4f} vs {target:.4f}, identity residual {alg:.2e}"
+    gate = max(rho / (4.0 / np.sqrt(n)), vgate)
+    notes = f"|rho|={rho:.4f}, Var(Z)={m2:.4f} vs {target:.4f}"
     c = Z - Z.mean()
     kurt = np.mean(c**4) / max(np.mean(c * c) ** 2, 1e-300)
     if kurt > 20.0:
@@ -346,7 +339,7 @@ def test_moment_bootstrap(Y: ProcessPath, u0: float = 1.0) -> TestReport:
 
 def test_conformal_invariance(
     law: str,
-    f: ConformalMap,
+    f: Mobius,
     phi: TestFunction,
     n: int,
     seed: int,
@@ -377,9 +370,12 @@ def test_conformal_invariance(
     )
 
 
-def _image_lattice(lat: LatticeDomain, f: ConformalMap) -> LatticeDomain:
-    if isinstance(f, Scaling):
-        return LatticeDomain(lat.spacing * f.c, lat.interior_ij.copy())
+def _image_lattice(lat: LatticeDomain, f: Mobius) -> LatticeDomain:
+    """Image of lat under f: a scaled copy for z -> (a/d) z with a/d > 0,
+    lat itself for a map of the unit circle onto itself."""
+    ratio = complex(f.a / f.d)
+    if f.b == 0 and f.c == 0 and ratio.imag == 0 and ratio.real > 0:
+        return LatticeDomain(lat.spacing * ratio.real, lat.interior_ij.copy())
     probe = np.exp(1j * np.linspace(0, 2 * np.pi, 64, endpoint=False))
     if np.max(np.abs(np.abs(np.asarray(f(probe))) - 1.0)) < 1e-9:
         return lat
@@ -428,7 +424,7 @@ def _continuity_report(Y: ProcessPath) -> TestReport:
     deltas = (0.1, 0.05, 0.025)
     base = None
     for u0 in g:
-        if all(np.any(np.isclose(g, u0 * (1 + d), rtol=1e-9)) for d in deltas):
+        if all(_on_grid(g, u0 * (1 + d)) for d in deltas):
             base = float(u0)
             break
     if base is None:

@@ -21,7 +21,7 @@ from gffforge.averaging import DEFAULT_T_GRID, DEFAULT_U_GRID, ProcessPath
 from gffforge.cli import ExperimentConfig, load_config, main, parse_config_file
 from gffforge.errors import ConfigError
 from gffforge.fields import CALIBRATION, load_field, sample_functionals
-from gffforge.geometry import Rotation, disk_bump
+from gffforge.geometry import Mobius, disk_bump
 from gffforge.greens import disk_lattice
 
 
@@ -366,7 +366,8 @@ def test_conformal_experiment_at_the_largest_seed(tmp_path, monkeypatch):
     assert drawn == [seed, 0]
     (rep,) = json.loads((out / "report.json").read_text())
     direct = verify.test_conformal_invariance(
-        "gff", Rotation(np.pi / 3.0), disk_bump(0.25 + 0.1j, 0.35), 50, seed, lattice_src=disk_lattice(24)
+        "gff", Mobius(np.exp(1j * np.pi / 3.0), 0, 0, 1), disk_bump(0.25 + 0.1j, 0.35), 50,
+        seed, lattice_src=disk_lattice(24)
     )
     assert rep == json.loads(json.dumps(asdict(direct)))
     assert rep["name"] == "conformal[gff]"

@@ -155,6 +155,18 @@ def test_circle_diagonal_uses_the_measure_own_nodes():
     assert cov[0, 0] == pytest.approx(harmonic - np.log(0.3), rel=1e-14)
 
 
+def test_curve_pairings_are_checked_against_the_domain():
+    # SineMeasure(0.25) is a semicircle of radius 2, which leaves the unit
+    # disk: its Richardson self-pairing and, in the reversed list, its
+    # off-diagonal pairing with the radius-1/2 semicircle both raise
+    with pytest.raises(DomainError):
+        covariance_of_observables([SineMeasure(0.25), SineMeasure(4.0)], UnitDisk())
+    with pytest.raises(DomainError):
+        covariance_of_observables([SineMeasure(4.0), SineMeasure(0.25)], UnitDisk())
+    with pytest.raises(DomainError):
+        covariance_of_observables([SineMeasure(0.25)], UnitDisk())
+
+
 def test_mixed_function_and_measure_list_is_rejected():
     obs = [disk_bump(0.0, 0.4), CircleMeasure(0.0, 0.5)]
     with pytest.raises(DomainError, match="test function with a curve measure"):

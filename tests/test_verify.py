@@ -5,10 +5,10 @@ adversary, and the aggregated path-law characterization."""
 import numpy as np
 import pytest
 
-from gffforge.averaging import ProcessPath
+from gffforge.averaging import DEFAULT_U_GRID, ProcessPath
 from gffforge.errors import DomainError
 from gffforge.fields import sample_sas
-from gffforge.geometry import Mobius, Rotation, Scaling, disk_bump
+from gffforge.geometry import Mobius, disk_bump
 from gffforge.greens import disk_lattice
 from gffforge.rng import replica_rng
 # the battery functions are reached through the module: their test_ names
@@ -386,16 +386,6 @@ def test_moment_bootstrap_brownian_null():
     assert abs(np.corrcoef(Z, Y.column(2.0))[0, 1]) < 4.0 / np.sqrt(4000)
 
 
-def test_moment_bootstrap_identity_is_law_free():
-    # Y(1)(Y(2)-Y(1)) = Y(2)^2/4 - Z^2 is a polynomial identity, so it
-    # holds replica-wise for an arbitrary path law
-    L = levy_path(SHORT_GRID, 2000, 72, alpha=1.5)
-    y1, y2 = L.column(1.0), L.column(2.0)
-    Z = y1 - y2 / 2.0
-    resid = np.max(np.abs(y1 * (y2 - y1) - (y2 * y2 / 4.0 - Z * Z)))
-    assert resid <= 1e-10 * max(1.0, np.max(np.abs(y2)) ** 2)
-
-
 def test_moment_bootstrap_flags_heavy_tails():
     r = vfy.test_moment_bootstrap(levy_path(SHORT_GRID, 4000, 72, alpha=1.5))
     assert not r.passed
@@ -419,14 +409,16 @@ def lat48():
 
 def test_conformal_rotation_gff(lat48):
     phi = disk_bump(0.3 + 0.0j, 0.25)
-    r = vfy.test_conformal_invariance("gff", Rotation(np.pi / 3), phi, 800, 11, lattice_src=lat48)
+    r = vfy.test_conformal_invariance(
+        "gff", Mobius(np.exp(1j * np.pi / 3), 0, 0, 1), phi, 800, 11, lattice_src=lat48
+    )
     assert r.passed
     assert r.n_samples == 800
 
 
 def test_conformal_scaling_gff(lat48):
     phi = disk_bump(0.3 + 0.0j, 0.25)
-    r = vfy.test_conformal_invariance("gff", Scaling(2.0), phi, 800, 12, lattice_src=lat48)
+    r = vfy.test_conformal_invariance("gff", Mobius(2.0, 0, 0, 1), phi, 800, 12, lattice_src=lat48)
     assert r.passed
     assert "O(spacing) bias" in r.notes
 
@@ -437,7 +429,7 @@ def test_conformal_stable_notes_cholesky_order(lat48):
     # say so
     phi = disk_bump(0.3 + 0.0j, 0.25)
     r = vfy.test_conformal_invariance(
-        "stable", Scaling(2.0), phi, 800, 13, lattice_src=lat48, alpha=1.5
+        "stable", Mobius(2.0, 0, 0, 1), phi, 800, 13, lattice_src=lat48, alpha=1.5
     )
     assert "depends on the Cholesky site order" in r.notes
 
@@ -445,10 +437,23 @@ def test_conformal_stable_notes_cholesky_order(lat48):
 def test_conformal_validation(lat48):
     phi = disk_bump(0.3 + 0.0j, 0.25)
     with pytest.raises(DomainError):
-        vfy.test_conformal_invariance("cauchy", Rotation(0.1), phi, 100, 1, lattice_src=lat48)
+        vfy.test_conformal_invariance(
+            "cauchy", Mobius(np.exp(0.1j), 0, 0, 1), phi, 100, 1, lattice_src=lat48
+        )
     with pytest.raises(DomainError):
         # a translation has no derivable image lattice
         vfy.test_conformal_invariance("gff", Mobius(1, 0.2, 0, 1), phi, 100, 1, lattice_src=lat48)
+
+
+def test_image_lattice_reads_the_coefficients(lat48):
+    scaled = vfy._image_lattice(lat48, Mobius(2.0, 0, 0, 1))
+    assert scaled.spacing == 2.0 * lat48.spacing
+    assert np.array_equal(scaled.interior_ij, lat48.interior_ij)
+    # a rotation by pi maps the unit circle onto itself: the source lattice
+    # itself comes back, so its cached factor is reused
+    assert vfy._image_lattice(lat48, Mobius(-1, 0, 0, 1)) is lat48
+    with pytest.raises(DomainError):
+        vfy._image_lattice(lat48, Mobius(1, 0.2, 0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +481,16 @@ def test_characterize_without_refinement_points():
     v = characterize_bm(bm_path(SHORT_GRID, 2000, 85), seed=85)
     assert v.consistent
     assert "not exercised" in v.reports["continuity"].notes
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-9])
+def test_continuity_base_is_scale_free(scale):
+    # the refinement points u(1 + d) are looked up by the battery's one
+    # grid rule (rtol 1e-9, atol 1e-12), so a nanoscale grid picks the same
+    # base as the unit grid and no off-grid column is interpolated
+    g = np.asarray(DEFAULT_U_GRID) * scale
+    r = vfy._continuity_report(bm_path(g, 500, 87))
+    assert f"at u={scale:g}:" in r.notes
 
 
 def test_characterize_rejects_levy_on_scaling():
