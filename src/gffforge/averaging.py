@@ -107,17 +107,19 @@ class ProcessPath:
         if np.any(np.diff(self.grid) <= 0):
             raise DomainError("grid must be strictly increasing")
 
+    def index(self, value: float) -> int | None:
+        """Position of the first grid point within 1e-9 |value| of value,
+        else None.  The rule is relative only, so 0 matches only 0 and a
+        grid in any unit matches alike."""
+        hit = np.flatnonzero(np.abs(self.grid - value) <= 1e-9 * abs(value))
+        return int(hit[0]) if hit.size else None
+
     def column(self, value: float) -> np.ndarray:
-        """Replica values at a grid point, linearly interpolated off-grid."""
-        g = self.grid
-        hit = np.nonzero(np.isclose(g, value, rtol=1e-12, atol=1e-12))[0]
-        if hit.size:
-            return self.replicas[:, hit[0]]
-        if not (g[0] <= value <= g[-1]):
-            raise DomainError(f"{value} outside the path grid")
-        j = int(np.searchsorted(g, value)) - 1
-        lam = (value - g[j]) / (g[j + 1] - g[j])
-        return (1.0 - lam) * self.replicas[:, j] + lam * self.replicas[:, j + 1]
+        """Replica values at a grid point; an off-grid value raises."""
+        j = self.index(value)
+        if j is None:
+            raise DomainError(f"{value:g} is not on the path grid")
+        return self.replicas[:, j]
 
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:
@@ -205,14 +207,19 @@ def circle_average_path(
 # ---------------------------------------------------------------------------
 
 
-def sine_pair(f, u: float, n_nodes: int = 256) -> float:
+def _sine_rule(u: float):
+    """256-node Gauss-Legendre rule for the sine measure at scale u: nodes
+    e^(it)/sqrt(u) and weights sqrt(u) sin(t) w on the upper semicircle."""
+    t, w = gauss_legendre(256, 0.0, np.pi)
+    return np.exp(1j * t) / np.sqrt(u), np.sqrt(u) * np.sin(t) * w
+
+
+def sine_pair(f, u: float) -> float:
     """Quadrature pairing sqrt(u) * integral of sin(theta) f(e^(i theta)/sqrt(u));
     a FieldSample pairs through its lattice's ``site_weights``."""
     if not u > 0:
         raise DomainError("sine_pair needs u > 0")
-    t, w = gauss_legendre(n_nodes, 0.0, np.pi)
-    nodes = np.exp(1j * t) / np.sqrt(u)
-    weights = np.sqrt(u) * w * np.sin(t)
+    nodes, weights = _sine_rule(u)
     if isinstance(f, FieldSample):
         site_idx, c = f.lattice.site_weights(nodes, weights)
         return float(c @ f.values[site_idx])
@@ -248,10 +255,7 @@ def _sine_weights(lat: LatticeDomain, u: float, r_factor: float):
         idx = lat.indices_of(lambda z: np.abs(z) < radius)
         if len(idx) < 16:
             raise ResolutionError(f"semi-disk at u={u} captures too few lattice sites")
-        r = r_factor * u
-        t, wq = gauss_legendre(256, 0.0, np.pi)
-        nodes = np.exp(1j * t) / np.sqrt(r)
-        return DirichletCell(lat, idx).pairing_weights(nodes, np.sqrt(r) * np.sin(t) * wq)
+        return DirichletCell(lat, idx).pairing_weights(*_sine_rule(r_factor * u))
 
     return lat.cached(("sine", float(u), float(r_factor)), build)
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, ResolutionError
+from .errors import DomainError, NumericalError
 from .greens import DirichletCell, LatticeDomain
 from .rng import parallel_map, replica_rng
 
@@ -74,7 +74,6 @@ class FieldSample:
     law: str
     alpha: float
     seed: int
-    calibration: float = CALIBRATION
 
     def __post_init__(self):
         if self.law not in _LAW_TAGS:
@@ -282,26 +281,18 @@ def sample_stable_field(lat: LatticeDomain, alpha: float, n: int, seed: int):
 def markov_decompose(sample: FieldSample, subdomain) -> MarkovDecomposition:
     """Split ``sample`` over a subdomain into harmonic and zero-boundary parts.
 
-    ``subdomain`` is a site-index array, a boolean mask over interior sites,
-    a predicate on embedded points, or an already-built DirichletCell of the
-    same lattice.  The cell of a site set is built once per lattice, in the
-    lattice's cache.
+    ``subdomain`` is a site-index array, a boolean mask over interior sites
+    or a predicate on embedded points.  The cell of a site set is built once
+    per lattice, in the lattice's cache.
     """
     lat = sample.lattice
-    if isinstance(subdomain, DirichletCell):
-        cell = subdomain
-        if cell._parent() is not lat:
-            raise DomainError("cell belongs to a different lattice")
-    else:
-        idx = (
-            subdomain
-            if isinstance(subdomain, np.ndarray) and subdomain.dtype != bool
-            else lat.indices_of(subdomain)
-        )
-        if len(idx) < 1:
-            raise ResolutionError("subdomain resolves to no lattice sites")
-        idx = np.asarray(idx, dtype=np.int64)
-        cell = lat.cached(("cell", idx.tobytes()), lambda: DirichletCell(lat, idx))
+    idx = (
+        subdomain
+        if isinstance(subdomain, np.ndarray) and subdomain.dtype != bool
+        else lat.indices_of(subdomain)
+    )
+    idx = np.asarray(idx, dtype=np.int64)
+    cell = lat.cached(("cell", idx.tobytes()), lambda: DirichletCell(lat, idx))
     harm_vals = sample.values.copy()
     harm_vals[cell.member_idx] = cell.harmonic_extension(sample.values)
     res_vals = sample.values - harm_vals
@@ -333,7 +324,7 @@ def save_field(sample: FieldSample, path) -> None:
         _LAW_TAGS[sample.law],
         sample.alpha,
         sample.seed,
-        sample.calibration,
+        CALIBRATION,
     )
     with open(path, "wb") as fh:
         fh.write(header)

@@ -157,7 +157,8 @@ def distance_correlation(x, y, seed: int = 0, cap: int = 800) -> tuple:
     triangle, gathering half of the permuted matrix.  The statistic ``t``
     is computed from the unpermuted matrices and is bit-identical to the
     whole-matrix form; the permuted cross terms agree with it to rounding
-    (a few ulps), far inside the ``1e-15`` tie margin of the hit count.
+    (a few ulps), far inside the hit count's tie margin ``1e-15 * denom``,
+    which scales with the data so the p-value is free of their units.
     """
     x = np.asarray(x, float)
     y = np.asarray(y, float)
@@ -185,7 +186,7 @@ def distance_correlation(x, y, seed: int = 0, cap: int = 800) -> tuple:
             C *= w
             total += C.sum()
         cross = max(total / (n * n), 0.0)
-        hits += cross >= cross0 - 1e-15
+        hits += cross >= cross0 - 1e-15 * denom
     t0 = float(np.sqrt(cross0 / denom))
     return t0, (1.0 + hits) / (_N_PERM + 1.0)
 
@@ -247,8 +248,7 @@ def test_brownian_scaling(Y: ProcessPath, c: float) -> TestReport:
     n = Y.replicas.shape[0]
     if c == 1.0:
         return _report("scaling[c=1]", 0.0, 1.0, SIGNIFICANCE, n, notes="identity scaling")
-    g = Y.grid
-    pairs = [(u, c * u) for u in g if _on_grid(g, c * u)]
+    pairs = [(u, c * u) for u in Y.grid if Y.index(c * u) is not None]
     if not pairs:
         raise DomainError(f"no grid pair (u, {c}u) available for the scaling test")
     if n < MIN_BATTERY_REPLICAS:
@@ -409,22 +409,21 @@ def _verdict(reports: dict, sig: float) -> CharBMVerdict:
     return CharBMVerdict(reports=reports, sigma_hat=sig, overall=overall)
 
 
-def _dyadic_triples(grid: np.ndarray) -> list:
+def _dyadic_triples(Y: ProcessPath) -> list:
     triples = [
         (float(s), float(2 * s), float(4 * s))
-        for s in grid
-        if _on_grid(grid, 2 * s) and _on_grid(grid, 4 * s)
+        for s in Y.grid
+        if Y.index(2 * s) is not None and Y.index(4 * s) is not None
     ]
     return triples[:3]  # the first three (s, 2s, 4s) on the grid
 
 
 def _continuity_report(Y: ProcessPath) -> TestReport:
     n, _ = Y.replicas.shape
-    g = Y.grid
     deltas = (0.1, 0.05, 0.025)
     base = None
-    for u0 in g:
-        if all(_on_grid(g, u0 * (1 + d)) for d in deltas):
+    for u0 in Y.grid:
+        if all(Y.index(u0 * (1 + d)) is not None for d in deltas):
             base = float(u0)
             break
     if base is None:
@@ -457,7 +456,7 @@ def characterize_bm(Y: ProcessPath, seed: int = 0) -> CharBMVerdict:
     n, m = Y.replicas.shape
     if m < 4:
         raise DomainError("characterization needs at least 4 grid points")
-    triples = _dyadic_triples(Y.grid)
+    triples = _dyadic_triples(Y)
     if not triples:
         raise DomainError("grid carries no (s, 2s, 4s) triple")
     du = np.diff(Y.grid)
@@ -475,24 +474,16 @@ def characterize_bm(Y: ProcessPath, seed: int = 0) -> CharBMVerdict:
     if len(std_inc) > 10_000:
         std_inc = std_inc[replica_rng(seed, 1).choice(len(std_inc), 10_000, replace=False)]
 
-    u0 = 1.0 if _on_grid(Y.grid, 1.0) and _on_grid(Y.grid, 2.0) else triples[0][0]
+    u0 = 1.0 if Y.index(1.0) is not None and Y.index(2.0) is not None else triples[0][0]
     jobs = [
-        ("continuity", lambda: _continuity_report(Y)),
-        ("scaling[c=2]", lambda: test_brownian_scaling(Y, 2.0)),
-        ("scaling[c=4]", lambda: test_brownian_scaling(Y, 4.0)),
-        ("independent_increments", lambda: test_independent_increments(Y, seed=seed)),
-        ("moment_bootstrap", lambda: test_moment_bootstrap(Y, u0=u0)),
-        ("normality", lambda: test_normality(std_inc)),
-    ] + [
-        (f"harness[{s:g},{u:g},{r:g}]", lambda s=s, u=u, r=r: test_harness(Y, s, u, r, seed=seed))
-        for s, u, r in triples
-    ]
-    results = parallel_map(lambda kv: (kv[0], kv[1]()), jobs)
-    return _verdict(dict(results), sig)
-
-
-def _on_grid(grid: np.ndarray, v: float) -> bool:
-    return bool(np.any(np.isclose(grid, v, rtol=1e-9, atol=1e-12)))
+        lambda: _continuity_report(Y),
+        lambda: test_brownian_scaling(Y, 2.0),
+        lambda: test_brownian_scaling(Y, 4.0),
+        lambda: test_independent_increments(Y, seed=seed),
+        lambda: test_moment_bootstrap(Y, u0=u0),
+        lambda: test_normality(std_inc),
+    ] + [lambda s=s, u=u, r=r: test_harness(Y, s, u, r, seed=seed) for s, u, r in triples]
+    return _verdict({rep.name: rep for rep in parallel_map(lambda job: job(), jobs)}, sig)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from gffforge.averaging import (
+    DEFAULT_U_GRID,
     ProcessPath,
     SineMeasure,
     _circle_weights,
@@ -659,11 +660,22 @@ def test_process_path_validation():
         ProcessPath(np.array([1.0, 2.0]), np.zeros((2, 3)))
 
 
-def test_process_path_column_interpolation():
+def test_process_path_column_reads_grid_points_only():
     path = ProcessPath(np.array([0.0, 2.0]), np.array([[0.0, 4.0], [1.0, 3.0]]))
-    assert_allclose(path.column(1.0), [2.0, 2.0])
+    assert_allclose(path.column(0.0), [0.0, 1.0])
+    assert_allclose(path.column(2.0), [4.0, 3.0])
+    for off_grid in (1.0, 3.0):
+        with pytest.raises(DomainError):
+            path.column(off_grid)
+    # one relative rule, so a grid in small units keeps its points apart
+    g = np.asarray(DEFAULT_U_GRID) * 1e-13
+    tiny = ProcessPath(g, np.arange(len(g), dtype=float)[None, :])
+    for j, v in enumerate(g):
+        assert tiny.index(v) == j
+        assert tiny.column(v)[0] == j
+    assert tiny.index(5.5e-13) is None
     with pytest.raises(DomainError):
-        path.column(3.0)
+        tiny.column(5.5e-13)
 
 
 def test_process_path_csv_round_trip(tmp_path):

@@ -553,7 +553,7 @@ def test_field_round_trip(tmp_path):
     grid = load_field(path)
     assert grid.law == "gff" and grid.alpha == 2.0 and grid.seed == 91
     assert grid.spacing == lat.spacing
-    assert grid.calibration == s.calibration
+    assert grid.calibration == CALIBRATION
     arr, i0, j0 = s.grid()
     assert (grid.i0, grid.j0) == (i0, j0)
     assert_allclose(grid.values, arr, rtol=0, atol=0)

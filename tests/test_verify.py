@@ -128,6 +128,19 @@ def test_distance_correlation_caps_large_samples():
     assert p < 0.01
 
 
+def test_distance_correlation_is_free_of_units():
+    # the permutation tie margin scales with the data: at 1e-8 units an
+    # absolute margin would count every permutation as a hit
+    rng = replica_rng(12, 0)
+    x = rng.standard_normal(400)
+    y = rng.standard_normal(400)
+    t, p = distance_correlation(x, y, seed=3)
+    assert 0.02 < p < 0.98
+    t_small, p_small = distance_correlation(1e-8 * x, 1e-8 * y, seed=3)
+    assert p_small == p
+    assert t_small == pytest.approx(t, rel=1e-12)
+
+
 def _ix_distance_correlation(x, y, seed=0, cap=800):
     """distance_correlation with each permuted cross term taken over the whole
     matrix ``A * B[np.ix_(p, p)]``: the reference whose ``(t, p)`` the
@@ -150,7 +163,7 @@ def _ix_distance_correlation(x, y, seed=0, cap=800):
     for _ in range(vfy._N_PERM):
         perm = rng.permutation(n)
         cross = max(np.mean(A * B[np.ix_(perm, perm)]), 0.0)
-        hits += cross >= cross0 - 1e-15
+        hits += cross >= cross0 - 1e-15 * denom
     return float(np.sqrt(cross0 / denom)), (1.0 + hits) / (vfy._N_PERM + 1.0)
 
 
@@ -362,6 +375,8 @@ def test_harness_validation():
         vfy.test_harness(Y, 1.0, 1.0, 1.0)
     with pytest.raises(DomainError):
         vfy.test_harness(Y, 1.0, 2.0, 8.0)  # off the grid range
+    with pytest.raises(DomainError):
+        vfy.test_harness(Y, 1.0, 3.0, 4.0)  # inside the range, off the grid
 
 
 def test_harness_rejects_compound_poisson():
@@ -395,6 +410,12 @@ def test_moment_bootstrap_flags_heavy_tails():
 def test_moment_bootstrap_grid_coverage():
     with pytest.raises(DomainError):
         vfy.test_moment_bootstrap(bm_path((0.5, 1.0, 1.5), 500, 73))
+
+
+def test_moment_bootstrap_reads_no_interpolated_column():
+    # 2 u0 = 2 lies inside the grid's range but not on it
+    with pytest.raises(DomainError, match="not on the path grid"):
+        vfy.test_moment_bootstrap(bm_path((0.5, 1.0, 1.5, 3.0, 4.0), 500, 73))
 
 
 # ---------------------------------------------------------------------------
@@ -483,14 +504,29 @@ def test_characterize_without_refinement_points():
     assert "not exercised" in v.reports["continuity"].notes
 
 
-@pytest.mark.parametrize("scale", [1.0, 1e-9])
+@pytest.mark.parametrize("scale", [1.0, 1e-9, 1e-13])
 def test_continuity_base_is_scale_free(scale):
-    # the refinement points u(1 + d) are looked up by the battery's one
-    # grid rule (rtol 1e-9, atol 1e-12), so a nanoscale grid picks the same
-    # base as the unit grid and no off-grid column is interpolated
+    # the refinement points u(1 + d) are looked up by the path's one
+    # relative grid rule, so a grid in small units picks the same base as
+    # the unit grid
     g = np.asarray(DEFAULT_U_GRID) * scale
     r = vfy._continuity_report(bm_path(g, 500, 87))
     assert f"at u={scale:g}:" in r.notes
+
+
+def test_battery_is_scale_free():
+    # on 2 x DEFAULT_U_GRID the first triple starts at 1, so the
+    # moment-bootstrap split u0 = 1 and its fallback, the first triple's
+    # start, pick the same column on both grids
+    g = 2.0 * np.asarray(DEFAULT_U_GRID)
+    Y = bm_path(g, 2000, 5)
+    small = ProcessPath(1e-13 * g, np.sqrt(1e-13) * Y.replicas)
+    a, b = characterize_bm(Y, seed=5), characterize_bm(small, seed=5)
+    assert a.overall == b.overall == "consistent-with-BM"
+    assert len(a.reports) == len(b.reports) == 9
+    for ra, rb in zip(a.reports.values(), b.reports.values()):
+        assert ra.passed == rb.passed
+        assert rb.statistic == pytest.approx(ra.statistic, rel=1e-6)
 
 
 def test_characterize_rejects_levy_on_scaling():
