@@ -319,10 +319,14 @@ def rotational_average_check(
     gives the uniform density on the circle, so for the Gaussian law
     lhs equals rhs up to lattice and quadrature discretization.  The
     frame pairings are averaged once per lattice into one ring
-    functional, so each side is one dot product.
+    functional, so each side is one dot product; that frame sum is built
+    from orbit representatives under the lattice's square symmetry
+    (``LatticeDomain.square_symmetries``), one cell per orbit.
     """
     if not u >= 1.0:
         raise DomainError("rotational check needs u >= 1 (pairing circle inside the disk)")
+    if n_angles < 1:
+        raise DomainError("rotational check needs n_angles >= 1")
     lat = sample.lattice
     if 1.0 / np.sqrt(u) <= 6.0 * lat.spacing:
         raise ResolutionError(
@@ -335,15 +339,46 @@ def rotational_average_check(
     return lhs, rhs
 
 
+def _frame_symmetries(lat: LatticeDomain, n_angles: int) -> list:
+    """(site permutation, frame permutation) of each lattice symmetry: it
+    sends frame k's pairing to frame frames[k]'s, at sites perm[ring_idx].
+    The quarter turn sends frame k to k + n/4 and the reflection
+    (i, j) -> (i, -j) sends it to n/2 - k, since the sine rule and its
+    ``keep`` mask are symmetric under t -> pi - t.  Only the identity when
+    n_angles is not a multiple of 4 or the sites lack the square symmetry."""
+    sym = lat.square_symmetries() if n_angles % 4 == 0 else None
+    k = np.arange(n_angles)
+    if sym is None:
+        return [(np.arange(lat.n_sites), k)]
+    quarter, reflect = sym
+    turn, elements = np.arange(lat.n_sites), []
+    for shift in range(0, n_angles, n_angles // 4):
+        # turn is the quarter turn to the power shift / (n/4)
+        elements.append((turn, (k + shift) % n_angles))
+        elements.append((turn[reflect], (n_angles // 2 + shift - k) % n_angles))
+        turn = quarter[turn]
+    return elements
+
+
 def _rotational_weights(lat: LatticeDomain, u: float, n_angles: int):
     """The frame mean of the n_angles rotated semi-disk pairings as one
-    ring functional."""
+    ring functional.  Only orbit representatives under the lattice's
+    square symmetry build a cell (9 of 64 frames on a disk lattice); each
+    representative's pairing is permuted onto every frame of its orbit."""
 
     def build():
         total = np.zeros(lat.n_sites)
+        covered = np.zeros(n_angles, dtype=bool)
+        symmetries = _frame_symmetries(lat, n_angles)
         for k in range(n_angles):
+            if covered[k]:
+                continue
             ring_idx, w = _rotated_semidisk_weights(lat, u, 2.0 * np.pi * k / n_angles)
-            total[ring_idx] += w
+            for perm, frames in symmetries:
+                image = frames[k]
+                if not covered[image]:
+                    covered[image] = True
+                    total[perm[ring_idx]] += w
         ring_idx = np.flatnonzero(total)
         return ring_idx, total[ring_idx] / n_angles
 

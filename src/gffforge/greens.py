@@ -323,6 +323,22 @@ class LatticeDomain:
             raise DomainError("mask length must match interior site count")
         return np.nonzero(mask)[0]
 
+    def square_symmetries(self):
+        """(quarter, reflect): the site permutations of the quarter turn
+        (i, j) -> (-j, i) and the reflection (i, j) -> (i, -j), as index
+        arrays sending site s to site quarter[s] (reflect[s]); None when the
+        site set is not invariant under both.  These generate the square's
+        symmetry group D4, which commutes with the Dirichlet Laplacian of
+        an invariant site set."""
+        i, j = self.interior_ij.T
+        perms = []
+        for image in (np.stack([-j, i], axis=1), np.stack([i, -j], axis=1)):
+            pos, found = _lookup(self._codes, _encode(image))
+            if not found.all():
+                return None
+            perms.append(pos)
+        return tuple(perms)
+
     # -- Laplacian ----------------------------------------------------------
 
     def _banded(self):

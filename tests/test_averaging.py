@@ -432,6 +432,8 @@ def test_rotational_check_validation(disk96):
     (s96,) = sample_dgff(disk96, 1, seed=283)
     with pytest.raises(DomainError):
         rotational_average_check(s96, 0.5)
+    with pytest.raises(DomainError):
+        rotational_average_check(s96, 4.0, n_angles=0)
 
 
 def test_rotational_lhs_matches_per_frame_mean(disk96):
@@ -472,12 +474,50 @@ def test_rotational_frame_cells_are_not_cached(monkeypatch):
     gc.disable()
     try:
         first = rotational_average_check(s, 2.0, n_angles)
-        assert len(built) == n_angles + 1
+        assert len(built) == 3 + 1  # one cell per frame orbit, and the circle's
         assert [r() for r in built] == [None] * len(built)
     finally:
         gc.enable()
     assert rotational_average_check(s, 2.0, n_angles) == first
-    assert len(built) == n_angles + 1
+    assert len(built) == 3 + 1
+
+
+def _holed_disk(size, ij):
+    """disk_lattice(size) without the site ij: no square symmetry left."""
+    lat = disk_lattice(size)
+    keep = np.any(lat.interior_ij != np.asarray(ij), axis=1)
+    return LatticeDomain(lat.spacing, lat.interior_ij[keep])
+
+
+@pytest.mark.parametrize(
+    "holed, n_angles, cells",
+    [(False, 64, 9), (False, 16, 3), (False, 8, 2), (False, 6, 6), (True, 16, 16)],
+)
+def test_rotational_frame_cells_follow_the_square_symmetry(monkeypatch, holed, n_angles, cells):
+    # a D4-invariant disk builds one frame cell per orbit; n_angles not a
+    # multiple of 4, or a site set without the symmetry, builds one per
+    # frame.  Either way the frame sum is the per-frame mean up to rounding
+    from gffforge import averaging
+    from gffforge.averaging import _rotated_semidisk_weights
+
+    lat = _holed_disk(48, (7, 3)) if holed else disk_lattice(48)
+    assert (lat.square_symmetries() is None) == holed
+    vals = dgff_matrix(lat, 10, seed=299)
+    frames = [
+        _rotated_semidisk_weights(lat, 2.0, 2.0 * np.pi * k / n_angles) for k in range(n_angles)
+    ]
+    ref = np.mean([w @ vals[ring_idx] for ring_idx, w in frames], axis=0)
+    built = []
+
+    def spy(parent, idx):
+        built.append(len(idx))
+        return DirichletCell(parent, idx)
+
+    monkeypatch.setattr(averaging, "DirichletCell", spy)
+    samples = [FieldSample(lat, v, "gff", 2.0, 299) for v in vals.T]
+    lhs = np.array([rotational_average_check(s, 2.0, n_angles)[0] for s in samples])
+    assert len(built) == cells + 1  # and the circle's cell
+    assert np.max(np.abs(lhs - ref)) <= 1e-14 * np.sqrt(np.mean(ref**2))
 
 
 def test_only_markov_cells_stay_in_the_lattice_cache(monkeypatch):
@@ -502,7 +542,8 @@ def test_only_markov_cells_stay_in_the_lattice_cache(monkeypatch):
         _circle_weights(lat, 0.5)
         _sine_weights(box, 1.0, 2.0)
         rotational_average_check(s, 2.0, 8)
-        assert len(built) == 1 + 1 + 1 + (8 + 1)  # markov, circle, sine, frames and their circle
+        # markov, circle, sine, the two frame orbits of 8 frames and their circle
+        assert len(built) == 1 + 1 + 1 + (2 + 1)
         assert built[0]() is not None
         assert [r() for r in built[1:]] == [None] * (len(built) - 1)
     finally:

@@ -318,6 +318,22 @@ def test_lattice_interior_neighbors_are_interior_or_boundary():
             assert (i + di, j + dj) in interior or (i + di, j + dj) in boundary
 
 
+def test_square_symmetries_permute_sites_and_commute_with_the_solve():
+    lat = disk_lattice(24)
+    quarter, reflect = lat.square_symmetries()
+    i, j = lat.interior_ij.T
+    assert np.array_equal(lat.interior_ij[quarter], np.stack([-j, i], axis=1))
+    assert np.array_equal(lat.interior_ij[reflect], np.stack([i, -j], axis=1))
+    x = np.random.default_rng(5).standard_normal(lat.n_sites)
+    for perm in (quarter, reflect):
+        moved = np.empty_like(x)
+        moved[perm] = x
+        np.testing.assert_allclose(lat.solve(moved)[perm], lat.solve(x), rtol=0, atol=1e-12)
+    assert halfplane_lattice(2.0, 0.25).square_symmetries() is None
+    holed = lat.interior_ij[np.any(lat.interior_ij != (3, 1), axis=1)]
+    assert LatticeDomain(lat.spacing, holed).square_symmetries() is None
+
+
 def test_dropped_lattice_with_cells_is_freed_without_gc():
     # the lattice caches the cells of markov_decompose, so a cell must not
     # hold the lattice strongly

@@ -556,6 +556,25 @@ def test_characterize_zero_path_degenerate():
     assert "degenerate" in v.reports
 
 
+def test_characterize_constant_path_degenerate():
+    # np.var of a column of 0.1s is 7.7e-34, not 0; the rule is exact
+    C = ProcessPath(np.asarray(SHORT_GRID), np.full((50, len(SHORT_GRID)), 0.1))
+    v = characterize_bm(C)
+    assert v.consistent
+    assert "degenerate" in v.reports
+
+
+def test_characterize_degenerate_rule_is_scale_free():
+    # a tiny path is not a zero path: Levy motion in units of 1e-30 (grid)
+    # and 1e-16 (values) is rejected as it is at unit scale
+    L = levy_path(DEFAULT_U_GRID, 2000, 5, alpha=1.5)
+    small = ProcessPath(L.grid * 1e-30, L.replicas * 1e-16)
+    for path in (L, small):
+        v = characterize_bm(path, seed=5)
+        assert not v.consistent
+        assert "degenerate" not in v.reports
+
+
 def test_characterize_grid_validation():
     with pytest.raises(DomainError):
         characterize_bm(bm_path((1.0, 2.0, 4.0), 500, 1))
