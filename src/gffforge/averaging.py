@@ -146,6 +146,15 @@ def _sample_ring_functionals(lat: LatticeDomain, weights, n, seed, law, alpha) -
     return sample_functionals(lat, W, n, seed, law, alpha)
 
 
+def _exact_path(grid: np.ndarray, rate: float, n, seed, law) -> ProcessPath:
+    """The exact backend: Brownian motion of variance ``rate`` per unit
+    grid, jointly Gaussian with covariance rate * min(s, s'); a grid point
+    at 0 reads exactly 0."""
+    if law != "gff":
+        raise DomainError("the exact backend only carries the Gaussian law")
+    return ProcessPath(grid, sample_gff_observables(rate * np.minimum.outer(grid, grid), n, seed))
+
+
 # ---------------------------------------------------------------------------
 # circle averages
 # ---------------------------------------------------------------------------
@@ -188,11 +197,7 @@ def circle_average_path(
     if np.any(t < 0):
         raise DomainError("t grid must be nonnegative")
     if backend == "exact":
-        if law != "gff":
-            raise DomainError("the exact backend only carries the Gaussian law")
-        cov = np.minimum(t[:, None], t[None, :])
-        reps = sample_gff_observables(cov, n, seed)
-        return ProcessPath(t, reps)
+        return _exact_path(t, 1.0, n, seed, law)
     if backend != "lattice":
         raise DomainError(f"unknown backend {backend!r}")
     lat = lattice if lattice is not None else disk_lattice(128)
@@ -286,11 +291,7 @@ def sine_average_path(
     if np.any(u <= 0) or np.any(np.diff(u) <= 0):
         raise DomainError("u grid must be positive and increasing")
     if backend == "exact":
-        if law != "gff":
-            raise DomainError("the exact backend only carries the Gaussian law")
-        cov = (np.pi**2 / 2.0) * np.minimum.outer(u, u)
-        reps = sample_gff_observables(cov, n, seed)
-        return ProcessPath(u, reps)
+        return _exact_path(u, np.pi**2 / 2.0, n, seed, law)
     if backend != "lattice":
         raise DomainError(f"unknown backend {backend!r}")
     lat = lattice if lattice is not None else sine_lattice_for(u)

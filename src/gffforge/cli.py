@@ -111,8 +111,8 @@ def _parse(key: str, value, default):
         raise ConfigError("alpha must lie in (1, 2], the stable field's range")
     elif key.endswith("_grid"):
         g = np.asarray(value, dtype=float)
-        if g.ndim != 1 or len(g) == 0 or np.any(np.diff(g) <= 0):
-            raise ConfigError(f"{key} must be a nonempty increasing list")
+        if g.ndim != 1 or len(g) == 0 or not g[0] > 0 or np.any(np.diff(g) <= 0):
+            raise ConfigError(f"{key} must be a nonempty positive increasing list")
     return value
 
 

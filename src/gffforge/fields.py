@@ -2,8 +2,9 @@
 
 Three constructions share one calibration convention:
 
-* exact observables: finite Gaussian vectors with covariance assembled by
-  the greens module, Cholesky with a tiny diagonal jitter fallback;
+* exact observables: finite Gaussian vectors with a given covariance, such
+  as one assembled by the greens module, through one Cholesky factor of
+  the rows with nonzero variance (an observable of variance 0 is exactly 0);
 * lattice Gaussian: covariance (graph Laplacian)^-1 scaled by CALIBRATION,
   sampled as R xi for white noise xi, with R the root of ``LatticeDomain``
   (R R^T = L^-1);
@@ -104,29 +105,28 @@ class MarkovDecomposition:
     residual: FieldSample
 
 
-def _chol_with_jitter(matrix: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor, retrying with diagonal jitter up to
-    1e-10 * trace for semidefinite inputs."""
-    trace = float(np.trace(matrix))
-    scale = trace if trace > 0 else 1.0
-    for jitter in (0.0, 1e-14, 1e-12, 1e-10):
-        try:
-            return np.linalg.cholesky(matrix + jitter * scale * np.eye(len(matrix)))
-        except np.linalg.LinAlgError:
-            continue
-    raise NumericalError("covariance matrix is not positive semidefinite within jitter budget")
-
-
 def sample_gff_observables(cov, n: int, seed: int) -> np.ndarray:
-    """(n, k) Gaussian draws with the given covariance.
-
-    Replica k draws from its own derived stream, so results do not depend
+    """(n, k) Gaussian draws with the given covariance: replica r is
+    xi_r @ L^T for the k normals xi_r of stream r, so results do not depend
     on batch splitting.
+
+    In a positive semidefinite matrix a zero variance forces a zero row, so
+    L is the Cholesky factor of the rows with nonzero variance, zero
+    elsewhere, and those observables are exactly 0.  No jitter is added:
+    a zero variance with a nonzero covariance, or a remaining block that
+    is not positive definite, raises NumericalError.
     """
     matrix = np.asarray(cov, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise DomainError("covariance must be square")
-    L = _chol_with_jitter(matrix)
+    live = np.diag(matrix) != 0.0
+    if np.any(matrix[~live]) or np.any(matrix[:, ~live]):
+        raise NumericalError("covariance has a zero variance with a nonzero covariance")
+    L = np.zeros_like(matrix)
+    try:
+        L[np.ix_(live, live)] = np.linalg.cholesky(matrix[np.ix_(live, live)])
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("covariance is not positive definite on its nonzero variances") from exc
     return _replica_rows("gff", 2.0, matrix.shape[0], n, seed, V=L.T)
 
 

@@ -125,9 +125,7 @@ def h_minus1_inner(
     the kernel, and the -log singularity is integrated analytically over the
     matching disk and added back.  Symmetrized over the argument order.
     """
-    radial_f = getattr(f, "radial", None)
-    radial_g = getattr(g, "radial", None)
-    if radial_f is not None and radial_g is not None and isinstance(domain, UnitDisk):
+    if f.radial is not None and g.radial is not None and isinstance(domain, UnitDisk):
         return _radial_pairing(f, g)
     return 0.5 * (
         _h_minus1_once(f, g, domain, n) + _h_minus1_once(g, f, domain, n)
@@ -180,48 +178,22 @@ def _pair_offset(obs_a, obs_b, g) -> float:
     return float(xw @ g(xn[:, None], yn[None, :]) @ yw)
 
 
-def _pair_discrete(obs_a, obs_b, domain, same: bool) -> float:
-    """Pairing of two discretizable observables (measures on curves)."""
-    from . import averaging  # local import: averaging depends on this module
-
-    if same and isinstance(obs_a, averaging.CircleMeasure):
-        return _circle_self(obs_a, domain)
-    g, _ = _kernel_parts(domain)
-    if same and isinstance(obs_a, averaging.SineMeasure):
-        # one Richardson step kills the O(1/n) diagonal error of the offset
-        # midpoint rule
-        m2 = replace(obs_a, n_nodes=2 * obs_a.n_nodes)
-        return 2.0 * _pair_offset(m2, m2, g) - _pair_offset(obs_a, obs_a, g)
-    return _pair_offset(obs_a, obs_b, g)
-
-
-def _circle_self(m, domain) -> float:
-    """Variance pairing of a uniform unit-mass circle measure with itself.
-
-    The angular average of -log|x - y| over a circle of radius eps is
-    exactly -log(eps); only the harmonic part needs quadrature, on the
-    measure's own offset nodes.
-    """
-    _, harm = _kernel_parts(domain)
-    x, w = m.discretize(offset=0)
-    y, _ = m.discretize(offset=1)
-    if not (np.all(domain.contains(x)) and np.all(domain.contains(y))):
-        raise DomainError("circle measure leaves the domain")
-    smooth = float(w @ harm(x[:, None], y[None, :]) @ w)
-    return smooth - np.log(m.radius)
-
-
 def covariance_of_observables(observables, domain=UnitDisk(), n_quad: int = 48) -> np.ndarray:
     """(k, k) covariance matrix of k jointly Gaussian field observables,
     either all test functions or all curve measures.
 
     Every entry is the double pairing of G_domain against the pair of
-    observables; symmetric by construction.
+    observables; symmetric by construction.  A curve measure pairs with
+    itself by one Richardson step on its own offset rule,
+    2 P(m_2n, m_2n) - P(m_n, m_n) for n and 2n nodes, which kills the
+    O(1/n) error of the -log singularity (exactly, for a circle: half-step
+    offset nodes make the rule's angular log mean log r + (log 2)/n).
     """
     obs = list(observables)
     functions = [isinstance(o, TestFunction) for o in obs]
     if any(functions) and not all(functions):
         raise DomainError("cannot pair a test function with a curve measure")
+    g = None if all(functions) else _kernel_parts(domain)[0]
     k = len(obs)
     mat = np.zeros((k, k))
     for i in range(k):
@@ -229,8 +201,11 @@ def covariance_of_observables(observables, domain=UnitDisk(), n_quad: int = 48) 
             a, b = obs[i], obs[j]
             if functions[i]:
                 v = h_minus1_inner(a, b, domain, n=n_quad)
+            elif i == j or a == b:
+                a2 = replace(a, n_nodes=2 * a.n_nodes)
+                v = 2.0 * _pair_offset(a2, a2, g) - _pair_offset(a, a, g)
             else:
-                v = _pair_discrete(a, b, domain, same=(i == j and a is b) or a == b)
+                v = _pair_offset(a, b, g)
             mat[i, j] = mat[j, i] = v
     return mat
 

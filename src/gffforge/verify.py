@@ -314,7 +314,7 @@ def test_harness(Y: ProcessPath, s: float, u: float, r: float, seed: int = 0) ->
     gate = max(rho / (4.0 / np.sqrt(n)), SIGNIFICANCE / p_dc, vgate)
     notes = (
         f"max|rho|={rho:.4f}, dcor perm p={p_dc:.3f}, "
-        f"Var(R)={m2:.4f} vs bridge {target:.4f}"
+        f"Var(R)={m2:.5g} vs bridge {target:.5g}"
     )
     return _report(f"harness[{s:g},{u:g},{r:g}]", gate, None, 1.0, n, notes)
 
@@ -329,7 +329,7 @@ def test_moment_bootstrap(Y: ProcessPath, u0: float = 1.0) -> TestReport:
     target = sigma_hat(Y) ** 2 * u0 / 2.0
     vgate, m2, _ = _var_gate(Z, target)
     gate = max(rho / (4.0 / np.sqrt(n)), vgate)
-    notes = f"|rho|={rho:.4f}, Var(Z)={m2:.4f} vs {target:.4f}"
+    notes = f"|rho|={rho:.4f}, Var(Z)={m2:.5g} vs {target:.5g}"
     c = Z - Z.mean()
     kurt = np.mean(c**4) / max(np.mean(c * c) ** 2, 1e-300)
     if kurt > 20.0:
@@ -456,6 +456,8 @@ def characterize_bm(Y: ProcessPath, seed: int = 0) -> CharBMVerdict:
     n, m = Y.replicas.shape
     if m < 4:
         raise DomainError("characterization needs at least 4 grid points")
+    if not Y.grid[0] > 0:
+        raise DomainError("characterization needs a positive grid")
     triples = _dyadic_triples(Y)
     if not triples:
         raise DomainError("grid carries no (s, 2s, 4s) triple")

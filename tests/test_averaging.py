@@ -172,6 +172,16 @@ def test_circle_path_exact_increment_variance():
     assert abs(total.var() - 1.0) < 3.0 * np.sqrt(2.0 / n)
 
 
+def test_circle_path_exact_zero_at_t_zero():
+    # min(t, t') has a zero row at t = 0; that column is exactly 0, with no
+    # jitter leaking into it
+    n = 2000
+    path = circle_average_path(n, (0.0, 0.5, 1.0), seed=1, backend="exact")
+    assert np.all(path.column(0.0) == 0.0)
+    for t in (0.5, 1.0):
+        assert abs(path.column(t).var() - t) < 3.0 * t * np.sqrt(2.0 / n)
+
+
 def test_circle_path_stable_increments_fail_normality():
     path = circle_average_path(
         2000,

@@ -87,6 +87,8 @@ def test_config_field_validation():
         ExperimentConfig(experiment="excursion-mass", eps=-1.0)
     with pytest.raises(ConfigError):
         ExperimentConfig(experiment="char-bm-gff-sine", u_grid=(2.0, 1.0))
+    with pytest.raises(ConfigError, match="t_grid must be a nonempty positive increasing list"):
+        ExperimentConfig(experiment="char-bm-gff-circle", t_grid=(0.0, 0.25, 0.5, 1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from scipy import stats
 from scipy.linalg.lapack import dtbtrs
 
 from gffforge import fields
-from gffforge.errors import DomainError, ResolutionError
+from gffforge.errors import DomainError, NumericalError, ResolutionError
 from gffforge.fields import (
     CALIBRATION,
     FieldSample,
@@ -104,6 +104,34 @@ def test_gff_observables_accepts_covariance_matrix():
     x = sample_gff_observables(cov, 200, seed=4)
     assert x.shape == (200, 1)
     assert np.isfinite(x).all()
+
+
+def test_gff_observables_are_cholesky_rows_of_the_replica_streams():
+    # a positive-definite covariance is factored as it is, with no jitter
+    cov = np.array([[2.0, 1.0, 0.5], [1.0, 1.0, 0.3], [0.5, 0.3, 0.8]])
+    L = np.linalg.cholesky(cov)
+    ref = np.stack([replica_rng(11, r).standard_normal(3) @ L.T for r in range(50)])
+    assert np.array_equal(sample_gff_observables(cov, 50, seed=11), ref)
+
+
+def test_gff_observables_zero_variance_is_exact_zero():
+    cov = np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 2.0]])
+    x = sample_gff_observables(cov, 2000, seed=12)
+    assert np.all(x[:, 1] == 0.0) and not np.signbit(x[:, 1]).any()
+    inc = x[:, 2] - x[:, 0]
+    assert abs(inc.var() - 1.0) < 3.0 * np.sqrt(2.0 / 2000)
+
+
+@pytest.mark.parametrize(
+    "cov",
+    [[[0.0, 1.0], [1.0, 1.0]], [[1.0, 2.0], [2.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]]],
+    ids=["zero-variance-nonzero-row", "indefinite", "rank-deficient"],
+)
+def test_gff_observables_reject_covariances_without_a_root(cov):
+    # a rank-deficient block with nonzero variances is not jittered into a
+    # nearby positive-definite one
+    with pytest.raises(NumericalError):
+        sample_gff_observables(np.array(cov), 10, seed=0)
 
 
 def test_gff_observables_rejects_nonsquare():

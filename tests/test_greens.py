@@ -4,6 +4,7 @@ import ast
 import gc
 import inspect
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -144,10 +145,21 @@ def test_sine_average_covariance_structure():
 
 
 def test_circle_diagonal_uses_the_measure_own_nodes():
-    # the diagonal is the measure's own offset quadrature of the harmonic
-    # part of the kernel plus the exact -log r of the singular part, so
-    # n_nodes sets the diagonal as it sets the off-diagonal entries
+    # the diagonal is one Richardson step on the measure's own offset rule,
+    # 2 P(m_2n, m_2n) - P(m_n, m_n), so n_nodes sets the diagonal as it
+    # sets the off-diagonal entries
+    def offset_pair(m):
+        x, w = m.discretize(offset=0)
+        y, v = m.discretize(offset=1)
+        return w @ green_disk(x[:, None], y[None, :]) @ v
+
     m = CircleMeasure(0.5 + 0.2j, 0.3, n_nodes=4)
+    richardson = 2.0 * offset_pair(replace(m, n_nodes=8)) - offset_pair(m)
+    cov = covariance_of_observables([m], UnitDisk())
+    assert cov[0, 0] == pytest.approx(richardson, rel=1e-14)
+    # the step is exact for the -log singularity, so at 512 nodes the
+    # diagonal is the harmonic part's quadrature plus -log r
+    m = CircleMeasure(0.5 + 0.2j, 0.3)
     x, w = m.discretize(offset=0)
     y, _ = m.discretize(offset=1)
     harmonic = w @ np.log(np.abs(1.0 - x[:, None] * np.conj(y[None, :]))) @ w
@@ -165,6 +177,9 @@ def test_curve_pairings_are_checked_against_the_domain():
         covariance_of_observables([SineMeasure(4.0), SineMeasure(0.25)], UnitDisk())
     with pytest.raises(DomainError):
         covariance_of_observables([SineMeasure(0.25)], UnitDisk())
+    # so does a circle that leaves the disk
+    with pytest.raises(DomainError):
+        covariance_of_observables([CircleMeasure(0.5, 0.6)], UnitDisk())
 
 
 def test_mixed_function_and_measure_list_is_rejected():
@@ -279,6 +294,39 @@ def test_one_method_chooses_the_lattice_root():
         for n in ast.walk(ast.parse(path.read_text()))
     )
     assert calls == 1
+
+
+_LAYERS = ("errors", "rng", "geometry", "greens", "fields", "averaging", "excursions", "verify", "cli")
+
+
+def _package_imports(tree):
+    """Names that a module's source imports from the package, at any depth."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("gffforge")):
+            module = node.module if node.level else node.module.partition(".")[2]
+            if module:
+                yield module.split(".")[0]
+            else:
+                yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            yield from (a.name.split(".")[1] for a in node.names if a.name.startswith("gffforge."))
+
+
+def test_modules_import_only_earlier_layers():
+    # function-level imports count too: a local import is how a cycle
+    # hides.  The package namespace holds only the error types, and cli's
+    # `from . import __version__` reads the version, not a module.
+    pkg = Path(greens.__file__).parent
+    assert sorted(p.stem for p in pkg.glob("*.py")) == sorted(_LAYERS + ("__init__",))
+    for path in pkg.glob("*.py"):
+        if path.stem == "__init__":
+            allowed = {"errors"}
+        else:
+            allowed = set(_LAYERS[: _LAYERS.index(path.stem)])
+        if path.stem == "cli":
+            allowed.add("__version__")
+        imported = set(_package_imports(ast.parse(path.read_text())))
+        assert imported <= allowed, f"{path.stem} imports {sorted(imported - allowed)}"
 
 
 def test_duplicate_sites_rejected():

@@ -527,6 +527,8 @@ def test_battery_is_scale_free():
     for ra, rb in zip(a.reports.values(), b.reports.values()):
         assert ra.passed == rb.passed
         assert rb.statistic == pytest.approx(ra.statistic, rel=1e-6)
+        # variances print in significant digits, not as 0.0000
+        assert "0.0000" not in rb.notes
 
 
 def test_characterize_rejects_levy_on_scaling():
@@ -580,6 +582,9 @@ def test_characterize_grid_validation():
         characterize_bm(bm_path((1.0, 2.0, 4.0), 500, 1))
     with pytest.raises(DomainError):
         characterize_bm(bm_path((1.0, 1.1, 1.2, 1.3), 500, 1))
+    # a grid point at 0 would make (0, 0, 0) a dyadic triple
+    with pytest.raises(DomainError, match="needs a positive grid"):
+        characterize_bm(bm_path((0.0, 0.25, 0.5, 1.0, 2.0), 500, 1))
 
 
 def test_verdict_invariant_enforced():
