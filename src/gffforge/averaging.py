@@ -138,21 +138,31 @@ class ProcessPath:
 # ---------------------------------------------------------------------------
 
 
-def _sample_ring_functionals(lat: LatticeDomain, weights, n, seed, law, alpha) -> np.ndarray:
-    """(n, k) replicas of k ring functionals (ring_idx, w), one column each."""
-    W = np.zeros((lat.n_sites, len(weights)))
+def _cell_weights(lat: LatticeDomain, region, minimum: int, what: str, nodes, weights):
+    """Ring weights of the Dirichlet cell on the sites in ``region`` (a
+    predicate on points), paired with the quadrature (nodes, weights)."""
+    idx = lat.indices_of(region)
+    if len(idx) < minimum:
+        raise ResolutionError(f"{what} captures fewer than {minimum} lattice sites")
+    return DirichletCell(lat, idx).pairing_weights(nodes, weights)
+
+
+def _average_path(grid, rate, default_lattice, functional, n, seed, backend, lattice, law, alpha):
+    """Either average process on ``grid``.  exact: covariance rate * min(s, s'),
+    so a grid point at 0 reads exactly 0.  lattice: the ring functional
+    ``functional(lat, v)`` as the weight column of each grid point v."""
+    if backend == "exact":
+        if law != "gff":
+            raise DomainError("the exact backend only carries the Gaussian law")
+        return ProcessPath(grid, sample_gff_observables(rate * np.minimum.outer(grid, grid), n, seed))
+    if backend != "lattice":
+        raise DomainError(f"unknown backend {backend!r}")
+    lat = lattice if lattice is not None else default_lattice()
+    weights = [functional(lat, float(v)) for v in grid]
+    W = np.zeros((lat.n_sites, len(grid)))
     for col, (ring_idx, w) in enumerate(weights):
         W[ring_idx, col] = w
-    return sample_functionals(lat, W, n, seed, law, alpha)
-
-
-def _exact_path(grid: np.ndarray, rate: float, n, seed, law) -> ProcessPath:
-    """The exact backend: Brownian motion of variance ``rate`` per unit
-    grid, jointly Gaussian with covariance rate * min(s, s'); a grid point
-    at 0 reads exactly 0."""
-    if law != "gff":
-        raise DomainError("the exact backend only carries the Gaussian law")
-    return ProcessPath(grid, sample_gff_observables(rate * np.minimum.outer(grid, grid), n, seed))
+    return ProcessPath(grid, sample_functionals(lat, W, n, seed, law, alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -168,12 +178,10 @@ def _circle_weights(lat: LatticeDomain, eps: float):
         raise DomainError("circle average needs eps > 0")
 
     def build():
-        idx = lat.indices_of(lambda z: np.abs(z) < eps)
-        if len(idx) < 4:
-            raise ResolutionError(f"ball B(0, {eps}) captures fewer than 4 lattice sites")
-        if not np.any(lat.z[idx] == 0.0):
+        if not np.any(lat.z == 0.0):
             raise ResolutionError("the disk center (0, 0) is not an interior lattice site")
-        return DirichletCell(lat, idx).pairing_weights(np.zeros(1, dtype=complex), np.ones(1))
+        center = np.zeros(1, dtype=complex), np.ones(1)
+        return _cell_weights(lat, lambda z: np.abs(z) < eps, 4, f"ball B(0, {eps})", *center)
 
     return lat.cached(("circle", float(eps)), build)
 
@@ -196,20 +204,17 @@ def circle_average_path(
     t = np.asarray(t_grid, dtype=float)
     if np.any(t < 0):
         raise DomainError("t grid must be nonnegative")
-    if backend == "exact":
-        return _exact_path(t, 1.0, n, seed, law)
-    if backend != "lattice":
-        raise DomainError(f"unknown backend {backend!r}")
-    lat = lattice if lattice is not None else disk_lattice(128)
     # a ball that exhausts the domain has an empty ring: a zero column
-    weights = [_circle_weights(lat, float(r)) for r in np.exp(-t)]
-    reps = _sample_ring_functionals(lat, weights, n, seed, law, alpha)
-    return ProcessPath(t, reps)
+    return _average_path(t, 1.0, lambda: disk_lattice(128),
+                         lambda lat, v: _circle_weights(lat, np.exp(-v)),
+                         n, seed, backend, lattice, law, alpha)
 
 
 # ---------------------------------------------------------------------------
 # sine pairings
 # ---------------------------------------------------------------------------
+
+_R_FACTOR = 2.0  # the lattice sine test scale over the semi-disk scale u
 
 
 def _sine_rule(u: float):
@@ -220,16 +225,12 @@ def _sine_rule(u: float):
 
 
 def sine_pair(f, u: float) -> float:
-    """Quadrature pairing sqrt(u) * integral of sin(theta) f(e^(i theta)/sqrt(u));
-    a FieldSample pairs through its lattice's ``site_weights``."""
+    """Quadrature pairing sqrt(u) * integral of sin(theta) f(e^(i theta)/sqrt(u))."""
     if not u > 0:
         raise DomainError("sine_pair needs u > 0")
-    nodes, weights = _sine_rule(u)
-    if isinstance(f, FieldSample):
-        site_idx, c = f.lattice.site_weights(nodes, weights)
-        return float(c @ f.values[site_idx])
     if not callable(f):
-        raise DomainError("expected a callable, TestFunction, or FieldSample")
+        raise DomainError("expected a callable")
+    nodes, weights = _sine_rule(u)
     return float(np.sum(weights * np.asarray(f(nodes), dtype=float)))
 
 
@@ -254,14 +255,12 @@ def sine_lattice_for(
     return halfplane_lattice(width, smallest / points_per_radius)
 
 
-def _sine_weights(lat: LatticeDomain, u: float, r_factor: float):
-    def build():
-        radius = 1.0 / np.sqrt(u)
-        idx = lat.indices_of(lambda z: np.abs(z) < radius)
-        if len(idx) < 16:
-            raise ResolutionError(f"semi-disk at u={u} captures too few lattice sites")
-        return DirichletCell(lat, idx).pairing_weights(*_sine_rule(r_factor * u))
-
+def _sine_weights(lat: LatticeDomain, u: float, r_factor: float = _R_FACTOR):
+    # the sine rule's nodes near the real axis read the Dirichlet row j = 0
+    if np.any(lat.interior_ij[:, 1] <= 0):
+        raise DomainError("sine averages need a half-plane lattice (every site at j >= 1)")
+    region = lambda z: np.abs(z) < 1.0 / np.sqrt(u)
+    build = lambda: _cell_weights(lat, region, 16, f"semi-disk at u={u}", *_sine_rule(r_factor * u))
     return lat.cached(("sine", float(u), float(r_factor)), build)
 
 
@@ -273,31 +272,26 @@ def sine_average_path(
     lattice: LatticeDomain | None = None,
     law: str = "gff",
     alpha: float = 2.0,
-    r_factor: float = 2.0,
 ) -> ProcessPath:
     """Sine-average process Y(u) on a fixed u grid.
 
     The sine measures live on semicircles about the origin in the upper
-    half-plane; that is the only supported domain.  exact: jointly
+    half-plane, the only supported domain: the lattice backend raises
+    DomainError for a lattice with a site at j <= 0.  exact: jointly
     Gaussian with covariance (pi^2/2) min(u, u'), in closed form: between
     concentric semicircles only the first angular mode of the half-plane
     kernel survives the sin weights.  lattice: pair the harmonic part of
     the domain Markov decomposition at semi-disk scale u with the sine
-    measure at test scale r_factor * u, through
-    ``fields.sample_functionals``; the choice of test scale is immaterial
-    and exercised by tests.
+    measure at the fixed test scale 2.0 * u, through
+    ``fields.sample_functionals``.  That scale is immaterial: for the same
+    reason the harmonic part's sine average is the same on every inner
+    semicircle.
     """
     u = np.asarray(u_grid, dtype=float)
     if np.any(u <= 0) or np.any(np.diff(u) <= 0):
         raise DomainError("u grid must be positive and increasing")
-    if backend == "exact":
-        return _exact_path(u, np.pi**2 / 2.0, n, seed, law)
-    if backend != "lattice":
-        raise DomainError(f"unknown backend {backend!r}")
-    lat = lattice if lattice is not None else sine_lattice_for(u)
-    weights = [_sine_weights(lat, float(v), r_factor) for v in u]
-    reps = _sample_ring_functionals(lat, weights, n, seed, law, alpha)
-    return ProcessPath(u, reps)
+    return _average_path(u, np.pi**2 / 2.0, lambda: sine_lattice_for(u), _sine_weights,
+                         n, seed, backend, lattice, law, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -389,9 +383,6 @@ def _rotational_weights(lat: LatticeDomain, u: float, n_angles: int):
 def _rotated_semidisk_weights(lat: LatticeDomain, u: float, alpha: float):
     rot = np.exp(1j * alpha)
     radius = 1.0 / np.sqrt(u)
-    idx = lat.indices_of(lambda z: (np.abs(z) < radius) & ((np.conj(rot) * z).imag > 1e-12))
-    if len(idx) < 16:
-        raise ResolutionError("rotated semi-disk captures too few lattice sites")
     a = lat.spacing
     t, wq = gauss_legendre(256, 0.0, np.pi)
     # quadrature nodes sit inside the arc so every bilinear corner is a
@@ -406,6 +397,7 @@ def _rotated_semidisk_weights(lat: LatticeDomain, u: float, alpha: float):
     w = 0.5 * np.sqrt(u) * np.sin(t) * wq
     w *= np.sqrt(u) / w.sum()
     nodes = np.concatenate([rot * rho_out * np.exp(1j * t), rot * rho_in * np.exp(1j * t)])
-    # a frame cell is read once, into the cached frame sum, and freed with
-    # this call
-    return DirichletCell(lat, idx).pairing_weights(nodes, np.concatenate([2.0 * w, -w]))
+    # uncached: a frame cell is read once, into the cached frame sum, and
+    # freed with this call
+    region = lambda z: (np.abs(z) < radius) & ((np.conj(rot) * z).imag > 1e-12)
+    return _cell_weights(lat, region, 16, "rotated semi-disk", nodes, np.concatenate([2 * w, -w]))

@@ -52,6 +52,7 @@ from .rng import derived_seed, thread_count
 from .verify import (
     MIN_BATTERY_REPLICAS,
     MIN_WICK_SAMPLES,
+    _battery_triples,
     _report,
     characterize_bm,
     test_conformal_invariance,
@@ -113,6 +114,10 @@ def _parse(key: str, value, default):
         g = np.asarray(value, dtype=float)
         if g.ndim != 1 or len(g) == 0 or not g[0] > 0 or np.any(np.diff(g) <= 0):
             raise ConfigError(f"{key} must be a nonempty positive increasing list")
+        try:  # only the char-bm-* batteries read a *_grid key
+            _battery_triples(value)
+        except DomainError as exc:
+            raise ConfigError(f"{key}: {exc}") from exc
     return value
 
 

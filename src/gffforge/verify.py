@@ -409,13 +409,21 @@ def _verdict(reports: dict, sig: float) -> CharBMVerdict:
     return CharBMVerdict(reports=reports, sigma_hat=sig, overall=overall)
 
 
-def _dyadic_triples(Y: ProcessPath) -> list:
+def _battery_triples(grid) -> list:
+    """The first three (s, 2s, 4s) triples, by ``ProcessPath.index``, of a battery grid."""
+    Y = ProcessPath(grid, np.empty((0, len(grid))))
+    if len(Y.grid) < 4:
+        raise DomainError("characterization needs at least 4 grid points")
+    if not Y.grid[0] > 0:
+        raise DomainError("characterization needs a positive grid")
     triples = [
         (float(s), float(2 * s), float(4 * s))
         for s in Y.grid
         if Y.index(2 * s) is not None and Y.index(4 * s) is not None
     ]
-    return triples[:3]  # the first three (s, 2s, 4s) on the grid
+    if not triples:
+        raise DomainError("grid carries no (s, 2s, 4s) triple")
+    return triples[:3]
 
 
 def _continuity_report(Y: ProcessPath) -> TestReport:
@@ -453,14 +461,8 @@ def characterize_bm(Y: ProcessPath, seed: int = 0) -> CharBMVerdict:
     three dyadic triples, the moment-bootstrap split at (1, 2), and
     normality of standardized increments.
     """
-    n, m = Y.replicas.shape
-    if m < 4:
-        raise DomainError("characterization needs at least 4 grid points")
-    if not Y.grid[0] > 0:
-        raise DomainError("characterization needs a positive grid")
-    triples = _dyadic_triples(Y)
-    if not triples:
-        raise DomainError("grid carries no (s, 2s, 4s) triple")
+    n = len(Y.replicas)
+    triples = _battery_triples(Y.grid)
     du = np.diff(Y.grid)
     inc = np.diff(Y.replicas, axis=1)
     # zero variance in every column, tested exactly: np.var of a constant

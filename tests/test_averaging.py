@@ -14,6 +14,7 @@ from gffforge.averaging import (
     ProcessPath,
     SineMeasure,
     _circle_weights,
+    _sine_rule,
     _sine_weights,
     circle_average_path,
     rotational_average_check,
@@ -22,7 +23,14 @@ from gffforge.averaging import (
     sine_pair,
 )
 from gffforge.errors import DomainError, ResolutionError
-from gffforge.fields import CALIBRATION, FieldSample, dgff_matrix, markov_decompose, sample_dgff
+from gffforge.fields import (
+    CALIBRATION,
+    FieldSample,
+    dgff_matrix,
+    markov_decompose,
+    sample_dgff,
+    sample_functionals,
+)
 from gffforge.geometry import gauss_legendre
 from gffforge.greens import DirichletCell, LatticeDomain, disk_lattice, halfplane_lattice
 from gffforge.verify import anderson_darling_p
@@ -243,28 +251,42 @@ def test_sine_path_r_factor_invariance():
     # the pairing scale r > u is arbitrary; all choices read the same
     # harmonic part.  Identical in the continuum; the lattice readings
     # differ by the node-interpolation error, far below the path scale
-    # sd ~ 2.1
+    # sd ~ 2.1.  The path itself reads r = 2u
     lat = sine_lattice_for((1.0,), points_per_radius=12, width_factor=4.0)
     rfs = (1.5, 2.0, 4.0)
-    weights = []
-    for rf in rfs:
+    W = np.zeros((lat.n_sites, len(rfs)))
+    for col, rf in enumerate(rfs):
         ring_idx, w = _sine_weights(lat, 1.0, rf)
-        weights.append(np.zeros(lat.n_sites))
-        weights[-1][ring_idx] = w
+        W[ring_idx, col] = w
     # Gaussian law: the exact sd of the difference of two readings of one
     # field, c sqrt(d . L^-1 d), puts 3 sd inside the pathwise tolerance
-    for d in (weights[0] - weights[1], weights[0] - weights[2]):
+    for d in (W[:, 0] - W[:, 1], W[:, 0] - W[:, 2]):
         assert CALIBRATION * np.sqrt(d @ lat.solve(d)) < 0.02 / 3.0
     # pathwise on law stable, whose functionals pair the field's own site
     # noise, so the readings at one seed share it
-    cols = [
-        sine_average_path(
-            50, (1.0,), seed=251, backend="lattice", lattice=lat, law="stable", r_factor=rf
-        ).column(1.0)
-        for rf in rfs
-    ]
+    cols = sample_functionals(lat, W, 50, 251, "stable").T
     assert_allclose(cols[0], cols[1], atol=0.02)
     assert_allclose(cols[0], cols[2], atol=0.02)
+
+
+@pytest.mark.parametrize("law, alpha", [("gff", 2.0), ("stable", 1.5)])
+@pytest.mark.parametrize("kind", ["circle", "sine"])
+def test_lattice_path_is_sample_functionals_of_its_cached_weights(kind, law, alpha):
+    # one route: column j of a lattice path is the grid point's cached ring
+    # functional, and the replicas are sample_functionals of those columns
+    if kind == "circle":
+        lat, grid = disk_lattice(32), (0.25, 0.5, 1.0)
+        path = circle_average_path(40, grid, 311, "lattice", lat, law, alpha)
+        weights = [_circle_weights(lat, float(r)) for r in np.exp(-np.array(grid))]
+    else:
+        lat = sine_lattice_for((1.0, 4.0), points_per_radius=6, width_factor=3.0)
+        grid = (1.0, 2.0, 4.0)
+        path = sine_average_path(40, grid, 311, "lattice", lat, law, alpha)
+        weights = [_sine_weights(lat, u) for u in grid]
+    W = np.zeros((lat.n_sites, len(grid)))
+    for col, (ring_idx, w) in enumerate(weights):
+        W[ring_idx, col] = w
+    assert np.array_equal(path.replicas, sample_functionals(lat, W, 40, 311, law, alpha))
 
 
 def test_sine_path_prefix_invariance():
@@ -284,6 +306,10 @@ def test_sine_path_validation():
         sine_average_path(
             2, (50.0,), seed=0, backend="lattice", lattice=halfplane_lattice(2.0, 0.25)
         )
+    # a disk lattice has sites at j <= 0: at u = 1 the ball would exhaust it
+    # and read an all-zero column
+    with pytest.raises(DomainError, match="half-plane lattice"):
+        sine_average_path(2, (1.0, 2.0, 4.0), seed=3, backend="lattice", lattice=disk_lattice(16))
 
 
 def test_brownian_scaling_of_sine_path():
@@ -320,7 +346,10 @@ def test_annulus_harmonic_pairings_fit_a_line_lattice():
         s, lambda z: (np.abs(z) > 1.0 / np.sqrt(8.0)) & (np.abs(z) < 1.0 / np.sqrt(2.0))
     )
     us = np.array([3.0, 4.0, 5.0, 6.0, 7.0])
-    pairs = np.array([sine_pair(d.harmonic, u) for u in us])
+    pairs = []
+    for u in us:
+        site_idx, c = lat.site_weights(*_sine_rule(u))
+        pairs.append(c @ d.harmonic.values[site_idx])
     coeffs = np.polyfit(us, pairs, 1)
     resid = np.max(np.abs(np.polyval(coeffs, us) - pairs))
     assert resid < 1e-3
@@ -339,12 +368,13 @@ def test_field_pairing_is_bilinear_up_to_the_dirichlet_boundary():
         assert abs(c @ one.values[site_idx] - s) < 1e-12
     u = 4.0
     t, w = gauss_legendre(256, 0.0, np.pi)
-    nodes = np.exp(1j * t) / np.sqrt(u)
-    want = np.sum(np.sqrt(u) * w * np.sin(t) * np.minimum(nodes.imag / a, 1.0))
-    assert abs(sine_pair(one, u) - want) < 1e-12
+    nodes, weights = np.exp(1j * t) / np.sqrt(u), np.sqrt(u) * w * np.sin(t)
+    want = np.sum(weights * np.minimum(nodes.imag / a, 1.0))
+    site_idx, c = lat.site_weights(nodes, weights)
+    assert abs(c @ one.values[site_idx] - want) < 1e-12
     assert want < 2.0 * np.sqrt(u) - 1e-3
     with pytest.raises(ResolutionError, match="falls off the lattice"):
-        sine_pair(one, 0.2)
+        lat.site_weights(nodes * np.sqrt(u / 0.2), weights)
 
 
 def test_annulus_harmonic_pairings_fit_a_line_analytic():

@@ -53,8 +53,8 @@ def test_load_config_layers_defaults_file_overrides(tmp_path):
     assert cfg.seed == 11
     assert cfg.tol == {"mass": 0.2, "ks": 0.02}
     assert load_config("excursion-mass").n_samples == 200_000
-    p.write_text("u_grid = 1, 2, 4\n")
-    assert load_config("char-bm-gff-sine", p).u_grid == (1.0, 2.0, 4.0)
+    p.write_text("u_grid = 1, 2, 3, 4\n")
+    assert load_config("char-bm-gff-sine", p).u_grid == (1.0, 2.0, 3.0, 4.0)
 
 
 def test_load_config_rejects_experiment_mismatch(tmp_path):
@@ -119,9 +119,16 @@ def test_bad_config_exits_2(tmp_path, capsys):
         ("char-bm-stable", "alpha = 0.9\n", "alpha must lie in (1, 2]"),
         ("char-bm-gff-sine", "n_samples = 50\n", "experiment 'char-bm-gff-sine' needs n_samples >= 100"),
         ("wick-fourth", "n_samples = 999\n", "experiment 'wick-fourth' needs n_samples >= 1000"),
+        # grids the battery would refuse after writing the path CSV
+        ("char-bm-gff-sine", "u_grid = 1,1.5,2.5,3\nn_samples = 200\n",
+         "u_grid: grid carries no (s, 2s, 4s) triple"),
+        ("char-bm-gff-circle", "t_grid = 1,2,4\n",
+         "t_grid: characterization needs at least 4 grid points"),
+        ("char-bm-stable", "t_grid = 6,7,8,9\n", "t_grid: grid carries no (s, 2s, 4s) triple"),
     ],
     ids=["wick-alpha", "excursion-u_grid", "excursion-tol.mas", "sine-tol.mass", "stable-alpha-0.9",
-         "sine-n_samples-50", "wick-n_samples-999"],
+         "sine-n_samples-50", "wick-n_samples-999", "sine-no-triple", "circle-3-points",
+         "stable-no-triple"],
 )
 def test_config_error_exits_2_before_the_output_dir(tmp_path, capsys, experiment, text, message):
     # an unread key would run silently and still be echoed in the manifest
@@ -148,7 +155,7 @@ def test_verify_propagates_resolution_as_3(tmp_path, capsys):
     p = tmp_path / "res.cfg"
     # n_samples at the battery's minimum, so the config loads and the
     # lattice, not the sample size, is what fails
-    p.write_text("lattice_size = 16\nt_grid = 6,7,8,9\nn_samples = 100\n")
+    p.write_text("lattice_size = 16\nt_grid = 6,7,12,24\nn_samples = 100\n")
     code = main(
         ["verify", "--experiment", "char-bm-stable", "--config", str(p),
          "--output-dir", str(tmp_path / "out")]
