@@ -102,6 +102,8 @@ class ProcessPath:
     def __post_init__(self):
         self.grid = np.asarray(self.grid, dtype=float)
         self.replicas = np.asarray(self.replicas, dtype=float)
+        if self.grid.ndim != 1:
+            raise DomainError("grid must be one-dimensional")
         if self.replicas.ndim != 2 or self.replicas.shape[1] != len(self.grid):
             raise DomainError("replicas must be (n, len(grid))")
         if np.any(np.diff(self.grid) <= 0):

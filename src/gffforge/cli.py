@@ -3,12 +3,15 @@
 Experiments are named pipelines over the library: they build sample
 batches, run the statistical battery, and emit deterministic report.json
 plus data CSVs into an output directory.  Each experiment reads a fixed
-set of config keys, listed with their defaults in ``_KEYS``; setting any
-other key is a configuration error, raised before the output directory is
-made.  A manifest.json records the values of those keys, library version,
-wall time and the machine (core count, GFFFORGE_THREADS in effect,
-Python/numpy/scipy versions).  Exit codes: 0 all tests passed, 1 a test
-failed, 2 invalid configuration, 3 a resolution or numerical failure.
+set of config keys, listed with their defaults in ``EXPERIMENTS``; setting
+any other key is a configuration error.  A run computes first and writes
+last: the output directory is made only after every check has run, so a
+run that exits 2 or 3 leaves none, and an output directory that cannot be
+made is found after the compute.  A manifest.json records the values of
+those keys, library version, wall time and the machine (core count,
+GFFFORGE_THREADS in effect, Python/numpy/scipy versions).  Exit codes: 0
+all tests passed, 1 a test failed, 2 invalid configuration, 3 a resolution
+or numerical failure.
 """
 
 from __future__ import annotations
@@ -49,15 +52,7 @@ from .fields import (
 from .geometry import Mobius, disk_bump
 from .greens import disk_lattice, green_variance_ratio
 from .rng import derived_seed, thread_count
-from .verify import (
-    MIN_BATTERY_REPLICAS,
-    MIN_WICK_SAMPLES,
-    _battery_triples,
-    _report,
-    characterize_bm,
-    test_conformal_invariance,
-    test_wick_fourth,
-)
+from .verify import TestReport, characterize_bm, test_conformal_invariance, test_wick_fourth
 
 __all__ = [
     "ExperimentConfig",
@@ -67,30 +62,6 @@ __all__ = [
     "main",
     "EXPERIMENTS",
 ]
-
-
-# The keys each experiment reads, with their defaults: any other key is
-# rejected.  A value is parsed as the type of its key's default; the tol.*
-# keys are the experiment's pass/fail gates.
-_COMMON = {"seed": 7, "output_dir": "."}
-_KEYS = {
-    "excursion-mass": {**_COMMON, "n_samples": 200_000, "r": 1.0, "eps": 1e-3,
-                       "tol.mass": 0.03, "tol.ks": 0.02},
-    "char-bm-gff-sine": {**_COMMON, "n_samples": 10_000, "u_grid": DEFAULT_U_GRID},
-    "char-bm-gff-circle": {**_COMMON, "n_samples": 10_000, "t_grid": DEFAULT_U_GRID},
-    "char-bm-stable": {**_COMMON, "n_samples": 4_000, "lattice_size": 64, "alpha": 1.5,
-                       "t_grid": DEFAULT_T_GRID},
-    "wick-fourth": {**_COMMON, "n_samples": 10_000, "lattice_size": 64},
-    "conformal-rotation": {**_COMMON, "n_samples": 400, "lattice_size": 96},
-}
-# The smallest n_samples each experiment's tests take (1 where none is set),
-# checked at load so a run that its tests would refuse makes no output.
-_MIN_SAMPLES = {
-    "char-bm-gff-sine": MIN_BATTERY_REPLICAS,
-    "char-bm-gff-circle": MIN_BATTERY_REPLICAS,
-    "char-bm-stable": MIN_BATTERY_REPLICAS,
-    "wick-fourth": MIN_WICK_SAMPLES,
-}
 
 
 def _parse(key: str, value, default):
@@ -106,7 +77,7 @@ def _parse(key: str, value, default):
             raise ConfigError(f"bad value for {key}: {value!r}") from exc
     if key == "seed":
         derived_seed(value, 0)  # raises ConfigError for a seed outside [0, 2^64)
-    elif key in ("lattice_size", "r", "eps") and not value > 0:
+    elif key in ("lattice_size", "r", "eps", "n_samples") and not value > 0:
         raise ConfigError(f"{key} must be positive")
     elif key == "alpha" and not 1.0 < value <= 2.0:
         raise ConfigError("alpha must lie in (1, 2], the stable field's range")
@@ -114,10 +85,6 @@ def _parse(key: str, value, default):
         g = np.asarray(value, dtype=float)
         if g.ndim != 1 or len(g) == 0 or not g[0] > 0 or np.any(np.diff(g) <= 0):
             raise ConfigError(f"{key} must be a nonempty positive increasing list")
-        try:  # only the char-bm-* batteries read a *_grid key
-            _battery_triples(value)
-        except DomainError as exc:
-            raise ConfigError(f"{key}: {exc}") from exc
     return value
 
 
@@ -128,11 +95,11 @@ class ExperimentConfig:
     not read raises ConfigError."""
 
     def __init__(self, experiment: str, **values):
-        if experiment not in _KEYS:
+        if experiment not in EXPERIMENTS:
             raise ConfigError(
-                f"unknown experiment {experiment!r}; known: {', '.join(sorted(_KEYS))}"
+                f"unknown experiment {experiment!r}; known: {', '.join(sorted(EXPERIMENTS))}"
             )
-        keys = _KEYS[experiment]
+        _, keys = EXPERIMENTS[experiment]
         unread = sorted(set(values) - set(keys))
         if unread:
             raise ConfigError(
@@ -147,15 +114,11 @@ class ExperimentConfig:
                 self.tol[key[4:]] = value
             else:
                 setattr(self, key, value)
-        low = _MIN_SAMPLES.get(experiment, 1)
-        if not self.n_samples >= low:
-            raise ConfigError(
-                f"experiment {experiment!r} needs n_samples >= {low}, got {self.n_samples}"
-            )
 
     def resolved(self) -> dict:
         """The keys the experiment reads, its gates under ``tol``."""
-        out = {k: getattr(self, k) for k in _KEYS[self.experiment] if not k.startswith("tol.")}
+        _, keys = EXPERIMENTS[self.experiment]
+        out = {k: getattr(self, k) for k in keys if not k.startswith("tol.")}
         return {**out, "tol": self.tol} if self.tol else out
 
 
@@ -190,67 +153,68 @@ def load_config(experiment: str, path=None, overrides: dict | None = None) -> Ex
 # ---------------------------------------------------------------------------
 
 
-def _run_excursion_mass(cfg: ExperimentConfig, out: Path) -> list:
+# A runner computes an experiment's reports (dicts for report.json) and
+# returns them with its data files, each a file name and a writer taking
+# the file's path; ``run`` writes them once the runner has returned.
+
+
+def _run_excursion_mass(cfg: ExperimentConfig) -> tuple:
     sample = sample_excursion_hits(cfg.r, cfg.eps, cfg.n_samples, cfg.seed)
-    sample.to_csv(out / "hits.csv")
     target = total_mass(cfg.r)
-    rel = abs(sample.mass_estimate / target - 1.0)
-    ks = weighted_ks_distance(sample.angles, sample.weights)
-    mass_rep = _report(
+    mass = TestReport(
         "excursion_mass",
-        rel,
+        abs(sample.mass_estimate / target - 1.0),
         None,
         cfg.tol["mass"],
         cfg.n_samples,
         notes=f"target 4/(pi r) = {target:.6f}",
     )
-    ks_rep = _report(
+    ks = TestReport(
         "hit_angle_ks",
-        ks,
+        weighted_ks_distance(sample.angles, sample.weights),
         None,
         cfg.tol["ks"],
         len(sample.angles),
         notes="weighted one-sample KS against the sine hitting law",
     )
-    return [
-        {**asdict(mass_rep), "mass_estimate": sample.mass_estimate,
+    reports = [
+        {**asdict(mass), "mass_estimate": sample.mass_estimate,
          "mass_stderr": sample.mass_stderr()},
-        asdict(ks_rep),
+        asdict(ks),
     ]
+    return reports, {"hits.csv": sample.to_csv}
 
 
-def _run_char_bm_gff_sine(cfg: ExperimentConfig, out: Path) -> list:
+def _run_char_bm_gff_sine(cfg: ExperimentConfig) -> tuple:
     Y = sine_average_path(cfg.n_samples, cfg.u_grid, cfg.seed, backend="exact")
-    Y.to_csv(out / "sine_path.csv")
-    return [asdict(characterize_bm(Y, seed=cfg.seed))]
+    return [asdict(characterize_bm(Y, seed=cfg.seed))], {"sine_path.csv": Y.to_csv}
 
 
-def _run_char_bm_gff_circle(cfg: ExperimentConfig, out: Path) -> list:
+def _run_char_bm_gff_circle(cfg: ExperimentConfig) -> tuple:
     Y = circle_average_path(cfg.n_samples, cfg.t_grid, cfg.seed, backend="exact")
-    Y.to_csv(out / "circle_path.csv")
-    return [asdict(characterize_bm(Y, seed=cfg.seed))]
+    return [asdict(characterize_bm(Y, seed=cfg.seed))], {"circle_path.csv": Y.to_csv}
 
 
-def _run_char_bm_stable(cfg: ExperimentConfig, out: Path) -> list:
+def _run_char_bm_stable(cfg: ExperimentConfig) -> tuple:
     lat = disk_lattice(cfg.lattice_size)
     Y = circle_average_path(
         cfg.n_samples, cfg.t_grid, cfg.seed, backend="lattice",
         lattice=lat, law="stable", alpha=cfg.alpha,
     )
-    Y.to_csv(out / "stable_circle_path.csv")
-    return [asdict(characterize_bm(Y, seed=cfg.seed))]
+    return [asdict(characterize_bm(Y, seed=cfg.seed))], {"stable_circle_path.csv": Y.to_csv}
 
 
-def _run_wick_fourth(cfg: ExperimentConfig, out: Path) -> list:
+def _run_wick_fourth(cfg: ExperimentConfig) -> tuple:
     lat = disk_lattice(cfg.lattice_size)
     phi = disk_bump(0.0, 0.5)
     w = np.asarray(phi(lat.z)) * lat.spacing**2
     samples = sample_functionals(lat, w[:, None], cfg.n_samples, cfg.seed)[:, 0]
-    np.savetxt(out / "pairings.csv", samples, fmt="%.17g")
-    return [asdict(test_wick_fourth(samples))]
+    return [asdict(test_wick_fourth(samples))], {
+        "pairings.csv": lambda path: np.savetxt(path, samples, fmt="%.17g")
+    }
 
 
-def _run_conformal_rotation(cfg: ExperimentConfig, out: Path) -> list:
+def _run_conformal_rotation(cfg: ExperimentConfig) -> tuple:
     rep = test_conformal_invariance(
         "gff",
         Mobius(np.exp(1j * np.pi / 3.0), 0, 0, 1),  # rotation by pi/3
@@ -259,16 +223,25 @@ def _run_conformal_rotation(cfg: ExperimentConfig, out: Path) -> list:
         cfg.seed,
         lattice_src=disk_lattice(cfg.lattice_size),
     )
-    return [asdict(rep)]
+    return [asdict(rep)], {}
 
 
+# Each experiment's runner and the keys it reads, with their defaults: any
+# other key is rejected.  A value is parsed as the type of its key's
+# default; the tol.* keys are the experiment's pass/fail gates.
+_COMMON = {"seed": 7, "output_dir": "."}
 EXPERIMENTS = {
-    "excursion-mass": _run_excursion_mass,
-    "char-bm-gff-sine": _run_char_bm_gff_sine,
-    "char-bm-gff-circle": _run_char_bm_gff_circle,
-    "char-bm-stable": _run_char_bm_stable,
-    "wick-fourth": _run_wick_fourth,
-    "conformal-rotation": _run_conformal_rotation,
+    "excursion-mass": (_run_excursion_mass, {**_COMMON, "n_samples": 200_000, "r": 1.0,
+                                             "eps": 1e-3, "tol.mass": 0.03, "tol.ks": 0.02}),
+    "char-bm-gff-sine": (_run_char_bm_gff_sine,
+                         {**_COMMON, "n_samples": 10_000, "u_grid": DEFAULT_U_GRID}),
+    "char-bm-gff-circle": (_run_char_bm_gff_circle,
+                           {**_COMMON, "n_samples": 10_000, "t_grid": DEFAULT_U_GRID}),
+    "char-bm-stable": (_run_char_bm_stable, {**_COMMON, "n_samples": 4_000, "lattice_size": 64,
+                                             "alpha": 1.5, "t_grid": DEFAULT_T_GRID}),
+    "wick-fourth": (_run_wick_fourth, {**_COMMON, "n_samples": 10_000, "lattice_size": 64}),
+    "conformal-rotation": (_run_conformal_rotation,
+                           {**_COMMON, "n_samples": 400, "lattice_size": 96}),
 }
 
 
@@ -283,12 +256,8 @@ def _all_passed(reports: list) -> bool:
 
 
 def run(cfg: ExperimentConfig) -> int:
-    """Execute one experiment; write report.json + manifest.json."""
-    out = Path(cfg.output_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
+    """Execute one experiment, then make the output directory and write its
+    data files, report.json and manifest.json."""
     machine = {
         "cpu_count": os.cpu_count(),
         "threads": thread_count(),
@@ -298,7 +267,15 @@ def run(cfg: ExperimentConfig) -> int:
     }
     started = datetime.now(timezone.utc).isoformat()
     t0 = time.monotonic()
-    reports = EXPERIMENTS[cfg.experiment](cfg, out)
+    runner, _ = EXPERIMENTS[cfg.experiment]
+    reports, files = runner(cfg)
+    out = Path(cfg.output_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
+    for name, write in files.items():
+        write(out / name)
     wall = time.monotonic() - t0
     (out / "report.json").write_text(json.dumps(reports, indent=2, sort_keys=True) + "\n")
     manifest = {
@@ -397,19 +374,16 @@ def _cmd_verify(args) -> int:
 
 def _cmd_excursions(args) -> int:
     sample = sample_excursion_hits(args.r, args.eps, args.n, args.seed)
+    summary = {
+        "mass_estimate": sample.mass_estimate,
+        "mass_stderr": sample.mass_stderr(),
+        "target": total_mass(args.r),
+        "n_hits": int(len(sample.angles)),
+        "hit_angle_ks": weighted_ks_distance(sample.angles, sample.weights),
+    }
     if args.out:
         sample.to_csv(args.out)
-    print(
-        json.dumps(
-            {
-                "mass_estimate": sample.mass_estimate,
-                "mass_stderr": sample.mass_stderr(),
-                "target": total_mass(args.r),
-                "n_hits": int(len(sample.angles)),
-                "hit_angle_ks": weighted_ks_distance(sample.angles, sample.weights),
-            }
-        )
-    )
+    print(json.dumps(summary))
     return 0
 
 

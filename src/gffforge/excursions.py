@@ -99,6 +99,8 @@ class ExcursionSample:
         return float(self.weights.sum() / (self.n_paths * self.eps))
 
     def mass_stderr(self) -> float:
+        if self.n_paths < 2:
+            raise DomainError("mass standard error needs at least 2 paths")
         per_root = np.zeros(self.n_paths)
         np.add.at(per_root, self.roots, self.weights / self.eps)
         return float(per_root.std(ddof=1) / np.sqrt(self.n_paths))

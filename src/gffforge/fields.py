@@ -127,17 +127,19 @@ def sample_gff_observables(cov, n: int, seed: int) -> np.ndarray:
         L[np.ix_(live, live)] = np.linalg.cholesky(matrix[np.ix_(live, live)])
     except np.linalg.LinAlgError as exc:
         raise NumericalError("covariance is not positive definite on its nonzero variances") from exc
-    return _replica_rows("gff", 2.0, matrix.shape[0], n, seed, V=L.T)
+    k = matrix.shape[0]
+    return _replica_rows(_law_noise("gff", 2.0, k), k, n, seed, V=L.T)
 
 
-def _replica_noise(law: str, alpha: float, size: int, rng) -> np.ndarray:
-    """Noise drawn from ``rng``: unit Gaussians ("gff") or SaS variates ("stable")."""
+def _law_noise(law: str, alpha: float, size: int):
+    """The noise of one replica as a function of its generator: ``size``
+    unit Gaussians ("gff") or SaS variates ("stable")."""
     if law == "gff":
-        return rng.standard_normal(size)
+        return lambda rng: rng.standard_normal(size)
     if law == "stable":
         if not 1.0 < alpha <= 2.0:
             raise DomainError("stable field needs alpha in (1, 2]")
-        return sample_sas(alpha, size, rng, _SAS_DRIVER_SCALE)
+        return lambda rng: sample_sas(alpha, size, rng, _SAS_DRIVER_SCALE)
     raise DomainError(f"unknown law {law!r}")
 
 
@@ -156,9 +158,10 @@ _REPLICA_BLOCK = 32
 _PARALLEL_SITES = 2_000
 
 
-def _replica_rows(law, alpha, size, n, seed, replica_offset=0, V=None) -> np.ndarray:
-    """(n, size) array whose row r is the noise of replica replica_offset + r,
-    or (n, k) with row r that noise @ V for a (size, k) matrix V.
+def _replica_rows(noise, size, n, seed, replica_offset=0, V=None) -> np.ndarray:
+    """(n, size) array whose row r is ``noise(rng)`` for the generator of
+    replica replica_offset + r, or (n, k) with row r that noise @ V for a
+    (size, k) matrix V.
 
     Contiguous blocks of _REPLICA_BLOCK rows run through ``parallel_map``
     (serially below _PARALLEL_SITES); each block fills its own rows from
@@ -173,7 +176,7 @@ def _replica_rows(law, alpha, size, n, seed, replica_offset=0, V=None) -> np.nda
         rng = None
         for r in range(lo, min(lo + _REPLICA_BLOCK, n)):
             rng = replica_rng(seed, replica_offset + r, rng)
-            xi = _replica_noise(law, alpha, size, rng)
+            xi = noise(rng)
             out[r] = xi if V is None else xi @ V
 
     blocks = range(0, n, _REPLICA_BLOCK)
@@ -187,7 +190,8 @@ def _replica_rows(law, alpha, size, n, seed, replica_offset=0, V=None) -> np.nda
 
 def _field_matrix(lat, law, alpha, n, seed, replica_offset) -> np.ndarray:
     """(n_sites, n) calibrated fields; column r is replica replica_offset + r."""
-    xi = _replica_rows(law, alpha, lat.n_sites, n, seed, replica_offset).T
+    noise = _law_noise(law, alpha, lat.n_sites)
+    xi = _replica_rows(noise, lat.n_sites, n, seed, replica_offset).T
     return CALIBRATION * lat.white_to_field(xi)
 
 
@@ -266,7 +270,7 @@ def sample_functionals(
     V = CALIBRATION * lat._root(W, "T")
     if law == "gff":
         V = np.linalg.qr(V, mode="r")
-    return _replica_rows(law, alpha, V.shape[0], n, seed, V=V)
+    return _replica_rows(_law_noise(law, alpha, V.shape[0]), V.shape[0], n, seed, V=V)
 
 
 def sample_stable_field(lat: LatticeDomain, alpha: float, n: int, seed: int):

@@ -9,14 +9,14 @@ statistic with threshold 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import log_ndtr
 
 from .averaging import ProcessPath
 from .errors import DomainError
-from .fields import sample_functionals, sample_sas
+from .fields import _replica_rows, sample_functionals, sample_sas
 from .geometry import Mobius, TestFunction, pullback_test_function
 from .greens import LatticeDomain, disk_lattice
 from .rng import parallel_map, replica_rng
@@ -54,31 +54,26 @@ MIN_WICK_SAMPLES = 1000
 
 @dataclass
 class TestReport:
+    """One test's outcome; ``passed`` is derived by the pass rule:
+    p >= SIGNIFICANCE, else |statistic| <= threshold."""
+
     name: str
     statistic: float
     p_value: float | None
     threshold: float
-    passed: bool
     n_samples: int
     notes: str = ""
+    passed: bool = field(init=False)
 
     def __post_init__(self):
-        if bool(self.passed) != _passes(self.statistic, self.p_value, self.threshold):
-            raise DomainError(f"report {self.name!r} breaks the pass invariant")
-
-
-def _passes(statistic, p_value, threshold) -> bool:
-    """The pass rule: p >= SIGNIFICANCE, else |statistic| <= threshold."""
-    return bool(p_value >= SIGNIFICANCE if p_value is not None else abs(statistic) <= threshold)
-
-
-def _report(name, statistic, p_value, threshold, n, notes=""):
-    passed = _passes(statistic, p_value, threshold)
-    if p_value is not None:
-        p_value = float(p_value)
-    return TestReport(
-        name, float(statistic), p_value, float(threshold), passed, int(n), notes
-    )
+        self.statistic = float(self.statistic)
+        self.threshold = float(self.threshold)
+        self.n_samples = int(self.n_samples)
+        if self.p_value is None:
+            self.passed = abs(self.statistic) <= self.threshold
+        else:
+            self.p_value = float(self.p_value)
+            self.passed = self.p_value >= SIGNIFICANCE
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +213,7 @@ def _var_gate(sample: np.ndarray, target: float, k: float = 3.0) -> tuple:
 
 def test_normality(samples) -> TestReport:
     a, p = anderson_darling_p(samples)
-    return _report("normality", a, p, SIGNIFICANCE, len(np.asarray(samples)))
+    return TestReport("normality", a, p, SIGNIFICANCE, len(np.asarray(samples)))
 
 
 def test_wick_fourth(samples) -> TestReport:
@@ -230,7 +225,7 @@ def test_wick_fourth(samples) -> TestReport:
     if not m2 > 0:
         raise DomainError("degenerate samples: zero variance")
     ratio = np.mean(c**4) / (3.0 * m2 * m2)
-    return _report(
+    return TestReport(
         "wick_fourth",
         ratio - 1.0,
         None,
@@ -247,7 +242,7 @@ def test_brownian_scaling(Y: ProcessPath, c: float) -> TestReport:
         raise DomainError("scaling factor must be positive")
     n = Y.replicas.shape[0]
     if c == 1.0:
-        return _report("scaling[c=1]", 0.0, 1.0, SIGNIFICANCE, n, notes="identity scaling")
+        return TestReport("scaling[c=1]", 0.0, 1.0, SIGNIFICANCE, n, notes="identity scaling")
     pairs = [(u, c * u) for u in Y.grid if Y.index(c * u) is not None]
     if not pairs:
         raise DomainError(f"no grid pair (u, {c}u) available for the scaling test")
@@ -266,7 +261,7 @@ def test_brownian_scaling(Y: ProcessPath, c: float) -> TestReport:
         ds.append(res.statistic)
     p = min(1.0, len(ps) * min(ps))
     notes = "Bonferroni over u in {" + ", ".join(f"{u:.4g}" for u, _ in pairs) + "}"
-    return _report(f"scaling[c={c:g}]", float(max(ds)), float(p), SIGNIFICANCE, n, notes)
+    return TestReport(f"scaling[c={c:g}]", float(max(ds)), float(p), SIGNIFICANCE, n, notes)
 
 
 def test_independent_increments(Y: ProcessPath, seed: int = 0) -> TestReport:
@@ -290,7 +285,7 @@ def test_independent_increments(Y: ProcessPath, seed: int = 0) -> TestReport:
     dc, p_dc = distance_correlation(pooled_x, pooled_y, seed=seed)
     gate = max(rho / (4.0 / np.sqrt(n)), SIGNIFICANCE / p_dc)
     notes = f"max|rho|={rho:.4f}, dcor={dc:.4f} (perm p={p_dc:.3f})"
-    return _report("independent_increments", gate, None, 1.0, n, notes)
+    return TestReport("independent_increments", gate, None, 1.0, n, notes)
 
 
 def test_harness(Y: ProcessPath, s: float, u: float, r: float, seed: int = 0) -> TestReport:
@@ -304,7 +299,7 @@ def test_harness(Y: ProcessPath, s: float, u: float, r: float, seed: int = 0) ->
     lam = (u - s) / (r - s)
     R = yu - lam * yr - (1.0 - lam) * ys
     if u == s or u == r:
-        return _report(
+        return TestReport(
             f"harness[{s:g},{u:g},{r:g}]", 0.0, None, 1.0, n, notes="degenerate interpolation"
         )
     rho = max(abs(_pearson(R, ys)), abs(_pearson(R, yr)))
@@ -316,7 +311,7 @@ def test_harness(Y: ProcessPath, s: float, u: float, r: float, seed: int = 0) ->
         f"max|rho|={rho:.4f}, dcor perm p={p_dc:.3f}, "
         f"Var(R)={m2:.5g} vs bridge {target:.5g}"
     )
-    return _report(f"harness[{s:g},{u:g},{r:g}]", gate, None, 1.0, n, notes)
+    return TestReport(f"harness[{s:g},{u:g},{r:g}]", gate, None, 1.0, n, notes)
 
 
 def test_moment_bootstrap(Y: ProcessPath, u0: float = 1.0) -> TestReport:
@@ -334,7 +329,7 @@ def test_moment_bootstrap(Y: ProcessPath, u0: float = 1.0) -> TestReport:
     kurt = np.mean(c**4) / max(np.mean(c * c) ** 2, 1e-300)
     if kurt > 20.0:
         notes += f"; heavy tails (kurtosis {kurt:.1f}) make the variance gate unstable"
-    return _report("moment_bootstrap", gate, None, 1.0, n, notes)
+    return TestReport("moment_bootstrap", gate, None, 1.0, n, notes)
 
 
 def test_conformal_invariance(
@@ -365,7 +360,7 @@ def test_conformal_invariance(
             " filter: off a box it depends on the Cholesky site order, on a box"
             " (symmetric DST root) it keeps only the box's own symmetries"
         )
-    return _report(
+    return TestReport(
         f"conformal[{law}]", float(ks.statistic), float(ks.pvalue), SIGNIFICANCE, n, notes
     )
 
@@ -389,41 +384,21 @@ def _image_lattice(lat: LatticeDomain, f: Mobius) -> LatticeDomain:
 
 @dataclass
 class CharBMVerdict:
+    """The battery's reports and ``overall``, derived from them:
+    "consistent-with-BM", or "rejected(...)" naming the failed reports in
+    order."""
+
     reports: dict
     sigma_hat: float
-    overall: str
+    overall: str = field(init=False)
 
     def __post_init__(self):
-        consistent = all(r.passed for r in self.reports.values())
-        if consistent != (self.overall == "consistent-with-BM"):
-            raise DomainError("verdict breaks the consistency invariant")
+        failed = [k for k, r in self.reports.items() if not r.passed]
+        self.overall = "rejected(" + ",".join(failed) + ")" if failed else "consistent-with-BM"
 
     @property
     def consistent(self) -> bool:
         return self.overall == "consistent-with-BM"
-
-
-def _verdict(reports: dict, sig: float) -> CharBMVerdict:
-    failed = [k for k, r in reports.items() if not r.passed]
-    overall = "consistent-with-BM" if not failed else "rejected(" + ",".join(failed) + ")"
-    return CharBMVerdict(reports=reports, sigma_hat=sig, overall=overall)
-
-
-def _battery_triples(grid) -> list:
-    """The first three (s, 2s, 4s) triples, by ``ProcessPath.index``, of a battery grid."""
-    Y = ProcessPath(grid, np.empty((0, len(grid))))
-    if len(Y.grid) < 4:
-        raise DomainError("characterization needs at least 4 grid points")
-    if not Y.grid[0] > 0:
-        raise DomainError("characterization needs a positive grid")
-    triples = [
-        (float(s), float(2 * s), float(4 * s))
-        for s in Y.grid
-        if Y.index(2 * s) is not None and Y.index(4 * s) is not None
-    ]
-    if not triples:
-        raise DomainError("grid carries no (s, 2s, 4s) triple")
-    return triples[:3]
 
 
 def _continuity_report(Y: ProcessPath) -> TestReport:
@@ -435,7 +410,7 @@ def _continuity_report(Y: ProcessPath) -> TestReport:
             base = float(u0)
             break
     if base is None:
-        return _report(
+        return TestReport(
             "continuity", 0.0, None, 1.0, n,
             notes="grid lacks mean-square refinement points; condition not exercised",
         )
@@ -450,7 +425,7 @@ def _continuity_report(Y: ProcessPath) -> TestReport:
         + ", ".join(f"{v:.4g}" for v in variances)
         + "; pathwise continuity is a modification statement, not tested"
     )
-    return _report("continuity", gate, None, 1.0, n, notes)
+    return TestReport("continuity", gate, None, 1.0, n, notes)
 
 
 def characterize_bm(Y: ProcessPath, seed: int = 0) -> CharBMVerdict:
@@ -459,21 +434,31 @@ def characterize_bm(Y: ProcessPath, seed: int = 0) -> CharBMVerdict:
     Sub-tests: mean-square continuity, dyadic scaling (c = 2, 4),
     independence of increments, harness residual independence at up to
     three dyadic triples, the moment-bootstrap split at (1, 2), and
-    normality of standardized increments.
+    normality of standardized increments.  The battery's needs, a
+    positive grid of at least 4 points with an (s, 2s, 4s) triple and
+    MIN_BATTERY_REPLICAS replicas, are checked before any sub-test runs.
     """
     n = len(Y.replicas)
-    triples = _battery_triples(Y.grid)
+    if len(Y.grid) < 4:
+        raise DomainError("characterization needs at least 4 grid points")
+    if not Y.grid[0] > 0:
+        raise DomainError("characterization needs a positive grid")
+    triples = [
+        (float(s), float(2 * s), float(4 * s))
+        for s in Y.grid
+        if Y.index(2 * s) is not None and Y.index(4 * s) is not None
+    ][:3]
+    if not triples:
+        raise DomainError("grid carries no (s, 2s, 4s) triple")
+    if n < MIN_BATTERY_REPLICAS:
+        raise DomainError(f"characterization needs at least {MIN_BATTERY_REPLICAS} replicas")
     du = np.diff(Y.grid)
     inc = np.diff(Y.replicas, axis=1)
     # zero variance in every column, tested exactly: np.var of a constant
     # column need not round to 0, and a threshold would not be scale-free
     if np.all(Y.replicas == Y.replicas[0]):
-        reports = {
-            "degenerate": _report(
-                "degenerate", 0.0, None, 1.0, n, notes="zero-variance path; sigma = 0"
-            )
-        }
-        return _verdict(reports, 0.0)
+        rep = TestReport("degenerate", 0.0, None, 1.0, n, notes="zero-variance path; sigma = 0")
+        return CharBMVerdict({rep.name: rep}, 0.0)
     sig = sigma_hat(Y)
 
     std_inc = (inc / np.sqrt(du)).T.ravel()
@@ -489,7 +474,7 @@ def characterize_bm(Y: ProcessPath, seed: int = 0) -> CharBMVerdict:
         lambda: test_moment_bootstrap(Y, u0=u0),
         lambda: test_normality(std_inc),
     ] + [lambda s=s, u=u, r=r: test_harness(Y, s, u, r, seed=seed) for s, u, r in triples]
-    return _verdict({rep.name: rep for rep in parallel_map(lambda job: job(), jobs)}, sig)
+    return CharBMVerdict({rep.name: rep for rep in parallel_map(lambda job: job(), jobs)}, sig)
 
 
 # ---------------------------------------------------------------------------
@@ -497,17 +482,13 @@ def characterize_bm(Y: ProcessPath, seed: int = 0) -> CharBMVerdict:
 # ---------------------------------------------------------------------------
 
 
-def _synthetic_path(grid, n: int, seed: int, increments) -> ProcessPath:
+def _increment_path(grid, n: int, seed: int, increments) -> ProcessPath:
     """Replica k is the cumulative sum of ``increments(rng, du)``, with rng
     on stream k and du the grid steps from 0."""
     g = np.asarray(grid, dtype=float)
     du = np.concatenate([[g[0]], np.diff(g)])
-    reps = np.empty((n, len(g)))
-    rng = None
-    for k in range(n):
-        rng = replica_rng(seed, k, rng)
-        reps[k] = np.cumsum(increments(rng, du))
-    return ProcessPath(g, reps)
+    rows = _replica_rows(lambda rng: increments(rng, du), len(g), n, seed)
+    return ProcessPath(g, np.cumsum(rows, axis=1))
 
 
 def levy_path(grid, n: int, seed: int, alpha: float = 1.5) -> ProcessPath:
@@ -517,7 +498,7 @@ def levy_path(grid, n: int, seed: int, alpha: float = 1.5) -> ProcessPath:
     def increments(rng, du):
         return sample_sas(alpha, len(du), rng) * du ** (1.0 / alpha)
 
-    return _synthetic_path(grid, n, seed, increments)
+    return _increment_path(grid, n, seed, increments)
 
 
 def compound_poisson_path(grid, n: int, seed: int, rate: float = 1.0) -> ProcessPath:
@@ -528,7 +509,7 @@ def compound_poisson_path(grid, n: int, seed: int, rate: float = 1.0) -> Process
         counts = rng.poisson(rate * du)
         return np.where(counts > 0, np.sqrt(counts), 0.0) * rng.standard_normal(len(du))
 
-    return _synthetic_path(grid, n, seed, increments)
+    return _increment_path(grid, n, seed, increments)
 
 
 def ar1_increment_path(grid, n: int, seed: int, rho: float = 0.3) -> ProcessPath:
@@ -545,4 +526,4 @@ def ar1_increment_path(grid, n: int, seed: int, rho: float = 0.3) -> ProcessPath
             eps[j] = rho * eps[j - 1] + np.sqrt(1.0 - rho * rho) * xi[j]
         return eps * np.sqrt(du)
 
-    return _synthetic_path(grid, n, seed, increments)
+    return _increment_path(grid, n, seed, increments)

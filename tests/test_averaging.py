@@ -739,6 +739,11 @@ def test_process_path_validation():
         ProcessPath(np.array([1.0, 1.0]), np.zeros((2, 2)))
     with pytest.raises(DomainError):
         ProcessPath(np.array([1.0, 2.0]), np.zeros((2, 3)))
+    # the grid must be one-dimensional: a scalar and a column are refused
+    with pytest.raises(DomainError, match="one-dimensional"):
+        ProcessPath(5.0, np.zeros((1, 1)))
+    with pytest.raises(DomainError, match="one-dimensional"):
+        ProcessPath(np.arange(1.0, 5.0)[:, None], np.zeros((2, 4)))
 
 
 def test_process_path_column_reads_grid_points_only():

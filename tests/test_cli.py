@@ -117,18 +117,21 @@ def test_bad_config_exits_2(tmp_path, capsys):
         ("excursion-mass", "tol.mas = 0.5\n", "experiment 'excursion-mass' does not read tol.mas"),
         ("char-bm-gff-sine", "tol.mass = 0.5\n", "experiment 'char-bm-gff-sine' does not read tol.mass"),
         ("char-bm-stable", "alpha = 0.9\n", "alpha must lie in (1, 2]"),
-        ("char-bm-gff-sine", "n_samples = 50\n", "experiment 'char-bm-gff-sine' needs n_samples >= 100"),
-        ("wick-fourth", "n_samples = 999\n", "experiment 'wick-fourth' needs n_samples >= 1000"),
-        # grids the battery would refuse after writing the path CSV
+        # inputs the library refuses after the compute: the run writes nothing
+        ("char-bm-gff-sine", "n_samples = 50\n", "characterization needs at least 100 replicas"),
+        ("wick-fourth", "n_samples = 999\n", "fourth-moment test needs at least 1000 samples"),
         ("char-bm-gff-sine", "u_grid = 1,1.5,2.5,3\nn_samples = 200\n",
-         "u_grid: grid carries no (s, 2s, 4s) triple"),
-        ("char-bm-gff-circle", "t_grid = 1,2,4\n",
-         "t_grid: characterization needs at least 4 grid points"),
-        ("char-bm-stable", "t_grid = 6,7,8,9\n", "t_grid: grid carries no (s, 2s, 4s) triple"),
+         "grid carries no (s, 2s, 4s) triple"),
+        ("char-bm-gff-circle", "t_grid = 1,2,4\n", "characterization needs at least 4 grid points"),
+        ("char-bm-stable", "t_grid = 0.25,0.3,0.4,0.6\nn_samples = 100\n",
+         "grid carries no (s, 2s, 4s) triple"),
+        ("excursion-mass", "n_samples = 2\neps = 0.01\nseed = 3\n", "no values to compare"),
+        ("excursion-mass", "n_samples = 1\neps = 0.01\nseed = 2\n",
+         "mass standard error needs at least 2 paths"),
     ],
     ids=["wick-alpha", "excursion-u_grid", "excursion-tol.mas", "sine-tol.mass", "stable-alpha-0.9",
          "sine-n_samples-50", "wick-n_samples-999", "sine-no-triple", "circle-3-points",
-         "stable-no-triple"],
+         "stable-no-triple", "excursion-no-hits", "excursion-one-path"],
 )
 def test_config_error_exits_2_before_the_output_dir(tmp_path, capsys, experiment, text, message):
     # an unread key would run silently and still be echoed in the manifest
@@ -153,14 +156,14 @@ def test_unresolvable_circles_exit_3(tmp_path, capsys):
 
 def test_verify_propagates_resolution_as_3(tmp_path, capsys):
     p = tmp_path / "res.cfg"
-    # n_samples at the battery's minimum, so the config loads and the
-    # lattice, not the sample size, is what fails
+    # n_samples at the battery's minimum and a grid with a triple, so the
+    # lattice, not the sample size or the grid, is what fails
     p.write_text("lattice_size = 16\nt_grid = 6,7,12,24\nn_samples = 100\n")
-    code = main(
-        ["verify", "--experiment", "char-bm-stable", "--config", str(p),
-         "--output-dir", str(tmp_path / "out")]
-    )
+    out = tmp_path / "out"
+    code = main(["verify", "--experiment", "char-bm-stable", "--config", str(p),
+                 "--output-dir", str(out)])
     assert code == 3
+    assert not out.exists()
 
 
 def test_bad_thread_count_exits_2(monkeypatch, capsys):

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from gffforge.averaging import DEFAULT_T_GRID, DEFAULT_U_GRID
-from gffforge.cli import _KEYS, load_config
+from gffforge.cli import EXPERIMENTS, load_config
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 SCRIPTS = sorted(DEMOS.glob("*.py"))
@@ -65,7 +65,7 @@ def test_readme_key_table_matches_the_harness():
     names = {DEFAULT_U_GRID: "U", DEFAULT_T_GRID: "T"}
     assert table == {
         experiment: {key: names.get(default, str(default)) for key, default in keys.items()}
-        for experiment, keys in _KEYS.items()
+        for experiment, (_, keys) in EXPERIMENTS.items()
     }
     for name, grid in (("U", DEFAULT_U_GRID), ("T", DEFAULT_T_GRID)):
         assert f"- {name}: `{', '.join(map(str, grid))}`" in lines

@@ -208,6 +208,9 @@ def test_sampler_validation():
         sample_excursion_hits(-1.0, 1e-3, 10, seed=0)
     with pytest.raises(DomainError):
         sample_excursion_hits(1.0, 1e-3, 0, seed=0)
+    # one path has no spread to estimate: an error, not a NaN
+    with pytest.raises(DomainError, match="at least 2 paths"):
+        sample_excursion_hits(1.0, 1e-2, 1, seed=2).mass_stderr()
 
 
 def test_continue_paths_validation():

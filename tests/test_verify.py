@@ -45,22 +45,25 @@ def bm_path(grid, n, seed, sigma=1.0):
 # ---------------------------------------------------------------------------
 
 
-def test_report_invariant_p_value_branch():
-    vfy.TestReport("x", 5.0, 0.2, 0.01, True, 100)
-    vfy.TestReport("x", 5.0, 0.001, 0.01, False, 100)
-    with pytest.raises(DomainError):
-        vfy.TestReport("x", 5.0, 0.001, 0.01, True, 100)
-    with pytest.raises(DomainError):
-        vfy.TestReport("x", 5.0, 0.2, 0.01, False, 100)
+def test_report_derives_pass_from_the_p_value():
+    # with a p-value, the statistic and threshold do not decide
+    assert vfy.TestReport("x", 5.0, 0.2, 0.01, 100).passed is True
+    assert vfy.TestReport("x", 5.0, vfy.SIGNIFICANCE, 0.01, 100).passed is True
+    assert vfy.TestReport("x", 0.0, 0.001, 0.01, 100).passed is False
+    rep = vfy.TestReport("x", np.float64(5.0), np.float64(0.2), 1, np.int64(100))
+    assert [type(v) for v in (rep.statistic, rep.p_value, rep.threshold, rep.n_samples)] == [
+        float, float, float, int]
 
 
-def test_report_invariant_tolerance_branch():
-    vfy.TestReport("x", 0.5, None, 1.0, True, 100)
-    vfy.TestReport("x", -0.5, None, 1.0, True, 100)
-    with pytest.raises(DomainError):
-        vfy.TestReport("x", 1.5, None, 1.0, True, 100)
-    with pytest.raises(DomainError):
-        vfy.TestReport("x", 0.5, None, 1.0, False, 100)
+def test_report_derives_pass_from_the_tolerance():
+    assert vfy.TestReport("x", 0.5, None, 1.0, 100).passed is True
+    assert vfy.TestReport("x", -0.5, None, 1.0, 100).passed is True
+    assert vfy.TestReport("x", 1.0, None, 1.0, 100).passed is True
+    assert vfy.TestReport("x", 1.5, None, 1.0, 100).passed is False
+    assert vfy.TestReport("x", -1.5, None, 1.0, 100).passed is False
+    # the verdict is derived, never given
+    with pytest.raises(TypeError):
+        vfy.TestReport("x", 0.5, None, 1.0, 100, passed=True)
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +554,7 @@ def test_characterize_rejects_compound_poisson_on_normality():
 
 
 def test_characterize_zero_path_degenerate():
-    Z = ProcessPath(np.asarray(SHORT_GRID), np.zeros((50, 4)))
+    Z = ProcessPath(np.asarray(SHORT_GRID), np.zeros((vfy.MIN_BATTERY_REPLICAS, 4)))
     v = characterize_bm(Z)
     assert v.consistent
     assert v.sigma_hat == 0.0
@@ -560,7 +563,7 @@ def test_characterize_zero_path_degenerate():
 
 def test_characterize_constant_path_degenerate():
     # np.var of a column of 0.1s is 7.7e-34, not 0; the rule is exact
-    C = ProcessPath(np.asarray(SHORT_GRID), np.full((50, len(SHORT_GRID)), 0.1))
+    C = ProcessPath(np.asarray(SHORT_GRID), np.full((vfy.MIN_BATTERY_REPLICAS, len(SHORT_GRID)), 0.1))
     v = characterize_bm(C)
     assert v.consistent
     assert "degenerate" in v.reports
@@ -585,10 +588,25 @@ def test_characterize_grid_validation():
     # a grid point at 0 would make (0, 0, 0) a dyadic triple
     with pytest.raises(DomainError, match="needs a positive grid"):
         characterize_bm(bm_path((0.0, 0.25, 0.5, 1.0, 2.0), 500, 1))
+    # the replica count is checked with the grid, before any sub-test runs
+    with pytest.raises(DomainError, match="needs at least 100 replicas"):
+        characterize_bm(bm_path(SHORT_GRID, 99, 1))
+    with pytest.raises(DomainError, match="needs at least 100 replicas"):
+        characterize_bm(ProcessPath(np.asarray(SHORT_GRID), np.zeros((0, 4))))
 
 
-def test_verdict_invariant_enforced():
+def test_verdict_derives_overall_from_its_reports():
     v = characterize_bm(bm_path(SHORT_GRID, 500, 86), seed=86)
     assert v.consistent
-    with pytest.raises(DomainError):
-        CharBMVerdict(reports=v.reports, sigma_hat=v.sigma_hat, overall="rejected(normality)")
+    assert CharBMVerdict(v.reports, v.sigma_hat).overall == "consistent-with-BM"
+    fail = {
+        name: vfy.TestReport(name, 2.0, None, 1.0, 100)
+        for name in ("normality", "continuity", "scaling[c=2]")
+    }
+    reports = {**v.reports, **fail, "extra": vfy.TestReport("extra", 0.0, None, 1.0, 100)}
+    verdict = CharBMVerdict(reports, v.sigma_hat)
+    assert not verdict.consistent
+    # the failed names in the order of the reports, not of `fail`
+    assert verdict.overall == "rejected(continuity,scaling[c=2],normality)"
+    with pytest.raises(TypeError):
+        CharBMVerdict(reports=v.reports, sigma_hat=v.sigma_hat, overall="consistent-with-BM")
