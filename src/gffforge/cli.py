@@ -10,8 +10,8 @@ run that exits 2 or 3 leaves none, and an output directory that cannot be
 made is found after the compute.  A manifest.json records the values of
 those keys, library version, wall time and the machine (core count,
 GFFFORGE_THREADS in effect, Python/numpy/scipy versions).  Exit codes: 0
-all tests passed, 1 a test failed, 2 invalid configuration, 3 a resolution
-or numerical failure.
+all tests passed, 1 a test failed, 2 invalid configuration or a file that
+cannot be read or written, 3 a resolution or numerical failure.
 """
 
 from __future__ import annotations
@@ -439,7 +439,9 @@ def main(argv=None) -> int:
     try:
         thread_count()  # reject a bad GFFFORGE_THREADS even where no pool runs
         return _COMMANDS[args.command](args)
-    except (ConfigError, DomainError) as exc:
+    except (ConfigError, DomainError, OSError) as exc:
+        # OSError: a file that cannot be read or written, such as --out in a
+        # directory that does not exist
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ResolutionError, NumericalError) as exc:

@@ -5,21 +5,29 @@ p >= SIGNIFICANCE; pure-tolerance tests pass when |statistic| <= threshold.
 Composite tests normalize each sub-criterion to a gate value that is <= 1
 exactly when the criterion holds and report the worst gate as the
 statistic with threshold 1.
+
+The independence gates (increments and the bridge harness) take their
+distance-correlation p-value from the exact mean, variance and skewness
+of the cross term over all permutations of the sample, through a Pearson
+type III tail: no permutation is sampled, so the p-value depends on the
+seed only through the subsample of a sample above 800.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
+from math import factorial, prod
 
 import numpy as np
-from scipy.special import log_ndtr
+from scipy.special import gammainc, gammaincc, log_ndtr, ndtr
 
 from .averaging import ProcessPath
 from .errors import DomainError
 from .fields import _replica_rows, sample_functionals, sample_sas
 from .geometry import Mobius, TestFunction, pullback_test_function
 from .greens import LatticeDomain, disk_lattice
-from .rng import parallel_map, replica_rng
+from .rng import replica_rng
 
 __all__ = [
     "SIGNIFICANCE",
@@ -44,7 +52,6 @@ __all__ = [
 ]
 
 SIGNIFICANCE = 0.01
-_N_PERM = 199
 # Smallest samples the tests take: the scaling test compares two halves of
 # at least 50 replicas, the independence test needs 100 replicas, and the
 # fourth-moment test 1,000 samples.
@@ -123,67 +130,175 @@ def _dist_matrix(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, float)
     if v.ndim == 1:
         return np.abs(v[:, None] - v[None, :])
-    diff = v[:, None, :] - v[None, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=-1))
+    # one column at a time: no (n, n, dim) array, and the same sums in the
+    # same order as a reduction over the last axis
+    sq = 0.0
+    for c in v.T:
+        diff = c[:, None] - c[None, :]
+        sq = sq + diff * diff
+    return np.sqrt(sq)
 
 
 def _center(d: np.ndarray) -> np.ndarray:
     return d - d.mean(axis=0) - d.mean(axis=1)[:, None] + d.mean()
 
 
-# Rows per block of the permuted cross term.  At n=800 the whole-matrix
-# gather writes two 5.1 MB arrays per permutation, more than a 2 MiB L2; a
-# 64-row block writes two of at most 0.4 MB.  Per permutation at n=800 on 2
-# cores, one thread: 16 rows 1.46 ms, 32 1.32, 64 1.29, 128 1.68, 256 2.12,
-# whole matrix 3.46; two threads at once: 32 rows 2.17 ms, 64 1.67, 128
-# 2.00, whole matrix 3.57.
-_DCOR_BLOCK = 64
+# The permutation law of a Mantel statistic S(pi) = sum_ij A_ij B_pi(i)pi(j)
+# (Mantel 1967), for symmetric double-centred A and B of zero trace, so
+# that E[S] = 0.  E[S^k] sums over the set partitions P of the 2k index
+# slots (slots 2l and 2l+1 index factor l): with a_P(A) the sum of the k
+# factors over indices that are equal exactly within the blocks of P,
+# E[S^k] = sum_P a_P(A) a_P(B) / (n)_|P|, (n)_r the falling factorial.
+# Mobius inversion on the partition lattice writes a_P through the graph
+# sums of the partitions Q that merge blocks of P: Q's blocks are the
+# vertices, the factors the edges.  A vertex met by one edge end sums a row
+# of A, and a vertex met only by one loop is tr A; both are 0.  For k <= 3
+# every other graph is connected and named by (vertices, loops, largest
+# multiplicity of a non-loop edge).  The graphs of k edges, with d = diag A:
+_GRAPHS = {
+    # sum d_i^2, sum a_ij^2
+    2: ((1, 2, 0), (2, 0, 2)),
+    # sum d_i^3, sum a_ij^3, sum_i d_i sum_j a_ij^2, d^T A d, tr A^3
+    3: ((1, 3, 0), (2, 0, 3), (2, 1, 2), (2, 2, 1), (3, 0, 1)),
+}
+
+
+def _set_partitions(m: int) -> list:
+    """Every set partition of range(m), as block labels numbered in order
+    of first appearance."""
+    parts = [[0]]
+    for _ in range(1, m):
+        parts = [p + [b] for p in parts for b in range(max(p) + 2)]
+    return parts
+
+
+def _graph_key(labels: list):
+    """The ``_GRAPHS`` key of the graph whose edge l joins ``labels[2l]``
+    and ``labels[2l + 1]``, or None where its sum is 0."""
+    edges = list(zip(labels[::2], labels[1::2]))
+    ends = {v: labels.count(v) for v in labels}
+    loops = [a for a, b in edges if a == b]
+    if 1 in ends.values() or any(ends[v] == 2 for v in loops):
+        return None
+    links = [tuple(sorted(e)) for e in edges if e[0] != e[1]]
+    return len(ends), len(loops), max((links.count(e) for e in links), default=0)
+
+
+@cache
+def _moment_weights(k: int) -> np.ndarray:
+    """G with E[S^k] = sum_r g(A)^T G[r - 1] g(B) / (n)_r, g the graph sums
+    ``_GRAPHS[k]``: G[r - 1] sums the outer square of a_P's coefficients
+    over the partitions P of r blocks."""
+    keys = _GRAPHS[k]
+    G = np.zeros((2 * k, len(keys), len(keys)))
+    for P in _set_partitions(2 * k):
+        coef = np.zeros(len(keys))
+        for merge in _set_partitions(max(P) + 1):
+            key = _graph_key([merge[b] for b in P])
+            if key is not None:
+                # the Mobius function of the partition lattice from P to Q
+                sizes = [merge.count(b) for b in set(merge)]
+                coef[keys.index(key)] += prod((-1) ** (s - 1) * factorial(s - 1) for s in sizes)
+        G[max(P)] += np.outer(coef, coef)
+    G.flags.writeable = False  # one array, shared by every caller
+    return G
+
+
+def _graph_sums(A: np.ndarray) -> dict:
+    """The ``_GRAPHS`` sums of A.  Each is a numpy sum: a BLAS dot splits
+    its sum over threads, so its rounding would follow the thread count."""
+    d = A.diagonal()
+    A2 = A * A
+    return {
+        (1, 2, 0): np.sum(d * d),
+        (2, 0, 2): np.sum(A2),
+        (1, 3, 0): np.sum(d * d * d),
+        (2, 0, 3): np.sum(A2 * A),
+        (2, 1, 2): np.sum(d * A2.sum(axis=1)),
+        (2, 2, 1): np.einsum("i,ij,j->", d, A, d),
+        # A A^T is A^2 for symmetric A, and numpy computes it by syrk at
+        # half the flops of a general product
+        (3, 0, 1): np.sum((A @ A.T) * A),
+    }
+
+
+def _trace_free(A: np.ndarray) -> np.ndarray:
+    """A - tr(A)/(n - 1) (I - J/n), for a double-centred A: still
+    double-centred, of zero trace, and S(pi) of two such matrices is
+    S(pi) - E[S] of the originals, as E[S] = tr A tr B / (n - 1)."""
+    n = len(A)
+    t = np.trace(A) / (n - 1)
+    out = A + t / n
+    out.flat[:: n + 1] -= t
+    return out
+
+
+def _permutation_moments(A: np.ndarray, B: np.ndarray) -> tuple:
+    """Variance and third central moment of S(pi) over uniform permutations
+    pi, for trace-free double-centred A and B (see ``_GRAPHS``)."""
+    falling = np.cumprod(len(A) - np.arange(6.0))
+    ga, gb = _graph_sums(A), _graph_sums(B)
+    moments = []
+    for k in (2, 3):
+        a = np.array([ga[g] for g in _GRAPHS[k]])
+        b = np.array([gb[g] for g in _GRAPHS[k]])
+        moments.append(np.einsum("r,u,ruv,v->", 1.0 / falling[: 2 * k], a, _moment_weights(k), b))
+    return tuple(moments)
+
+
+def _pearson3_sf(z: float, skew: float) -> float:
+    """Upper tail at z of the Pearson type III law of mean 0, variance 1 and
+    this skewness: a gamma law of shape k = 4/skew^2, standardized, and
+    reflected for a negative skewness; the normal tail at skewness 0."""
+    if skew == 0:
+        return float(ndtr(-z))
+    k = 4.0 / skew**2
+    if skew > 0:
+        return float(gammaincc(k, max(k + z * np.sqrt(k), 0.0)))
+    return float(gammainc(k, max(k - z * np.sqrt(k), 0.0)))
 
 
 def distance_correlation(x, y, seed: int = 0, cap: int = 800) -> tuple:
-    """Distance correlation on a size-capped subsample with a permutation
-    p-value from ``_N_PERM`` draws for the hypothesis of independence.
+    """Distance correlation on a size-capped subsample, with the p-value of
+    the hypothesis of independence from the exact permutation law.
 
-    Double-centering commutes with relabeling the sample, so permutations
-    reuse the centered distance matrices and only the cross term
-    ``mean(A * B[p][:, p])`` is recomputed per draw.  A and B are symmetric,
-    so that sum is ``sum_{i<=j} W_ij B[p_i, p_j]`` with
-    ``W = 2 triu(A, 1) + diag(A)``; it is taken over row blocks of W's upper
-    triangle, gathering half of the permuted matrix.  The statistic ``t``
-    is computed from the unpermuted matrices and is bit-identical to the
-    whole-matrix form; the permuted cross terms agree with it to rounding
-    (a few ulps), far inside the hit count's tie margin ``1e-15 * denom``,
-    which scales with the data so the p-value is free of their units.
+    With A and B the double-centred distance matrices, relabelling the
+    sample by a permutation pi gives the cross term S(pi) =
+    sum_ij A_ij B_pi(i)pi(j).  Its mean, variance and skewness over all n!
+    permutations are exact (``_permutation_moments``), and the p-value is
+    the upper tail of the Pearson type III law with those three moments
+    (Mielke, Berry & Johnson 1976).  Nothing is sampled: ``seed`` only
+    picks the subsample of a sample larger than ``cap``.  The p-value is
+    free of the data's units and of the BLAS thread count.  The third
+    moment needs n >= 6.
     """
     x = np.asarray(x, float)
     y = np.asarray(y, float)
     n = len(x)
-    rng = replica_rng(seed, 0)
     if n > cap:
-        idx = rng.choice(n, size=cap, replace=False)
+        idx = replica_rng(seed, 0).choice(n, size=cap, replace=False)
         x, y = x[idx], y[idx]
         n = cap
+    if n < 6:
+        raise DomainError("distance correlation needs at least 6 samples")
     A = _center(_dist_matrix(x))
     B = _center(_dist_matrix(y))
     denom = np.sqrt(np.mean(A * A) * np.mean(B * B))
     if denom < 1e-300:
         return 0.0, 1.0
-    cross0 = max(np.mean(A * B), 0.0)
-    W = 2.0 * np.triu(A, 1)
-    np.fill_diagonal(W, A.diagonal())
-    blocks = [(lo, W[lo : lo + _DCOR_BLOCK, lo:].copy()) for lo in range(0, n, _DCOR_BLOCK)]
-    hits = 0
-    for _ in range(_N_PERM):
-        perm = rng.permutation(n)
-        total = 0.0
-        for lo, w in blocks:
-            C = B.take(perm[lo : lo + _DCOR_BLOCK], 0).take(perm[lo:], 1)
-            C *= w
-            total += C.sum()
-        cross = max(total / (n * n), 0.0)
-        hits += cross >= cross0 - 1e-15 * denom
-    t0 = float(np.sqrt(cross0 / denom))
-    return t0, (1.0 + hits) / (_N_PERM + 1.0)
+    t0 = float(np.sqrt(max(np.mean(A * B), 0.0) / denom))
+    A, B = _trace_free(A), _trace_free(B)
+    var, mu3 = _permutation_moments(A, B)
+    # a spread at the rounding level of S: every permutation ties, as for x
+    # on the vertices of a regular simplex
+    if var <= (1e-12 * n * n * denom) ** 2:
+        return t0, 1.0
+    return t0, _pearson3_sf(np.sum(A * B) / np.sqrt(var), mu3 / var**1.5)
+
+
+def _p_gate(p: float) -> float:
+    """The gate SIGNIFICANCE / p, finite also for a p that underflowed to 0."""
+    return SIGNIFICANCE / max(p, np.finfo(float).tiny)
 
 
 def sigma_hat(Y: ProcessPath) -> float:
@@ -268,7 +383,7 @@ def test_independent_increments(Y: ProcessPath, seed: int = 0) -> TestReport:
     """Independence of each increment from the path's past.
 
     Gates: max |Pearson rho| over (past, next-increment) pairs below
-    4/sqrt(n), and a permutation distance-correlation p on the pooled
+    4/sqrt(n), and the distance-correlation p of independence on the pooled
     du-standardized pairs at the working significance.
     """
     n, m = Y.replicas.shape
@@ -283,8 +398,8 @@ def test_independent_increments(Y: ProcessPath, seed: int = 0) -> TestReport:
     pooled_x = np.concatenate(past)
     pooled_y = inc.T.ravel()
     dc, p_dc = distance_correlation(pooled_x, pooled_y, seed=seed)
-    gate = max(rho / (4.0 / np.sqrt(n)), SIGNIFICANCE / p_dc)
-    notes = f"max|rho|={rho:.4f}, dcor={dc:.4f} (perm p={p_dc:.3f})"
+    gate = max(rho / (4.0 / np.sqrt(n)), _p_gate(p_dc))
+    notes = f"max|rho|={rho:.4f}, dcor={dc:.4f} (dcor p={p_dc:.3f})"
     return TestReport("independent_increments", gate, None, 1.0, n, notes)
 
 
@@ -306,9 +421,9 @@ def test_harness(Y: ProcessPath, s: float, u: float, r: float, seed: int = 0) ->
     dc, p_dc = distance_correlation(R, np.column_stack([ys, yr]), seed=seed)
     target = sigma_hat(Y) ** 2 * (u - s) * (r - u) / (r - s)
     vgate, m2, _ = _var_gate(R, target)
-    gate = max(rho / (4.0 / np.sqrt(n)), SIGNIFICANCE / p_dc, vgate)
+    gate = max(rho / (4.0 / np.sqrt(n)), _p_gate(p_dc), vgate)
     notes = (
-        f"max|rho|={rho:.4f}, dcor perm p={p_dc:.3f}, "
+        f"max|rho|={rho:.4f}, dcor p={p_dc:.3f}, "
         f"Var(R)={m2:.5g} vs bridge {target:.5g}"
     )
     return TestReport(f"harness[{s:g},{u:g},{r:g}]", gate, None, 1.0, n, notes)
@@ -437,6 +552,7 @@ def characterize_bm(Y: ProcessPath, seed: int = 0) -> CharBMVerdict:
     normality of standardized increments.  The battery's needs, a
     positive grid of at least 4 points with an (s, 2s, 4s) triple and
     MIN_BATTERY_REPLICAS replicas, are checked before any sub-test runs.
+    The sub-tests run one after another, in the caller's thread.
     """
     n = len(Y.replicas)
     if len(Y.grid) < 4:
@@ -466,15 +582,15 @@ def characterize_bm(Y: ProcessPath, seed: int = 0) -> CharBMVerdict:
         std_inc = std_inc[replica_rng(seed, 1).choice(len(std_inc), 10_000, replace=False)]
 
     u0 = 1.0 if Y.index(1.0) is not None and Y.index(2.0) is not None else triples[0][0]
-    jobs = [
-        lambda: _continuity_report(Y),
-        lambda: test_brownian_scaling(Y, 2.0),
-        lambda: test_brownian_scaling(Y, 4.0),
-        lambda: test_independent_increments(Y, seed=seed),
-        lambda: test_moment_bootstrap(Y, u0=u0),
-        lambda: test_normality(std_inc),
-    ] + [lambda s=s, u=u, r=r: test_harness(Y, s, u, r, seed=seed) for s, u, r in triples]
-    return CharBMVerdict({rep.name: rep for rep in parallel_map(lambda job: job(), jobs)}, sig)
+    reports = [
+        _continuity_report(Y),
+        test_brownian_scaling(Y, 2.0),
+        test_brownian_scaling(Y, 4.0),
+        test_independent_increments(Y, seed=seed),
+        test_moment_bootstrap(Y, u0=u0),
+        test_normality(std_inc),
+    ] + [test_harness(Y, s, u, r, seed=seed) for s, u, r in triples]
+    return CharBMVerdict({rep.name: rep for rep in reports}, sig)
 
 
 # ---------------------------------------------------------------------------

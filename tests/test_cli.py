@@ -183,6 +183,33 @@ def test_uncreatable_output_dir_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["sample", "--size", "8"],
+        ["paths", "--kind", "sine", "--grid", "1,2", "--n", "5"],
+        ["excursions", "--eps", "0.05", "--n", "10"],
+    ],
+    ids=["sample", "paths", "excursions"],
+)
+def test_out_in_a_missing_directory_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "missing" / "x.csv"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "No such file or directory" in err
+    assert not out.parent.exists()
+
+
+def test_failed_write_after_the_output_dir_exits_2(tmp_path, capsys):
+    # the directory exists, but report.json cannot be written into it
+    cfg = tmp_path / "w.cfg"
+    cfg.write_text("lattice_size = 24\nn_samples = 1000\nseed = 13\n")
+    (tmp_path / "out" / "report.json").mkdir(parents=True)
+    argv = ["verify", "--experiment", "wick-fourth", "--config", str(cfg), "--output-dir", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["sample", "--size", "8", "--seed", "-1"],
         ["sample", "--size", "8", "--seed", str(2**64)],
         ["verify", "--experiment", "wick-fourth", "--seed", str(2**64 + 7)],
@@ -392,10 +419,16 @@ def test_lattice_functionals_ignore_thread_and_blas_settings(tmp_path):
     # sine path (eight columns on the 147,153-site box of the grid 1..4)
     # must write the same bytes at any GFFFORGE_THREADS and OpenBLAS thread
     # count.  On 2 cores OpenBLAS splits that sine QR over both threads
-    # (CPU time twice the wall time from 6 columns up); below it runs on one
+    # (CPU time twice the wall time from 6 columns up); below it runs on one.
+    # A small sine battery pools 2,000 increment pairs into a distance
+    # correlation capped at 800, whose permutation moments take an 800 x 800
+    # matrix product, and its report must not depend on the thread counts
+    # either.
     src = str(Path(gffforge.__file__).resolve().parents[1])
     cfg = tmp_path / "w.cfg"
     cfg.write_text("lattice_size = 24\nn_samples = 1000\nseed = 13\n")
+    sine_cfg = tmp_path / "s.cfg"
+    sine_cfg.write_text("n_samples = 200\nseed = 13\n")
     outputs = []
     for threads in ("1", "2"):
         for blas in ("1", None):
@@ -406,6 +439,8 @@ def test_lattice_functionals_ignore_thread_and_blas_settings(tmp_path):
             out = tmp_path / f"t{threads}-b{blas}"
             for argv in (
                 ["verify", "--experiment", "wick-fourth", "--config", str(cfg), "--output-dir", str(out)],
+                ["verify", "--experiment", "char-bm-gff-sine", "--config", str(sine_cfg),
+                 "--output-dir", str(out / "sine")],
                 ["paths", "--kind", "circle", "--backend", "lattice", "--size", "32", "--grid", "0.25,0.5,1",
                  "--n", "200", "--seed", "13", "--out", str(out / "circle.csv")],
                 ["paths", "--kind", "sine", "--backend", "lattice", "--grid", "1,1.25,1.5,2,2.5,3,3.5,4",
@@ -413,7 +448,8 @@ def test_lattice_functionals_ignore_thread_and_blas_settings(tmp_path):
             ):
                 done = subprocess.run([sys.executable, "-m", "gffforge.cli", *argv], env=env, capture_output=True)
                 assert done.returncode in (0, 1), done.stderr
-            outputs.append([(out / name).read_bytes() for name in ("pairings.csv", "report.json", "circle.csv", "sine.csv")])
+            names = ("pairings.csv", "report.json", "sine/report.json", "circle.csv", "sine.csv")
+            outputs.append([(out / name).read_bytes() for name in names])
     assert all(o == outputs[0] for o in outputs[1:])
 
 

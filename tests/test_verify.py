@@ -2,6 +2,10 @@
 primitives, each single-criterion test against its null and a designated
 adversary, and the aggregated path-law characterization."""
 
+import itertools
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -124,6 +128,14 @@ def test_distance_correlation_degenerate_input():
     assert distance_correlation(np.ones(300), y, seed=1) == (0.0, 1.0)
 
 
+def test_distance_correlation_of_a_regular_simplex_ties_every_permutation():
+    # all distances among the rows of I are equal, so the cross term is the
+    # same under every permutation: its moments are rounding noise, p is 1
+    y = replica_rng(8, 0).standard_normal(7)
+    assert distance_correlation(np.eye(7), y)[1] == 1.0
+    assert distance_correlation(y, np.eye(7))[1] == 1.0
+
+
 def test_distance_correlation_caps_large_samples():
     rng = replica_rng(9, 0)
     x = rng.standard_normal(3000)
@@ -132,88 +144,121 @@ def test_distance_correlation_caps_large_samples():
 
 
 def test_distance_correlation_is_free_of_units():
-    # the permutation tie margin scales with the data: at 1e-8 units an
-    # absolute margin would count every permutation as a hit
+    # the statistic and every permutation moment scale with the data's
+    # units, so t and p agree at 1e-8 units up to rounding
     rng = replica_rng(12, 0)
     x = rng.standard_normal(400)
     y = rng.standard_normal(400)
     t, p = distance_correlation(x, y, seed=3)
     assert 0.02 < p < 0.98
     t_small, p_small = distance_correlation(1e-8 * x, 1e-8 * y, seed=3)
-    assert p_small == p
+    assert p_small == pytest.approx(p, rel=1e-12)
     assert t_small == pytest.approx(t, rel=1e-12)
 
 
-def _ix_distance_correlation(x, y, seed=0, cap=800):
-    """distance_correlation with each permuted cross term taken over the whole
-    matrix ``A * B[np.ix_(p, p)]``: the reference whose ``(t, p)`` the
-    blocked upper-triangle loop must reproduce exactly."""
-    x = np.asarray(x, float)
-    y = np.asarray(y, float)
-    n = len(x)
-    rng = replica_rng(seed, 0)
-    if n > cap:
-        idx = rng.choice(n, size=cap, replace=False)
-        x, y = x[idx], y[idx]
-        n = cap
-    A = vfy._center(vfy._dist_matrix(x))
-    B = vfy._center(vfy._dist_matrix(y))
-    denom = np.sqrt(np.mean(A * A) * np.mean(B * B))
-    if denom < 1e-300:
-        return 0.0, 1.0
-    cross0 = max(np.mean(A * B), 0.0)
+def test_distance_correlation_needs_six_samples():
+    # the third permutation moment divides by (n)_6
+    rng = replica_rng(14, 0)
+    with pytest.raises(DomainError):
+        distance_correlation(rng.standard_normal(5), rng.standard_normal(5))
+    t, p = distance_correlation(rng.standard_normal(6), rng.standard_normal(6))
+    assert 0.0 <= p <= 1.0
+
+
+def _dcor_case(kind, n):
+    """(x, y) of n samples: 1-D and 2-D y, and compound Poisson increments,
+    about 60% exact zeros, so that many distances tie."""
+    rng = replica_rng(13, 0)
+    x = rng.standard_normal(n)
+    if kind == "1d":
+        return x, rng.standard_normal(n)
+    if kind == "2d":
+        return x, np.column_stack([rng.standard_normal(n), 0.1 * x + rng.standard_normal(n)])
+    inc = np.diff(compound_poisson_path((0.1, 0.2, 0.3, 0.4), n, 17, rate=5.0).replicas, axis=1)
+    return inc[:, 0], inc[:, 1:]
+
+
+def _centred_pair(x, y):
+    return vfy._center(vfy._dist_matrix(x)), vfy._center(vfy._dist_matrix(y))
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+@pytest.mark.parametrize("kind", ["1d", "2d", "compound-poisson-ties"])
+def test_permutation_moments_match_enumeration(kind, n):
+    A, B = _centred_pair(*_dcor_case(kind, n))
+    perms = np.array(list(itertools.permutations(range(n))))
+    S = np.einsum("ij,pij->p", A, B[perms[:, :, None], perms[:, None, :]])
+    mean = S.mean()
+    var = np.mean((S - mean) ** 2)
+    mu3 = np.mean((S - mean) ** 3)
+    assert abs(mu3) > 1e-6 * var**1.5  # a skewness the tail depends on
+    A0, B0 = vfy._trace_free(A), vfy._trace_free(B)
+    # the trace-free pair's statistic is S - E[S] under every permutation
+    S0 = np.einsum("ij,pij->p", A0, B0[perms[:, :, None], perms[:, None, :]])
+    assert np.max(np.abs(S0 - (S - mean))) <= 1e-10 * np.sqrt(var)
+    assert mean == pytest.approx(np.trace(A) * np.trace(B) / (n - 1), rel=1e-10)
+    got_var, got_mu3 = vfy._permutation_moments(A0, B0)
+    assert got_var == pytest.approx(var, rel=1e-10)
+    assert got_mu3 / got_var**1.5 == pytest.approx(mu3 / var**1.5, rel=1e-10)
+
+
+def test_pearson3_tail_matches_scipy():
+    from scipy import stats
+
+    for skew in (-1.5, -0.4, 0.0, 0.3, 1.0, 2.5):
+        for z in (-4.0, -1.0, 0.0, 0.5, 2.0, 5.0):
+            want = stats.pearson3.sf(z, skew)
+            assert vfy._pearson3_sf(z, skew) == pytest.approx(want, rel=1e-9, abs=1e-300)
+
+
+def _permutation_p(x, y, n_perm, seed):
+    """(1 + hits) / (1 + n_perm) over sampled permutations of the cross term."""
+    A, B = _centred_pair(x, y)
+    s0 = np.sum(A * B)
+    rng = replica_rng(seed, 1)
     hits = 0
-    for _ in range(vfy._N_PERM):
-        perm = rng.permutation(n)
-        cross = max(np.mean(A * B[np.ix_(perm, perm)]), 0.0)
-        hits += cross >= cross0 - 1e-15 * denom
-    return float(np.sqrt(cross0 / denom)), (1.0 + hits) / (vfy._N_PERM + 1.0)
+    for _ in range(n_perm):
+        perm = rng.permutation(len(A))
+        hits += np.sum(A * B.take(perm, 0).take(perm, 1)) >= s0 - 1e-12 * abs(s0)
+    return (1.0 + hits) / (1.0 + n_perm)
 
 
-def test_distance_correlation_matches_ix_reference():
-    rng = replica_rng(11, 0)
-    x = rng.standard_normal(400)
-    y2 = np.column_stack([rng.standard_normal(400), 0.1 * x + rng.standard_normal(400)])
-    big = rng.standard_normal(1200)
+def test_distance_correlation_matches_permutation_reference():
+    # agreement with 4,999 sampled permutations at n = 200: within 20% of
+    # the reference p or 3 of its standard errors
+    rng = replica_rng(15, 0)
+    x = rng.standard_normal(200)
+    tied = _dcor_case("compound-poisson-ties", 200)
     cases = [
-        (x, rng.standard_normal(400)),  # 1-D y
-        (x, y2),  # 2-D y
-        (big, np.abs(big) + 8.0 * rng.standard_normal(1200)),  # n above cap
-        (rng.integers(0, 3, 400), rng.integers(0, 3, 400)),  # tied distances
+        (x, rng.standard_normal(200)),
+        (x, rng.standard_normal((200, 2))),
+        (x, 0.08 * x + rng.standard_normal(200)),
+        tied,
     ]
     for k, (a, b) in enumerate(cases):
-        want = _ix_distance_correlation(a, b, seed=k)
-        # an interior p-value is one that a wrong permuted matrix would move
-        assert 0.02 < want[1] < 0.98
-        assert distance_correlation(a, b, seed=k) == want
+        want = _permutation_p(a, b, 4999, seed=k)
+        assert 0.005 < want < 0.98  # interior: a wrong tail would move it
+        _, p = distance_correlation(a, b)
+        assert abs(p - want) <= max(0.2 * want, 3.0 * np.sqrt(want * (1 - want) / 4999))
 
 
-def _dcor_case(kind):
-    rng = replica_rng(13, 0)
-    if kind == "n40-1d":  # fewer rows than one block
-        x = rng.standard_normal(40)
-        return x, rng.standard_normal(40), 800
-    if kind == "n150-2d":  # last block partial
-        x = rng.standard_normal(150)
-        return x, np.column_stack([rng.standard_normal(150), 0.1 * x]), 800
-    if kind == "n1000-cap300":
-        x = rng.standard_normal(1000)
-        return x, np.column_stack([rng.standard_normal(1000), rng.standard_normal(1000)]), 300
-    # compound Poisson increments: about 90% exact zeros, so most distances tie
-    inc = np.diff(compound_poisson_path((0.1, 0.2, 0.3, 0.4), 500, 17).replicas, axis=1)
-    return inc[:, 0], inc[:, 1:], 800
-
-
-@pytest.mark.parametrize(
-    "kind", ["n40-1d", "n150-2d", "n1000-cap300", "compound-poisson-ties"]
-)
-def test_distance_correlation_blocks_match_whole_matrix_loop(kind):
-    x, y, cap = _dcor_case(kind)
-    for seed in range(3):
-        want = _ix_distance_correlation(x, y, seed=seed, cap=cap)
-        # an interior p-value is one that a wrong permuted cross term would move
-        assert 0.02 < want[1] < 0.98
-        assert distance_correlation(x, y, seed=seed, cap=cap) == want
+def test_independence_gates_stay_finite_for_a_vanishing_p():
+    # a path whose every increment repeats its past: dCor of x against x has
+    # a p far below 1e-100, and one that underflows to 0 must still give a
+    # finite gate, which report.json can hold
+    assert 1.0 < vfy._p_gate(0.0) < np.inf
+    xi = replica_rng(16, 0).standard_normal(400)
+    eta = replica_rng(17, 0).standard_normal(400)
+    grid = np.array([1.0, 2.0, 3.0, 4.0])
+    assert distance_correlation(xi, xi)[1] < 1e-100
+    reports = [
+        vfy.test_independent_increments(ProcessPath(grid, np.outer(xi, grid))),
+        vfy.test_harness(ProcessPath(grid, np.outer(xi, grid) + np.outer(eta, grid**2)), 1, 2, 4),
+    ]
+    for r in reports:
+        assert not r.passed
+        assert np.isfinite(r.statistic)
+        json.dumps(asdict(r), allow_nan=False)
 
 
 def test_sigma_hat_recovers_diffusivity():
