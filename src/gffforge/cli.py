@@ -9,7 +9,8 @@ last: the output directory is made only after every check has run, so a
 run that exits 2 or 3 leaves none, and an output directory that cannot be
 made is found after the compute.  A manifest.json records the values of
 those keys, library version, wall time and the machine (core count,
-GFFFORGE_THREADS in effect, Python/numpy/scipy versions).  Exit codes: 0
+GFFFORGE_THREADS in effect, Python/numpy/scipy versions, the OpenBLAS
+thread count behind numpy and scipy).  Exit codes: 0
 all tests passed, 1 a test failed, 2 invalid configuration or a file that
 cannot be read or written, 3 a resolution or numerical failure.
 """
@@ -50,7 +51,7 @@ from .fields import (
     save_field,
 )
 from .geometry import Mobius, disk_bump
-from .greens import disk_lattice, green_variance_ratio
+from .greens import disk_lattice, green_variance_ratio, openblas_threads
 from .rng import derived_seed, thread_count
 from .verify import TestReport, characterize_bm, test_conformal_invariance, test_wick_fourth
 
@@ -264,6 +265,7 @@ def run(cfg: ExperimentConfig) -> int:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
+        "openblas_threads": openblas_threads(),
     }
     started = datetime.now(timezone.utc).isoformat()
     t0 = time.monotonic()

@@ -286,8 +286,8 @@ def markov_decompose(sample: FieldSample, subdomain) -> MarkovDecomposition:
     """Split ``sample`` over a subdomain into harmonic and zero-boundary parts.
 
     ``subdomain`` is a site-index array, a boolean mask over interior sites
-    or a predicate on embedded points.  The cell of a site set is built once
-    per lattice, in the lattice's cache.
+    or a predicate on embedded points.  The cell of a site set is built, and
+    its indices checked, once per lattice, in the lattice's cache.
     """
     lat = sample.lattice
     idx = (
@@ -295,8 +295,8 @@ def markov_decompose(sample: FieldSample, subdomain) -> MarkovDecomposition:
         if isinstance(subdomain, np.ndarray) and subdomain.dtype != bool
         else lat.indices_of(subdomain)
     )
-    idx = np.asarray(idx, dtype=np.int64)
-    cell = lat.cached(("cell", idx.tobytes()), lambda: DirichletCell(lat, idx))
+    key = ("cell", idx.dtype.str, idx.shape, idx.tobytes())
+    cell = lat.cached(key, lambda: DirichletCell(lat, idx))
     harm_vals = sample.values.copy()
     harm_vals[cell.member_idx] = cell.harmonic_extension(sample.values)
     res_vals = sample.values - harm_vals

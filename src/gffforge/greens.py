@@ -9,18 +9,23 @@ eliminated) through one root R with R R^T = L^-1.  On a full rectangle of
 sites the Laplacian is diagonal in the orthonormal DST-I basis on both
 axes, so the symmetric root L^(-1/2) costs two transforms and no
 factorization; any other site set uses a banded Cholesky factorization,
-where row-major site ordering keeps the bandwidth at one grid row.
+where row-major site ordering keeps the bandwidth at one grid row.  Every
+band is factored on one OpenBLAS thread (``_one_openblas_thread``).
 """
 
 from __future__ import annotations
 
+import ctypes
+import threading
 import weakref
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 from scipy.fft import dstn
-from scipy.linalg import cho_solve_banded, cholesky_banded
-from scipy.linalg.lapack import dtbtrs
+from scipy.linalg import _flapack, cholesky_banded
+from scipy.linalg.lapack import dpbtrs, dtbtrs
 
 from .errors import DomainError, ResolutionError, SingularityError
 from .geometry import TestFunction, UnitDisk, UpperHalfPlane, gauss_legendre
@@ -36,7 +41,67 @@ __all__ = [
     "DirichletCell",
     "discrete_green",
     "green_variance_ratio",
+    "openblas_threads",
 ]
+
+
+# ---------------------------------------------------------------------------
+# OpenBLAS thread count
+# ---------------------------------------------------------------------------
+
+
+def _openblas_threads_api(module):
+    """(get, set) of the thread count of the OpenBLAS that a compiled
+    extension module calls, or None when it calls another BLAS (MKL,
+    Accelerate, reference LAPACK).  The handle of the extension also
+    searches the libraries it links, so each lookup finds that module's own
+    copy: numpy's and scipy's wheels each bundle one under prefixed names
+    (numpy's with an ILP64 suffix), a system build has the plain ones."""
+    lib = ctypes.CDLL(module.__file__)
+    for prefix in ("scipy_openblas", "openblas"):
+        for suffix in ("", "64_"):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.restype, get.argtypes = ctypes.c_int, ()
+                put.restype, put.argtypes = None, (ctypes.c_int,)
+                return get, put
+    return None
+
+
+_SCIPY_OPENBLAS = _openblas_threads_api(_flapack)
+_OPENBLAS_LOCK = threading.Lock()
+
+
+@contextmanager
+def _one_openblas_thread():
+    """Run the block with scipy's OpenBLAS on one thread and restore its
+    previous count afterwards, under a lock so that two threads cannot
+    interleave save and restore; a no-op without OpenBLAS.
+
+    LAPACK dpbtrf on a small band loses on a second thread: on 2 cores the
+    disk-64 band (3,205 sites, bandwidth 63) takes 10-11 ms wall and about
+    20 ms CPU on two threads, 3.5 ms wall and 7.5 ms CPU on one.  numpy's
+    copy is left alone.
+    """
+    if _SCIPY_OPENBLAS is None:
+        yield
+        return
+    get, put = _SCIPY_OPENBLAS
+    with _OPENBLAS_LOCK:
+        before = get()
+        put(1)
+        try:
+            yield
+        finally:
+            put(before)
+
+
+def openblas_threads() -> dict:
+    """{"numpy": n, "scipy": n}: the thread count of the OpenBLAS behind
+    each library, None where it calls another BLAS."""
+    apis = {"numpy": _openblas_threads_api(_umath_linalg), "scipy": _SCIPY_OPENBLAS}
+    return {name: None if api is None else api[0]() for name, api in apis.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +502,14 @@ class DirichletCell:
         # strong reference back would keep a dropped lattice and its cell
         # factors until a gc pass
         self._parent = weakref.ref(parent)
-        self.member_idx = np.sort(member_idx)
+        idx = np.asarray(member_idx)
+        if idx.ndim != 1 or not np.issubdtype(idx.dtype, np.integer):
+            raise DomainError("cell site indices must be a 1-D integer array")
+        self.member_idx = np.sort(idx).astype(np.int64)
+        if self.member_idx[0] < 0 or self.member_idx[-1] >= parent.n_sites:
+            raise DomainError(f"cell site indices must lie in [0, {parent.n_sites})")
+        if np.any(np.diff(self.member_idx) == 0):
+            raise DomainError("cell site indices must not repeat")
         codes = parent._codes[self.member_idx]
         self._cb, _ = _factored_laplacian(codes)
         # ring incidence: for each member, parent-interior neighbours outside
@@ -456,6 +528,15 @@ class DirichletCell:
         self.ring_idx = np.unique(self._inc_ring)
         self._ring_pos = np.searchsorted(self.ring_idx, self._inc_ring)
 
+    def _solve(self, b) -> np.ndarray:
+        """(cell Laplacian)^-1 b by LAPACK dpbtrs on the stored factor, the
+        routine behind cho_solve_banded without its per-call cost; its
+        check that b is finite and has one row per member stays."""
+        b = np.asarray(b, dtype=float)
+        if b.shape[:1] != self.member_idx.shape or not np.isfinite(b).all():
+            raise ValueError("right-hand side must be finite, with one row per member site")
+        return dpbtrs(self._cb, b)[0]
+
     def _rhs_from_ring(self, ring_values: np.ndarray) -> np.ndarray:
         rhs_shape = (len(self.member_idx),) + ring_values.shape[1:]
         rhs = np.zeros(rhs_shape)
@@ -466,11 +547,11 @@ class DirichletCell:
         """Extension of the parent-interior ``values`` harmonically into the
         cell; returns values on the member sites only."""
         ring_values = values[self.ring_idx]
-        return cho_solve_banded((self._cb, False), self._rhs_from_ring(ring_values))
+        return self._solve(self._rhs_from_ring(ring_values))
 
     def ring_weights(self, member_coeffs: np.ndarray) -> np.ndarray:
         """Weights w with w . values[ring_idx] = member_coeffs . extension."""
-        v = cho_solve_banded((self._cb, False), member_coeffs)
+        v = self._solve(member_coeffs)
         w = np.zeros(len(self.ring_idx))
         np.add.at(w, self._ring_pos, v[self._inc_rows])
         return w
@@ -515,7 +596,8 @@ def _factored_laplacian(codes: np.ndarray):
     ab = np.zeros((bw + 1, len(codes)), order="F")
     ab[bw, :] = 4.0
     ab[bw + rows - cols, cols] = -1.0
-    return cholesky_banded(ab, overwrite_ab=True, lower=False), bw
+    with _one_openblas_thread():
+        return cholesky_banded(ab, overwrite_ab=True, lower=False), bw
 
 
 def discrete_green(lat: LatticeDomain, x, y) -> float:

@@ -314,7 +314,10 @@ def test_manifest_schema(excursion_run):
     man = json.loads((out / "run1" / "manifest.json").read_text())
     assert set(man) == {"experiment", "config", "version", "started_at",
                         "wall_seconds", "machine", "reports"}
-    assert set(man["machine"]) == {"cpu_count", "threads", "python", "numpy", "scipy"}
+    assert set(man["machine"]) == {"cpu_count", "threads", "python", "numpy", "scipy", "openblas_threads"}
+    blas = man["machine"]["openblas_threads"]
+    assert set(blas) == {"numpy", "scipy"}
+    assert all(n is None or n >= 1 for n in blas.values())
     assert man["machine"]["threads"] >= 1
     assert man["machine"]["numpy"] == np.__version__
     assert man["experiment"] == "excursion-mass"
@@ -423,7 +426,9 @@ def test_lattice_functionals_ignore_thread_and_blas_settings(tmp_path):
     # A small sine battery pools 2,000 increment pairs into a distance
     # correlation capped at 800, whose permutation moments take an 800 x 800
     # matrix product, and its report must not depend on the thread counts
-    # either.
+    # either.  The disk-32 band (bandwidth 31) stays on LAPACK's unblocked
+    # dpbtf2 path; the disk-96 band (bandwidth 95) takes dpbtrf's blocked,
+    # level-3 path, whose BLAS calls OpenBLAS may spread over threads.
     src = str(Path(gffforge.__file__).resolve().parents[1])
     cfg = tmp_path / "w.cfg"
     cfg.write_text("lattice_size = 24\nn_samples = 1000\nseed = 13\n")
@@ -443,12 +448,14 @@ def test_lattice_functionals_ignore_thread_and_blas_settings(tmp_path):
                  "--output-dir", str(out / "sine")],
                 ["paths", "--kind", "circle", "--backend", "lattice", "--size", "32", "--grid", "0.25,0.5,1",
                  "--n", "200", "--seed", "13", "--out", str(out / "circle.csv")],
+                ["paths", "--kind", "circle", "--backend", "lattice", "--size", "96", "--grid", "0.25,0.5,1",
+                 "--n", "200", "--seed", "13", "--out", str(out / "circle96.csv")],
                 ["paths", "--kind", "sine", "--backend", "lattice", "--grid", "1,1.25,1.5,2,2.5,3,3.5,4",
                  "--n", "8", "--seed", "13", "--out", str(out / "sine.csv")],
             ):
                 done = subprocess.run([sys.executable, "-m", "gffforge.cli", *argv], env=env, capture_output=True)
                 assert done.returncode in (0, 1), done.stderr
-            names = ("pairings.csv", "report.json", "sine/report.json", "circle.csv", "sine.csv")
+            names = ("pairings.csv", "report.json", "sine/report.json", "circle.csv", "circle96.csv", "sine.csv")
             outputs.append([(out / name).read_bytes() for name in names])
     assert all(o == outputs[0] for o in outputs[1:])
 

@@ -402,3 +402,89 @@ def test_lattice_site_lookup_errors():
     lat = disk_lattice(16)
     with pytest.raises(DomainError):
         lat.site_index((500, 0))
+
+
+def _half_disk_cell_field():
+    lat = disk_lattice(32)
+    idx = lat.indices_of(lambda z: np.abs(z) < 0.5)
+    values = np.random.default_rng(3).standard_normal(lat.n_sites)
+    return FieldSample(lat, values, "deterministic", 0.0, 0), idx
+
+
+@pytest.mark.parametrize("bad", ["repeated", "negative", "out-of-range", "float"])
+def test_cell_rejects_bad_site_indices(bad):
+    # markov_decompose passes a site-index array straight to the cell; a
+    # repeated index assembled a wrong Laplacian (the harmonic part moved on
+    # all 193 sites), -1 wrapped to the last site and a float was truncated
+    field, idx = _half_disk_cell_field()
+    bad_idx = {
+        "repeated": np.append(idx, idx[5]),
+        "negative": np.append(idx[:-1], -1),
+        "out-of-range": np.append(idx, field.lattice.n_sites),
+        "float": idx.astype(float),
+    }[bad]
+    with pytest.raises(DomainError, match="cell site indices"):
+        markov_decompose(field, bad_idx)
+    assert len(markov_decompose(field, idx).cell.member_idx) == 193
+
+
+def test_markov_decompose_of_a_nan_field_raises():
+    field, idx = _half_disk_cell_field()
+    ring = markov_decompose(field, idx).cell.ring_idx
+    field.values[ring[0]] = np.nan
+    with pytest.raises(ValueError):
+        markov_decompose(field, idx)
+
+
+@pytest.fixture
+def scipy_openblas_on_two_threads():
+    """scipy's OpenBLAS (get, set), set to two threads for the test and
+    restored after it."""
+    if greens._SCIPY_OPENBLAS is None:
+        pytest.skip("scipy's LAPACK does not call OpenBLAS here")
+    get, put = greens._SCIPY_OPENBLAS
+    before = get()
+    put(2)
+    try:
+        if get() != 2:
+            pytest.skip("this OpenBLAS runs on one thread only")
+        yield get, put
+    finally:
+        put(before)
+
+
+def test_banded_factor_runs_on_one_openblas_thread_and_restores_the_count(
+    monkeypatch, scipy_openblas_on_two_threads
+):
+    get, _ = scipy_openblas_on_two_threads
+    seen = []
+    real = greens.cholesky_banded
+
+    def spy(*args, **kwargs):
+        seen.append(get())
+        return real(*args, **kwargs)
+
+    def failing(*args, **kwargs):
+        seen.append(get())
+        raise RuntimeError("factorization failed")
+
+    monkeypatch.setattr(greens, "cholesky_banded", spy)
+    disk_lattice(64)._banded()
+    assert seen == [1] and get() == 2
+    monkeypatch.setattr(greens, "cholesky_banded", failing)
+    with pytest.raises(RuntimeError, match="factorization failed"):
+        disk_lattice(64)._banded()
+    assert seen == [1, 1] and get() == 2
+
+
+def test_thread_limit_is_a_no_op_without_openblas(monkeypatch, scipy_openblas_on_two_threads):
+    import _ctypes
+
+    # an extension that links no BLAS: the lookup finds nothing, and the
+    # limit then leaves the count alone
+    assert greens._openblas_threads_api(_ctypes) is None
+    get, _ = scipy_openblas_on_two_threads
+    monkeypatch.setattr(greens, "_SCIPY_OPENBLAS", None)
+    with greens._one_openblas_thread():
+        assert get() == 2
+    assert greens.openblas_threads()["scipy"] is None
