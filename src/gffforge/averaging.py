@@ -104,6 +104,8 @@ class ProcessPath:
         self.replicas = np.asarray(self.replicas, dtype=float)
         if self.grid.ndim != 1:
             raise DomainError("grid must be one-dimensional")
+        if not np.all(np.isfinite(self.grid)):
+            raise DomainError("grid must be finite")
         if self.replicas.ndim != 2 or self.replicas.shape[1] != len(self.grid):
             raise DomainError("replicas must be (n, len(grid))")
         if np.any(np.diff(self.grid) <= 0):

@@ -51,8 +51,8 @@ from .fields import (
     save_field,
 )
 from .geometry import Mobius, disk_bump
-from .greens import disk_lattice, green_variance_ratio, openblas_threads
-from .rng import derived_seed, thread_count
+from .greens import disk_lattice, green_variance_ratio
+from .rng import derived_seed, openblas_threads, thread_count
 from .verify import TestReport, characterize_bm, test_conformal_invariance, test_wick_fourth
 
 __all__ = [
@@ -76,6 +76,11 @@ def _parse(key: str, value, default):
                 value = type(default)(value)
         except ValueError as exc:
             raise ConfigError(f"bad value for {key}: {value!r}") from exc
+    # NaN passes every comparison below, and inf every positivity check
+    if not isinstance(value, str) and any(
+        isinstance(v, (float, np.floating)) and not np.isfinite(v) for v in np.ravel(value)
+    ):
+        raise ConfigError(f"{key} must be finite, got {value!r}")
     if key == "seed":
         derived_seed(value, 0)  # raises ConfigError for a seed outside [0, 2^64)
     elif key in ("lattice_size", "r", "eps", "n_samples") and not value > 0:

@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalError
 from .greens import DirichletCell, LatticeDomain
-from .rng import parallel_map, replica_rng
+from .rng import one_blas_thread, parallel_map, replica_rng
 
 __all__ = [
     "CALIBRATION",
@@ -124,7 +124,8 @@ def sample_gff_observables(cov, n: int, seed: int) -> np.ndarray:
         raise NumericalError("covariance has a zero variance with a nonzero covariance")
     L = np.zeros_like(matrix)
     try:
-        L[np.ix_(live, live)] = np.linalg.cholesky(matrix[np.ix_(live, live)])
+        with one_blas_thread:
+            L[np.ix_(live, live)] = np.linalg.cholesky(matrix[np.ix_(live, live)])
     except np.linalg.LinAlgError as exc:
         raise NumericalError("covariance is not positive definite on its nonzero variances") from exc
     k = matrix.shape[0]
@@ -158,6 +159,7 @@ _REPLICA_BLOCK = 32
 _PARALLEL_SITES = 2_000
 
 
+@one_blas_thread
 def _replica_rows(noise, size, n, seed, replica_offset=0, V=None) -> np.ndarray:
     """(n, size) array whose row r is ``noise(rng)`` for the generator of
     replica replica_offset + r, or (n, k) with row r that noise @ V for a
@@ -166,7 +168,8 @@ def _replica_rows(noise, size, n, seed, replica_offset=0, V=None) -> np.ndarray:
     Contiguous blocks of _REPLICA_BLOCK rows run through ``parallel_map``
     (serially below _PARALLEL_SITES); each block fills its own rows from
     the replicas' own streams, so the array is the same at any thread
-    count and block size.
+    count and block size.  Each worker's ``noise @ V`` runs on one OpenBLAS
+    thread.
     """
     if n < 0:
         raise DomainError("replica count must be nonnegative")
@@ -269,7 +272,8 @@ def sample_functionals(
         raise DomainError("weights must be (n_sites, k)")
     V = CALIBRATION * lat._root(W, "T")
     if law == "gff":
-        V = np.linalg.qr(V, mode="r")
+        with one_blas_thread:
+            V = np.linalg.qr(V, mode="r")
     return _replica_rows(_law_noise(law, alpha, V.shape[0]), V.shape[0], n, seed, V=V)
 
 

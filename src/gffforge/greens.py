@@ -10,25 +10,25 @@ sites the Laplacian is diagonal in the orthonormal DST-I basis on both
 axes, so the symmetric root L^(-1/2) costs two transforms and no
 factorization; any other site set uses a banded Cholesky factorization,
 where row-major site ordering keeps the bandwidth at one grid row.  Every
-band is factored on one OpenBLAS thread (``_one_openblas_thread``).
+band is factored on one OpenBLAS thread (``rng.one_blas_thread``): LAPACK
+dpbtrf on a small band loses on a second thread (on 2 cores the disk-64
+band, 3,205 sites of bandwidth 63, takes 10-11 ms wall and about 20 ms CPU
+on two threads, 3.5 ms wall and 7.5 ms CPU on one).
 """
 
 from __future__ import annotations
 
-import ctypes
-import threading
 import weakref
-from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 from scipy.fft import dstn
-from scipy.linalg import _flapack, cholesky_banded
+from scipy.linalg import cholesky_banded
 from scipy.linalg.lapack import dpbtrs, dtbtrs
 
 from .errors import DomainError, ResolutionError, SingularityError
 from .geometry import TestFunction, UnitDisk, UpperHalfPlane, gauss_legendre
+from .rng import one_blas_thread
 
 __all__ = [
     "green_disk",
@@ -41,67 +41,7 @@ __all__ = [
     "DirichletCell",
     "discrete_green",
     "green_variance_ratio",
-    "openblas_threads",
 ]
-
-
-# ---------------------------------------------------------------------------
-# OpenBLAS thread count
-# ---------------------------------------------------------------------------
-
-
-def _openblas_threads_api(module):
-    """(get, set) of the thread count of the OpenBLAS that a compiled
-    extension module calls, or None when it calls another BLAS (MKL,
-    Accelerate, reference LAPACK).  The handle of the extension also
-    searches the libraries it links, so each lookup finds that module's own
-    copy: numpy's and scipy's wheels each bundle one under prefixed names
-    (numpy's with an ILP64 suffix), a system build has the plain ones."""
-    lib = ctypes.CDLL(module.__file__)
-    for prefix in ("scipy_openblas", "openblas"):
-        for suffix in ("", "64_"):
-            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-            if get is not None and put is not None:
-                get.restype, get.argtypes = ctypes.c_int, ()
-                put.restype, put.argtypes = None, (ctypes.c_int,)
-                return get, put
-    return None
-
-
-_SCIPY_OPENBLAS = _openblas_threads_api(_flapack)
-_OPENBLAS_LOCK = threading.Lock()
-
-
-@contextmanager
-def _one_openblas_thread():
-    """Run the block with scipy's OpenBLAS on one thread and restore its
-    previous count afterwards, under a lock so that two threads cannot
-    interleave save and restore; a no-op without OpenBLAS.
-
-    LAPACK dpbtrf on a small band loses on a second thread: on 2 cores the
-    disk-64 band (3,205 sites, bandwidth 63) takes 10-11 ms wall and about
-    20 ms CPU on two threads, 3.5 ms wall and 7.5 ms CPU on one.  numpy's
-    copy is left alone.
-    """
-    if _SCIPY_OPENBLAS is None:
-        yield
-        return
-    get, put = _SCIPY_OPENBLAS
-    with _OPENBLAS_LOCK:
-        before = get()
-        put(1)
-        try:
-            yield
-        finally:
-            put(before)
-
-
-def openblas_threads() -> dict:
-    """{"numpy": n, "scipy": n}: the thread count of the OpenBLAS behind
-    each library, None where it calls another BLAS."""
-    apis = {"numpy": _openblas_threads_api(_umath_linalg), "scipy": _SCIPY_OPENBLAS}
-    return {name: None if api is None else api[0]() for name, api in apis.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +150,7 @@ def _area_nodes(phi: TestFunction, domain, n: int):
     return zz[nz], (ww * vals)[nz]
 
 
+@one_blas_thread
 def _h_minus1_once(f, g, domain, n):
     _, harm = _kernel_parts(domain)
     xz, xw = _area_nodes(f, domain, n)
@@ -234,6 +175,7 @@ def _h_minus1_once(f, g, domain, n):
 # ---------------------------------------------------------------------------
 
 
+@one_blas_thread
 def _pair_offset(obs_a, obs_b, g) -> float:
     """Offset-0 nodes of obs_a against offset-1 nodes of obs_b under the
     Green function g; the two node sets never collide, and g raises
@@ -596,7 +538,7 @@ def _factored_laplacian(codes: np.ndarray):
     ab = np.zeros((bw + 1, len(codes)), order="F")
     ab[bw, :] = 4.0
     ab[bw + rows - cols, cols] = -1.0
-    with _one_openblas_thread():
+    with one_blas_thread:
         return cholesky_banded(ab, overwrite_ab=True, lower=False), bw
 
 

@@ -1,15 +1,26 @@
-"""Seed derivation and random generator construction.
+"""Seed derivation, random generator construction and the library's
+threads.
 
 Replica k of a batch draws from its own counter-based stream keyed by
 ``base_seed XOR (k * GOLDEN)`` so that batches are reproducible and the
 result of a run does not depend on how replicas are scheduled.
+
+The replica loop (``parallel_map``, capped by GFFFORGE_THREADS) is the
+library's only parallelism: every BLAS or LAPACK call the library makes
+runs on one OpenBLAS thread (``one_blas_thread``), in numpy's copy and in
+scipy's.
 """
 
 from __future__ import annotations
 
+import ctypes
 import os
+import threading
+from contextlib import ContextDecorator
 
 import numpy as np
+from numpy.linalg import _umath_linalg
+from scipy.linalg import _flapack
 
 from .errors import ConfigError
 
@@ -20,7 +31,10 @@ _MASK64 = (1 << 64) - 1
 def derived_seed(base_seed: int, k: int) -> int:
     """64-bit seed for replica ``k`` of a batch keyed by ``base_seed``, which
     must lie in [0, 2^64): a seed outside that range would be masked into
-    it and run silently as another seed."""
+    it and run silently as another seed, and so would a float truncated to
+    an integer."""
+    if not isinstance(base_seed, (int, np.integer)):
+        raise ConfigError(f"seed must be an integer, got {base_seed!r}")
     if not 0 <= base_seed <= _MASK64:
         raise ConfigError(f"seed must lie in [0, 2^64), got {base_seed}")
     if k < 0:
@@ -79,3 +93,80 @@ def parallel_map(fn, items):
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
+
+
+def _openblas_threads_api(module):
+    """(get, set) of the thread count of the OpenBLAS that a compiled
+    extension module calls, or None when it calls another BLAS (MKL,
+    Accelerate, reference LAPACK).  The handle of the extension also
+    searches the libraries it links, so each lookup finds that module's own
+    copy: numpy's and scipy's wheels each bundle one under prefixed names
+    (numpy's with an ILP64 suffix), a system build has the plain ones."""
+    lib = ctypes.CDLL(module.__file__)
+    for prefix in ("scipy_openblas", "openblas"):
+        for suffix in ("", "64_"):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.restype, get.argtypes = ctypes.c_int, ()
+                put.restype, put.argtypes = None, (ctypes.c_int,)
+                return get, put
+    return None
+
+
+_OPENBLAS = {
+    "numpy": _openblas_threads_api(_umath_linalg),
+    "scipy": _openblas_threads_api(_flapack),
+}
+
+
+def openblas_threads() -> dict:
+    """{"numpy": n, "scipy": n}: the thread count of the OpenBLAS behind
+    each library, None where it calls another BLAS."""
+    return {name: None if api is None else api[0]() for name, api in _OPENBLAS.items()}
+
+
+class _OneBlasThread(ContextDecorator):
+    """Run a block, or a decorated function, with numpy's and scipy's
+    OpenBLAS on one thread each, and restore both previous counts when the
+    outermost entry leaves, also when the body raises; a pool without
+    OpenBLAS is left alone.
+
+    Re-entrant: the lock guards only the nesting count and the saved
+    counts, never the body, so a nested entry or a ``parallel_map`` worker
+    entering while another thread is inside never blocks.
+
+    On 2 cores a second OpenBLAS thread buys nothing at the sizes the
+    library calls, and costs CPU: A @ A.T at n = 800 took 8-24 ms wall on
+    two threads against 12 ms on one, and leggauss(256) (LAPACK dsyevd)
+    52 ms wall against 10 ms in a fresh process.  After a threaded call the
+    idle OpenBLAS worker also spins for a while, so Python code that
+    follows reads twice its wall time in CPU.  An entry costs about 7 us,
+    so enter once per batch, never once per field.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._restore = []
+
+    def __enter__(self):
+        with self._lock:
+            if self._depth == 0:
+                pools = [api for api in _OPENBLAS.values() if api is not None]
+                self._restore = [(put, get()) for get, put in pools]
+                for put, _ in self._restore:
+                    put(1)
+            self._depth += 1
+        return self
+
+    def __exit__(self, *exc_info):
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0:
+                for put, count in self._restore:
+                    put(count)
+        return False
+
+
+one_blas_thread = _OneBlasThread()

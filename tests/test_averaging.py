@@ -744,6 +744,10 @@ def test_process_path_validation():
         ProcessPath(5.0, np.zeros((1, 1)))
     with pytest.raises(DomainError, match="one-dimensional"):
         ProcessPath(np.arange(1.0, 5.0)[:, None], np.zeros((2, 4)))
+    # NaN passes the increasing check, which compares
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DomainError, match="grid must be finite"):
+            ProcessPath(np.array([1.0, bad]), np.zeros((2, 2)))
 
 
 def test_process_path_column_reads_grid_points_only():

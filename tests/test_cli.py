@@ -89,6 +89,10 @@ def test_config_field_validation():
         ExperimentConfig(experiment="char-bm-gff-sine", u_grid=(2.0, 1.0))
     with pytest.raises(ConfigError, match="t_grid must be a nonempty positive increasing list"):
         ExperimentConfig(experiment="char-bm-gff-circle", t_grid=(0.0, 0.25, 0.5, 1.0))
+    with pytest.raises(ConfigError, match="n_samples must be finite"):
+        ExperimentConfig(experiment="wick-fourth", n_samples=float("inf"))
+    with pytest.raises(ConfigError, match="seed must be an integer"):
+        ExperimentConfig(experiment="wick-fourth", seed=1.9)
 
 
 # ---------------------------------------------------------------------------
@@ -128,10 +132,15 @@ def test_bad_config_exits_2(tmp_path, capsys):
         ("excursion-mass", "n_samples = 2\neps = 0.01\nseed = 3\n", "no values to compare"),
         ("excursion-mass", "n_samples = 1\neps = 0.01\nseed = 2\n",
          "mass standard error needs at least 2 paths"),
+        # NaN passes every comparison and inf every positivity check
+        ("excursion-mass", "r = inf\n", "r must be finite, got inf"),
+        ("excursion-mass", "tol.mass = nan\n", "tol.mass must be finite, got nan"),
+        ("char-bm-gff-sine", "u_grid = 1,2,nan,8\n", "u_grid must be finite"),
     ],
     ids=["wick-alpha", "excursion-u_grid", "excursion-tol.mas", "sine-tol.mass", "stable-alpha-0.9",
          "sine-n_samples-50", "wick-n_samples-999", "sine-no-triple", "circle-3-points",
-         "stable-no-triple", "excursion-no-hits", "excursion-one-path"],
+         "stable-no-triple", "excursion-no-hits", "excursion-one-path", "excursion-r-inf",
+         "excursion-tol.mass-nan", "sine-grid-nan"],
 )
 def test_config_error_exits_2_before_the_output_dir(tmp_path, capsys, experiment, text, message):
     # an unread key would run silently and still be echoed in the manifest
@@ -260,8 +269,11 @@ def test_empty_grid_exits_2(tmp_path, capsys):
         (["--grid", "1,x", "--n", "5"], "bad value for --grid: '1,x'"),
         (["--grid", "1,2", "--n", "-1"], "replica count must be nonnegative"),
         (["--grid", "1,2", "--n", "-1", "--backend", "lattice"], "replica count must be nonnegative"),
+        (["--grid", "1,nan", "--n", "3"], "--grid must be finite"),
+        (["--grid", "1,inf", "--n", "3"], "--grid must be finite"),
     ],
-    ids=["bad-grid-entry", "negative-n-exact", "negative-n-lattice"],
+    ids=["bad-grid-entry", "negative-n-exact", "negative-n-lattice", "nan-grid-entry",
+         "inf-grid-entry"],
 )
 def test_paths_malformed_input_exits_2(tmp_path, capsys, argv, message):
     out = tmp_path / "p.csv"
@@ -309,7 +321,7 @@ def test_excursion_experiment_report(excursion_run):
     assert (out / "run1" / "hits.csv").exists()
 
 
-def test_manifest_schema(excursion_run):
+def test_manifest_schema(excursion_run, openblas_on_two_threads, tmp_path):
     out, _, _, _ = excursion_run
     man = json.loads((out / "run1" / "manifest.json").read_text())
     assert set(man) == {"experiment", "config", "version", "started_at",
@@ -324,6 +336,16 @@ def test_manifest_schema(excursion_run):
     assert man["config"]["seed"] == 11
     assert man["config"]["tol"] == {"mass": 0.12, "ks": 0.06}
     assert man["wall_seconds"] > 0
+    # a run that pins every OpenBLAS pool to one thread records the counts
+    # in force before it, not the pinned 1, and leaves them as they were
+    pools = openblas_on_two_threads
+    cfg = tmp_path / "sine.cfg"
+    cfg.write_text("n_samples = 100\n")
+    main(["verify", "--experiment", "char-bm-gff-sine", "--config", str(cfg),
+          "--output-dir", str(tmp_path / "sine")])
+    blas = json.loads((tmp_path / "sine" / "manifest.json").read_text())["machine"]["openblas_threads"]
+    assert {name: blas[name] for name in pools} == dict.fromkeys(pools, 2)
+    assert {name: get() for name, (get, _) in pools.items()} == dict.fromkeys(pools, 2)
 
 
 def test_same_config_same_report_bytes(excursion_run):

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from gffforge.errors import ConfigError
+from gffforge.fields import dgff_matrix
+from gffforge.greens import disk_lattice
 from gffforge.rng import GOLDEN, derived_seed, parallel_map, replica_rng, thread_count
 
 
@@ -27,6 +29,16 @@ def test_derived_seed_rejects_seeds_outside_64_bits():
             derived_seed(bad, 0)
         with pytest.raises(ConfigError):
             replica_rng(bad, 3)
+
+
+def test_derived_seed_rejects_a_non_integral_seed():
+    # truncated, seed 1.9 would run as seed 1
+    for bad in (1.9, 1.0, np.float64(3.0), "3"):
+        with pytest.raises(ConfigError, match="seed must be an integer"):
+            derived_seed(bad, 0)
+    with pytest.raises(ConfigError, match="seed must be an integer"):
+        dgff_matrix(disk_lattice(16), 3, 1.9)
+    assert derived_seed(np.uint64(5), 2) == derived_seed(np.int32(5), 2) == derived_seed(5, 2)
 
 
 def test_replica_rng_streams():
