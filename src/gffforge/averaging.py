@@ -108,6 +108,8 @@ class ProcessPath:
             raise DomainError("grid must be finite")
         if self.replicas.ndim != 2 or self.replicas.shape[1] != len(self.grid):
             raise DomainError("replicas must be (n, len(grid))")
+        if not np.all(np.isfinite(self.replicas)):
+            raise DomainError("replicas must be finite")
         if np.any(np.diff(self.grid) <= 0):
             raise DomainError("grid must be strictly increasing")
 

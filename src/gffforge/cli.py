@@ -43,13 +43,7 @@ from .excursions import (
     total_mass,
     weighted_ks_distance,
 )
-from .fields import (
-    CALIBRATION,
-    sample_dgff,
-    sample_functionals,
-    sample_stable_field,
-    save_field,
-)
+from .fields import CALIBRATION, FieldSample, dgff_matrix, sample_functionals, stable_matrix
 from .geometry import Mobius, disk_bump
 from .greens import disk_lattice, green_variance_ratio
 from .rng import derived_seed, openblas_threads, thread_count
@@ -311,7 +305,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    s = sub.add_parser("sample", help="draw one lattice field and save it")
+    s = sub.add_parser("sample", help="draw one lattice field and save it as .npz")
     s.add_argument("--law", choices=("gff", "stable"), default="gff")
     s.add_argument("--alpha", type=float, default=None, help="stable index (default 1.5)")
     s.add_argument("--size", type=int, default=64)
@@ -358,13 +352,22 @@ def _law_kwargs(args) -> dict:
 
 
 def _cmd_sample(args) -> int:
+    """One field, written by np.savez: its dense grid (``FieldSample.grid``)
+    under ``values``, with spacing, i0, j0, law, alpha, seed and
+    calibration; read it back with np.load."""
     kwargs = _law_kwargs(args)
     lat = disk_lattice(args.size)
     if args.law == "gff":
-        sample = sample_dgff(lat, 1, args.seed)[0]
+        values = dgff_matrix(lat, 1, args.seed)[:, 0]
     else:
-        sample = sample_stable_field(lat, kwargs["alpha"], 1, args.seed)[0]
-    save_field(sample, args.out)
+        values = stable_matrix(lat, kwargs["alpha"], 1, args.seed)[:, 0]
+    grid, i0, j0 = FieldSample(lat, values).grid()
+    # a file object, since np.savez appends .npz to a path that lacks it
+    with open(args.out, "wb") as fh:
+        np.savez(
+            fh, values=grid, spacing=lat.spacing, i0=i0, j0=j0, law=args.law,
+            alpha=kwargs.get("alpha", 2.0), seed=np.uint64(args.seed), calibration=CALIBRATION,
+        )
     print(json.dumps({"law": args.law, "sites": lat.n_sites, "out": str(args.out)}))
     return 0
 

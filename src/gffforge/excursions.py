@@ -202,8 +202,9 @@ def sample_excursion_hits(
     neither their bounds nor their streams depend on ``GFFFORGE_THREADS``,
     so neither does the sample.
     """
-    if not (r > 0 and eps > 0):
-        raise DomainError("need r > 0 and eps > 0")
+    # NaN fails every comparison, and r = inf never reaches the last split level
+    if not (0 < r < np.inf and 0 < eps < np.inf):
+        raise DomainError("need finite r > 0 and eps > 0")
     if eps >= r / 10:
         raise DomainError("eps must be < r/10 for the excursion limit to apply")
     if n < 1:
@@ -230,6 +231,9 @@ def continue_paths(z0, r_target: float, seed: int):
     angles) aligned with the inputs; paths absorbed at the real axis get
     no angle."""
     z0 = np.atleast_1d(np.asarray(z0, dtype=complex))
+    # a NaN start fails every stop test, and r_target = inf absorbs every path
+    if not (np.all(np.isfinite(z0)) and np.isfinite(r_target)):
+        raise DomainError("continuation needs finite start points and target radius")
     if np.any(z0.imag <= 0):
         raise DomainError("continuation must start inside the upper half-plane")
     if np.any(np.abs(z0) >= r_target):

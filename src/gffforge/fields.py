@@ -34,7 +34,6 @@ test suite.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -49,21 +48,14 @@ __all__ = [
     "MarkovDecomposition",
     "sample_gff_observables",
     "sample_dgff",
-    "sample_stable_field",
     "dgff_matrix",
     "stable_matrix",
     "sample_functionals",
     "sample_sas",
     "markov_decompose",
-    "save_field",
-    "load_field",
-    "GridField",
 ]
 
 CALIBRATION = float(np.sqrt(2.0 * np.pi))
-
-_LAW_TAGS = {"gff": 0, "stable": 1, "deterministic": 2}
-_TAG_LAWS = {v: k for k, v in _LAW_TAGS.items()}
 
 
 @dataclass
@@ -72,13 +64,8 @@ class FieldSample:
 
     lattice: LatticeDomain
     values: np.ndarray
-    law: str
-    alpha: float
-    seed: int
 
     def __post_init__(self):
-        if self.law not in _LAW_TAGS:
-            raise DomainError(f"unknown law {self.law!r}")
         if self.values.shape != (self.lattice.n_sites,):
             raise DomainError("values must align with lattice interior sites")
 
@@ -207,10 +194,7 @@ def dgff_matrix(lat: LatticeDomain, n: int, seed: int, replica_offset: int = 0) 
 def sample_dgff(lat: LatticeDomain, n: int, seed: int):
     """n lattice Gaussian free field samples on ``lat``."""
     vals = dgff_matrix(lat, n, seed)
-    return [
-        FieldSample(lat, np.ascontiguousarray(vals[:, r]), "gff", 2.0, seed)
-        for r in range(n)
-    ]
+    return [FieldSample(lat, np.ascontiguousarray(vals[:, r])) for r in range(n)]
 
 
 def sample_sas(alpha: float, size, rng, scale: float = 1.0) -> np.ndarray:
@@ -277,15 +261,6 @@ def sample_functionals(
     return _replica_rows(_law_noise(law, alpha, V.shape[0]), V.shape[0], n, seed, V=V)
 
 
-def sample_stable_field(lat: LatticeDomain, alpha: float, n: int, seed: int):
-    """n symmetric alpha-stable fields through the Gaussian field's filter."""
-    vals = stable_matrix(lat, alpha, n, seed)
-    return [
-        FieldSample(lat, np.ascontiguousarray(vals[:, r]), "stable", alpha, seed)
-        for r in range(n)
-    ]
-
-
 def markov_decompose(sample: FieldSample, subdomain) -> MarkovDecomposition:
     """Split ``sample`` over a subdomain into harmonic and zero-boundary parts.
 
@@ -307,74 +282,3 @@ def markov_decompose(sample: FieldSample, subdomain) -> MarkovDecomposition:
     harmonic = replace(sample, values=harm_vals)
     residual = replace(sample, values=res_vals)
     return MarkovDecomposition(sample=sample, cell=cell, harmonic=harmonic, residual=residual)
-
-
-# ---------------------------------------------------------------------------
-# binary serialization
-# ---------------------------------------------------------------------------
-
-_MAGIC = b"GFFS"
-_HEADER = struct.Struct("<4sIdIIqqIdQd")
-_VERSION = 1
-
-
-def save_field(sample: FieldSample, path) -> None:
-    """Write a field as a binary grid file (header + row-major f64 values)."""
-    arr, i0, j0 = sample.grid()
-    header = _HEADER.pack(
-        _MAGIC,
-        _VERSION,
-        sample.lattice.spacing,
-        arr.shape[0],
-        arr.shape[1],
-        i0,
-        j0,
-        _LAW_TAGS[sample.law],
-        sample.alpha,
-        sample.seed,
-        CALIBRATION,
-    )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-
-
-@dataclass
-class GridField:
-    """Self-contained deserialized field grid."""
-
-    values: np.ndarray
-    spacing: float
-    i0: int
-    j0: int
-    law: str
-    alpha: float
-    seed: int
-    calibration: float
-
-
-def load_field(path) -> GridField:
-    with open(path, "rb") as fh:
-        raw = fh.read(_HEADER.size)
-        if len(raw) != _HEADER.size:
-            raise ValueError("truncated field file")
-        magic, version, spacing, nx, ny, i0, j0, law_tag, alpha, seed, calibration = _HEADER.unpack(raw)
-        if magic != _MAGIC:
-            raise ValueError("not a field file (bad magic)")
-        if version != _VERSION:
-            raise ValueError(f"unsupported field file version {version}")
-        if law_tag not in _TAG_LAWS:
-            raise ValueError(f"unknown law tag {law_tag}")
-        data = np.frombuffer(fh.read(8 * nx * ny), dtype="<f8")
-        if data.size != nx * ny:
-            raise ValueError("truncated field payload")
-    return GridField(
-        values=data.reshape(nx, ny).copy(),
-        spacing=spacing,
-        i0=i0,
-        j0=j0,
-        law=_TAG_LAWS[law_tag],
-        alpha=alpha,
-        seed=seed,
-        calibration=calibration,
-    )

@@ -340,7 +340,7 @@ def test_annulus_harmonic_pairings_fit_a_line_lattice():
     lat = sine_lattice_for((2.0, 8.0), points_per_radius=12, width_factor=3.0)
     raw = dgff_matrix(lat, 1, seed=271)[:, 0]
     # a fixed sup-norm-1 field makes the absolute residual gate scale-free
-    s = FieldSample(lat, raw / np.max(np.abs(raw)), "deterministic", 0.0, 271)
+    s = FieldSample(lat, raw / np.max(np.abs(raw)))
     # harmonic in the semi-annulus between the u=8 and u=2 semicircles
     d = markov_decompose(
         s, lambda z: (np.abs(z) > 1.0 / np.sqrt(8.0)) & (np.abs(z) < 1.0 / np.sqrt(2.0))
@@ -362,7 +362,7 @@ def test_field_pairing_is_bilinear_up_to_the_dirichlet_boundary():
     # raises instead of reading 0
     lat = halfplane_lattice(2.0, 0.1)
     a = lat.spacing
-    one = FieldSample(lat, np.ones(lat.n_sites), "deterministic", 0.0, 0)
+    one = FieldSample(lat, np.ones(lat.n_sites))
     for s in (0.25, 0.7, 1.0):
         site_idx, c = lat.site_weights(np.array([0.33 + 1j * s * a]), np.ones(1))
         assert abs(c @ one.values[site_idx] - s) < 1e-12
@@ -423,7 +423,7 @@ def disk96():
 
 def test_rotational_check_odd_field(disk96):
     v = harmonic_lattice_field(disk96, lambda z: np.real(z))
-    s = FieldSample(disk96, v, "deterministic", 0.0, 0)
+    s = FieldSample(disk96, v)
     lhs, rhs = rotational_average_check(s, 4.0, n_angles=16)
     assert abs(lhs) < 1e-12 and abs(rhs) < 1e-12
 
@@ -431,7 +431,7 @@ def test_rotational_check_odd_field(disk96):
 def test_rotational_check_harmonic_exact(disk96):
     # low-frequency boundary data is angle-quadrature exact
     v = harmonic_lattice_field(disk96, lambda z: 1.0 + np.real(z ** 3) - 0.4 * np.imag(z ** 2))
-    s = FieldSample(disk96, v, "deterministic", 0.0, 0)
+    s = FieldSample(disk96, v)
     k = disk96.nearest_site(0.0j)
     for n_angles in (16, 64):
         lhs, rhs = rotational_average_check(s, 4.0, n_angles=n_angles)
@@ -443,7 +443,7 @@ def test_rotational_check_angle_refinement(disk96):
     # frequency-16 boundary data aliases a 16-angle average but not a
     # 64-angle one
     v = harmonic_lattice_field(disk96, lambda z: 1.0 + np.real(z ** 16))
-    s = FieldSample(disk96, v, "deterministic", 0.0, 0)
+    s = FieldSample(disk96, v)
     errs = {}
     for n_angles in (16, 64):
         lhs, rhs = rotational_average_check(s, 1.1, n_angles=n_angles)
@@ -458,7 +458,7 @@ def test_rotational_check_dgff_gate(disk96):
     gaps = np.empty(n)
     rhss = np.empty(n)
     for r in range(n):
-        s = FieldSample(disk96, np.ascontiguousarray(vals[:, r]), "gff", 2.0, 277)
+        s = FieldSample(disk96, np.ascontiguousarray(vals[:, r]))
         lhs, rhs = rotational_average_check(s, 4.0, n_angles=64)
         gaps[r] = abs(lhs - rhs)
         rhss[r] = rhs
@@ -489,7 +489,7 @@ def test_rotational_lhs_matches_per_frame_mean(disk96):
                 for k in range(n_angles)
             ]
             ref = np.mean([w @ vals[ring_idx] for ring_idx, w in frames], axis=0)
-            samples = [FieldSample(disk96, v, "gff", 2.0, 291) for v in vals.T]
+            samples = [FieldSample(disk96, v) for v in vals.T]
             lhs = np.array([rotational_average_check(s, u, n_angles)[0] for s in samples])
             assert np.max(np.abs(lhs - ref)) <= 1e-14 * np.sqrt(np.mean(ref**2))
 
@@ -554,7 +554,7 @@ def test_rotational_frame_cells_follow_the_square_symmetry(monkeypatch, holed, n
         return DirichletCell(parent, idx)
 
     monkeypatch.setattr(averaging, "DirichletCell", spy)
-    samples = [FieldSample(lat, v, "gff", 2.0, 299) for v in vals.T]
+    samples = [FieldSample(lat, v) for v in vals.T]
     lhs = np.array([rotational_average_check(s, 2.0, n_angles)[0] for s in samples])
     assert len(built) == cells + 1  # and the circle's cell
     assert np.max(np.abs(lhs - ref)) <= 1e-14 * np.sqrt(np.mean(ref**2))
@@ -748,6 +748,9 @@ def test_process_path_validation():
     for bad in (np.nan, np.inf):
         with pytest.raises(DomainError, match="grid must be finite"):
             ProcessPath(np.array([1.0, bad]), np.zeros((2, 2)))
+        # one bad replica would reach the battery as a zero-variance error
+        with pytest.raises(DomainError, match="replicas must be finite"):
+            ProcessPath(np.array([1.0, 2.0]), np.array([[0.0, 1.0], [bad, 2.0]]))
 
 
 def test_process_path_column_reads_grid_points_only():

@@ -20,7 +20,7 @@ from gffforge import verify
 from gffforge.averaging import DEFAULT_T_GRID, DEFAULT_U_GRID, ProcessPath
 from gffforge.cli import ExperimentConfig, load_config, main, parse_config_file
 from gffforge.errors import ConfigError
-from gffforge.fields import CALIBRATION, load_field, sample_functionals
+from gffforge.fields import CALIBRATION, FieldSample, dgff_matrix, sample_functionals
 from gffforge.geometry import Mobius, disk_bump
 from gffforge.greens import disk_lattice
 
@@ -179,6 +179,14 @@ def test_bad_thread_count_exits_2(monkeypatch, capsys):
     monkeypatch.setenv("GFFFORGE_THREADS", "many")
     assert main(["excursions", "--eps", "0.05", "--n", "10"]) == 2
     assert capsys.readouterr().err.startswith("error: GFFFORGE_THREADS")
+
+
+@pytest.mark.parametrize(
+    "argv", [["--r", "inf"], ["--r", "nan"], ["--eps", "nan"]], ids=["r-inf", "r-nan", "eps-nan"]
+)
+def test_excursions_nonfinite_input_exits_2(capsys, argv):
+    assert main(["excursions", *argv, "--n", "10"]) == 2
+    assert "need finite r > 0 and eps > 0" in capsys.readouterr().err
 
 
 def test_uncreatable_output_dir_exits_2(tmp_path, capsys):
@@ -523,16 +531,36 @@ def test_all_lists_exactly_the_public_names(name):
 
 
 def test_sample_round_trip(tmp_path, capsys):
+    # np.savez given a path would append .npz; the file is --out exactly
     f1 = tmp_path / "f1.bin"
     f2 = tmp_path / "f2.bin"
+    again = tmp_path / "again.bin"
     assert main(["sample", "--law", "gff", "--size", "24", "--seed", "3",
                  "--out", str(f1)]) == 0
     assert main(["sample", "--law", "stable", "--alpha", "1.7", "--size", "24",
                  "--seed", "3", "--out", str(f2)]) == 0
+    assert main(["sample", "--law", "gff", "--size", "24", "--seed", "3",
+                 "--out", str(again)]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert json.loads(lines[0])["sites"] > 0
-    assert load_field(f1).law == "gff"
-    assert load_field(f2).law == "stable"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["again.bin", "f1.bin", "f2.bin"]
+    assert f1.read_bytes() == again.read_bytes()
+
+    lat = disk_lattice(24)
+    grid, i0, j0 = FieldSample(lat, dgff_matrix(lat, 1, 3)[:, 0]).grid()
+    with np.load(f1) as gff:
+        assert sorted(gff.files) == sorted(
+            ["values", "spacing", "i0", "j0", "law", "alpha", "seed", "calibration"]
+        )
+        assert np.array_equal(gff["values"], grid)
+        assert (gff["i0"], gff["j0"]) == (i0, j0)
+        assert gff["spacing"] == lat.spacing
+        assert (str(gff["law"]), gff["alpha"], gff["seed"]) == ("gff", 2.0, 3)
+        assert gff["calibration"] == CALIBRATION
+    with np.load(f2) as stable:
+        assert (str(stable["law"]), stable["alpha"], stable["seed"]) == ("stable", 1.7, 3)
+        assert stable["values"].shape == grid.shape
+        assert not np.array_equal(stable["values"], grid)
 
 
 def test_sample_alpha_only_with_stable_law(tmp_path, capsys):
@@ -541,7 +569,8 @@ def test_sample_alpha_only_with_stable_law(tmp_path, capsys):
     assert "--alpha only applies to --law stable" in capsys.readouterr().err
     assert not out.exists()
     assert main(["sample", "--law", "stable", "--size", "8", "--out", str(out)]) == 0
-    assert load_field(out).alpha == 1.5
+    with np.load(out) as field:
+        assert str(field["law"]) == "stable" and field["alpha"] == 1.5
 
 
 def test_excursions_subcommand(tmp_path, capsys):

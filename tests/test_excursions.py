@@ -208,6 +208,10 @@ def test_sampler_validation():
         sample_excursion_hits(-1.0, 1e-3, 10, seed=0)
     with pytest.raises(DomainError):
         sample_excursion_hits(1.0, 1e-3, 0, seed=0)
+    # r = inf never reaches the last split level: mass 0, or a run without end
+    for r, eps in ((np.inf, 1e-2), (np.nan, 1e-2), (1.0, np.nan)):
+        with pytest.raises(DomainError, match="finite"):
+            sample_excursion_hits(r, eps, 20, seed=1)
     # one path has no spread to estimate: an error, not a NaN
     with pytest.raises(DomainError, match="at least 2 paths"):
         sample_excursion_hits(1.0, 1e-2, 1, seed=2).mass_stderr()
@@ -218,6 +222,17 @@ def test_continue_paths_validation():
         continue_paths(np.array([0.5 - 0.1j]), 2.0, seed=0)
     with pytest.raises(DomainError):
         continue_paths(np.array([3.0 + 1.0j]), 2.0, seed=0)
+    # a NaN start fails every stop test and would never return; an
+    # infinite target would mark every path absorbed
+    for z0, r_target in (
+        (0.1 + np.nan * 1j, 2.0),
+        (np.nan + 0.1j, 2.0),
+        (complex(np.inf, 1.0), 2.0),
+        (0.1 + 0.1j, np.inf),
+        (0.1 + 0.1j, np.nan),
+    ):
+        with pytest.raises(DomainError, match="finite"):
+            continue_paths(np.array([0.2 + 0.3j, z0]), r_target, seed=1)
 
 
 def test_weighted_ks_validation():

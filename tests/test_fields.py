@@ -1,4 +1,4 @@
-"""Field samplers, the domain Markov decomposition, and serialization."""
+"""Field samplers and the domain Markov decomposition."""
 
 import os
 import subprocess
@@ -7,8 +7,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import stats
 from scipy.linalg.lapack import dtbtrs
@@ -19,14 +17,11 @@ from gffforge.fields import (
     CALIBRATION,
     FieldSample,
     dgff_matrix,
-    load_field,
     markov_decompose,
     sample_dgff,
     sample_functionals,
     sample_gff_observables,
     sample_sas,
-    sample_stable_field,
-    save_field,
     stable_matrix,
 )
 from gffforge.averaging import CircleMeasure
@@ -321,7 +316,6 @@ def test_sample_functionals_validation():
 def test_dgff_sample_metadata():
     lat = disk_lattice(12)
     (s,) = sample_dgff(lat, 1, seed=5)
-    assert s.law == "gff" and s.alpha == 2.0 and s.seed == 5
     assert s.values.shape == (lat.n_sites,)
     assert np.isfinite(s.values).all()
 
@@ -368,12 +362,6 @@ def test_stable_alpha_range():
         sample_sas(2.5, 10, np.random.default_rng(0))
 
 
-def test_stable_sample_metadata():
-    lat = disk_lattice(12)
-    (s,) = sample_stable_field(lat, 1.7, 1, seed=43)
-    assert s.law == "stable" and s.alpha == 1.7
-
-
 def test_sas_alpha_two_is_gaussian():
     rng = np.random.default_rng(5)
     x = sample_sas(2.0, 20000, rng, scale=2.0 ** -0.5)
@@ -398,7 +386,7 @@ def test_markov_full_interior_is_all_residual():
 def test_markov_harmonic_field_is_fixed_point():
     lat = disk_lattice(24)
     v = harmonic_lattice_field(lat, lambda z: np.real(z ** 2))
-    s = FieldSample(lat, v, "deterministic", 0.0, 0)
+    s = FieldSample(lat, v)
     d = markov_decompose(s, lambda z: np.abs(z) < 0.6)
     assert_allclose(d.harmonic.values, v, atol=1e-10)
     assert_allclose(d.residual.values, 0.0, atol=1e-10)
@@ -569,62 +557,11 @@ def test_anderson_darling_separates_laws():
 
 
 # ---------------------------------------------------------------------------
-# serialization
+# FieldSample
 # ---------------------------------------------------------------------------
-
-
-def test_field_round_trip(tmp_path):
-    lat = disk_lattice(24)
-    (s,) = sample_dgff(lat, 1, seed=91)
-    path = tmp_path / "field.gffs"
-    save_field(s, path)
-    grid = load_field(path)
-    assert grid.law == "gff" and grid.alpha == 2.0 and grid.seed == 91
-    assert grid.spacing == lat.spacing
-    assert grid.calibration == CALIBRATION
-    arr, i0, j0 = s.grid()
-    assert (grid.i0, grid.j0) == (i0, j0)
-    assert_allclose(grid.values, arr, rtol=0, atol=0)
-
-
-@settings(max_examples=20, deadline=None)
-@given(
-    law=st.sampled_from(["gff", "stable", "deterministic"]),
-    alpha=st.floats(min_value=1.1, max_value=2.0),
-    seed=st.integers(min_value=0, max_value=2 ** 40),
-)
-def test_field_round_trip_metadata(tmp_path_factory, law, alpha, seed):
-    lat = LatticeDomain(0.25, np.array([[0, 0], [1, 0], [0, 1]]))
-    s = FieldSample(lat, np.array([1.5, -2.25, 0.125]), law, alpha, seed)
-    path = tmp_path_factory.mktemp("fieldmeta") / "f.gffs"
-    save_field(s, path)
-    grid = load_field(path)
-    assert (grid.law, grid.seed) == (law, seed)
-    assert grid.alpha == alpha
-    assert_allclose(grid.values, s.grid()[0], rtol=0, atol=0)
-
-
-def test_load_rejects_bad_magic(tmp_path):
-    path = tmp_path / "junk.gffs"
-    path.write_bytes(b"NOPE" + bytes(100))
-    with pytest.raises(ValueError):
-        load_field(path)
-
-
-def test_load_rejects_truncation(tmp_path):
-    lat = disk_lattice(12)
-    (s,) = sample_dgff(lat, 1, seed=93)
-    path = tmp_path / "field.gffs"
-    save_field(s, path)
-    data = path.read_bytes()
-    path.write_bytes(data[: len(data) // 2])
-    with pytest.raises(ValueError):
-        load_field(path)
 
 
 def test_field_sample_validation():
     lat = disk_lattice(12)
     with pytest.raises(DomainError):
-        FieldSample(lat, np.zeros(lat.n_sites), "poisson", 2.0, 0)
-    with pytest.raises(DomainError):
-        FieldSample(lat, np.zeros(3), "gff", 2.0, 0)
+        FieldSample(lat, np.zeros(3))

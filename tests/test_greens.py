@@ -390,7 +390,7 @@ def test_dropped_lattice_with_cells_is_freed_without_gc():
     gc.disable()
     try:
         lat = disk_lattice(16)
-        field = FieldSample(lat, np.zeros(lat.n_sites), "deterministic", 0.0, 0)
+        field = FieldSample(lat, np.zeros(lat.n_sites))
         markov_decompose(field, np.arange(10))
         markov_decompose(field, np.arange(20, 30))
         ref = weakref.ref(lat)
@@ -410,7 +410,7 @@ def _half_disk_cell_field():
     lat = disk_lattice(32)
     idx = lat.indices_of(lambda z: np.abs(z) < 0.5)
     values = np.random.default_rng(3).standard_normal(lat.n_sites)
-    return FieldSample(lat, values, "deterministic", 0.0, 0), idx
+    return FieldSample(lat, values), idx
 
 
 @pytest.mark.parametrize("bad", ["repeated", "negative", "out-of-range", "float"])
