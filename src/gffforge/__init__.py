@@ -8,9 +8,11 @@ and sine average processes (averaging), excursion hitting laws
 (excursions), and the hypothesis-test battery (verify).  The cli module
 wires named experiments over all of it.  Import each name from the module
 that defines it; the package namespace holds only the version and the
-shared error types.
+shared error types.  Importing the package sets numpy's and scipy's
+OpenBLAS to one thread each (see rng).
 """
 
+from . import rng  # noqa: F401  (its import is the OpenBLAS pin)
 from .errors import (
     ConfigError,
     DomainError,

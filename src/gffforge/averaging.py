@@ -54,8 +54,8 @@ class CircleMeasure:
     n_nodes: int = 512
 
     def __post_init__(self):
-        if not self.radius > 0:
-            raise DomainError("CircleMeasure needs radius > 0")
+        if not (0 < self.radius < np.inf and np.isfinite(self.center)):
+            raise DomainError("CircleMeasure needs a finite center and finite radius > 0")
 
     def discretize(self, offset: int = 0):
         h = 2.0 * np.pi / self.n_nodes
@@ -73,8 +73,8 @@ class SineMeasure:
     n_nodes: int = 1024
 
     def __post_init__(self):
-        if not self.u > 0:
-            raise DomainError("SineMeasure needs u > 0")
+        if not 0 < self.u < np.inf:
+            raise DomainError("SineMeasure needs finite u > 0")
 
     @property
     def radius(self) -> float:

@@ -10,7 +10,7 @@ run that exits 2 or 3 leaves none, and an output directory that cannot be
 made is found after the compute.  A manifest.json records the values of
 those keys, library version, wall time and the machine (core count,
 GFFFORGE_THREADS in effect, Python/numpy/scipy versions, the OpenBLAS
-thread count behind numpy and scipy).  Exit codes: 0
+thread counts behind numpy and scipy in force during the run).  Exit codes: 0
 all tests passed, 1 a test failed, 2 invalid configuration or a file that
 cannot be read or written, 3 a resolution or numerical failure.
 """

@@ -42,15 +42,15 @@ _PATH_BLOCK = 50_000
 
 def total_mass(r: float) -> float:
     """Excursion mass reaching the radius-r semicircle: 4/(pi r)."""
-    if not r > 0:
-        raise DomainError("total_mass needs r > 0")
+    if not 0 < r < np.inf:
+        raise DomainError("total_mass needs finite r > 0")
     return 4.0 / (np.pi * r)
 
 
 def hitting_density(r: float, theta) -> float | np.ndarray:
     """Hit-angle density (2/(pi r)) sin(theta) on [0, pi]."""
-    if not r > 0:
-        raise DomainError("hitting_density needs r > 0")
+    if not 0 < r < np.inf:
+        raise DomainError("hitting_density needs finite r > 0")
     t = np.asarray(theta, dtype=float)
     if np.any((t < 0) | (t > np.pi)):
         raise DomainError("theta must lie in [0, pi]")
@@ -67,8 +67,8 @@ def hitting_cdf(theta) -> float | np.ndarray:
 
 def arc_mass(r: float, a: float, b: float) -> float:
     """Excursion mass leaving through the arc angles (a, b) of radius r."""
-    if not r > 0:
-        raise DomainError("arc_mass needs r > 0")
+    if not 0 < r < np.inf:
+        raise DomainError("arc_mass needs finite r > 0")
     if not (0.0 <= a <= b <= np.pi):
         raise DomainError("need 0 <= a <= b <= pi")
     return (2.0 / (np.pi * r)) * (np.cos(a) - np.cos(b))
@@ -250,11 +250,14 @@ def continue_paths(z0, r_target: float, seed: int):
 
 
 def weighted_ks_distance(values, weights, cdf=hitting_cdf) -> float:
-    """Sup distance between the weighted empirical CDF and a model CDF."""
+    """Sup distance between the weighted empirical CDF and a model CDF;
+    the weights must be finite and nonnegative, with a positive sum."""
     v = np.asarray(values, dtype=float)
     w = np.asarray(weights, dtype=float)
     if v.size == 0:
         raise DomainError("no values to compare")
+    if not (np.all(np.isfinite(w)) and np.all(w >= 0) and w.sum() > 0):
+        raise DomainError("weights must be finite and nonnegative, with a positive sum")
     order = np.argsort(v)
     v, w = v[order], w[order]
     ecdf = np.cumsum(w) / w.sum()

@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalError
 from .greens import DirichletCell, LatticeDomain
-from .rng import one_blas_thread, parallel_map, replica_rng
+from .rng import parallel_map, replica_rng
 
 __all__ = [
     "CALIBRATION",
@@ -106,13 +106,14 @@ def sample_gff_observables(cov, n: int, seed: int) -> np.ndarray:
     matrix = np.asarray(cov, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise DomainError("covariance must be square")
+    if not np.all(np.isfinite(matrix)):
+        raise DomainError("covariance must be finite")
     live = np.diag(matrix) != 0.0
     if np.any(matrix[~live]) or np.any(matrix[:, ~live]):
         raise NumericalError("covariance has a zero variance with a nonzero covariance")
     L = np.zeros_like(matrix)
     try:
-        with one_blas_thread:
-            L[np.ix_(live, live)] = np.linalg.cholesky(matrix[np.ix_(live, live)])
+        L[np.ix_(live, live)] = np.linalg.cholesky(matrix[np.ix_(live, live)])
     except np.linalg.LinAlgError as exc:
         raise NumericalError("covariance is not positive definite on its nonzero variances") from exc
     k = matrix.shape[0]
@@ -146,7 +147,6 @@ _REPLICA_BLOCK = 32
 _PARALLEL_SITES = 2_000
 
 
-@one_blas_thread
 def _replica_rows(noise, size, n, seed, replica_offset=0, V=None) -> np.ndarray:
     """(n, size) array whose row r is ``noise(rng)`` for the generator of
     replica replica_offset + r, or (n, k) with row r that noise @ V for a
@@ -155,8 +155,7 @@ def _replica_rows(noise, size, n, seed, replica_offset=0, V=None) -> np.ndarray:
     Contiguous blocks of _REPLICA_BLOCK rows run through ``parallel_map``
     (serially below _PARALLEL_SITES); each block fills its own rows from
     the replicas' own streams, so the array is the same at any thread
-    count and block size.  Each worker's ``noise @ V`` runs on one OpenBLAS
-    thread.
+    count and block size.
     """
     if n < 0:
         raise DomainError("replica count must be nonnegative")
@@ -256,8 +255,7 @@ def sample_functionals(
         raise DomainError("weights must be (n_sites, k)")
     V = CALIBRATION * lat._root(W, "T")
     if law == "gff":
-        with one_blas_thread:
-            V = np.linalg.qr(V, mode="r")
+        V = np.linalg.qr(V, mode="r")
     return _replica_rows(_law_noise(law, alpha, V.shape[0]), V.shape[0], n, seed, V=V)
 
 

@@ -15,7 +15,6 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError
-from .rng import one_blas_thread
 
 __all__ = [
     "UnitDisk",
@@ -109,10 +108,8 @@ def gauss_legendre(n: int, a: float, b: float):
 
 @lru_cache(maxsize=None)
 def _reference_rule(n: int):
-    """leggauss(n) on [-1, 1], built once per order and kept read-only;
-    its LAPACK eigensolver runs on one OpenBLAS thread."""
-    with one_blas_thread:
-        x, w = leggauss(n)
+    """leggauss(n) on [-1, 1], built once per order and kept read-only."""
+    x, w = leggauss(n)
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w

@@ -10,8 +10,8 @@ sites the Laplacian is diagonal in the orthonormal DST-I basis on both
 axes, so the symmetric root L^(-1/2) costs two transforms and no
 factorization; any other site set uses a banded Cholesky factorization,
 where row-major site ordering keeps the bandwidth at one grid row.  Every
-band is factored on one OpenBLAS thread (``rng.one_blas_thread``): LAPACK
-dpbtrf on a small band loses on a second thread (on 2 cores the disk-64
+band is factored on one OpenBLAS thread (the pin at import, see rng):
+LAPACK dpbtrf on a small band loses on a second thread (on 2 cores the disk-64
 band, 3,205 sites of bandwidth 63, takes 10-11 ms wall and about 20 ms CPU
 on two threads, 3.5 ms wall and 7.5 ms CPU on one).
 """
@@ -28,7 +28,6 @@ from scipy.linalg.lapack import dpbtrs, dtbtrs
 
 from .errors import DomainError, ResolutionError, SingularityError
 from .geometry import TestFunction, UnitDisk, UpperHalfPlane, gauss_legendre
-from .rng import one_blas_thread
 
 __all__ = [
     "green_disk",
@@ -150,7 +149,6 @@ def _area_nodes(phi: TestFunction, domain, n: int):
     return zz[nz], (ww * vals)[nz]
 
 
-@one_blas_thread
 def _h_minus1_once(f, g, domain, n):
     _, harm = _kernel_parts(domain)
     xz, xw = _area_nodes(f, domain, n)
@@ -175,7 +173,6 @@ def _h_minus1_once(f, g, domain, n):
 # ---------------------------------------------------------------------------
 
 
-@one_blas_thread
 def _pair_offset(obs_a, obs_b, g) -> float:
     """Offset-0 nodes of obs_a against offset-1 nodes of obs_b under the
     Green function g; the two node sets never collide, and g raises
@@ -538,8 +535,7 @@ def _factored_laplacian(codes: np.ndarray):
     ab = np.zeros((bw + 1, len(codes)), order="F")
     ab[bw, :] = 4.0
     ab[bw + rows - cols, cols] = -1.0
-    with one_blas_thread:
-        return cholesky_banded(ab, overwrite_ab=True, lower=False), bw
+    return cholesky_banded(ab, overwrite_ab=True, lower=False), bw
 
 
 def discrete_green(lat: LatticeDomain, x, y) -> float:

@@ -6,17 +6,14 @@ Replica k of a batch draws from its own counter-based stream keyed by
 result of a run does not depend on how replicas are scheduled.
 
 The replica loop (``parallel_map``, capped by GFFFORGE_THREADS) is the
-library's only parallelism: every BLAS or LAPACK call the library makes
-runs on one OpenBLAS thread (``one_blas_thread``), in numpy's copy and in
-scipy's.
+library's only parallelism: importing this module sets numpy's and scipy's
+OpenBLAS to one thread each, and nothing sets them back.
 """
 
 from __future__ import annotations
 
 import ctypes
 import os
-import threading
-from contextlib import ContextDecorator
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -119,54 +116,20 @@ _OPENBLAS = {
     "scipy": _openblas_threads_api(_flapack),
 }
 
+# One OpenBLAS thread per pool, set once here and never restored: on 2 cores
+# a second thread buys nothing at the sizes the library calls, and costs CPU.
+# A @ A.T at n = 800 took 8-24 ms wall on two threads against 12 ms on one,
+# and leggauss(256) (LAPACK dsyevd) 52 ms wall against 10 ms in a fresh
+# process; after a threaded call the idle OpenBLAS worker also spins for a
+# while, so Python code that follows reads twice its wall time in CPU.  The
+# package's __init__ imports this module, so the pin holds whichever gffforge
+# module a program imports first.
+for _api in _OPENBLAS.values():
+    if _api is not None:
+        _api[1](1)
+
 
 def openblas_threads() -> dict:
     """{"numpy": n, "scipy": n}: the thread count of the OpenBLAS behind
     each library, None where it calls another BLAS."""
     return {name: None if api is None else api[0]() for name, api in _OPENBLAS.items()}
-
-
-class _OneBlasThread(ContextDecorator):
-    """Run a block, or a decorated function, with numpy's and scipy's
-    OpenBLAS on one thread each, and restore both previous counts when the
-    outermost entry leaves, also when the body raises; a pool without
-    OpenBLAS is left alone.
-
-    Re-entrant: the lock guards only the nesting count and the saved
-    counts, never the body, so a nested entry or a ``parallel_map`` worker
-    entering while another thread is inside never blocks.
-
-    On 2 cores a second OpenBLAS thread buys nothing at the sizes the
-    library calls, and costs CPU: A @ A.T at n = 800 took 8-24 ms wall on
-    two threads against 12 ms on one, and leggauss(256) (LAPACK dsyevd)
-    52 ms wall against 10 ms in a fresh process.  After a threaded call the
-    idle OpenBLAS worker also spins for a while, so Python code that
-    follows reads twice its wall time in CPU.  An entry costs about 7 us,
-    so enter once per batch, never once per field.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._depth = 0
-        self._restore = []
-
-    def __enter__(self):
-        with self._lock:
-            if self._depth == 0:
-                pools = [api for api in _OPENBLAS.values() if api is not None]
-                self._restore = [(put, get()) for get, put in pools]
-                for put, _ in self._restore:
-                    put(1)
-            self._depth += 1
-        return self
-
-    def __exit__(self, *exc_info):
-        with self._lock:
-            self._depth -= 1
-            if self._depth == 0:
-                for put, count in self._restore:
-                    put(count)
-        return False
-
-
-one_blas_thread = _OneBlasThread()

@@ -27,7 +27,7 @@ from .errors import DomainError
 from .fields import _replica_rows, sample_functionals, sample_sas
 from .geometry import Mobius, TestFunction, pullback_test_function
 from .greens import LatticeDomain, disk_lattice
-from .rng import one_blas_thread, replica_rng
+from .rng import replica_rng
 
 __all__ = [
     "SIGNIFICANCE",
@@ -204,7 +204,6 @@ def _moment_weights(k: int) -> np.ndarray:
     return G
 
 
-@one_blas_thread
 def _graph_sums(A: np.ndarray) -> dict:
     """The ``_GRAPHS`` sums of A.  Each is a numpy sum: a BLAS dot splits
     its sum over threads, so its rounding would follow the thread count."""

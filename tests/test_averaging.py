@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 
 from gffforge.averaging import (
     DEFAULT_U_GRID,
+    CircleMeasure,
     ProcessPath,
     SineMeasure,
     _circle_weights,
@@ -62,8 +63,20 @@ def test_sine_measure_mass():
         assert abs(m.total_mass - 2.0 * np.sqrt(u)) < 1e-12
         _, w = m.discretize()
         assert abs(w.sum() - m.total_mass) < 1e-6
-    with pytest.raises(DomainError):
-        SineMeasure(0.0)
+    # u = inf put every node at 0
+    for u in (0.0, np.inf, np.nan):
+        with pytest.raises(DomainError):
+            SineMeasure(u)
+
+
+@pytest.mark.parametrize(
+    "center, radius",
+    [(0.0, 0.0), (0.0, -1.0), (0.0, np.inf), (0.0, np.nan),
+     (complex(np.inf, 0.0), 0.5), (complex(0.0, np.nan), 0.5)],
+)
+def test_circle_measure_validation(center, radius):
+    with pytest.raises(DomainError, match="CircleMeasure"):
+        CircleMeasure(center, radius)
 
 
 def test_sine_measure_radius():

@@ -446,6 +446,17 @@ def test_conformal_experiment_at_the_largest_seed(tmp_path, monkeypatch):
     assert code == (0 if rep["passed"] else 1)
 
 
+# Runs the CLI on argv[2:] with both OpenBLAS pools set to argv[1] threads
+# after the import-time pin, as a caller who raises them would.
+_CLI_WITH_BLAS = """import sys
+from gffforge import cli, rng
+for api in rng._OPENBLAS.values():
+    if api is not None:
+        api[1](int(sys.argv[1]))
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
 def test_lattice_functionals_ignore_thread_and_blas_settings(tmp_path):
     # the Gram root of the Gaussian functionals comes from a LAPACK QR, so
     # a small wick-fourth (one column), a lattice circle path (three) and a
@@ -466,11 +477,8 @@ def test_lattice_functionals_ignore_thread_and_blas_settings(tmp_path):
     sine_cfg.write_text("n_samples = 200\nseed = 13\n")
     outputs = []
     for threads in ("1", "2"):
-        for blas in ("1", None):
+        for blas in ("1", "2"):
             env = {**os.environ, "GFFFORGE_THREADS": threads, "PYTHONPATH": src}
-            env.pop("OPENBLAS_NUM_THREADS", None)
-            if blas is not None:
-                env["OPENBLAS_NUM_THREADS"] = blas
             out = tmp_path / f"t{threads}-b{blas}"
             for argv in (
                 ["verify", "--experiment", "wick-fourth", "--config", str(cfg), "--output-dir", str(out)],
@@ -483,11 +491,34 @@ def test_lattice_functionals_ignore_thread_and_blas_settings(tmp_path):
                 ["paths", "--kind", "sine", "--backend", "lattice", "--grid", "1,1.25,1.5,2,2.5,3,3.5,4",
                  "--n", "8", "--seed", "13", "--out", str(out / "sine.csv")],
             ):
-                done = subprocess.run([sys.executable, "-m", "gffforge.cli", *argv], env=env, capture_output=True)
+                done = subprocess.run([sys.executable, "-c", _CLI_WITH_BLAS, blas, *argv], env=env,
+                                      capture_output=True)
                 assert done.returncode in (0, 1), done.stderr
+            used = json.loads((out / "sine" / "manifest.json").read_text())["machine"]["openblas_threads"]
+            assert all(n in (int(blas), None) for n in used.values())
             names = ("pairings.csv", "report.json", "sine/report.json", "circle.csv", "circle96.csv", "sine.csv")
             outputs.append([(out / name).read_bytes() for name in names])
     assert all(o == outputs[0] for o in outputs[1:])
+
+
+@pytest.mark.parametrize("env_threads", [None, "2"])
+@pytest.mark.parametrize("module", ["gffforge", "gffforge.geometry", "gffforge.cli"])
+def test_import_pins_both_openblas_pools_to_one_thread(module, env_threads):
+    # whichever gffforge module a program imports first, the import leaves
+    # numpy's and scipy's OpenBLAS on one thread, also against
+    # OPENBLAS_NUM_THREADS; a pool that is not OpenBLAS reads None
+    src = str(Path(gffforge.__file__).resolve().parents[1])
+    code = (f"import json, sys, {module}; assert 'gffforge.rng' in sys.modules; "
+            "print(json.dumps(sys.modules['gffforge.rng'].openblas_threads()))")
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if env_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = env_threads
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    counts = json.loads(done.stdout)
+    assert set(counts) == {"numpy", "scipy"}
+    assert all(n in (1, None) for n in counts.values())
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

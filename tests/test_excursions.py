@@ -30,8 +30,10 @@ TARGET = 4.0 / np.pi
 def test_total_mass_values():
     assert abs(total_mass(1.0) - TARGET) < 1e-15
     assert abs(total_mass(2.0) - 2.0 / np.pi) < 1e-15
-    with pytest.raises(DomainError):
-        total_mass(0.0)
+    # r = inf gave mass 0.0 where NaN already raised
+    for r in (0.0, np.inf, np.nan):
+        with pytest.raises(DomainError):
+            total_mass(r)
 
 
 def test_hitting_density_values():
@@ -40,8 +42,9 @@ def test_hitting_density_values():
     assert abs(hitting_density(1.0, np.pi)) < 1e-15
     with pytest.raises(DomainError):
         hitting_density(1.0, -0.1)
-    with pytest.raises(DomainError):
-        hitting_density(-1.0, 0.5)
+    for r in (-1.0, np.inf):
+        with pytest.raises(DomainError):
+            hitting_density(r, 0.5)
 
 
 def test_hitting_density_integrates_to_total_mass():
@@ -68,6 +71,8 @@ def test_arc_mass_values():
         arc_mass(1.0, 0.5, 0.2)
     with pytest.raises(DomainError):
         arc_mass(1.0, -0.1, 0.2)
+    with pytest.raises(DomainError):
+        arc_mass(np.inf, 0.0, 1.0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -238,6 +243,10 @@ def test_continue_paths_validation():
 def test_weighted_ks_validation():
     with pytest.raises(DomainError):
         weighted_ks_distance(np.array([]), np.array([]))
+    # a zero sum gave NaN, a negative weight a distance above 1
+    for w in ([0.0, 0.0], [-1.0, 2.0], [1.0, np.nan], [1.0, np.inf]):
+        with pytest.raises(DomainError, match="weights"):
+            weighted_ks_distance(np.array([1.0, 2.0]), np.array(w))
 
 
 def test_weighted_ks_weight_semantics():

@@ -134,6 +134,16 @@ def test_gff_observables_rejects_nonsquare():
         sample_gff_observables(np.ones((2, 3)), 10, seed=0)
 
 
+@pytest.mark.parametrize("bad", [(0, 1, np.nan), (1, 1, np.inf)], ids=["nan-covariance", "inf-variance"])
+def test_gff_observables_reject_nonfinite_covariance(bad):
+    # a NaN covariance gave a NaN column, an infinite variance +-inf draws
+    i, j, value = bad
+    cov = np.array([[2.0, 1.0], [1.0, 1.0]])
+    cov[i, j] = cov[j, i] = value
+    with pytest.raises(DomainError, match="finite"):
+        sample_gff_observables(cov, 10, seed=0)
+
+
 def test_gff_observables_batch_split_invariance():
     cov = np.array([[2.0, 1.0], [1.0, 1.0]])
     whole = sample_gff_observables(cov, 100, seed=9)

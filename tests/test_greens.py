@@ -3,7 +3,6 @@
 import ast
 import gc
 import inspect
-import threading
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -13,7 +12,7 @@ import pytest
 from scipy.linalg import cho_solve_banded
 from scipy.linalg.lapack import dtbtrs
 
-from gffforge import fields, geometry, greens, rng, verify
+from gffforge import greens, rng
 from gffforge.averaging import CircleMeasure, SineMeasure
 from gffforge.errors import DomainError, SingularityError
 from gffforge.geometry import Mobius, UnitDisk, UpperHalfPlane, disk_bump, radial_annulus_bump
@@ -29,7 +28,6 @@ from gffforge.greens import (
     h_minus1_inner,
     halfplane_lattice,
 )
-from gffforge.rng import one_blas_thread, parallel_map
 
 _HALF_TO_DISK = Mobius(1.0, -1.0j, 1.0, 1.0j)  # z -> (z - i)/(z + i)
 
@@ -316,13 +314,14 @@ def _package_imports(tree):
 
 def test_modules_import_only_earlier_layers():
     # function-level imports count too: a local import is how a cycle
-    # hides.  The package namespace holds only the error types, and cli's
-    # `from . import __version__` reads the version, not a module.
+    # hides.  The package namespace holds only the error types, its import
+    # of rng is the OpenBLAS pin, and cli's `from . import __version__`
+    # reads the version, not a module.
     pkg = Path(greens.__file__).parent
     assert sorted(p.stem for p in pkg.glob("*.py")) == sorted(_LAYERS + ("__init__",))
     for path in pkg.glob("*.py"):
         if path.stem == "__init__":
-            allowed = {"errors"}
+            allowed = {"errors", "rng"}
         else:
             allowed = set(_LAYERS[: _LAYERS.index(path.stem)])
         if path.stem == "cli":
@@ -438,171 +437,13 @@ def test_markov_decompose_of_a_nan_field_raises():
         markov_decompose(field, idx)
 
 
-def _probed(probe, real):
-    def call(*args, **kwargs):
-        probe()
-        return real(*args, **kwargs)
-
-    return call
-
-
-# Each BLAS site of the library, as a function of (monkeypatch, probe) that
-# makes probe() run inside the site's pinned region and returns a call that
-# runs the site.
-
-
-def _site_banded_cholesky(monkeypatch, probe):
-    monkeypatch.setattr(greens, "cholesky_banded", _probed(probe, greens.cholesky_banded))
-    return lambda: disk_lattice(64)._banded()
-
-
-def _site_leggauss(monkeypatch, probe):
-    monkeypatch.setattr(geometry, "leggauss", _probed(probe, geometry.leggauss))
-    return lambda: geometry._reference_rule.__wrapped__(64)
-
-
-def _site_observables_cholesky(monkeypatch, probe):
-    monkeypatch.setattr(np.linalg, "cholesky", _probed(probe, np.linalg.cholesky))
-    return lambda: fields.sample_gff_observables(np.minimum.outer([1.0, 2.0], [1.0, 2.0]), 4, 1)
-
-
-def _site_functionals_qr(monkeypatch, probe):
-    monkeypatch.setattr(np.linalg, "qr", _probed(probe, np.linalg.qr))
-    lat = disk_lattice(16)
-    return lambda: fields.sample_functionals(lat, np.ones((lat.n_sites, 2)), 4, 1)
-
-
-def _site_replica_loop(monkeypatch, probe):
-    # 2,500 sites: two blocks of 32 replicas on two parallel_map workers
-    def noise(rng):
-        probe()
-        return rng.standard_normal(2_500)
-
-    return lambda: fields._replica_rows(noise, 2_500, 64, 1, V=np.ones((2_500, 2)))
-
-
-def _site_graph_sums(monkeypatch, probe):
-    class Probed(np.ndarray):
-        def __matmul__(self, other):
-            probe()
-            return np.asarray(self) @ np.asarray(other)
-
-    A = np.random.default_rng(0).standard_normal((40, 40)).view(Probed)
-    return lambda: verify._graph_sums(A)
-
-
-def _site_h_minus1(monkeypatch, probe):
-    monkeypatch.setattr(greens, "_area_nodes", _probed(probe, greens._area_nodes))
-    return lambda: h_minus1_inner(disk_bump(0.1, 0.3), disk_bump(-0.1j, 0.3), n=8)
-
-
-def _site_pair_offset(monkeypatch, probe):
-    circle = CircleMeasure(0.1, 0.3, 16)
-    return lambda: greens._pair_offset(circle, circle, _probed(probe, green_disk))
-
-
-def _site_nested_entry(monkeypatch, probe):
-    def run():
-        with one_blas_thread:
-            with one_blas_thread:
-                probe()
-            probe()
-
-    return run
-
-
-def _site_parallel_map_worker(monkeypatch, probe):
-    def work(k):
-        with one_blas_thread:
-            probe()
-
-    def run():
-        with one_blas_thread:
-            parallel_map(work, range(4))
-
-    return run
-
-
-_BLAS_SITES = {
-    "banded-cholesky": _site_banded_cholesky,
-    "leggauss": _site_leggauss,
-    "observables-cholesky": _site_observables_cholesky,
-    "functionals-qr": _site_functionals_qr,
-    "replica-loop": _site_replica_loop,
-    "graph-sums": _site_graph_sums,
-    "h-minus1": _site_h_minus1,
-    "pair-offset": _site_pair_offset,
-    "nested-entry": _site_nested_entry,
-    "parallel-map-worker": _site_parallel_map_worker,
-}
-
-
-def _within(call, seconds: float):
-    """call() on a daemon thread; fails the test if it has not returned in
-    ``seconds`` (a deadlock), and re-raises what it raised."""
-    raised = []
-
-    def target():
-        try:
-            call()
-        except Exception as exc:
-            raised.append(exc)
-
-    worker = threading.Thread(target=target, daemon=True)
-    worker.start()
-    worker.join(seconds)
-    assert not worker.is_alive(), "the call did not return: deadlock"
-    if raised:
-        raise raised[0]
-
-
-@pytest.mark.parametrize("site", list(_BLAS_SITES))
-def test_blas_sites_run_on_one_openblas_thread_and_restore_the_counts(
-    monkeypatch, openblas_on_two_threads, site
-):
-    pools = openblas_on_two_threads
-    if not pools:
-        pytest.skip("neither numpy nor scipy calls a threaded OpenBLAS here")
-    counts = lambda: {name: get() for name, (get, _) in pools.items()}
-    seen, fail = [], []
-
-    def probe():
-        seen.append(counts())
-        if fail:
-            raise RuntimeError("probe failed")
-
-    monkeypatch.setenv("GFFFORGE_THREADS", "2")
-    run = _BLAS_SITES[site](monkeypatch, probe)
-    _within(run, 30)
-    assert seen and all(c == dict.fromkeys(pools, 1) for c in seen)
-    assert counts() == dict.fromkeys(pools, 2)
-    fail.append(True)
-    with pytest.raises(RuntimeError, match="probe failed"):
-        _within(run, 30)
-    assert seen[-1] == dict.fromkeys(pools, 1)
-    assert counts() == dict.fromkeys(pools, 2)
-
-
-def test_thread_limit_is_a_no_op_without_openblas(monkeypatch, openblas_on_two_threads):
+def test_thread_limit_is_a_no_op_without_openblas(monkeypatch):
     import _ctypes
 
-    # an extension that links no BLAS: the lookup finds nothing, and the
-    # limit then leaves that pool alone while it pins the other
+    # an extension that links no BLAS: the lookup finds nothing, and that
+    # pool's count then reads None
     assert rng._openblas_threads_api(_ctypes) is None
-    pools = openblas_on_two_threads
-    if len(pools) < 2:
-        pytest.skip("needs both numpy and scipy on a threaded OpenBLAS")
-    (np_get, np_put), (sp_get, _) = pools["numpy"], pools["scipy"]
-    np_put(1)
-    shared = sp_get() == 1
-    np_put(2)
-    if shared:
-        pytest.skip("numpy and scipy share one OpenBLAS here")
+    pools = rng._OPENBLAS
     for missing in pools:
         monkeypatch.setattr(rng, "_OPENBLAS", {**pools, missing: None})
-        with one_blas_thread:
-            assert {name: get() for name, (get, _) in pools.items()} == {
-                name: 2 if name == missing else 1 for name in pools
-            }
-        assert np_get() == sp_get() == 2
         assert rng.openblas_threads()[missing] is None
