@@ -129,9 +129,8 @@ class ProcessPath:
 
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:
-            fh.write(",".join(f"{v:.17g}" for v in self.grid) + "\n")
-            for row in self.replicas:
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+            for rows in (self.grid[None, :], self.replicas):
+                np.savetxt(fh, rows, fmt="%.17g", delimiter=",")
 
     @classmethod
     def from_csv(cls, path) -> "ProcessPath":

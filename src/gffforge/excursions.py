@@ -251,11 +251,16 @@ def continue_paths(z0, r_target: float, seed: int):
 
 def weighted_ks_distance(values, weights, cdf=hitting_cdf) -> float:
     """Sup distance between the weighted empirical CDF and a model CDF;
-    the weights must be finite and nonnegative, with a positive sum."""
+    the values must be finite, with one weight each, and the weights
+    finite and nonnegative, with a positive sum."""
     v = np.asarray(values, dtype=float)
     w = np.asarray(weights, dtype=float)
     if v.size == 0:
         raise DomainError("no values to compare")
+    if v.ndim != 1 or v.shape != w.shape:
+        raise DomainError("values and weights must be 1-D, with one weight per value")
+    if not np.all(np.isfinite(v)):
+        raise DomainError("values must be finite")
     if not (np.all(np.isfinite(w)) and np.all(w >= 0) and w.sum() > 0):
         raise DomainError("weights must be finite and nonnegative, with a positive sum")
     order = np.argsort(v)

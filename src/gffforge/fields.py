@@ -181,7 +181,11 @@ def _field_matrix(lat, law, alpha, n, seed, replica_offset) -> np.ndarray:
     """(n_sites, n) calibrated fields; column r is replica replica_offset + r."""
     noise = _law_noise(law, alpha, lat.n_sites)
     xi = _replica_rows(noise, lat.n_sites, n, seed, replica_offset).T
-    return CALIBRATION * lat.white_to_field(xi)
+    # the noise is this function's own, so the field is solved and scaled in
+    # its memory: no second (n_sites, n) matrix
+    field = lat.white_to_field(xi, overwrite_xi=True)
+    field *= CALIBRATION
+    return field
 
 
 def dgff_matrix(lat: LatticeDomain, n: int, seed: int, replica_offset: int = 0) -> np.ndarray:

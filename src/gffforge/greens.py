@@ -13,21 +13,26 @@ where row-major site ordering keeps the bandwidth at one grid row.  Every
 band is factored on one OpenBLAS thread (the pin at import, see rng):
 LAPACK dpbtrf on a small band loses on a second thread (on 2 cores the disk-64
 band, 3,205 sites of bandwidth 63, takes 10-11 ms wall and about 20 ms CPU
-on two threads, 3.5 ms wall and 7.5 ms CPU on one).
+on two threads, 3.5 ms wall and 7.5 ms CPU on one).  Many right-hand-side
+columns are spread over threads instead: a band solve in contiguous column
+blocks on the replica pool, a box's DSTs on their own workers.  Each column
+is solved on its own, so the split never changes a bit.
 """
 
 from __future__ import annotations
 
+import ctypes
 import weakref
 from dataclasses import replace
 
 import numpy as np
 from scipy.fft import dstn
-from scipy.linalg import cholesky_banded
-from scipy.linalg.lapack import dpbtrs, dtbtrs
+from scipy.linalg import cholesky_banded, cython_lapack
+from scipy.linalg.lapack import dpbtrs
 
-from .errors import DomainError, ResolutionError, SingularityError
+from .errors import DomainError, NumericalError, ResolutionError, SingularityError
 from .geometry import TestFunction, UnitDisk, UpperHalfPlane, gauss_legendre
+from .rng import parallel_map, thread_count
 
 __all__ = [
     "green_disk",
@@ -218,6 +223,76 @@ def covariance_of_observables(observables, domain=UnitDisk(), n_quad: int = 48) 
 # lattice domains
 # ---------------------------------------------------------------------------
 
+
+def _lapack_dtbtrs():
+    """LAPACK dtbtrs(uplo, trans, diag, n, kd, nrhs, ab, ldab, b, ldb, info)
+    through the C entry point that scipy exports for Cython, whichever
+    LAPACK scipy was built with.  A ctypes foreign function releases the
+    interpreter lock while it runs, where scipy's f2py wrapper holds it."""
+    cap = cython_lapack.__pyx_capi__["dtbtrs"]
+    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", ctypes.pythonapi))
+    pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi)
+    )
+    char, int_p = ctypes.c_char_p, ctypes.POINTER(ctypes.c_int)
+    proto = ctypes.CFUNCTYPE(
+        None, char, char, char, int_p, int_p, int_p, ctypes.c_void_p, int_p, ctypes.c_void_p, int_p, int_p
+    )
+    return proto(pointer(cap, name(cap)))
+
+
+dtbtrs = _lapack_dtbtrs()
+
+# Smallest band solve that runs on the replica pool, in multiply-adds (sites
+# x band rows x columns); starting the pool costs about 0.5 ms.  On 2 cores,
+# 2 workers took 1.04-1.5x the serial wall time at 1.6-3.3 M (disk-64 with 8
+# and 16 columns), 0.6-0.8x at 10-25 M (disk-32 with 400 and 1,000 columns,
+# disk-96 with 16) and 0.54-0.58x on disk-96 with 400 and disk-32 with 5,000,
+# for 0-20% more CPU.  The cut keeps the 1-8 weight columns of
+# sample_functionals serial (up to 13 M on disk-128), where the pool saves a
+# millisecond or two and only while the second core is free.
+_POOL_WORK = 1 << 24
+
+# Smallest box root whose two DSTs take thread_count() workers, in values
+# (sites x columns).  On 2 cores, 2 workers took the 146,689-site box from
+# 385 to 263 ms wall with 64 columns and 97 to 80 ms with 16, but saved only
+# 1.5-5.5 ms with 3 and 8 columns, while a second thread on a busy host adds
+# CPU time from run to run.  The cut keeps up to 8 weight columns on the
+# largest boxes serial.
+_BOX_POOL_VALUES = 1 << 21
+
+
+def _band_solve(U: np.ndarray, x: np.ndarray, trans: str, overwrite_x: bool = False) -> np.ndarray:
+    """U^-1 x, or U^-T x for trans="T", for the upper band factor U (LAPACK
+    upper band storage, Fortran-ordered) and x of one or more columns, in a
+    new Fortran-ordered array, or in x itself when ``overwrite_x`` and x is
+    a Fortran-ordered float array.  Large solves split the columns into one
+    contiguous block per worker; LAPACK solves each column on its own, so
+    the result is the same at any split."""
+    n, kd = U.shape[1], U.shape[0] - 1
+    b = (np.asarray if overwrite_x else np.array)(x, dtype=float, order="F")
+    if b.shape[:1] != (n,) or not (U.dtype == np.float64 and U.flags.f_contiguous):
+        raise ValueError("band solve needs a Fortran-ordered float band and one row per site")
+    cols = b.size // n
+    workers = min(thread_count(), cols) if n * (kd + 1) * cols >= _POOL_WORK else 1
+    bounds = [cols * i // workers for i in range(workers + 1)]
+
+    def run(lo_hi):
+        lo, hi = lo_hi
+        info = ctypes.c_int()
+        dtbtrs(
+            b"U", trans.encode(), b"N", ctypes.c_int(n), ctypes.c_int(kd), ctypes.c_int(hi - lo),
+            U.ctypes.data, ctypes.c_int(kd + 1), b.ctypes.data + b.itemsize * n * lo, ctypes.c_int(n), info,
+        )
+        return info.value
+
+    infos = parallel_map(run, zip(bounds[:-1], bounds[1:]))
+    bad = [i for i in infos if i != 0]
+    if bad:
+        raise NumericalError(f"LAPACK dtbtrs failed with info = {bad[0]}")
+    return b
+
+
 _CODE_SHIFT = 1 << 22  # site indices must fit in +-2^21
 
 
@@ -327,36 +402,43 @@ class LatticeDomain:
             self._chol = _factored_laplacian(self._codes)
         return self._chol
 
-    def _root(self, x: np.ndarray, trans: str = "N") -> np.ndarray:
+    def _root(self, x: np.ndarray, trans: str = "N", overwrite_x: bool = False) -> np.ndarray:
         """R x, or R^T x for trans="T" (so w . R xi == R^T w . xi).
 
         On a box R = S diag(lam)^(-1/2) S is symmetric, with S the orthonormal
         DST-I on both axes (its own inverse) and lam the Laplacian's
         eigenvalues 4 - 2 cos(pi p/(m+1)) - 2 cos(pi q/(n+1)).  Elsewhere
-        R = U^-1 by dtbtrs against the band, uncopied; U's diagonal is
-        positive, so LAPACK's info is always 0.
+        R = U^-1 by dtbtrs against the band, uncopied (``_band_solve``).
+        Both branches take up to thread_count() threads for many columns,
+        bit for bit as on one, and leave ``x`` as it was unless
+        ``overwrite_x``, when they may reuse its memory.
         """
         x = np.asarray(x, dtype=float)
         if x.size == 0:
             # dtbtrs corrupts the heap on a right-hand side with no columns
             return np.zeros(x.shape)
         if self._box is None:
-            return dtbtrs(self._banded()[0], x, uplo="U", trans=trans)[0]
+            return _band_solve(self._banded()[0], x, trans, overwrite_x)
         m, n = self._box
+        workers = thread_count() if x.size >= _BOX_POOL_VALUES else 1
         lam_i = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, m + 1) / (m + 1))
         lam_j = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, n + 1) / (n + 1))
         scale = (lam_i[:, None] + lam_j[None, :]) ** -0.5
-        y = dstn(x.reshape((m, n) + x.shape[1:]), type=1, axes=(0, 1), norm="ortho")
+        y = dstn(
+            x.reshape((m, n) + x.shape[1:]), type=1, axes=(0, 1), norm="ortho", overwrite_x=overwrite_x, workers=workers
+        )
         y *= scale.reshape(scale.shape + (1,) * (x.ndim - 1))
-        return dstn(y, type=1, axes=(0, 1), norm="ortho", overwrite_x=True).reshape(x.shape)
+        return dstn(y, type=1, axes=(0, 1), norm="ortho", overwrite_x=True, workers=workers).reshape(x.shape)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """(graph Laplacian)^-1 rhs = R R^T rhs, with Dirichlet elimination."""
         return self._root(self._root(rhs, "T"))
 
-    def white_to_field(self, xi: np.ndarray) -> np.ndarray:
-        """R xi, so that x has covariance (graph Laplacian)^-1."""
-        return self._root(xi)
+    def white_to_field(self, xi: np.ndarray, overwrite_xi: bool = False) -> np.ndarray:
+        """R xi, so that x has covariance (graph Laplacian)^-1; with
+        ``overwrite_xi`` the solve may run in xi's memory, which saves a copy
+        of the noise matrix."""
+        return self._root(xi, overwrite_x=overwrite_xi)
 
     def cached(self, key, build):
         """The value cached under ``key``: a ring functional (ring_idx, w),

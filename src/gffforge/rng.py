@@ -5,9 +5,11 @@ Replica k of a batch draws from its own counter-based stream keyed by
 ``base_seed XOR (k * GOLDEN)`` so that batches are reproducible and the
 result of a run does not depend on how replicas are scheduled.
 
-The replica loop (``parallel_map``, capped by GFFFORGE_THREADS) is the
-library's only parallelism: importing this module sets numpy's and scipy's
-OpenBLAS to one thread each, and nothing sets them back.
+The replica pool (``parallel_map``, capped by GFFFORGE_THREADS) runs the
+blocks of site noise and of many-column banded solves; with the box DSTs'
+workers (greens) it is the library's only parallelism: importing this
+module sets numpy's and scipy's OpenBLAS to one thread each, and nothing
+sets them back.
 """
 
 from __future__ import annotations
@@ -63,7 +65,8 @@ def replica_rng(
 
 
 def thread_count() -> int:
-    """Worker cap for replica-parallel loops, from GFFFORGE_THREADS."""
+    """Worker cap for the replica pool and the box DSTs, from
+    GFFFORGE_THREADS."""
     raw = os.environ.get("GFFFORGE_THREADS")
     if raw is None:
         return os.cpu_count() or 1

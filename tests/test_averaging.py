@@ -791,3 +791,17 @@ def test_process_path_csv_round_trip(tmp_path):
     back = ProcessPath.from_csv(f)
     assert_allclose(back.grid, path.grid, rtol=0, atol=0)
     assert_allclose(back.replicas, path.replicas, rtol=0, atol=0)
+
+
+def test_process_path_csv_bytes_match_reference_rendering(tmp_path):
+    # reference: the per-value rendering, %.17g joined by commas, grid row
+    # first; -0.0 and subnormals included
+    rng = np.random.default_rng(311)
+    reps = rng.standard_normal((4000, 8)) * 10.0 ** rng.integers(-300, 300, (4000, 8))
+    reps[0, :4] = (-0.0, 0.0, 5e-324, 2.2250738585072014e-309)
+    for grid, replicas in (((0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0), reps), ((1.0, 2.0), np.zeros((0, 2)))):
+        path = ProcessPath(np.array(grid), replicas)
+        f = tmp_path / "path.csv"
+        path.to_csv(f)
+        rows = [path.grid, *path.replicas]
+        assert f.read_text() == "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in rows)

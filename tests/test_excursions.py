@@ -247,6 +247,14 @@ def test_weighted_ks_validation():
     for w in ([0.0, 0.0], [-1.0, 2.0], [1.0, np.nan], [1.0, np.inf]):
         with pytest.raises(DomainError, match="weights"):
             weighted_ks_distance(np.array([1.0, 2.0]), np.array(w))
+    # an extra weight was dropped (0.292), a missing one raised IndexError,
+    # and a non-finite value gave NaN
+    for v, w in (([1.0, 2.0], [1.0, 1.0, 5.0]), ([1.0, 2.0], [1.0]), ([[1.0, 2.0]], [[1.0, 1.0]])):
+        with pytest.raises(DomainError, match="one weight per value"):
+            weighted_ks_distance(np.array(v), np.array(w))
+    for v in ([1.0, np.nan], [np.inf, 1.0], [-np.inf, 1.0]):
+        with pytest.raises(DomainError, match="values must be finite"):
+            weighted_ks_distance(np.array(v), np.ones(2))
 
 
 def test_weighted_ks_weight_semantics():

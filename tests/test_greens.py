@@ -3,6 +3,7 @@
 import ast
 import gc
 import inspect
+import sys
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -14,7 +15,7 @@ from scipy.linalg.lapack import dtbtrs
 
 from gffforge import greens, rng
 from gffforge.averaging import CircleMeasure, SineMeasure
-from gffforge.errors import DomainError, SingularityError
+from gffforge.errors import DomainError, NumericalError, SingularityError
 from gffforge.geometry import Mobius, UnitDisk, UpperHalfPlane, disk_bump, radial_annulus_bump
 from gffforge.fields import FieldSample, markov_decompose
 from gffforge.greens import (
@@ -260,18 +261,100 @@ def test_box_root_is_symmetric_and_squares_to_inverse():
 
 
 @pytest.mark.parametrize("which", ["disk", "box-minus-site"])
-def test_non_rectangular_sites_use_banded_factor(which):
+def test_non_rectangular_sites_use_banded_factor(monkeypatch, which):
+    # every solve of more than one column runs on two column blocks
+    monkeypatch.setenv("GFFFORGE_THREADS", "2")
+    monkeypatch.setattr(greens, "_POOL_WORK", 0)
     if which == "disk":
         lat = disk_lattice(16)
     else:
         ij = halfplane_lattice(1.0, 0.1).interior_ij
         lat = LatticeDomain(0.1, np.delete(ij, 37, axis=0))
     assert lat._box is None
-    xi = np.random.default_rng(5).standard_normal((lat.n_sites, 3))
     U = lat._banded()[0]
-    assert np.array_equal(lat.white_to_field(xi), dtbtrs(U, xi, uplo="U", trans="N")[0])
-    assert np.array_equal(lat._root(xi, "T"), dtbtrs(U, xi, uplo="U", trans="T")[0])
-    assert np.array_equal(lat.solve(xi), cho_solve_banded((U, False), xi))
+    for cols in (3, 400):
+        xi = np.random.default_rng(5).standard_normal((lat.n_sites, cols))
+        assert np.array_equal(lat.white_to_field(xi), dtbtrs(U, xi, uplo="U", trans="N")[0])
+        assert np.array_equal(lat._root(xi, "T"), dtbtrs(U, xi, uplo="U", trans="T")[0])
+        assert np.array_equal(lat.solve(xi), cho_solve_banded((U, False), xi))
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
+def test_band_solve_matches_scipy_dtbtrs_at_any_thread_count(monkeypatch, threads):
+    # the same bits as scipy's f2py dtbtrs whatever the column split: 1-D
+    # input, one column, 7 columns (serial by size, then forced onto the
+    # pool in uneven blocks) and 400 columns on disk-64 (pooled by size),
+    # for C- and F-ordered input, and the caller's array is left alone
+    monkeypatch.setenv("GFFFORGE_THREADS", threads)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    default = greens._POOL_WORK
+    try:
+        cases = ((16, None, default), (16, 1, default), (16, 7, default), (16, 7, 0), (64, 400, default))
+        for size, cols, pool_work in cases:
+            monkeypatch.setattr(greens, "_POOL_WORK", pool_work)
+            lat = disk_lattice(size)
+            U = lat._banded()[0]
+            assert (U.size * (cols or 1) >= pool_work) == (size == 64 or pool_work == 0)
+            shape = (lat.n_sites,) if cols is None else (lat.n_sites, cols)
+            x = np.random.default_rng(size).standard_normal(shape)
+            for xx in (np.ascontiguousarray(x), np.asfortranarray(x)):
+                for trans in "NT":
+                    got = lat._root(xx, trans)
+                    assert got.shape == xx.shape
+                    assert np.array_equal(got, dtbtrs(U, xx, uplo="U", trans=trans)[0])
+                assert np.array_equal(xx, x)
+    finally:
+        sys.setswitchinterval(switch)
+
+
+@pytest.mark.parametrize("which", ["disk", "box"])
+def test_white_to_field_in_place_keeps_the_bits(monkeypatch, which):
+    # overwrite_xi solves in the noise's own memory on the band (a
+    # Fortran-ordered float array is used as it is, anything else is copied)
+    # and hands it to the box's first DST; the field is the same either way
+    monkeypatch.setenv("GFFFORGE_THREADS", "2")
+    monkeypatch.setattr(greens, "_POOL_WORK", 0)
+    monkeypatch.setattr(greens, "_BOX_POOL_VALUES", 0)
+    lat = disk_lattice(32) if which == "disk" else halfplane_lattice(1.0, 0.05)
+    assert (lat._box is None) == (which == "disk")
+    x = np.random.default_rng(9).standard_normal((40, lat.n_sites)).T
+    want = lat.white_to_field(x)
+    assert np.array_equal(x, np.random.default_rng(9).standard_normal((40, lat.n_sites)).T)
+    for xx in (x.copy(order="F"), x.copy(order="C"), x[:, 0].copy()):
+        kept = xx.copy()
+        got = lat.white_to_field(xx, overwrite_xi=True)
+        assert np.array_equal(got, want if xx.ndim == 2 else want[:, 0])
+        if which == "disk" and xx.flags.f_contiguous:
+            assert np.shares_memory(got, xx)
+        elif which == "disk":
+            assert np.array_equal(xx, kept)
+
+
+def test_band_solve_raises_on_lapack_failure():
+    # a zero on the factor's diagonal is a singular U: LAPACK's info is
+    # checked for every column block
+    U = disk_lattice(16)._banded()[0].copy(order="F")
+    U[-1, 5] = 0.0
+    with pytest.raises(NumericalError, match="info = 6"):
+        greens._band_solve(U, np.ones((U.shape[1], 2)), "N")
+    with pytest.raises(ValueError, match="one row per site"):
+        greens._band_solve(U, np.ones((U.shape[1] + 1, 2)), "N")
+
+
+def test_box_root_is_the_same_at_any_thread_count(monkeypatch):
+    lat = halfplane_lattice(2.0, 0.02)
+    assert lat._box is not None
+    x = np.random.default_rng(7).standard_normal((lat.n_sites, 16))
+    # below the cut every root is serial; lowered to 0, 2 threads take the
+    # 1-D root and the 16 columns alike
+    monkeypatch.setattr(greens, "_BOX_POOL_VALUES", 0)
+    got = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("GFFFORGE_THREADS", threads)
+        got[threads] = [lat._root(x, "N"), lat._root(x, "T"), lat._root(x[:, 5])]
+    for a, b in zip(got["1"], got["2"]):
+        assert np.array_equal(a, b)
 
 
 def test_one_method_chooses_the_lattice_root():
