@@ -20,11 +20,13 @@ N(0, V^T V), so they draw k normals per replica through the triangular QR
 factor of V (a k x k root of that Gram matrix); stable functionals draw
 the field's own site noise xi and return xi . V.
 
-Lattice replica noise is drawn in contiguous blocks of replica indices
+Lattice replicas are drawn in contiguous blocks of replica indices
 through ``rng.parallel_map`` (serially for noise vectors of under 2,000
-entries): each block fills its own rows (functionals) or columns (fields)
-of one array, replica r always from stream r, so the output is the same at
-any GFFFORGE_THREADS.
+entries), the one place where the library decides its threads: each block
+fills its own rows (functionals) or columns (fields) of one array, replica
+r always from stream r, and a block of fields is solved and scaled in its
+own columns before the block ends, so the output is the same at any
+GFFFORGE_THREADS.
 
 CALIBRATION = sqrt(2 pi) matches the lattice field to the continuum
 normalization in which a radius-eps circle average at the disk center has
@@ -139,23 +141,25 @@ def _law_noise(law: str, alpha: float, size: int):
 # 147,153-site box over 2 threads (0.83-0.93 s as one block -> 0.46-0.52 s).
 _REPLICA_BLOCK = 32
 
-# Smallest noise vector worth a worker thread.  Below it a replica's work is
-# mostly Python under the interpreter lock: on 2 cores, 2 threads took 1.1-1.4x
-# the serial wall time at 193 and 793 sites, 0.76-0.91x at 1,789 (with 30-46%
-# more CPU) and 0.52-0.80x from 3,205 sites up.  Gaussian functionals draw
-# only k normals per replica, so they always run serially.
+# Smallest noise vector worth a worker thread, for noise and fields alike.
+# Below it a replica's work is mostly Python under the interpreter lock: on 2
+# cores, 2 threads took 1.1-1.4x the serial wall time at 193 and 793 sites,
+# 0.76-0.91x at 1,789 (with 30-46% more CPU) and 0.52-0.80x from 3,205 sites
+# up.  Gaussian functionals draw only k normals per replica, so they always
+# run serially.
 _PARALLEL_SITES = 2_000
 
 
-def _replica_rows(noise, size, n, seed, replica_offset=0, V=None) -> np.ndarray:
+def _replica_rows(noise, size, n, seed, replica_offset=0, V=None, step=None) -> np.ndarray:
     """(n, size) array whose row r is ``noise(rng)`` for the generator of
     replica replica_offset + r, or (n, k) with row r that noise @ V for a
-    (size, k) matrix V.
+    (size, k) matrix V.  ``step``, if given, is then called on each block's
+    rows, which it may rewrite in place.
 
     Contiguous blocks of _REPLICA_BLOCK rows run through ``parallel_map``
     (serially below _PARALLEL_SITES); each block fills its own rows from
     the replicas' own streams, so the array is the same at any thread
-    count and block size.
+    count and block size as long as ``step`` treats each row on its own.
     """
     if n < 0:
         raise DomainError("replica count must be nonnegative")
@@ -163,10 +167,13 @@ def _replica_rows(noise, size, n, seed, replica_offset=0, V=None) -> np.ndarray:
 
     def fill(lo):
         rng = None
-        for r in range(lo, min(lo + _REPLICA_BLOCK, n)):
+        hi = min(lo + _REPLICA_BLOCK, n)
+        for r in range(lo, hi):
             rng = replica_rng(seed, replica_offset + r, rng)
             xi = noise(rng)
             out[r] = xi if V is None else xi @ V
+        if step is not None:
+            step(out[lo:hi])
 
     blocks = range(0, n, _REPLICA_BLOCK)
     if size < _PARALLEL_SITES:
@@ -179,13 +186,19 @@ def _replica_rows(noise, size, n, seed, replica_offset=0, V=None) -> np.ndarray:
 
 def _field_matrix(lat, law, alpha, n, seed, replica_offset) -> np.ndarray:
     """(n_sites, n) calibrated fields; column r is replica replica_offset + r."""
+
+    def solve(rows):
+        # the block's noise is this function's own, so its fields are solved
+        # and scaled in its memory: no second (n_sites, n) matrix
+        np.multiply(lat.white_to_field(rows.T, overwrite_xi=True), CALIBRATION, out=rows.T)
+
     noise = _law_noise(law, alpha, lat.n_sites)
-    xi = _replica_rows(noise, lat.n_sites, n, seed, replica_offset).T
-    # the noise is this function's own, so the field is solved and scaled in
-    # its memory: no second (n_sites, n) matrix
-    field = lat.white_to_field(xi, overwrite_xi=True)
-    field *= CALIBRATION
-    return field
+    # a disk lattice factors its band on its first solve: make that solve
+    # here, on the calling thread, so that the blocks on the pool neither
+    # build it twice nor leave it in a worker's malloc arena (lattice-cells
+    # peak RSS read 356-364 MiB that way, 351 MiB this way)
+    lat._root(np.zeros(lat.n_sites))
+    return _replica_rows(noise, lat.n_sites, n, seed, replica_offset, step=solve).T
 
 
 def dgff_matrix(lat: LatticeDomain, n: int, seed: int, replica_offset: int = 0) -> np.ndarray:

@@ -13,10 +13,10 @@ where row-major site ordering keeps the bandwidth at one grid row.  Every
 band is factored on one OpenBLAS thread (the pin at import, see rng):
 LAPACK dpbtrf on a small band loses on a second thread (on 2 cores the disk-64
 band, 3,205 sites of bandwidth 63, takes 10-11 ms wall and about 20 ms CPU
-on two threads, 3.5 ms wall and 7.5 ms CPU on one).  Many right-hand-side
-columns are spread over threads instead: a band solve in contiguous column
-blocks on the replica pool, a box's DSTs on their own workers.  Each column
-is solved on its own, so the split never changes a bit.
+on two threads, 3.5 ms wall and 7.5 ms CPU on one).  This module starts no
+threads: many fields are solved in replica blocks on the pool of the fields
+module, and the band solve releases the interpreter lock so that two
+blocks can solve at once.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from scipy.linalg.lapack import dpbtrs
 
 from .errors import DomainError, NumericalError, ResolutionError, SingularityError
 from .geometry import TestFunction, UnitDisk, UpperHalfPlane, gauss_legendre
-from .rng import parallel_map, thread_count
 
 __all__ = [
     "green_disk",
@@ -243,57 +242,29 @@ def _lapack_dtbtrs():
 
 dtbtrs = _lapack_dtbtrs()
 
-# Smallest band solve that runs on the replica pool, in multiply-adds (sites
-# x band rows x columns); starting the pool costs about 0.5 ms.  On 2 cores,
-# 2 workers took 1.04-1.5x the serial wall time at 1.6-3.3 M (disk-64 with 8
-# and 16 columns), 0.6-0.8x at 10-25 M (disk-32 with 400 and 1,000 columns,
-# disk-96 with 16) and 0.54-0.58x on disk-96 with 400 and disk-32 with 5,000,
-# for 0-20% more CPU.  The cut keeps the 1-8 weight columns of
-# sample_functionals serial (up to 13 M on disk-128), where the pool saves a
-# millisecond or two and only while the second core is free.
-_POOL_WORK = 1 << 24
-
-# Smallest box root whose two DSTs take thread_count() workers, in values
-# (sites x columns).  On 2 cores, 2 workers took the 146,689-site box from
-# 385 to 263 ms wall with 64 columns and 97 to 80 ms with 16, but saved only
-# 1.5-5.5 ms with 3 and 8 columns, while a second thread on a busy host adds
-# CPU time from run to run.  The cut keeps up to 8 weight columns on the
-# largest boxes serial.
-_BOX_POOL_VALUES = 1 << 21
-
-
 def _band_solve(U: np.ndarray, x: np.ndarray, trans: str, overwrite_x: bool = False) -> np.ndarray:
     """U^-1 x, or U^-T x for trans="T", for the upper band factor U (LAPACK
     upper band storage, Fortran-ordered) and x of one or more columns, in a
     new Fortran-ordered array, or in x itself when ``overwrite_x`` and x is
-    a Fortran-ordered float array.  Large solves split the columns into one
-    contiguous block per worker; LAPACK solves each column on its own, so
-    the result is the same at any split."""
+    a Fortran-ordered float array; LAPACK's info is checked."""
     n, kd = U.shape[1], U.shape[0] - 1
     b = (np.asarray if overwrite_x else np.array)(x, dtype=float, order="F")
     if b.shape[:1] != (n,) or not (U.dtype == np.float64 and U.flags.f_contiguous):
         raise ValueError("band solve needs a Fortran-ordered float band and one row per site")
-    cols = b.size // n
-    workers = min(thread_count(), cols) if n * (kd + 1) * cols >= _POOL_WORK else 1
-    bounds = [cols * i // workers for i in range(workers + 1)]
-
-    def run(lo_hi):
-        lo, hi = lo_hi
-        info = ctypes.c_int()
-        dtbtrs(
-            b"U", trans.encode(), b"N", ctypes.c_int(n), ctypes.c_int(kd), ctypes.c_int(hi - lo),
-            U.ctypes.data, ctypes.c_int(kd + 1), b.ctypes.data + b.itemsize * n * lo, ctypes.c_int(n), info,
-        )
-        return info.value
-
-    infos = parallel_map(run, zip(bounds[:-1], bounds[1:]))
-    bad = [i for i in infos if i != 0]
-    if bad:
-        raise NumericalError(f"LAPACK dtbtrs failed with info = {bad[0]}")
+    info = ctypes.c_int()
+    dtbtrs(
+        b"U", trans.encode(), b"N", ctypes.c_int(n), ctypes.c_int(kd), ctypes.c_int(b.size // n),
+        U.ctypes.data, ctypes.c_int(kd + 1), b.ctypes.data, ctypes.c_int(n), info,
+    )
+    if info.value != 0:
+        raise NumericalError(f"LAPACK dtbtrs failed with info = {info.value}")
     return b
 
 
-_CODE_SHIFT = 1 << 22  # site indices must fit in +-2^21
+# a code is one-to-one for j in [-2^22, 2^22); lattice sites lie in +-2^21
+# (_MAX_SITE), which leaves room for their neighbours and pairing corners
+_CODE_SHIFT = 1 << 22
+_MAX_SITE = _CODE_SHIFT // 2
 
 
 def _encode(ij: np.ndarray) -> np.ndarray:
@@ -328,6 +299,8 @@ class LatticeDomain:
             raise DomainError("interior_ij must be (m, 2)")
         if len(interior_ij) == 0:
             raise ResolutionError("lattice has no interior sites")
+        if np.abs(interior_ij).max() > _MAX_SITE:
+            raise DomainError("site indices must lie in [-2^21, 2^21]")
         order = np.lexsort((interior_ij[:, 1], interior_ij[:, 0]))
         self.spacing = float(spacing)
         self.interior_ij = np.ascontiguousarray(interior_ij[order], dtype=np.int64)
@@ -358,8 +331,9 @@ class LatticeDomain:
         return (self.interior_ij[:, 0] + 1j * self.interior_ij[:, 1]) * self.spacing
 
     def site_index(self, ij) -> int:
-        pos, found = _lookup(self._codes, _encode(np.asarray(ij, dtype=np.int64).reshape(1, 2))[0])
-        if not found:
+        site = np.asarray(ij, dtype=np.int64).reshape(1, 2)
+        pos, found = _lookup(self._codes, _encode(site)[0])
+        if not found or np.abs(site).max() > _MAX_SITE:
             raise DomainError(f"site {tuple(ij)} is not interior")
         return int(pos)
 
@@ -409,9 +383,9 @@ class LatticeDomain:
         DST-I on both axes (its own inverse) and lam the Laplacian's
         eigenvalues 4 - 2 cos(pi p/(m+1)) - 2 cos(pi q/(n+1)).  Elsewhere
         R = U^-1 by dtbtrs against the band, uncopied (``_band_solve``).
-        Both branches take up to thread_count() threads for many columns,
-        bit for bit as on one, and leave ``x`` as it was unless
-        ``overwrite_x``, when they may reuse its memory.
+        Both run on the calling thread, each column on its own, so a block
+        of columns gets the bits of the whole batch; both leave ``x`` as it
+        was unless ``overwrite_x``, when they may reuse its memory.
         """
         x = np.asarray(x, dtype=float)
         if x.size == 0:
@@ -420,15 +394,12 @@ class LatticeDomain:
         if self._box is None:
             return _band_solve(self._banded()[0], x, trans, overwrite_x)
         m, n = self._box
-        workers = thread_count() if x.size >= _BOX_POOL_VALUES else 1
         lam_i = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, m + 1) / (m + 1))
         lam_j = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, n + 1) / (n + 1))
         scale = (lam_i[:, None] + lam_j[None, :]) ** -0.5
-        y = dstn(
-            x.reshape((m, n) + x.shape[1:]), type=1, axes=(0, 1), norm="ortho", overwrite_x=overwrite_x, workers=workers
-        )
+        y = dstn(x.reshape((m, n) + x.shape[1:]), type=1, axes=(0, 1), norm="ortho", overwrite_x=overwrite_x)
         y *= scale.reshape(scale.shape + (1,) * (x.ndim - 1))
-        return dstn(y, type=1, axes=(0, 1), norm="ortho", overwrite_x=True, workers=workers).reshape(x.shape)
+        return dstn(y, type=1, axes=(0, 1), norm="ortho", overwrite_x=True).reshape(x.shape)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """(graph Laplacian)^-1 rhs = R R^T rhs, with Dirichlet elimination."""
@@ -497,8 +468,8 @@ def disk_lattice(size: int) -> LatticeDomain:
 
 def halfplane_lattice(width: float, spacing: float) -> LatticeDomain:
     """Dirichlet box [-width, width] x (0, width] truncating the half-plane."""
-    if spacing <= 0 or width <= spacing:
-        raise ResolutionError("halfplane lattice needs spacing < width")
+    if not 0 < spacing < width < np.inf:
+        raise ResolutionError("halfplane lattice needs finite 0 < spacing < width")
     ni = int(np.floor(width / spacing))
     i = np.arange(-ni, ni + 1)
     j = np.arange(1, ni + 1)

@@ -270,11 +270,13 @@ def distance_correlation(x, y, seed: int = 0, cap: int = 800) -> tuple:
     (Mielke, Berry & Johnson 1976).  Nothing is sampled: ``seed`` only
     picks the subsample of a sample larger than ``cap``.  The p-value is
     free of the data's units and of the BLAS thread count.  The third
-    moment needs n >= 6.
+    moment needs n >= 6, and x and y pair sample by sample.
     """
     x = np.asarray(x, float)
     y = np.asarray(y, float)
     n = len(x)
+    if len(y) != n:
+        raise DomainError(f"distance correlation needs paired samples, got {n} and {len(y)}")
     if n > cap:
         idx = replica_rng(seed, 0).choice(n, size=cap, replace=False)
         x, y = x[idx], y[idx]

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ from numpy.testing import assert_allclose
 from scipy import stats
 from scipy.linalg.lapack import dtbtrs
 
-from gffforge import fields
+from gffforge import fields, greens
 from gffforge.errors import DomainError, NumericalError, ResolutionError
 from gffforge.fields import (
     CALIBRATION,
@@ -250,7 +251,8 @@ def _serial_noise(law, alpha, size, n, seed, replica_offset=0):
 def test_replica_blocks_match_serial_reference(monkeypatch, threads):
     # 16 replicas in blocks of 3: five full blocks and a short one, spread
     # over the pool even on these small lattices; every output must equal
-    # the one-replica-at-a-time loop
+    # the one-replica-at-a-time loop, and fields solved block by block (band
+    # solves on the disk, DSTs on the box) the solve of the whole batch
     monkeypatch.setattr(fields, "_REPLICA_BLOCK", 3)
     monkeypatch.setattr(fields, "_PARALLEL_SITES", 0)
     monkeypatch.setenv("GFFFORGE_THREADS", threads)
@@ -263,13 +265,40 @@ def test_replica_blocks_match_serial_reference(monkeypatch, threads):
             rows = _serial_noise(law, 1.6, V.shape[0], n, seed)
             ref = np.stack([rows[r] @ V for r in range(n)])
             assert np.array_equal(sample_functionals(lat, W, n, seed, law, 1.6), ref)
+    for lat in (disk_lattice(16), halfplane_lattice(1.2, 0.1)):
+        for law, got in (
+            ("gff", dgff_matrix(lat, n, seed, replica_offset=5)),
+            ("stable", stable_matrix(lat, 1.6, n, seed, replica_offset=5)),
+        ):
+            rows = _serial_noise(law, 1.6, lat.n_sites, n, seed, replica_offset=5)
+            assert np.array_equal(got, CALIBRATION * lat.white_to_field(rows.T))
+
+
+def test_pooled_fields_factor_the_band_once(monkeypatch):
+    # the band is factored lazily, by the first solve; with replica blocks
+    # solving on more threads than cores a fresh lattice must still build
+    # it once, and every block must get the serial fields
+    calls = []
+
+    def slow_factor(codes):
+        calls.append(len(codes))
+        time.sleep(0.05)
+        return factor(codes)
+
+    factor = greens._factored_laplacian
+    monkeypatch.setattr(greens, "_factored_laplacian", slow_factor)
+    monkeypatch.setattr(fields, "_REPLICA_BLOCK", 3)
+    monkeypatch.setattr(fields, "_PARALLEL_SITES", 0)
+    monkeypatch.setenv("GFFFORGE_THREADS", "4")
     lat = disk_lattice(16)
-    for law, got in (
-        ("gff", dgff_matrix(lat, n, seed, replica_offset=5)),
-        ("stable", stable_matrix(lat, 1.6, n, seed, replica_offset=5)),
-    ):
-        rows = _serial_noise(law, 1.6, lat.n_sites, n, seed, replica_offset=5)
-        assert np.array_equal(got, CALIBRATION * lat.white_to_field(rows.T))
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = dgff_matrix(lat, 12, 31)
+    finally:
+        sys.setswitchinterval(switch)
+    assert calls == [lat.n_sites]
+    assert np.array_equal(got, CALIBRATION * lat.white_to_field(_serial_noise("gff", 2.0, lat.n_sites, 12, 31).T))
 
 
 def test_box_functional_gram_matches_cholesky():

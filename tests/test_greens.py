@@ -15,7 +15,7 @@ from scipy.linalg.lapack import dtbtrs
 
 from gffforge import greens, rng
 from gffforge.averaging import CircleMeasure, SineMeasure
-from gffforge.errors import DomainError, NumericalError, SingularityError
+from gffforge.errors import DomainError, NumericalError, ResolutionError, SingularityError
 from gffforge.geometry import Mobius, UnitDisk, UpperHalfPlane, disk_bump, radial_annulus_bump
 from gffforge.fields import FieldSample, markov_decompose
 from gffforge.greens import (
@@ -261,10 +261,7 @@ def test_box_root_is_symmetric_and_squares_to_inverse():
 
 
 @pytest.mark.parametrize("which", ["disk", "box-minus-site"])
-def test_non_rectangular_sites_use_banded_factor(monkeypatch, which):
-    # every solve of more than one column runs on two column blocks
-    monkeypatch.setenv("GFFFORGE_THREADS", "2")
-    monkeypatch.setattr(greens, "_POOL_WORK", 0)
+def test_non_rectangular_sites_use_banded_factor(which):
     if which == "disk":
         lat = disk_lattice(16)
     else:
@@ -281,41 +278,35 @@ def test_non_rectangular_sites_use_banded_factor(monkeypatch, which):
 
 @pytest.mark.parametrize("threads", ["1", "2", "3"])
 def test_band_solve_matches_scipy_dtbtrs_at_any_thread_count(monkeypatch, threads):
-    # the same bits as scipy's f2py dtbtrs whatever the column split: 1-D
-    # input, one column, 7 columns (serial by size, then forced onto the
-    # pool in uneven blocks) and 400 columns on disk-64 (pooled by size),
-    # for C- and F-ordered input, and the caller's array is left alone
+    # the same bits as scipy's f2py dtbtrs whether the solves run on the
+    # calling thread or on that many replica-pool workers at once: 1-D input,
+    # one column, 7 columns and 400 columns on disk-64, for C- and F-ordered
+    # input, and the caller's array is left alone
     monkeypatch.setenv("GFFFORGE_THREADS", threads)
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
-    default = greens._POOL_WORK
     try:
-        cases = ((16, None, default), (16, 1, default), (16, 7, default), (16, 7, 0), (64, 400, default))
-        for size, cols, pool_work in cases:
-            monkeypatch.setattr(greens, "_POOL_WORK", pool_work)
+        for size, cols in ((16, None), (16, 1), (16, 7), (64, 400)):
             lat = disk_lattice(size)
             U = lat._banded()[0]
-            assert (U.size * (cols or 1) >= pool_work) == (size == 64 or pool_work == 0)
             shape = (lat.n_sites,) if cols is None else (lat.n_sites, cols)
             x = np.random.default_rng(size).standard_normal(shape)
             for xx in (np.ascontiguousarray(x), np.asfortranarray(x)):
                 for trans in "NT":
-                    got = lat._root(xx, trans)
-                    assert got.shape == xx.shape
-                    assert np.array_equal(got, dtbtrs(U, xx, uplo="U", trans=trans)[0])
+                    want = dtbtrs(U, xx, uplo="U", trans=trans)[0]
+                    for got in rng.parallel_map(lambda _: lat._root(xx, trans), range(2 * int(threads))):
+                        assert got.shape == xx.shape
+                        assert np.array_equal(got, want)
                 assert np.array_equal(xx, x)
     finally:
         sys.setswitchinterval(switch)
 
 
 @pytest.mark.parametrize("which", ["disk", "box"])
-def test_white_to_field_in_place_keeps_the_bits(monkeypatch, which):
+def test_white_to_field_in_place_keeps_the_bits(which):
     # overwrite_xi solves in the noise's own memory on the band (a
     # Fortran-ordered float array is used as it is, anything else is copied)
     # and hands it to the box's first DST; the field is the same either way
-    monkeypatch.setenv("GFFFORGE_THREADS", "2")
-    monkeypatch.setattr(greens, "_POOL_WORK", 0)
-    monkeypatch.setattr(greens, "_BOX_POOL_VALUES", 0)
     lat = disk_lattice(32) if which == "disk" else halfplane_lattice(1.0, 0.05)
     assert (lat._box is None) == (which == "disk")
     x = np.random.default_rng(9).standard_normal((40, lat.n_sites)).T
@@ -333,28 +324,13 @@ def test_white_to_field_in_place_keeps_the_bits(monkeypatch, which):
 
 def test_band_solve_raises_on_lapack_failure():
     # a zero on the factor's diagonal is a singular U: LAPACK's info is
-    # checked for every column block
+    # checked
     U = disk_lattice(16)._banded()[0].copy(order="F")
     U[-1, 5] = 0.0
     with pytest.raises(NumericalError, match="info = 6"):
         greens._band_solve(U, np.ones((U.shape[1], 2)), "N")
     with pytest.raises(ValueError, match="one row per site"):
         greens._band_solve(U, np.ones((U.shape[1] + 1, 2)), "N")
-
-
-def test_box_root_is_the_same_at_any_thread_count(monkeypatch):
-    lat = halfplane_lattice(2.0, 0.02)
-    assert lat._box is not None
-    x = np.random.default_rng(7).standard_normal((lat.n_sites, 16))
-    # below the cut every root is serial; lowered to 0, 2 threads take the
-    # 1-D root and the 16 columns alike
-    monkeypatch.setattr(greens, "_BOX_POOL_VALUES", 0)
-    got = {}
-    for threads in ("1", "2"):
-        monkeypatch.setenv("GFFFORGE_THREADS", threads)
-        got[threads] = [lat._root(x, "N"), lat._root(x, "T"), lat._root(x[:, 5])]
-    for a, b in zip(got["1"], got["2"]):
-        assert np.array_equal(a, b)
 
 
 def test_one_method_chooses_the_lattice_root():
@@ -413,6 +389,22 @@ def test_modules_import_only_earlier_layers():
         assert imported <= allowed, f"{path.stem} imports {sorted(imported - allowed)}"
 
 
+def test_parallel_map_is_called_from_fields_only():
+    # one module decides the library's threads: fields spreads replica
+    # blocks over the pool that rng defines, and no other module starts one
+    pkg = Path(greens.__file__).parent
+    users = {
+        path.stem
+        for path in pkg.glob("*.py")
+        for n in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(n, ast.Name) and n.id == "parallel_map")
+        or (isinstance(n, ast.Attribute) and n.attr == "parallel_map")
+        or (isinstance(n, ast.FunctionDef) and n.name == "parallel_map")
+        or (isinstance(n, ast.alias) and n.name == "parallel_map")
+    }
+    assert users == {"rng", "fields"}
+
+
 def test_duplicate_sites_rejected():
     with pytest.raises(DomainError, match=r"site \(0, 0\) is given twice"):
         LatticeDomain(1.0, np.array([[0, 0], [1, 0], [0, 0]]))
@@ -425,6 +417,25 @@ def test_duplicate_site_cannot_fill_a_holed_rectangle():
     holed = np.delete(ij, 37, axis=0)
     with pytest.raises(DomainError, match="given twice"):
         LatticeDomain(0.1, np.vstack([holed, holed[:1]]))
+
+
+def test_site_indices_beyond_the_code_range_rejected():
+    # a site code is one-to-one only in range: (0, 3 * 2^22) would share the
+    # code of (1, 2^22), and (1, -2^23 + 1) that of (0, 1)
+    LatticeDomain(1.0, np.array([[0, 0], [-(2**21), 2**21]]))
+    for ij in ([[0, 3 * 2**22]], [[0, 0], [0, 1], [1, -(2**23) + 1]], [[0, 0], [2**21 + 1, 0]]):
+        with pytest.raises(DomainError, match=r"must lie in \[-2\^21, 2\^21\]"):
+            LatticeDomain(1.0, np.array(ij))
+    lat = LatticeDomain(1.0, np.array([[0, 0], [1, 0]]))
+    assert lat.site_index((1, 0)) == 1
+    with pytest.raises(DomainError, match=r"site \(0, 8388608\) is not interior"):
+        lat.site_index((0, 2**23))  # the code of (1, 0)
+
+
+@pytest.mark.parametrize("width, spacing", [(np.nan, 0.1), (1.0, np.nan), (np.inf, 0.1), (1.0, np.inf), (0.1, 0.2)])
+def test_halfplane_lattice_rejects_non_finite_sizes(width, spacing):
+    with pytest.raises(ResolutionError, match="spacing < width"):
+        halfplane_lattice(width, spacing)
 
 
 def test_discrete_green_refinement_toward_continuum():

@@ -128,6 +128,15 @@ def test_distance_correlation_degenerate_input():
     assert distance_correlation(np.ones(300), y, seed=1) == (0.0, 1.0)
 
 
+def test_distance_correlation_rejects_unpaired_samples():
+    # above the cap the subsample would pair y[idx] with x[idx] silently,
+    # below it the centring would fail on a bare broadcast error
+    rng = replica_rng(8, 1)
+    for nx, ny in ((1000, 2000), (300, 200), (2000, 10)):
+        with pytest.raises(DomainError, match="paired samples"):
+            distance_correlation(rng.standard_normal(nx), rng.standard_normal(ny))
+
+
 def test_distance_correlation_of_a_regular_simplex_ties_every_permutation():
     # all distances among the rows of I are equal, so the cross term is the
     # same under every permutation: its moments are rounding noise, p is 1
