@@ -12,6 +12,7 @@ harmonic extension collapsed once into a weight vector over ring sites;
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -44,6 +45,12 @@ DEFAULT_T_GRID = (0.25, 0.25625, 0.2625, 0.275, 0.5, 0.75, 1.0, 1.25)
 # ---------------------------------------------------------------------------
 
 
+def _check_nodes(measure) -> None:
+    n = measure.n_nodes
+    if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
+        raise DomainError(f"{type(measure).__name__} needs a positive integer n_nodes, not {n!r}")
+
+
 @dataclass(frozen=True)
 class CircleMeasure:
     """Uniform probability measure on the circle of radius ``radius`` about
@@ -56,6 +63,7 @@ class CircleMeasure:
     def __post_init__(self):
         if not (0 < self.radius < np.inf and np.isfinite(self.center)):
             raise DomainError("CircleMeasure needs a finite center and finite radius > 0")
+        _check_nodes(self)
 
     def discretize(self, offset: int = 0):
         h = 2.0 * np.pi / self.n_nodes
@@ -75,6 +83,7 @@ class SineMeasure:
     def __post_init__(self):
         if not 0 < self.u < np.inf:
             raise DomainError("SineMeasure needs finite u > 0")
+        _check_nodes(self)
 
     @property
     def radius(self) -> float:
@@ -293,8 +302,8 @@ def sine_average_path(
     semicircle.
     """
     u = np.asarray(u_grid, dtype=float)
-    if np.any(u <= 0) or np.any(np.diff(u) <= 0):
-        raise DomainError("u grid must be positive and increasing")
+    if not np.all(np.isfinite(u)) or np.any(u <= 0) or np.any(np.diff(u) <= 0):
+        raise DomainError("u grid must be finite, positive and increasing")
     return _average_path(u, np.pi**2 / 2.0, lambda: sine_lattice_for(u), _sine_weights,
                          n, seed, backend, lattice, law, alpha)
 

@@ -24,9 +24,10 @@ Lattice replicas are drawn in contiguous blocks of replica indices
 through ``rng.parallel_map`` (serially for noise vectors of under 2,000
 entries), the one place where the library decides its threads: each block
 fills its own rows (functionals) or columns (fields) of one array, replica
-r always from stream r, and a block of fields is solved and scaled in its
+r always from stream r, and a block of fields is solved and scaled into its
 own columns before the block ends, so the output is the same at any
-GFFFORGE_THREADS.
+GFFFORGE_THREADS.  The blocks only read the lattice: a band root is
+factored when the lattice is built.
 
 CALIBRATION = sqrt(2 pi) matches the lattice field to the continuum
 normalization in which a radius-eps circle average at the disk center has
@@ -188,16 +189,11 @@ def _field_matrix(lat, law, alpha, n, seed, replica_offset) -> np.ndarray:
     """(n_sites, n) calibrated fields; column r is replica replica_offset + r."""
 
     def solve(rows):
-        # the block's noise is this function's own, so its fields are solved
-        # and scaled in its memory: no second (n_sites, n) matrix
-        np.multiply(lat.white_to_field(rows.T, overwrite_xi=True), CALIBRATION, out=rows.T)
+        # each block's fields are scaled into the block's own noise rows: no
+        # second (n_sites, n) matrix
+        np.multiply(lat.white_to_field(rows.T), CALIBRATION, out=rows.T)
 
     noise = _law_noise(law, alpha, lat.n_sites)
-    # a disk lattice factors its band on its first solve: make that solve
-    # here, on the calling thread, so that the blocks on the pool neither
-    # build it twice nor leave it in a worker's malloc arena (lattice-cells
-    # peak RSS read 356-364 MiB that way, 351 MiB this way)
-    lat._root(np.zeros(lat.n_sites))
     return _replica_rows(noise, lat.n_sites, n, seed, replica_offset, step=solve).T
 
 

@@ -9,14 +9,14 @@ eliminated) through one root R with R R^T = L^-1.  On a full rectangle of
 sites the Laplacian is diagonal in the orthonormal DST-I basis on both
 axes, so the symmetric root L^(-1/2) costs two transforms and no
 factorization; any other site set uses a banded Cholesky factorization,
-where row-major site ordering keeps the bandwidth at one grid row.  Every
-band is factored on one OpenBLAS thread (the pin at import, see rng):
-LAPACK dpbtrf on a small band loses on a second thread (on 2 cores the disk-64
-band, 3,205 sites of bandwidth 63, takes 10-11 ms wall and about 20 ms CPU
-on two threads, 3.5 ms wall and 7.5 ms CPU on one).  This module starts no
-threads: many fields are solved in replica blocks on the pool of the fields
-module, and the band solve releases the interpreter lock so that two
-blocks can solve at once.
+made when the lattice is built, where row-major site ordering keeps the
+bandwidth at one grid row.  Every band is factored on one OpenBLAS thread
+(the pin at import, see rng): LAPACK dpbtrf on a small band loses on a
+second thread (on 2 cores the disk-64 band, 3,205 sites of bandwidth 63,
+takes 10-11 ms wall and about 20 ms CPU on two threads, 3.5 ms wall and
+7.5 ms CPU on one).  This module starts no threads: many fields are solved
+in replica blocks on the pool of the fields module, and the band solve
+releases the interpreter lock so that two blocks can solve at once.
 """
 
 from __future__ import annotations
@@ -242,13 +242,12 @@ def _lapack_dtbtrs():
 
 dtbtrs = _lapack_dtbtrs()
 
-def _band_solve(U: np.ndarray, x: np.ndarray, trans: str, overwrite_x: bool = False) -> np.ndarray:
+def _band_solve(U: np.ndarray, x: np.ndarray, trans: str) -> np.ndarray:
     """U^-1 x, or U^-T x for trans="T", for the upper band factor U (LAPACK
     upper band storage, Fortran-ordered) and x of one or more columns, in a
-    new Fortran-ordered array, or in x itself when ``overwrite_x`` and x is
-    a Fortran-ordered float array; LAPACK's info is checked."""
+    new Fortran-ordered array; LAPACK's info is checked."""
     n, kd = U.shape[1], U.shape[0] - 1
-    b = (np.asarray if overwrite_x else np.array)(x, dtype=float, order="F")
+    b = np.array(x, dtype=float, order="F")
     if b.shape[:1] != (n,) or not (U.dtype == np.float64 and U.flags.f_contiguous):
         raise ValueError("band solve needs a Fortran-ordered float band and one row per site")
     info = ctypes.c_int()
@@ -295,6 +294,8 @@ class LatticeDomain:
     """
 
     def __init__(self, spacing: float, interior_ij: np.ndarray):
+        if not 0 < spacing < np.inf:
+            raise DomainError("lattice spacing must be finite and positive")
         if interior_ij.ndim != 2 or interior_ij.shape[1] != 2:
             raise DomainError("interior_ij must be (m, 2)")
         if len(interior_ij) == 0:
@@ -316,8 +317,9 @@ class LatticeDomain:
         self.boundary_ij = bnd
         # sorted i-major, a full m x n rectangle is a C-ordered (m, n) array
         m, n = self.interior_ij.max(axis=0) - self.interior_ij.min(axis=0) + 1
-        self._box = (int(m), int(n)) if self.n_sites == m * n else None
-        self._chol = None
+        box = self.n_sites == m * n
+        self._box = (int(m), int(n)) if box else None
+        self._band = None if box else _factored_laplacian(self._codes)
         self._cache: dict = {}
 
     # -- basic geometry ----------------------------------------------------
@@ -370,34 +372,32 @@ class LatticeDomain:
     # -- Laplacian ----------------------------------------------------------
 
     def _banded(self):
-        """(U, bandwidth): the Laplacian band, Cholesky-factored in place
-        into its upper factor U (LAPACK upper band storage)."""
-        if self._chol is None:
-            self._chol = _factored_laplacian(self._codes)
-        return self._chol
+        """(U, bandwidth) of a lattice that is not a box; perfbench's tracer
+        test reads the bandwidth here."""
+        return self._band, self._band.shape[0] - 1
 
-    def _root(self, x: np.ndarray, trans: str = "N", overwrite_x: bool = False) -> np.ndarray:
+    def _root(self, x: np.ndarray, trans: str = "N") -> np.ndarray:
         """R x, or R^T x for trans="T" (so w . R xi == R^T w . xi).
 
         On a box R = S diag(lam)^(-1/2) S is symmetric, with S the orthonormal
         DST-I on both axes (its own inverse) and lam the Laplacian's
         eigenvalues 4 - 2 cos(pi p/(m+1)) - 2 cos(pi q/(n+1)).  Elsewhere
-        R = U^-1 by dtbtrs against the band, uncopied (``_band_solve``).
-        Both run on the calling thread, each column on its own, so a block
-        of columns gets the bits of the whole batch; both leave ``x`` as it
-        was unless ``overwrite_x``, when they may reuse its memory.
+        R = U^-1 by dtbtrs against the band factored at construction
+        (``_band_solve``).  Both run on the calling thread, each column on
+        its own, so a block of columns gets the bits of the whole batch;
+        both return a new array and leave ``x`` as it was.
         """
         x = np.asarray(x, dtype=float)
         if x.size == 0:
             # dtbtrs corrupts the heap on a right-hand side with no columns
             return np.zeros(x.shape)
         if self._box is None:
-            return _band_solve(self._banded()[0], x, trans, overwrite_x)
+            return _band_solve(self._band, x, trans)
         m, n = self._box
         lam_i = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, m + 1) / (m + 1))
         lam_j = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, n + 1) / (n + 1))
         scale = (lam_i[:, None] + lam_j[None, :]) ** -0.5
-        y = dstn(x.reshape((m, n) + x.shape[1:]), type=1, axes=(0, 1), norm="ortho", overwrite_x=overwrite_x)
+        y = dstn(x.reshape((m, n) + x.shape[1:]), type=1, axes=(0, 1), norm="ortho")
         y *= scale.reshape(scale.shape + (1,) * (x.ndim - 1))
         return dstn(y, type=1, axes=(0, 1), norm="ortho", overwrite_x=True).reshape(x.shape)
 
@@ -405,11 +405,10 @@ class LatticeDomain:
         """(graph Laplacian)^-1 rhs = R R^T rhs, with Dirichlet elimination."""
         return self._root(self._root(rhs, "T"))
 
-    def white_to_field(self, xi: np.ndarray, overwrite_xi: bool = False) -> np.ndarray:
-        """R xi, so that x has covariance (graph Laplacian)^-1; with
-        ``overwrite_xi`` the solve may run in xi's memory, which saves a copy
-        of the noise matrix."""
-        return self._root(xi, overwrite_x=overwrite_xi)
+    def white_to_field(self, xi: np.ndarray) -> np.ndarray:
+        """R xi, a new array with covariance (graph Laplacian)^-1 for white
+        noise xi."""
+        return self._root(xi)
 
     def cached(self, key, build):
         """The value cached under ``key``: a ring functional (ring_idx, w),
@@ -503,7 +502,7 @@ class DirichletCell:
         if np.any(np.diff(self.member_idx) == 0):
             raise DomainError("cell site indices must not repeat")
         codes = parent._codes[self.member_idx]
-        self._cb, _ = _factored_laplacian(codes)
+        self._cb = _factored_laplacian(codes)
         # ring incidence: for each member, parent-interior neighbours outside
         # the membership (true-boundary neighbours carry zeros and drop out)
         member_mask = np.zeros(parent.n_sites, dtype=bool)
@@ -559,6 +558,8 @@ class DirichletCell:
         closure means the node grid is too coarse for the subdomain.
         """
         lat = self._parent()
+        if lat is None:
+            raise ReferenceError("the cell's lattice was freed")
         site, c = lat.site_weights(nodes, weights)
         p, in_member = _lookup(self.member_idx, site)
         q = np.zeros(len(self.member_idx))
@@ -572,10 +573,11 @@ class DirichletCell:
         return self.ring_idx, self.ring_weights(q) + direct
 
 
-def _factored_laplacian(codes: np.ndarray):
-    """(U, bandwidth) of the graph Laplacian (diagonal 4, Dirichlet rows
-    eliminated) on the sites with sorted ``codes``; the band is assembled
-    Fortran-ordered and factored in place, so only one band is ever held."""
+def _factored_laplacian(codes: np.ndarray) -> np.ndarray:
+    """Upper Cholesky factor U of the graph Laplacian (diagonal 4, Dirichlet
+    rows eliminated) on the sites with sorted ``codes``, in LAPACK upper band
+    storage; the band is assembled Fortran-ordered and factored in place, so
+    only one band is ever held."""
     base = np.arange(len(codes))
     rows = []
     cols = []
@@ -588,7 +590,7 @@ def _factored_laplacian(codes: np.ndarray):
     ab = np.zeros((bw + 1, len(codes)), order="F")
     ab[bw, :] = 4.0
     ab[bw + rows - cols, cols] = -1.0
-    return cholesky_banded(ab, overwrite_ab=True, lower=False), bw
+    return cholesky_banded(ab, overwrite_ab=True, lower=False)
 
 
 def discrete_green(lat: LatticeDomain, x, y) -> float:

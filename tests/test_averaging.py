@@ -67,16 +67,23 @@ def test_sine_measure_mass():
     for u in (0.0, np.inf, np.nan):
         with pytest.raises(DomainError):
             SineMeasure(u)
+    # 0 nodes divided by zero in discretize, -3 and 2.5 failed in numpy
+    for n_nodes in (0, -3, 2.5):
+        with pytest.raises(DomainError, match="SineMeasure needs a positive integer n_nodes"):
+            SineMeasure(1.0, n_nodes)
 
 
+# the ids of the (center, radius) cases do not name the default n_nodes
 @pytest.mark.parametrize(
-    "center, radius",
-    [(0.0, 0.0), (0.0, -1.0), (0.0, np.inf), (0.0, np.nan),
-     (complex(np.inf, 0.0), 0.5), (complex(0.0, np.nan), 0.5)],
+    "center, radius, n_nodes",
+    [pytest.param(c, r, 512, id=f"{c}-{r}")
+     for c, r in [(0.0, 0.0), (0.0, -1.0), (0.0, np.inf), (0.0, np.nan),
+                  (complex(np.inf, 0.0), 0.5), (complex(0.0, np.nan), 0.5)]]
+    + [pytest.param(0.0, 0.5, n, id=f"n_nodes={n}") for n in (0, -3, 2.5)],
 )
-def test_circle_measure_validation(center, radius):
+def test_circle_measure_validation(center, radius, n_nodes):
     with pytest.raises(DomainError, match="CircleMeasure"):
-        CircleMeasure(center, radius)
+        CircleMeasure(center, radius, n_nodes)
 
 
 def test_sine_measure_radius():
@@ -248,6 +255,21 @@ def test_sine_path_exact_covariance_structure():
 def test_sine_path_single_replica():
     path = sine_average_path(1, (1.0, 2.0), seed=239, backend="exact")
     assert path.replicas.shape == (1, 2)
+
+
+@pytest.mark.parametrize("grid", [(1.0, np.nan), (1.0, np.inf), (np.nan, 2.0)])
+def test_sine_path_rejects_non_finite_grid(monkeypatch, grid):
+    # a NaN or infinite u slipped past the positivity check and failed as a
+    # ResolutionError from the lattice; no lattice or cell may be built now
+    def no_lattice(*args, **kwargs):
+        raise AssertionError("a lattice was built for a non-finite u grid")
+
+    lat = halfplane_lattice(1.0, 0.1)
+    monkeypatch.setattr("gffforge.averaging.sine_lattice_for", no_lattice)
+    monkeypatch.setattr("gffforge.averaging._sine_weights", no_lattice)
+    for lattice in (None, lat):
+        with pytest.raises(DomainError, match="u grid must be finite"):
+            sine_average_path(10, grid, 1, "lattice", lattice)
 
 
 def test_sine_path_lattice_matches_exact_marginal():

@@ -275,9 +275,9 @@ def test_replica_blocks_match_serial_reference(monkeypatch, threads):
 
 
 def test_pooled_fields_factor_the_band_once(monkeypatch):
-    # the band is factored lazily, by the first solve; with replica blocks
-    # solving on more threads than cores a fresh lattice must still build
-    # it once, and every block must get the serial fields
+    # the band is factored when the lattice is built; with replica blocks
+    # solving on more threads than cores it must still be built once, and
+    # every block must get the serial fields
     calls = []
 
     def slow_factor(codes):
@@ -307,7 +307,7 @@ def test_box_functional_gram_matches_cholesky():
     z = lat.z
     W = np.stack([np.asarray(disk_bump(0.3 + 0.4j, 0.5)(z)), z.imag, np.ones(lat.n_sites)], axis=1)
     V = lat._root(W, "T")
-    V_chol = dtbtrs(lat._banded()[0], W, uplo="U", trans="T")[0]
+    V_chol = dtbtrs(greens._factored_laplacian(lat._codes), W, uplo="U", trans="T")[0]
     ref = V_chol.T @ V_chol
     assert np.max(np.abs(V.T @ V - ref)) <= 1e-12 * np.max(np.abs(ref))
 

@@ -19,6 +19,7 @@ from gffforge.errors import DomainError, NumericalError, ResolutionError, Singul
 from gffforge.geometry import Mobius, UnitDisk, UpperHalfPlane, disk_bump, radial_annulus_bump
 from gffforge.fields import FieldSample, markov_decompose
 from gffforge.greens import (
+    DirichletCell,
     LatticeDomain,
     covariance_of_observables,
     disk_lattice,
@@ -243,8 +244,8 @@ def test_box_solve_matches_banded_cholesky():
     assert lat._box == (21, 10) and lat.n_sites == 210
     b = np.random.default_rng(3).standard_normal((lat.n_sites, 4))
     got, got_vec = lat.solve(b), lat.solve(b[:, 1])
-    assert lat._chol is None  # the box path builds no band
-    ref = cho_solve_banded((lat._banded()[0], False), b)
+    assert lat._band is None  # the box path builds no band
+    ref = cho_solve_banded((greens._factored_laplacian(lat._codes), False), b)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
     assert np.max(np.abs(got_vec - ref[:, 1])) <= 1e-12 * np.max(np.abs(ref))
 
@@ -254,7 +255,7 @@ def test_box_root_is_symmetric_and_squares_to_inverse():
     eye = np.eye(lat.n_sites)
     R = lat.white_to_field(eye)
     L_inv = lat.solve(eye)
-    assert lat._chol is None
+    assert lat._band is None
     assert np.max(np.abs(R - R.T)) <= 1e-14 * np.max(np.abs(R))
     assert np.max(np.abs(R @ R - L_inv)) <= 1e-12 * np.max(np.abs(L_inv))
     assert np.array_equal(lat._root(eye, "T"), R)
@@ -268,7 +269,7 @@ def test_non_rectangular_sites_use_banded_factor(which):
         ij = halfplane_lattice(1.0, 0.1).interior_ij
         lat = LatticeDomain(0.1, np.delete(ij, 37, axis=0))
     assert lat._box is None
-    U = lat._banded()[0]
+    U = lat._band
     for cols in (3, 400):
         xi = np.random.default_rng(5).standard_normal((lat.n_sites, cols))
         assert np.array_equal(lat.white_to_field(xi), dtbtrs(U, xi, uplo="U", trans="N")[0])
@@ -288,7 +289,7 @@ def test_band_solve_matches_scipy_dtbtrs_at_any_thread_count(monkeypatch, thread
     try:
         for size, cols in ((16, None), (16, 1), (16, 7), (64, 400)):
             lat = disk_lattice(size)
-            U = lat._banded()[0]
+            U = lat._band
             shape = (lat.n_sites,) if cols is None else (lat.n_sites, cols)
             x = np.random.default_rng(size).standard_normal(shape)
             for xx in (np.ascontiguousarray(x), np.asfortranarray(x)):
@@ -302,30 +303,10 @@ def test_band_solve_matches_scipy_dtbtrs_at_any_thread_count(monkeypatch, thread
         sys.setswitchinterval(switch)
 
 
-@pytest.mark.parametrize("which", ["disk", "box"])
-def test_white_to_field_in_place_keeps_the_bits(which):
-    # overwrite_xi solves in the noise's own memory on the band (a
-    # Fortran-ordered float array is used as it is, anything else is copied)
-    # and hands it to the box's first DST; the field is the same either way
-    lat = disk_lattice(32) if which == "disk" else halfplane_lattice(1.0, 0.05)
-    assert (lat._box is None) == (which == "disk")
-    x = np.random.default_rng(9).standard_normal((40, lat.n_sites)).T
-    want = lat.white_to_field(x)
-    assert np.array_equal(x, np.random.default_rng(9).standard_normal((40, lat.n_sites)).T)
-    for xx in (x.copy(order="F"), x.copy(order="C"), x[:, 0].copy()):
-        kept = xx.copy()
-        got = lat.white_to_field(xx, overwrite_xi=True)
-        assert np.array_equal(got, want if xx.ndim == 2 else want[:, 0])
-        if which == "disk" and xx.flags.f_contiguous:
-            assert np.shares_memory(got, xx)
-        elif which == "disk":
-            assert np.array_equal(xx, kept)
-
-
 def test_band_solve_raises_on_lapack_failure():
     # a zero on the factor's diagonal is a singular U: LAPACK's info is
     # checked
-    U = disk_lattice(16)._banded()[0].copy(order="F")
+    U = disk_lattice(16)._band.copy(order="F")
     U[-1, 5] = 0.0
     with pytest.raises(NumericalError, match="info = 6"):
         greens._band_solve(U, np.ones((U.shape[1], 2)), "N")
@@ -438,6 +419,13 @@ def test_halfplane_lattice_rejects_non_finite_sizes(width, spacing):
         halfplane_lattice(width, spacing)
 
 
+@pytest.mark.parametrize("spacing", [0.0, -1.0, np.nan, np.inf])
+def test_lattice_rejects_bad_spacing(spacing):
+    # a zero spacing put every site at z = 0, and NaN or inf made z NaN
+    with pytest.raises(DomainError, match="spacing must be finite and positive"):
+        LatticeDomain(spacing, np.array([[0, 0], [1, 0]]))
+
+
 def test_discrete_green_refinement_toward_continuum():
     # ratio of lattice to continuum Green values approaches 1/(2 pi) with
     # monotone error decrease under refinement; no spacing prefactor
@@ -491,6 +479,15 @@ def test_dropped_lattice_with_cells_is_freed_without_gc():
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_cell_of_a_freed_lattice_raises_reference_error():
+    # the cell holds its lattice weakly, so a cell kept past its lattice
+    # must say so instead of failing on None
+    cell = DirichletCell(disk_lattice(16), np.arange(10))
+    gc.collect()
+    with pytest.raises(ReferenceError, match="lattice was freed"):
+        cell.pairing_weights(np.array([0.05j]), np.ones(1))
 
 
 def test_lattice_site_lookup_errors():
