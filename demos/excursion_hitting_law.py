@@ -24,7 +24,7 @@ def main():
     r, eps, n = 1.0, 5e-3, 40_000
     sample = sample_excursion_hits(r, eps, n, seed=7)
     print(f"paths started at height {eps:g}, target semicircle radius {r:g}")
-    print(f"  hits: {len(sample.angles)} of {n} paths (with splitting weights)")
+    print(f"  hits: {len(sample.angles)} weighted fragments of {n} split paths")
     print(f"  mass estimate  {sample.mass_estimate:.4f} +- {sample.mass_stderr():.4f}")
     print(f"  analytic mass  {total_mass(r):.4f}  (4 / pi r)")
 

@@ -262,8 +262,8 @@ def sine_lattice_for(
     smallest pairing semicircle with ``points_per_radius`` sites.
     """
     u = np.asarray(u_grid, dtype=float)
-    if np.any(u <= 0):
-        raise DomainError("u grid must be positive")
+    if u.size == 0 or not np.all(np.isfinite(u)) or np.any(u <= 0):
+        raise DomainError("u grid must be non-empty, finite and positive")
     width = width_factor / np.sqrt(u.min())
     smallest = 1.0 / np.sqrt(2.0 * u.max())
     return halfplane_lattice(width, smallest / points_per_radius)

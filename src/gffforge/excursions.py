@@ -1,14 +1,19 @@
-"""Half-plane excursion hitting laws and a killed Brownian sampler.
+"""Half-plane excursion hitting laws and an exact-exit Brownian sampler.
 
 The excursion measure from the origin assigns mass 4/(pi r) to paths
 reaching the radius-r upper semicircle, with hit angles distributed like
 (1/2) sin(theta).  The sampler realizes the measure as the eps -> 0 limit
-of Brownian paths started at i*eps, weighted by 1/eps.
+of Brownian paths started at i*eps, weighted by 1/eps; at finite eps its
+mass is (4/pi) atan(eps/r)/eps exactly.
 
-Paths move by walk-on-spheres (Muller 1956): each step samples the exact
-exit point of the largest disk around the path inside the half-disk.  A
-path stops in an eps-shell: absorbed below height ``eps * _FLOOR``, or a
-hit at radius ``r * _HIT_SHAVE``.
+Paths take exact exits, by conformal invariance: w = -(zeta + 1/zeta),
+zeta = z/R, maps the radius-R upper half-disk onto the upper half-plane,
+its arc onto [-2, 2] and its diameter onto the rest of the real line.
+From w, Brownian motion leaves the half-plane at the Cauchy point
+x = Re w + Im w tan(phi), phi uniform on (-pi/2, pi/2), so a path leaves
+the half-disk through the arc iff |x| < 2, at angle arccos(-x/2), and is
+absorbed on the diameter otherwise.  One draw per path and half-disk: no
+time step, no stopping shell.
 """
 
 from __future__ import annotations
@@ -31,12 +36,9 @@ __all__ = [
     "weighted_ks_distance",
 ]
 
-_HIT_SHAVE = 1.0 - 1e-4  # declare a hit at |z| >= r * _HIT_SHAVE
-_FLOOR = 1e-3  # absorb a path started at i*eps once Im z < eps * _FLOOR
 # Paths per random stream (see sample_excursion_hits).  Fixed so that the
-# sample does not depend on how paths are scheduled; each block loops
-# until its slowest path stops, so blocks much smaller than this cost
-# more per path in interpreter overhead.
+# sample does not depend on how paths are scheduled; it also bounds the
+# fragments held at once, about 0.64 per path at every level.
 _PATH_BLOCK = 50_000
 
 
@@ -80,7 +82,8 @@ class ExcursionSample:
 
     ``angles``/``weights``/``roots`` are per-hit; ``roots`` indexes the
     originating path so that per-path totals are independent (splitting
-    correlates fragments of the same path, never across paths).  Random
+    correlates fragments of the same path, never across paths).
+    ``n_absorbed`` counts the fragments that ended on the diameter.  Random
     streams are keyed per fixed block of path indices, never per worker,
     so the sample does not depend on the worker count.
     """
@@ -88,7 +91,6 @@ class ExcursionSample:
     r: float
     eps: float
     n_paths: int
-    mode: str
     angles: np.ndarray
     weights: np.ndarray
     roots: np.ndarray
@@ -113,88 +115,50 @@ class ExcursionSample:
                 f"1,{a:.17g},{eps},{w:.17g}\n"
                 for a, w in zip(self.angles.tolist(), self.weights.tolist())
             )
-            if self.mode == "literal":
-                fh.write(f"0,,{eps},1\n" * (self.n_paths - len(self.angles)))
 
 
-def _advance(z, w, roots, rng, r, floor, top):
-    """Run paths until absorption (Im < floor), a hit (|z| >= r *
-    _HIT_SHAVE), or escape above ``top``.  A walk-on-spheres step jumps to
-    z + d e^(i phi), d = min(Im z, r - |z|), phi uniform on [0, 2 pi)."""
-    hit_a = []
-    hit_w = []
-    hit_r = []
-    out = []
-    hit_rad = r * _HIT_SHAVE
-    while z.size:
-        d = np.minimum(z.imag, r - np.abs(z))
-        z = z + d * np.exp(2j * np.pi * rng.random(z.size))
-        dead = z.imag < floor
-        hit = np.abs(z) >= hit_rad
-        live_hit = hit & ~dead
-        if np.any(live_hit):
-            hit_a.append(np.angle(z[live_hit]))
-            hit_w.append(w[live_hit])
-            hit_r.append(roots[live_hit])
-        up = z.imag >= top
-        esc = up & ~hit & ~dead
-        if np.any(esc):
-            out.append((z[esc], w[esc], roots[esc]))
-        keep = ~(dead | hit | up)
-        z, w, roots = z[keep], w[keep], roots[keep]
+def _exit(a, b, rng):
+    """Exact exit of Brownian motion from the unit upper half-disk, started
+    at the points a + i b inside it.  Returns the mask of paths that leave
+    through the arc and the cosines -x/2 of their exit points.
 
-    def cat(parts, dtype=float):
-        return np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
-
-    surv = (cat([p[0] for p in out], complex), cat([p[1] for p in out]), cat([p[2] for p in out], np.int64))
-    return cat(hit_a), cat(hit_w), cat(hit_r, np.int64), surv
+    tan(phi) is drawn as sin(phi)/cos(phi), and a hit is kept as its
+    cosine, because numpy's float64 tan and arccos change their last bits
+    with its SIMD dispatch while sin, cos, sqrt and arithmetic do not: the
+    hit decisions are then the same on any CPU."""
+    q = a * a + b * b
+    phi = np.pi * (rng.random(a.size) - 0.5)
+    x = -a * (1.0 + 1.0 / q) + b * (1.0 / q - 1.0) * (np.sin(phi) / np.cos(phi))
+    hit = np.abs(x) < 2.0
+    return hit, -0.5 * x[hit]
 
 
-def _block_hits(r, eps, count, base_seed, k, root0, split):
-    rng = replica_rng(base_seed, k)
-    floor = eps * _FLOOR
-    z = np.full(count, 1j * eps)
-    w = np.ones(count)
+def _block_hits(radii, count, rng, root0):
+    # a fragment at radius radii[j - 1] with cosine c exits the half-disk
+    # of radius radii[j] from rho (c + i sqrt(1 - c^2)) in its units; every
+    # path starts at i*eps, cosine 0
+    c = np.zeros(count)
     roots = root0 + np.arange(count, dtype=np.int64)
-    angles, weights, hit_roots = [], [], []
     absorbed = 0
-    # split survivors at each dyadic level below r/2; past it, run to the end
-    level = 2.0 * eps if split else np.inf
-    while z.size:
-        before = z.size
-        a, aw, ar, (z, w, roots) = _advance(z, w, roots, rng, r, floor, level)
-        angles.append(a)
-        weights.append(aw)
-        hit_roots.append(ar)
-        absorbed += before - z.size - len(a)
-        if level >= r / 2:
-            level = np.inf
-            continue
-        z = np.concatenate([z, z])
-        w = np.concatenate([w, w]) * 0.5
-        roots = np.concatenate([roots, roots])
-        level *= 2.0
-    return (
-        np.concatenate(angles),
-        np.concatenate(weights),
-        np.concatenate(hit_roots),
-        absorbed,
-    )
+    for j in range(1, len(radii)):
+        if j > 1:
+            c = np.concatenate([c, c])
+            roots = np.concatenate([roots, roots])
+        rho = radii[j - 1] / radii[j]
+        hit, c = _exit(rho * c, rho * np.sqrt(1.0 - c * c), rng)
+        absorbed += hit.size - c.size
+        roots = roots[hit]
+    return np.arccos(c), roots, absorbed
 
 
-def sample_excursion_hits(
-    r: float,
-    eps: float,
-    n: int,
-    seed: int,
-    split: bool = True,
-) -> ExcursionSample:
+def sample_excursion_hits(r: float, eps: float, n: int, seed: int) -> ExcursionSample:
     """Sample n excursion attempts from i*eps against the radius-r arc.
 
-    With ``split`` (the default) surviving paths are doubled and their
-    weights halved at each dyadic height up to r/2, an unbiased variance
-    reduction that multiplies the effective hit count by roughly r/eps
-    relative to the plain estimator (``split=False``).
+    Each path exits the half-disks of radii 2 eps, 4 eps, ... below r and
+    finally r, one exact exit each.  Before every exit but the first the
+    surviving fragments are doubled and their weights halved, an unbiased
+    splitting that keeps about 0.64 fragments per path at every level, so
+    every hit carries the weight 2^-(number of half-disks - 1).
 
     Paths ``[k B, (k+1) B)`` form block k (B = ``_PATH_BLOCK``) and draw
     from ``replica_rng(seed, k)``; split fragments of a path share their
@@ -202,51 +166,50 @@ def sample_excursion_hits(
     neither their bounds nor their streams depend on ``GFFFORGE_THREADS``,
     so neither does the sample.
     """
-    # NaN fails every comparison, and r = inf never reaches the last split level
+    # NaN fails every comparison, and r = inf has no last level
     if not (0 < r < np.inf and 0 < eps < np.inf):
         raise DomainError("need finite r > 0 and eps > 0")
     if eps >= r / 10:
         raise DomainError("eps must be < r/10 for the excursion limit to apply")
     if n < 1:
         raise DomainError("need n >= 1")
+    radii = [eps]
+    while 2.0 * radii[-1] < r:
+        radii.append(2.0 * radii[-1])
+    radii.append(r)
     parts = [
-        _block_hits(r, eps, min(_PATH_BLOCK, n - lo), seed, k, lo, split)
+        _block_hits(radii, min(_PATH_BLOCK, n - lo), replica_rng(seed, k), lo)
         for k, lo in enumerate(range(0, n, _PATH_BLOCK))
     ]
+    angles = np.concatenate([p[0] for p in parts])
     return ExcursionSample(
         r=r,
         eps=eps,
         n_paths=n,
-        mode="split" if split else "literal",
-        angles=np.concatenate([p[0] for p in parts]),
-        weights=np.concatenate([p[1] for p in parts]),
-        roots=np.concatenate([p[2] for p in parts]),
-        n_absorbed=int(sum(p[3] for p in parts)),
+        angles=angles,
+        weights=np.full(angles.size, 0.5 ** (len(radii) - 2)),
+        roots=np.concatenate([p[1] for p in parts]),
+        n_absorbed=int(sum(p[2] for p in parts)),
     )
 
 
 def continue_paths(z0, r_target: float, seed: int):
-    """Run killed Brownian motion (walk-on-spheres, as in the sampler) from
-    given points to the radius-r_target arc.  Returns (hit mask, hit
-    angles) aligned with the inputs; paths absorbed at the real axis get
-    no angle."""
+    """Continue Brownian motion from given points of the upper half-disk of
+    radius r_target to its boundary, one exact exit per path.  Returns (hit
+    mask, hit angles) aligned with the inputs; paths absorbed at the real
+    axis get no angle."""
     z0 = np.atleast_1d(np.asarray(z0, dtype=complex))
-    # a NaN start fails every stop test, and r_target = inf absorbs every path
+    # a NaN start or target would make every path a silent miss
     if not (np.all(np.isfinite(z0)) and np.isfinite(r_target)):
         raise DomainError("continuation needs finite start points and target radius")
     if np.any(z0.imag <= 0):
         raise DomainError("continuation must start inside the upper half-plane")
     if np.any(np.abs(z0) >= r_target):
         raise DomainError("continuation must start inside the target radius")
-    floor = 1e-6 * r_target
-    rng = replica_rng(seed, 0)
-    roots = np.arange(len(z0), dtype=np.int64)
-    a, _, ar, _ = _advance(z0.copy(), np.ones(len(z0)), roots, rng, r_target, floor, np.inf)
-    mask = np.zeros(len(z0), dtype=bool)
+    hit, c = _exit(z0.real / r_target, z0.imag / r_target, replica_rng(seed, 0))
     angles = np.full(len(z0), np.nan)
-    mask[ar] = True
-    angles[ar] = a
-    return mask, angles
+    angles[hit] = np.arccos(c)
+    return hit, angles
 
 
 def weighted_ks_distance(values, weights, cdf=hitting_cdf) -> float:

@@ -272,6 +272,14 @@ def test_sine_path_rejects_non_finite_grid(monkeypatch, grid):
             sine_average_path(10, grid, 1, "lattice", lattice)
 
 
+@pytest.mark.parametrize("grid", [(1.0, np.nan), (1.0, np.inf), (), (0.0, 1.0)])
+def test_sine_lattice_for_rejects_bad_grid(grid):
+    # a NaN or infinite u passed the positivity check and failed as a
+    # ResolutionError from the lattice, and an empty grid as a ValueError
+    with pytest.raises(DomainError, match="u grid must be non-empty, finite and positive"):
+        sine_lattice_for(grid)
+
+
 def test_sine_path_lattice_matches_exact_marginal():
     from scipy import stats
 

@@ -1,4 +1,9 @@
-"""Excursion hitting laws: analytic oracles and the killed-path sampler."""
+"""Excursion hitting laws: analytic oracles and the exact-exit sampler."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -144,16 +149,6 @@ def test_markov_continuation_matches_fresh_start(base_sample):
     assert np.max(np.abs(ecdf_a - ecdf_b)) < 0.05
 
 
-def test_split_and_literal_modes_agree():
-    split = sample_excursion_hits(1.0, 1e-2, 20000, seed=127)
-    literal = sample_excursion_hits(1.0, 1e-2, 60000, seed=131, split=False)
-    gap = abs(split.mass_estimate - literal.mass_estimate)
-    se = np.hypot(split.mass_stderr(), literal.mass_stderr())
-    assert gap < 4.0 * se
-    # splitting multiplies the effective hit yield
-    assert len(split.angles) / split.n_paths > 3.0 * len(literal.angles) / literal.n_paths
-
-
 def test_mass_consistent_down_the_eps_ladder():
     # any start-height bias stays below the sampler's own noise floor all
     # the way down the nominal-convergence regime
@@ -178,15 +173,67 @@ def test_mass_exact_at_finite_eps():
     assert abs(s.mass_estimate - exact) < 3.0 * s.mass_stderr()
 
 
-def test_shell_width_convergence(monkeypatch):
-    # halving both widths of the eps-shell (absorption floor and hit
-    # shave) must not move the estimate beyond joint noise
-    a = sample_excursion_hits(1.0, 1e-2, 15000, seed=139)
-    monkeypatch.setattr(excursions, "_FLOOR", excursions._FLOOR / 2)
-    monkeypatch.setattr(excursions, "_HIT_SHAVE", 1.0 - (1.0 - excursions._HIT_SHAVE) / 2)
-    b = sample_excursion_hits(1.0, 1e-2, 15000, seed=139)
-    gap = abs(a.mass_estimate - b.mass_estimate)
-    assert gap < 3.0 * np.hypot(a.mass_stderr(), b.mass_stderr())
+def test_mass_z_against_finite_eps_closed_form_over_seeds():
+    # the exits are exact, so the mass is unbiased for the finite-eps value
+    # (4/pi) atan(eps/r)/eps; a z outside 3 s.e. has chance 0.27% a seed,
+    # so more than 5 in 100 seeds would mean a bias or a wrong standard error
+    r, eps = 1.0, 1e-2
+    exact = (4.0 / np.pi) * np.arctan(eps / r) / eps
+    z = []
+    for seed in range(100):
+        s = sample_excursion_hits(r, eps, 10_000, seed=seed)
+        z.append((s.mass_estimate - exact) / s.mass_stderr())
+    assert np.sum(np.abs(z) <= 3.0) >= 95
+
+
+def test_continuation_hit_fraction_is_the_harmonic_measure():
+    # the quadrant map z -> (R + z)/(R - z) sends the half-disk's arc to the
+    # positive imaginary axis, so from z the arc has harmonic measure
+    # (2/pi) arg((R + z)/(R - z)): a check independent of the sampler's
+    # Cauchy formula
+    R, n = 2.0, 200_000
+    for k, theta in enumerate(np.linspace(0.2, np.pi - 0.2, 7)):
+        z = np.exp(1j * theta)
+        p = (2.0 / np.pi) * np.angle((R + z) / (R - z))
+        mask, angles = continue_paths(np.full(n, z), R, seed=191 + k)
+        assert abs(mask.mean() - p) < 3.0 * np.sqrt(p * (1.0 - p) / n)
+        assert np.all((angles[mask] > 0) & (angles[mask] < np.pi))
+        assert np.all(np.isnan(angles[~mask]))
+
+
+_SAMPLE_TO_NPZ = """
+import sys
+import numpy as np
+from gffforge.excursions import sample_excursion_hits
+s = sample_excursion_hits(1.0, 1e-3, 200_000, seed=424242)
+np.savez(sys.argv[1], angles=s.angles, weights=s.weights, roots=s.roots,
+         n_absorbed=s.n_absorbed, mass=s.mass_estimate)
+"""
+
+
+def test_hit_decisions_ignore_simd_dispatch(tmp_path):
+    # criterion 1's sample in a child with numpy's AVX-512 kernels off, as
+    # on an AVX2-only CPU: which paths hit, their weights and the mass are
+    # bit-identical, and only the arccos of the returned angles moves, by at
+    # most 1 ulp (measured: 12,373 of 130,593 angles move by exactly 1 ulp;
+    # a tan(phi) draw moved them by up to 134,575 ulp).  On a CPU without
+    # AVX-512 both runs take the same kernels and this checks nothing.
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    off = [f for f in ("AVX512_SPR", "AVX512_ICL", "X86_V4") if __cpu_features__.get(f)]
+    src = str(Path(excursions.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "NPY_DISABLE_CPU_FEATURES": " ".join(off)}
+    out = tmp_path / "sample.npz"
+    done = subprocess.run([sys.executable, "-c", _SAMPLE_TO_NPZ, str(out)], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    child = np.load(out)
+    s = sample_excursion_hits(1.0, 1e-3, 200_000, seed=424242)
+    assert_array_equal(child["weights"], s.weights)
+    assert_array_equal(child["roots"], s.roots)
+    assert int(child["n_absorbed"]) == s.n_absorbed
+    assert float(child["mass"]) == s.mass_estimate
+    assert np.all(np.abs(child["angles"] - s.angles) <= np.spacing(s.angles))
 
 
 def test_sample_independent_of_thread_count(monkeypatch):
@@ -213,7 +260,7 @@ def test_sampler_validation():
         sample_excursion_hits(-1.0, 1e-3, 10, seed=0)
     with pytest.raises(DomainError):
         sample_excursion_hits(1.0, 1e-3, 0, seed=0)
-    # r = inf never reaches the last split level: mass 0, or a run without end
+    # r = inf has no last level: a run without end
     for r, eps in ((np.inf, 1e-2), (np.nan, 1e-2), (1.0, np.nan)):
         with pytest.raises(DomainError, match="finite"):
             sample_excursion_hits(r, eps, 20, seed=1)
@@ -277,27 +324,21 @@ def test_weighted_ks_detects_wrong_law():
 
 
 def _hits_csv(sample) -> str:
-    # reference rendering of hits.csv: one row per hit, then (literal
-    # mode only) one row per path that missed
+    # reference rendering of hits.csv: one row per hit
     rows = ["hit,angle,eps,weight\n"]
     for a, w in zip(sample.angles, sample.weights):
         rows.append(f"1,{a:.17g},{sample.eps:.17g},{w:.17g}\n")
-    if sample.mode == "literal":
-        rows += [f"0,,{sample.eps:.17g},1\n"] * (sample.n_paths - len(sample.angles))
     return "".join(rows)
 
 
-@pytest.mark.parametrize("split", [True, False])
-def test_to_csv_matches_records_rendering(tmp_path, split):
-    s = sample_excursion_hits(1.0, 1e-2, 400, seed=179, split=split)
-    if not split:
-        assert len(s.angles) < s.n_paths  # so miss rows are written
+def test_to_csv_matches_records_rendering(tmp_path):
+    s = sample_excursion_hits(1.0, 1e-2, 400, seed=179)
     f = tmp_path / "hits.csv"
     s.to_csv(f)
     assert f.read_bytes() == _hits_csv(s).encode()
     # the 17 significant digits read back exactly
     rows = np.genfromtxt(f, delimiter=",", skip_header=1, ndmin=2)
-    hits = rows[rows[:, 0] == 1]
-    assert len(rows) == (len(s.angles) if split else s.n_paths)
-    assert_array_equal(hits[:, 1], s.angles)
-    assert_array_equal(hits[:, 3], s.weights)
+    assert len(rows) == len(s.angles)
+    assert np.all(rows[:, 0] == 1)
+    assert_array_equal(rows[:, 1], s.angles)
+    assert_array_equal(rows[:, 3], s.weights)
