@@ -124,8 +124,10 @@ class ProcessPath:
 
     def index(self, value: float) -> int | None:
         """Position of the first grid point within 1e-9 |value| of value,
-        else None.  The rule is relative only, so 0 matches only 0 and a
-        grid in any unit matches alike."""
+        else None, as for a value that is not finite.  The rule is relative
+        only, so 0 matches only 0 and a grid in any unit matches alike."""
+        if not np.isfinite(value):
+            return None
         hit = np.flatnonzero(np.abs(self.grid - value) <= 1e-9 * abs(value))
         return int(hit[0]) if hit.size else None
 
@@ -240,8 +242,8 @@ def _sine_rule(u: float):
 
 def sine_pair(f, u: float) -> float:
     """Quadrature pairing sqrt(u) * integral of sin(theta) f(e^(i theta)/sqrt(u))."""
-    if not u > 0:
-        raise DomainError("sine_pair needs u > 0")
+    if not 0 < u < np.inf:
+        raise DomainError("sine_pair needs 0 < u < inf")
     if not callable(f):
         raise DomainError("expected a callable")
     nodes, weights = _sine_rule(u)

@@ -111,6 +111,9 @@ def sample_gff_observables(cov, n: int, seed: int) -> np.ndarray:
         raise DomainError("covariance must be square")
     if not np.all(np.isfinite(matrix)):
         raise DomainError("covariance must be finite")
+    # Cholesky reads the lower triangle only; a caller's rounding may differ
+    if np.any(np.abs(matrix - matrix.T) > 1e-12 * np.max(np.abs(matrix), initial=0.0)):
+        raise DomainError("covariance must be symmetric")
     live = np.diag(matrix) != 0.0
     if np.any(matrix[~live]) or np.any(matrix[:, ~live]):
         raise NumericalError("covariance has a zero variance with a nonzero covariance")

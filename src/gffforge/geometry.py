@@ -26,7 +26,6 @@ __all__ = [
     "gauss_legendre",
     "disk_bump",
     "radial_annulus_bump",
-    "integrate_test_function",
 ]
 
 
@@ -99,8 +98,8 @@ def gauss_legendre(n: int, a: float, b: float):
     """Gauss-Legendre nodes and weights on [a, b]."""
     if n < 1:
         raise DomainError("gauss_legendre needs n >= 1")
-    if not b > a:
-        raise DomainError("gauss_legendre needs b > a")
+    if not (np.isfinite(a) and np.isfinite(b) and b > a):
+        raise DomainError("gauss_legendre needs finite a < b")
     x, w = _reference_rule(n)
     half = 0.5 * (b - a)
     return a + half * (x + 1.0), half * w
@@ -126,9 +125,10 @@ class TestFunction:
 
     ``bbox`` = (x0, x1, y0, y1) bounds the support; ``boundary(n)`` gives n
     points on the support's boundary, used to transport the box through
-    conformal maps.  ``radial`` marks profiles that are rotation invariant
-    about the origin, as (r_lo, r_hi, profile); pairings of such functions
-    collapse to 1-D integrals.
+    conformal maps.  ``radial`` = (r_lo, r_hi) marks a function that is
+    rotation invariant about the origin and vanishes outside
+    r_lo <= |z| <= r_hi; its profile is phi on the positive real axis, and
+    pairings of two such functions collapse to 1-D integrals.
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
@@ -141,43 +141,22 @@ class TestFunction:
         return np.asarray(self.evaluator(z), dtype=float)
 
 
-def _smooth_profile(t):
-    """exp(-1 / (t (1 - t))) on (0, 1), zero outside; all derivatives
-    vanish at both endpoints."""
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    inside = (t > 0.0) & (t < 1.0)
-    ti = t[inside]
-    out[inside] = np.exp(-1.0 / (ti * (1.0 - ti)))
-    return out
-
-
-_N_CDF_TABLE = 16385
-
-
-@lru_cache(maxsize=None)
-def _profile_table():
-    """Nodes and normalized cumulative of the bump exp(-1/(x(1-x))), built
-    once and kept read-only."""
-    x = np.linspace(0.0, 1.0, _N_CDF_TABLE)
-    vals = _smooth_profile(x)
-    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1]) * np.diff(x))])
-    cdf /= cdf[-1]
-    x.flags.writeable = cdf.flags.writeable = False
-    return x, cdf
-
-
 def _smoothstep(t):
-    """C-infinity step: 0 for t <= 0, 1 for t >= 1, integrated bump between."""
-    x, cdf = _profile_table()
-    return np.interp(np.clip(np.asarray(t, dtype=float), 0.0, 1.0), x, cdf)
+    """C-infinity step e^(-1/t) / (e^(-1/t) + e^(-1/(1-t))) of t clipped to
+    [0, 1]: exactly 0 for t <= 0 and 1 for t >= 1, increasing between, with
+    every derivative zero at both ends."""
+    t = np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
+    with np.errstate(divide="ignore"):
+        up = np.exp(-1.0 / t)
+        down = np.exp(-1.0 / (1.0 - t))
+    return up / (up + down)
 
 
 def disk_bump(center: complex, radius: float, height: float = 1.0) -> TestFunction:
     """Radially symmetric bump supported on B_center(radius)."""
-    if not radius > 0:
-        raise DomainError("disk_bump needs radius > 0")
     center = complex(center)
+    if not (np.isfinite(center) and 0 < radius < np.inf):
+        raise DomainError("disk_bump needs a finite center and 0 < radius < inf")
 
     def ev(z):
         rr2 = (np.abs(z - center) / radius) ** 2
@@ -192,12 +171,7 @@ def disk_bump(center: complex, radius: float, height: float = 1.0) -> TestFuncti
         return center + radius * np.exp(1j * t)
 
     bbox = (center.real - radius, center.real + radius, center.imag - radius, center.imag + radius)
-    radial = None
-    if center == 0:
-        def rprof(r):
-            return ev(np.asarray(r, dtype=float) + 0j)
-
-        radial = (0.0, radius, rprof)
+    radial = (0.0, radius) if center == 0 else None
     return TestFunction(ev, bbox, boundary, radial=radial)
 
 
@@ -212,38 +186,34 @@ def radial_annulus_bump(
     Equal to 1 for 1 - delta <= |z| <= 1 - delta/2, zero outside a
     delta/10 neighbourhood of that annulus, with smoothstep shoulders.  With
     ``normalize`` the profile is divided by its 2-D integral.  ``inner`` and
-    ``outer`` override the plateau radii.
+    ``outer`` override the plateau radii, which must be finite with
+    0 <= inner < outer.
     """
     if not 0 < delta < 1:
         raise DomainError("radial_annulus_bump needs delta in (0, 1)")
     r_lo = 1.0 - delta if inner is None else inner
     r_hi = 1.0 - delta / 2.0 if outer is None else outer
+    if not 0 <= r_lo < r_hi < np.inf:
+        raise DomainError("radial_annulus_bump needs finite 0 <= inner < outer")
     pad = delta / 10.0
+    lo, hi = max(r_lo - pad, 0.0), r_hi + pad
 
     def profile(r):
-        r = np.asarray(r, dtype=float)
-        up = _smoothstep((r - (r_lo - pad)) / pad)
-        down = 1.0 - _smoothstep((r - r_hi) / pad)
-        return up * down
+        return _smoothstep((r - (r_lo - pad)) / pad) * (1.0 - _smoothstep((r - r_hi) / pad))
 
     scale = 1.0
     if normalize:
-        rr, ww = gauss_legendre(256, max(r_lo - pad, 0.0), r_hi + pad)
+        rr, ww = gauss_legendre(256, lo, hi)
         scale = 1.0 / (2.0 * np.pi * np.sum(ww * rr * profile(rr)))
 
     def ev(z):
         return scale * profile(np.abs(z))
 
-    lo, hi = max(r_lo - pad, 0.0), r_hi + pad
-
     def boundary(n):
         t = np.linspace(0.0, 2.0 * np.pi, n // 2, endpoint=False)
         return np.concatenate([lo * np.exp(1j * t), hi * np.exp(1j * t)])
 
-    def rprof(r):
-        return scale * profile(r)
-
-    return TestFunction(ev, (-hi, hi, -hi, hi), boundary, radial=(lo, hi, rprof))
+    return TestFunction(ev, (-hi, hi, -hi, hi), boundary, radial=(lo, hi))
 
 
 def pullback_test_function(phi: TestFunction, f: Mobius) -> TestFunction:
@@ -268,13 +238,3 @@ def pullback_test_function(phi: TestFunction, f: Mobius) -> TestFunction:
         return f(phi.boundary(n))
 
     return TestFunction(ev, bbox, boundary)
-
-
-def integrate_test_function(phi: TestFunction, n: int = 256) -> float:
-    """Plane integral of phi by tensor Gauss-Legendre over its bounding box."""
-    x0, x1, y0, y1 = phi.bbox
-    gx, wx = gauss_legendre(n, x0, x1)
-    gy, wy = gauss_legendre(n, y0, y1)
-    zz = gx[:, None] + 1j * gy[None, :]
-    return float(np.sum(wx[:, None] * wy[None, :] * phi(zz)))
-

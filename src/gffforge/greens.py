@@ -98,19 +98,20 @@ def _kernel_parts(domain):
 
 
 def _radial_pairing(f: TestFunction, g: TestFunction, n: int = 4096) -> float:
-    """Pairing of two radial profiles about the disk center.
+    """Pairing of two radial test functions about the disk center.
 
-    The angular average of the disk kernel between circles of radii r and
-    rho is exactly -log(max(r, rho)), which turns the 4-D integral into a
-    1-D one with a cumulative-mass factor.
+    Each profile is its function read on the positive real axis, across
+    both support radii (``TestFunction.radial``).  The angular average of
+    the disk kernel between circles of radii r and rho is exactly
+    -log(max(r, rho)), which turns the 4-D integral into a 1-D one with a
+    cumulative-mass factor.
     """
-    (flo, fhi, fprof) = f.radial
-    (glo, ghi, gprof) = g.radial
+    (flo, fhi), (glo, ghi) = f.radial, g.radial
     lo = max(min(flo, glo), 0.0)
     hi = max(fhi, ghi)
     r = np.linspace(max(lo, 1e-12), hi, n)
-    mf = 2.0 * np.pi * r * fprof(r)
-    mg = 2.0 * np.pi * r * gprof(r)
+    mf = 2.0 * np.pi * r * f(r)
+    mg = 2.0 * np.pi * r * g(r)
     dr = r[1] - r[0]
     # trapezoid cumulative masses M(r) = integral up to r
     Mf = np.concatenate([[0.0], np.cumsum(0.5 * (mf[1:] + mf[:-1]) * dr)])[: n]

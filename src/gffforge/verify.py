@@ -277,6 +277,8 @@ def distance_correlation(x, y, seed: int = 0, cap: int = 800) -> tuple:
     n = len(x)
     if len(y) != n:
         raise DomainError(f"distance correlation needs paired samples, got {n} and {len(y)}")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise DomainError("distance correlation needs finite samples")
     if n > cap:
         idx = replica_rng(seed, 0).choice(n, size=cap, replace=False)
         x, y = x[idx], y[idx]

@@ -123,6 +123,13 @@ def test_sine_pair_rejects_bad_scale():
         sine_pair(lambda z: z.imag, 0.0)
 
 
+@pytest.mark.parametrize("u", [np.inf])
+def test_sine_pair_rejects_infinite_scale(u):
+    # u = inf put every node at 0 with infinite weight: the pairing was NaN
+    with pytest.raises(DomainError, match="inf"):
+        sine_pair(lambda z: z.imag, u)
+
+
 # ---------------------------------------------------------------------------
 # circle averages
 # ---------------------------------------------------------------------------
@@ -812,6 +819,11 @@ def test_process_path_column_reads_grid_points_only():
     assert tiny.index(5.5e-13) is None
     with pytest.raises(DomainError):
         tiny.column(5.5e-13)
+    # |g - inf| <= 1e-9 inf held at every grid point, so inf read column 0
+    for bad in (np.inf, -np.inf, np.nan):
+        assert path.index(bad) is None
+        with pytest.raises(DomainError, match="not on the path grid"):
+            path.column(bad)
 
 
 def test_process_path_csv_round_trip(tmp_path):

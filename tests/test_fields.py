@@ -145,6 +145,21 @@ def test_gff_observables_reject_nonfinite_covariance(bad):
         sample_gff_observables(cov, 10, seed=0)
 
 
+@pytest.mark.parametrize("cov", [[[1.0, 5.0], [0.0, 1.0]], [[1.0, 0.5], [0.9, 1.0]]],
+                         ids=["upper-without-root", "unequal-triangles"])
+def test_gff_observables_reject_non_symmetric_covariance(cov):
+    # Cholesky read the lower triangle only: the first gave uncorrelated
+    # draws, the second covariance 0.9
+    with pytest.raises(DomainError, match="symmetric"):
+        sample_gff_observables(np.array(cov), 10, seed=0)
+
+
+def test_gff_observables_accept_rounding_asymmetry():
+    cov = np.array([[2.0, 1.0 + 1e-13], [1.0, 1.0]])
+    assert np.array_equal(sample_gff_observables(cov, 50, seed=11),
+                          sample_gff_observables(np.array([[2.0, 1.0], [1.0, 1.0]]), 50, seed=11))
+
+
 def test_gff_observables_batch_split_invariance():
     cov = np.array([[2.0, 1.0], [1.0, 1.0]])
     whole = sample_gff_observables(cov, 100, seed=9)

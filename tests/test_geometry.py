@@ -10,9 +10,9 @@ from gffforge.geometry import (
     UpperHalfPlane,
     disk_bump,
     gauss_legendre,
-    integrate_test_function,
     mobius_to_disk,
     pullback_test_function,
+    radial_annulus_bump,
 )
 
 
@@ -162,6 +162,13 @@ def test_gauss_legendre_validation():
         gauss_legendre(4, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("a, b", [(0.0, np.inf), (-np.inf, 1.0), (-np.inf, np.inf)])
+def test_gauss_legendre_rejects_infinite_interval(a, b):
+    # an infinite end gave inf or NaN nodes
+    with pytest.raises(DomainError, match="finite"):
+        gauss_legendre(4, a, b)
+
+
 # ---------------------------------------------------------------------------
 # test functions and pullbacks
 # ---------------------------------------------------------------------------
@@ -173,6 +180,38 @@ def test_disk_bump_support_and_smoothness():
     assert phi(0.2 + 0.1j + 0.31) == 0.0
     grid = 0.2 + 0.1j + 0.29 * np.exp(1j * np.linspace(0, 2 * np.pi, 100))
     assert np.all(np.isfinite(phi(grid)))
+
+
+@pytest.mark.parametrize(
+    "center, radius", [(np.nan, 0.3), (complex(0.0, np.inf), 0.3), (0.0, np.inf)],
+    ids=["nan-center", "inf-center", "inf-radius"],
+)
+def test_disk_bump_rejects_non_finite_center_or_radius(center, radius):
+    # each was accepted with a NaN or infinite box
+    with pytest.raises(DomainError, match="finite"):
+        disk_bump(center, radius)
+
+
+@pytest.mark.parametrize(
+    "inner, outer", [(np.nan, None), (None, np.nan), (None, np.inf), (0.9, 0.5), (-0.5, -0.3)],
+    ids=["nan-inner", "nan-outer", "inf-outer", "inner-above-outer", "below-radius-0"],
+)
+def test_radial_annulus_bump_rejects_bad_radii(inner, outer):
+    # NaN radii evaluated to NaN and an infinite one gave an infinite box;
+    # the last two cases were identically zero
+    with pytest.raises(DomainError, match="inner < outer"):
+        radial_annulus_bump(0.1, inner=inner, outer=outer)
+
+
+def test_smoothstep_is_an_exact_monotone_step():
+    from gffforge.geometry import _smoothstep
+
+    t = np.linspace(-0.5, 1.5, 20_001)
+    s = _smoothstep(t)
+    assert np.all(s[t <= 0] == 0.0) and np.all(s[t >= 1] == 1.0)
+    assert np.all(np.diff(s) >= 0)
+    assert _smoothstep(0.5) == 0.5
+    np.testing.assert_allclose(s + _smoothstep(1.0 - t), 1.0, rtol=0, atol=1e-15)
 
 
 def test_pullback_scaling_rule():
@@ -198,7 +237,13 @@ def test_pullback_preserves_total_integral(seed):
     phi = disk_bump(0.15 * rng.uniform(-1, 1), 0.25)
     f = mobius_to_disk(z0).inverse()
     pulled = pullback_test_function(phi, f)
-    assert integrate_test_function(pulled, n=384) == pytest.approx(
-        integrate_test_function(phi, n=384), abs=1e-6
-    )
+    assert _plane_integral(pulled, n=384) == pytest.approx(_plane_integral(phi, n=384), abs=1e-6)
+
+
+def _plane_integral(phi, n):
+    """Plane integral of phi by tensor Gauss-Legendre over its bounding box."""
+    x0, x1, y0, y1 = phi.bbox
+    gx, wx = gauss_legendre(n, x0, x1)
+    gy, wy = gauss_legendre(n, y0, y1)
+    return float(np.sum(wx[:, None] * wy[None, :] * phi(gx[:, None] + 1j * gy[None, :])))
 

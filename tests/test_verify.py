@@ -137,6 +137,17 @@ def test_distance_correlation_rejects_unpaired_samples():
             distance_correlation(rng.standard_normal(nx), rng.standard_normal(ny))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_distance_correlation_rejects_non_finite_samples(bad):
+    # (nan, nan) came back, which a gate reads as a failure, not an error
+    rng = replica_rng(8, 2)
+    x, y = rng.standard_normal(300), rng.standard_normal(300)
+    x[17] = bad
+    for a, b in ((x, y), (y, x)):
+        with pytest.raises(DomainError, match="finite"):
+            distance_correlation(a, b)
+
+
 def test_distance_correlation_of_a_regular_simplex_ties_every_permutation():
     # all distances among the rows of I are equal, so the cross term is the
     # same under every permutation: its moments are rounding noise, p is 1
@@ -359,6 +370,9 @@ def test_scaling_validation():
         vfy.test_brownian_scaling(Y, 3.0)  # no (u, 3u) pair on the grid
     with pytest.raises(DomainError):
         vfy.test_brownian_scaling(bm_path(SHORT_GRID, 60, 81), 2.0)
+    # an infinite factor paired every u with "inf u", read as the first column
+    with pytest.raises(DomainError, match="no grid pair"):
+        vfy.test_brownian_scaling(Y, np.inf)
 
 
 def test_scaling_rejects_stable_levy():
@@ -434,6 +448,8 @@ def test_harness_validation():
         vfy.test_harness(Y, 1.0, 2.0, 8.0)  # off the grid range
     with pytest.raises(DomainError):
         vfy.test_harness(Y, 1.0, 3.0, 4.0)  # inside the range, off the grid
+    with pytest.raises(DomainError, match="not on the path grid"):
+        vfy.test_harness(Y, 1.0, 2.0, np.inf)  # Y(inf) read the first column
 
 
 def test_harness_rejects_compound_poisson():
@@ -473,6 +489,9 @@ def test_moment_bootstrap_reads_no_interpolated_column():
     # 2 u0 = 2 lies inside the grid's range but not on it
     with pytest.raises(DomainError, match="not on the path grid"):
         vfy.test_moment_bootstrap(bm_path((0.5, 1.0, 1.5, 3.0, 4.0), 500, 73))
+    # u0 = inf read the first column twice
+    with pytest.raises(DomainError, match="not on the path grid"):
+        vfy.test_moment_bootstrap(bm_path(SHORT_GRID, 500, 73), u0=np.inf)
 
 
 # ---------------------------------------------------------------------------
