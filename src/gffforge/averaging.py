@@ -39,6 +39,24 @@ __all__ = [
 DEFAULT_U_GRID = (0.5, 1.0, 1.025, 1.05, 1.1, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0)
 DEFAULT_T_GRID = (0.25, 0.25625, 0.2625, 0.275, 0.5, 0.75, 1.0, 1.25)
 
+# rows per string format in _write_csv_rows: bounds the text held at once
+# for any row count
+_CSV_BLOCK = 4096
+
+
+def _write_csv_rows(fh, values, row: str) -> None:
+    """Write each row of the 2-D float array ``values`` to the text file
+    ``fh`` as ``row % tuple(that row)``.
+
+    ``row`` holds one ``%.17g`` per column (17 significant digits read a
+    float64 back exactly) and ends in a newline; it may carry fixed text,
+    such as a column that is constant over the rows.  One ``%`` formats up
+    to ``_CSV_BLOCK`` rows of the repeated template, so no Python runs per
+    row.  The text equals ``np.savetxt``'s and the per-value f-string's."""
+    for lo in range(0, len(values), _CSV_BLOCK):
+        block = values[lo : lo + _CSV_BLOCK]
+        fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+
 
 # ---------------------------------------------------------------------------
 # observables
@@ -139,9 +157,12 @@ class ProcessPath:
         return self.replicas[:, j]
 
     def to_csv(self, path) -> None:
+        """Write the grid row, then one row per replica, each value as
+        ``%.17g`` and comma-separated (see ``_write_csv_rows``)."""
+        row = ",".join(["%.17g"] * len(self.grid)) + "\n"
         with open(path, "w") as fh:
             for rows in (self.grid[None, :], self.replicas):
-                np.savetxt(fh, rows, fmt="%.17g", delimiter=",")
+                _write_csv_rows(fh, rows, row)
 
     @classmethod
     def from_csv(cls, path) -> "ProcessPath":

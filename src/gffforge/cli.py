@@ -34,6 +34,7 @@ from . import __version__
 from .averaging import (
     DEFAULT_T_GRID,
     DEFAULT_U_GRID,
+    _write_csv_rows,
     circle_average_path,
     sine_average_path,
 )
@@ -209,9 +210,12 @@ def _run_wick_fourth(cfg: ExperimentConfig) -> tuple:
     phi = disk_bump(0.0, 0.5)
     w = np.asarray(phi(lat.z)) * lat.spacing**2
     samples = sample_functionals(lat, w[:, None], cfg.n_samples, cfg.seed)[:, 0]
-    return [asdict(test_wick_fourth(samples))], {
-        "pairings.csv": lambda path: np.savetxt(path, samples, fmt="%.17g")
-    }
+
+    def write_pairings(path):
+        with open(path, "w") as fh:
+            _write_csv_rows(fh, samples[:, None], "%.17g\n")
+
+    return [asdict(test_wick_fourth(samples))], {"pairings.csv": write_pairings}
 
 
 def _run_conformal_rotation(cfg: ExperimentConfig) -> tuple:

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .averaging import _write_csv_rows
 from .errors import DomainError
 from .rng import replica_rng
 
@@ -80,9 +81,10 @@ def arc_mass(r: float, a: float, b: float) -> float:
 class ExcursionSample:
     """Hit statistics of a batch of excursion attempts.
 
-    ``angles``/``weights``/``roots`` are per-hit; ``roots`` indexes the
-    originating path so that per-path totals are independent (splitting
-    correlates fragments of the same path, never across paths).
+    ``angles``/``weights``/``roots`` are per-hit, 1-D and of one length;
+    ``roots`` indexes the originating path so that per-path totals are
+    independent (splitting correlates fragments of the same path, never
+    across paths).
     ``n_absorbed`` counts the fragments that ended on the diameter.  Random
     streams are keyed per fixed block of path indices, never per worker,
     so the sample does not depend on the worker count.
@@ -96,6 +98,15 @@ class ExcursionSample:
     roots: np.ndarray
     n_absorbed: int
 
+    def __post_init__(self):
+        self.angles = np.asarray(self.angles, dtype=float)
+        self.weights = np.asarray(self.weights, dtype=float)
+        self.roots = np.asarray(self.roots)
+        if not (self.angles.ndim == self.weights.ndim == self.roots.ndim == 1):
+            raise DomainError("angles, weights and roots must be one-dimensional")
+        if not len(self.angles) == len(self.weights) == len(self.roots):
+            raise DomainError("angles, weights and roots must have one length per hit")
+
     @property
     def mass_estimate(self) -> float:
         return float(self.weights.sum() / (self.n_paths * self.eps))
@@ -108,13 +119,19 @@ class ExcursionSample:
         return float(per_root.std(ddof=1) / np.sqrt(self.n_paths))
 
     def to_csv(self, path) -> None:
-        eps = f"{self.eps:.17g}"
+        """Write ``hit,angle,eps,weight``, one row per hit, each number as
+        ``%.17g``.  Rows go out in runs of equal weight, with eps and the
+        run's weight formatted once into the row template, so only the
+        angle is formatted per row; a sampled batch is one run."""
+        # runs by bits, since -0.0 == 0.0 but they print apart
+        bits = self.weights.view(np.int64)
+        cuts = (np.flatnonzero(bits[1:] != bits[:-1]) + 1).tolist()
         with open(path, "w") as fh:
             fh.write("hit,angle,eps,weight\n")
-            fh.writelines(
-                f"1,{a:.17g},{eps},{w:.17g}\n"
-                for a, w in zip(self.angles.tolist(), self.weights.tolist())
-            )
+            for lo, hi in zip([0, *cuts], [*cuts, len(bits)]):
+                if lo < hi:
+                    row = f"1,%.17g,{self.eps:.17g},{self.weights[lo]:.17g}\n"
+                    _write_csv_rows(fh, self.angles[lo:hi, None], row)
 
 
 def _exit(a, b, rng):

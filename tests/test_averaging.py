@@ -837,9 +837,10 @@ def test_process_path_csv_round_trip(tmp_path):
 
 def test_process_path_csv_bytes_match_reference_rendering(tmp_path):
     # reference: the per-value rendering, %.17g joined by commas, grid row
-    # first; -0.0 and subnormals included
+    # first; -0.0 and subnormals included, and more than two 4,096-row
+    # blocks of the writer
     rng = np.random.default_rng(311)
-    reps = rng.standard_normal((4000, 8)) * 10.0 ** rng.integers(-300, 300, (4000, 8))
+    reps = rng.standard_normal((9000, 8)) * 10.0 ** rng.integers(-300, 300, (9000, 8))
     reps[0, :4] = (-0.0, 0.0, 5e-324, 2.2250738585072014e-309)
     for grid, replicas in (((0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0), reps), ((1.0, 2.0), np.zeros((0, 2)))):
         path = ProcessPath(np.array(grid), replicas)

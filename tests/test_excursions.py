@@ -14,6 +14,7 @@ from numpy.testing import assert_array_equal
 from gffforge import excursions
 from gffforge.errors import DomainError
 from gffforge.excursions import (
+    ExcursionSample,
     arc_mass,
     continue_paths,
     hitting_cdf,
@@ -269,6 +270,27 @@ def test_sampler_validation():
         sample_excursion_hits(1.0, 1e-2, 1, seed=2).mass_stderr()
 
 
+def test_sample_rejects_misaligned_hits():
+    # 3 angles with 2 weights wrote 2 rows to hits.csv and read a mass of
+    # 10.0; only mass_stderr raised, a bare ValueError
+    good = {
+        "angles": np.array([0.5, 1.0, 1.5]),
+        "weights": np.array([0.25, 0.25, 0.25]),
+        "roots": np.array([0, 1, 2]),
+    }
+    for key, bad in (
+        ("weights", np.array([0.25, 0.25])),
+        ("roots", np.array([0, 1])),
+        ("angles", np.array([0.5, 1.0, 1.5, 2.0])),
+        ("angles", np.array([[0.5], [1.0], [1.5]])),
+        ("weights", np.float64(0.25)),
+    ):
+        with pytest.raises(DomainError, match="angles, weights and roots"):
+            ExcursionSample(1.0, 1e-2, 5, **{**good, key: bad}, n_absorbed=0)
+    s = ExcursionSample(1.0, 1e-2, 5, **good, n_absorbed=0)
+    assert s.mass_estimate == pytest.approx(15.0)
+
+
 def test_continue_paths_validation():
     with pytest.raises(DomainError):
         continue_paths(np.array([0.5 - 0.1j]), 2.0, seed=0)
@@ -332,13 +354,26 @@ def _hits_csv(sample) -> str:
 
 
 def test_to_csv_matches_records_rendering(tmp_path):
-    s = sample_excursion_hits(1.0, 1e-2, 400, seed=179)
+    # a sampled batch (one weight run); no hits, which writes the header
+    # only; and 13,000 hand-built hits in weight runs, -0.0 beside 0.0, two
+    # of them across a 4,096-row block edge and the last over three blocks
+    rng = np.random.default_rng(181)
+    n = 13_000
+    weights = np.repeat([0.5, 0.25, -0.0, 0.0, 2.0**-7], [10, 4200, 3, 3, n - 4216])
+    samples = (
+        sample_excursion_hits(1.0, 1e-2, 400, seed=179),
+        ExcursionSample(1.0, 1e-2, 5, np.zeros(0), np.zeros(0), np.zeros(0, dtype=np.int64), 0),
+        ExcursionSample(1.0, 1e-2, 5, rng.uniform(0.0, np.pi, n), weights, rng.integers(0, 5, n), 0),
+    )
     f = tmp_path / "hits.csv"
-    s.to_csv(f)
-    assert f.read_bytes() == _hits_csv(s).encode()
-    # the 17 significant digits read back exactly
-    rows = np.genfromtxt(f, delimiter=",", skip_header=1, ndmin=2)
-    assert len(rows) == len(s.angles)
-    assert np.all(rows[:, 0] == 1)
-    assert_array_equal(rows[:, 1], s.angles)
-    assert_array_equal(rows[:, 3], s.weights)
+    for s in samples:
+        s.to_csv(f)
+        assert f.read_bytes() == _hits_csv(s).encode()
+        if not len(s.angles):
+            continue
+        # the 17 significant digits read back exactly
+        rows = np.genfromtxt(f, delimiter=",", skip_header=1, ndmin=2)
+        assert len(rows) == len(s.angles)
+        assert np.all(rows[:, 0] == 1)
+        assert_array_equal(rows[:, 1], s.angles)
+        assert_array_equal(rows[:, 3], s.weights)
