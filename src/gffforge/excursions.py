@@ -82,9 +82,9 @@ class ExcursionSample:
     """Hit statistics of a batch of excursion attempts.
 
     ``angles``/``weights``/``roots`` are per-hit, 1-D and of one length;
-    ``roots`` indexes the originating path so that per-path totals are
-    independent (splitting correlates fragments of the same path, never
-    across paths).
+    ``roots`` indexes the originating path, an integer in [0, n_paths), so
+    that per-path totals are independent (splitting correlates fragments
+    of the same path, never across paths).
     ``n_absorbed`` counts the fragments that ended on the diameter.  Random
     streams are keyed per fixed block of path indices, never per worker,
     so the sample does not depend on the worker count.
@@ -106,6 +106,11 @@ class ExcursionSample:
             raise DomainError("angles, weights and roots must be one-dimensional")
         if not len(self.angles) == len(self.weights) == len(self.roots):
             raise DomainError("angles, weights and roots must have one length per hit")
+        # np.add.at in mass_stderr would wrap a negative root onto another path
+        if not np.issubdtype(self.roots.dtype, np.integer) or (
+            len(self.roots) and not 0 <= self.roots.min() <= self.roots.max() < self.n_paths
+        ):
+            raise DomainError(f"roots must be integer path indices in [0, {self.n_paths})")
 
     @property
     def mass_estimate(self) -> float:

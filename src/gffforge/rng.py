@@ -6,9 +6,10 @@ Replica k of a batch draws from its own counter-based stream keyed by
 result of a run does not depend on how replicas are scheduled.
 
 The replica pool (``parallel_map``, capped by GFFFORGE_THREADS) is the
-library's only parallelism, and only the fields module starts it: each
-block of replicas draws its noise there and, for a field batch, solves its
-own columns.  Importing this module sets numpy's and scipy's OpenBLAS to
+library's only parallelism, and two modules start it.  In the fields
+module each block of replicas draws its noise and, for a field batch,
+solves its own columns; in the verify module a distance correlation fills
+its x side and its y side in arrays its caller allocated.  Importing this module sets numpy's and scipy's OpenBLAS to
 one thread each, and nothing sets them back.
 """
 

@@ -27,7 +27,7 @@ from .errors import DomainError
 from .fields import _replica_rows, sample_functionals, sample_sas
 from .geometry import Mobius, TestFunction, pullback_test_function
 from .greens import LatticeDomain, disk_lattice
-from .rng import replica_rng
+from .rng import parallel_map, replica_rng
 
 __all__ = [
     "SIGNIFICANCE",
@@ -126,21 +126,28 @@ def _pearson(x, y) -> float:
     return float(np.mean((x - x.mean()) * (y - y.mean())) / (sx * sy))
 
 
-def _dist_matrix(v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v, float)
+def _centred_distances(v: np.ndarray, A: np.ndarray, S: np.ndarray) -> float:
+    """Fill A with the double-centred distance matrix of the sample v, using
+    S as scratch, and return mean(A * A)."""
     if v.ndim == 1:
-        return np.abs(v[:, None] - v[None, :])
-    # one column at a time: no (n, n, dim) array, and the same sums in the
-    # same order as a reduction over the last axis
-    sq = 0.0
-    for c in v.T:
-        diff = c[:, None] - c[None, :]
-        sq = sq + diff * diff
-    return np.sqrt(sq)
-
-
-def _center(d: np.ndarray) -> np.ndarray:
-    return d - d.mean(axis=0) - d.mean(axis=1)[:, None] + d.mean()
+        np.subtract(v[:, None], v[None, :], out=A)
+        np.abs(A, out=A)
+    else:
+        # one column at a time: no (n, n, dim) array, and the same sums in
+        # the same order as a reduction over the last axis
+        A.fill(0.0)
+        for c in v.T:
+            np.subtract(c[:, None], c[None, :], out=S)
+            S *= S
+            A += S
+        np.sqrt(A, out=A)
+    # the three means are of the distances, taken before A changes, and
+    # each element is ((d - mean0) - mean1) + mean
+    m0, m1, m = A.mean(axis=0), A.mean(axis=1), A.mean()
+    A -= m0
+    A -= m1[:, None]
+    A += m
+    return np.mean(np.multiply(A, A, out=S))
 
 
 # The permutation law of a Mantel statistic S(pi) = sum_ij A_ij B_pi(i)pi(j)
@@ -204,40 +211,43 @@ def _moment_weights(k: int) -> np.ndarray:
     return G
 
 
-def _graph_sums(A: np.ndarray) -> dict:
-    """The ``_GRAPHS`` sums of A.  Each is a numpy sum: a BLAS dot splits
-    its sum over threads, so its rounding would follow the thread count."""
+def _graph_sums(A: np.ndarray, S: np.ndarray) -> dict:
+    """The ``_GRAPHS`` sums of A, using S as scratch.  Each is a numpy sum:
+    a BLAS dot splits its sum over threads, so its rounding would follow
+    the thread count."""
     d = A.diagonal()
-    A2 = A * A
-    return {
+    A2 = np.multiply(A, A, out=S)
+    sums = {
         (1, 2, 0): np.sum(d * d),
         (2, 0, 2): np.sum(A2),
         (1, 3, 0): np.sum(d * d * d),
-        (2, 0, 3): np.sum(A2 * A),
         (2, 1, 2): np.sum(d * A2.sum(axis=1)),
         (2, 2, 1): np.einsum("i,ij,j->", d, A, d),
-        # A A^T is A^2 for symmetric A, and numpy computes it by syrk at
-        # half the flops of a general product
-        (3, 0, 1): np.sum((A @ A.T) * A),
     }
+    sums[(2, 0, 3)] = np.sum(np.multiply(A2, A, out=S))
+    # A A^T is A^2 for symmetric A, and numpy computes it by syrk at half
+    # the flops of a general product
+    sums[(3, 0, 1)] = np.sum(np.multiply(np.matmul(A, A.T, out=S), A, out=S))
+    return sums
 
 
 def _trace_free(A: np.ndarray) -> np.ndarray:
-    """A - tr(A)/(n - 1) (I - J/n), for a double-centred A: still
-    double-centred, of zero trace, and S(pi) of two such matrices is
-    S(pi) - E[S] of the originals, as E[S] = tr A tr B / (n - 1)."""
+    """Make a double-centred A into A - tr(A)/(n - 1) (I - J/n) in place,
+    and return it: still double-centred, of zero trace, and S(pi) of two
+    such matrices is S(pi) - E[S] of the originals, as E[S] = tr A tr B /
+    (n - 1)."""
     n = len(A)
     t = np.trace(A) / (n - 1)
-    out = A + t / n
-    out.flat[:: n + 1] -= t
-    return out
+    A += t / n
+    A.flat[:: n + 1] -= t
+    return A
 
 
-def _permutation_moments(A: np.ndarray, B: np.ndarray) -> tuple:
+def _permutation_moments(ga: dict, gb: dict, n: int) -> tuple:
     """Variance and third central moment of S(pi) over uniform permutations
-    pi, for trace-free double-centred A and B (see ``_GRAPHS``)."""
-    falling = np.cumprod(len(A) - np.arange(6.0))
-    ga, gb = _graph_sums(A), _graph_sums(B)
+    pi of n samples, from the ``_GRAPHS`` sums of trace-free double-centred
+    A and B."""
+    falling = np.cumprod(n - np.arange(6.0))
     moments = []
     for k in (2, 3):
         a = np.array([ga[g] for g in _GRAPHS[k]])
@@ -270,10 +280,23 @@ def distance_correlation(x, y, seed: int = 0, cap: int = 800) -> tuple:
     (Mielke, Berry & Johnson 1976).  Nothing is sampled: ``seed`` only
     picks the subsample of a sample larger than ``cap``.  The p-value is
     free of the data's units and of the BLAS thread count.  The third
-    moment needs n >= 6, and x and y pair sample by sample.
+    moment needs n >= 6, and x and y pair sample by sample; each is 1-D, or
+    2-D with one row per sample.
+
+    The work lives in four n x n float arrays, A, B and a scratch array for
+    each (20 MB at the 800 cap), allocated here and filled in place.  The
+    x side and the y side run as two items of ``parallel_map``, once to
+    build and centre A and B and once to make them trace-free and take
+    their graph sums; each element keeps the arithmetic of the whole-matrix
+    formulas, so t and p are the same bits at any GFFFORGE_THREADS.
     """
     x = np.asarray(x, float)
     y = np.asarray(y, float)
+    for v in (x, y):
+        if not (v.ndim == 1 or (v.ndim == 2 and v.shape[1] >= 1)):
+            raise DomainError(
+                f"distance correlation needs 1-D samples or 2-D samples with a column, got shape {v.shape}"
+            )
     n = len(x)
     if len(y) != n:
         raise DomainError(f"distance correlation needs paired samples, got {n} and {len(y)}")
@@ -285,19 +308,20 @@ def distance_correlation(x, y, seed: int = 0, cap: int = 800) -> tuple:
         n = cap
     if n < 6:
         raise DomainError("distance correlation needs at least 6 samples")
-    A = _center(_dist_matrix(x))
-    B = _center(_dist_matrix(y))
-    denom = np.sqrt(np.mean(A * A) * np.mean(B * B))
+    A, B, SA, SB = np.empty((4, n, n))
+    sides = ((x, A, SA), (y, B, SB))
+    ma, mb = parallel_map(lambda side: _centred_distances(*side), sides)
+    denom = np.sqrt(ma * mb)
     if denom < 1e-300:
         return 0.0, 1.0
-    t0 = float(np.sqrt(max(np.mean(A * B), 0.0) / denom))
-    A, B = _trace_free(A), _trace_free(B)
-    var, mu3 = _permutation_moments(A, B)
+    t0 = float(np.sqrt(max(np.mean(np.multiply(A, B, out=SA)), 0.0) / denom))
+    ga, gb = parallel_map(lambda side: _graph_sums(_trace_free(side[1]), side[2]), sides)
+    var, mu3 = _permutation_moments(ga, gb, n)
     # a spread at the rounding level of S: every permutation ties, as for x
     # on the vertices of a regular simplex
     if var <= (1e-12 * n * n * denom) ** 2:
         return t0, 1.0
-    return t0, _pearson3_sf(np.sum(A * B) / np.sqrt(var), mu3 / var**1.5)
+    return t0, _pearson3_sf(np.sum(np.multiply(A, B, out=SA)) / np.sqrt(var), mu3 / var**1.5)
 
 
 def _p_gate(p: float) -> float:
@@ -556,7 +580,9 @@ def characterize_bm(Y: ProcessPath, seed: int = 0) -> CharBMVerdict:
     normality of standardized increments.  The battery's needs, a
     positive grid of at least 4 points with an (s, 2s, 4s) triple and
     MIN_BATTERY_REPLICAS replicas, are checked before any sub-test runs.
-    The sub-tests run one after another, in the caller's thread.
+    The sub-tests run one after another, in the caller's thread; inside
+    each distance correlation of the independence and harness tests, the
+    x and y sides run on the replica pool (``distance_correlation``).
     """
     n = len(Y.replicas)
     if len(Y.grid) < 4:

@@ -287,6 +287,11 @@ def test_sample_rejects_misaligned_hits():
     ):
         with pytest.raises(DomainError, match="angles, weights and roots"):
             ExcursionSample(1.0, 1e-2, 5, **{**good, key: bad}, n_absorbed=0)
+    # a root of -1 was wrapped onto the last path by np.add.at, and a root
+    # of n_paths raised a bare IndexError in mass_stderr
+    for bad in ([-1, 1, 2], [0, 1, 5], [0.0, 1.0, 2.0]):
+        with pytest.raises(DomainError, match="roots must be integer path indices"):
+            ExcursionSample(1.0, 1e-2, 5, **{**good, "roots": np.array(bad)}, n_absorbed=0)
     s = ExcursionSample(1.0, 1e-2, 5, **good, n_absorbed=0)
     assert s.mass_estimate == pytest.approx(15.0)
 

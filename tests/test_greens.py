@@ -370,9 +370,10 @@ def test_modules_import_only_earlier_layers():
         assert imported <= allowed, f"{path.stem} imports {sorted(imported - allowed)}"
 
 
-def test_parallel_map_is_called_from_fields_only():
-    # one module decides the library's threads: fields spreads replica
-    # blocks over the pool that rng defines, and no other module starts one
+def test_parallel_map_is_called_from_fields_and_verify_only():
+    # two modules start the pool that rng defines: fields spreads replica
+    # blocks over it and verify the two sides of a distance correlation;
+    # no other module starts one
     pkg = Path(greens.__file__).parent
     users = {
         path.stem
@@ -383,7 +384,7 @@ def test_parallel_map_is_called_from_fields_only():
         or (isinstance(n, ast.FunctionDef) and n.name == "parallel_map")
         or (isinstance(n, ast.alias) and n.name == "parallel_map")
     }
-    assert users == {"rng", "fields"}
+    assert users == {"rng", "fields", "verify"}
 
 
 def test_duplicate_sites_rejected():

@@ -135,6 +135,14 @@ def test_distance_correlation_rejects_unpaired_samples():
     for nx, ny in ((1000, 2000), (300, 200), (2000, 10)):
         with pytest.raises(DomainError, match="paired samples"):
             distance_correlation(rng.standard_normal(nx), rng.standard_normal(ny))
+    # a sample is 1-D or one row per sample: a 0-d sample escaped as a
+    # TypeError from len(), an (n, 0) one as an AxisError and a 3-D one as
+    # a broadcasting ValueError
+    good = rng.standard_normal(300)
+    for bad in (np.float64(0.5), np.zeros((300, 0)), rng.standard_normal((300, 2, 2))):
+        for a, b in ((bad, good), (good, bad)):
+            with pytest.raises(DomainError, match="1-D samples or 2-D samples"):
+                distance_correlation(a, b)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
@@ -198,8 +206,79 @@ def _dcor_case(kind, n):
     return inc[:, 0], inc[:, 1:]
 
 
+# The whole-matrix formulas that distance_correlation evaluates in place,
+# one fresh array per step: its (t, p) must equal this reference's bits.
+
+
+def _dist_matrix(v):
+    v = np.asarray(v, float)
+    if v.ndim == 1:
+        return np.abs(v[:, None] - v[None, :])
+    sq = 0.0
+    for c in v.T:
+        diff = c[:, None] - c[None, :]
+        sq = sq + diff * diff
+    return np.sqrt(sq)
+
+
+def _center(d):
+    return d - d.mean(axis=0) - d.mean(axis=1)[:, None] + d.mean()
+
+
 def _centred_pair(x, y):
-    return vfy._center(vfy._dist_matrix(x)), vfy._center(vfy._dist_matrix(y))
+    return _center(_dist_matrix(x)), _center(_dist_matrix(y))
+
+
+def _trace_free(A):
+    n = len(A)
+    t = np.trace(A) / (n - 1)
+    out = A + t / n
+    out.flat[:: n + 1] -= t
+    return out
+
+
+def _graph_sums(A):
+    d = A.diagonal()
+    A2 = A * A
+    return {
+        (1, 2, 0): np.sum(d * d),
+        (2, 0, 2): np.sum(A2),
+        (1, 3, 0): np.sum(d * d * d),
+        (2, 0, 3): np.sum(A2 * A),
+        (2, 1, 2): np.sum(d * A2.sum(axis=1)),
+        (2, 2, 1): np.einsum("i,ij,j->", d, A, d),
+        (3, 0, 1): np.sum((A @ A.T) * A),
+    }
+
+
+def _reference_dcor(x, y, seed, cap=800):
+    x, y = np.asarray(x, float), np.asarray(y, float)
+    n = len(x)
+    if n > cap:
+        idx = replica_rng(seed, 0).choice(n, size=cap, replace=False)
+        x, y, n = x[idx], y[idx], cap
+    A, B = _centred_pair(x, y)
+    denom = np.sqrt(np.mean(A * A) * np.mean(B * B))
+    if denom < 1e-300:
+        return 0.0, 1.0
+    t0 = float(np.sqrt(max(np.mean(A * B), 0.0) / denom))
+    A, B = _trace_free(A), _trace_free(B)
+    var, mu3 = vfy._permutation_moments(_graph_sums(A), _graph_sums(B), n)
+    if var <= (1e-12 * n * n * denom) ** 2:
+        return t0, 1.0
+    return t0, vfy._pearson3_sf(np.sum(A * B) / np.sqrt(var), mu3 / var**1.5)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_distance_correlation_matches_whole_matrix_reference_bits(monkeypatch, threads):
+    # the in-place sides on the replica pool keep every element's arithmetic
+    # and every reduction's operands, so t and p are equal, not close
+    monkeypatch.setenv("GFFFORGE_THREADS", threads)
+    cases = [_dcor_case(kind, n) for kind in ("1d", "2d", "compound-poisson-ties") for n in (7, 200, 800)]
+    big = replica_rng(18, 0).standard_normal((2000, 2))
+    cases.append((big, np.hypot(big[:, 0], big[:, 1]) + replica_rng(18, 1).standard_normal(2000)))
+    for x, y in cases:
+        assert distance_correlation(x, y, seed=5) == _reference_dcor(x, y, seed=5)
 
 
 @pytest.mark.parametrize("n", [6, 7, 8])
@@ -212,12 +291,13 @@ def test_permutation_moments_match_enumeration(kind, n):
     var = np.mean((S - mean) ** 2)
     mu3 = np.mean((S - mean) ** 3)
     assert abs(mu3) > 1e-6 * var**1.5  # a skewness the tail depends on
-    A0, B0 = vfy._trace_free(A), vfy._trace_free(B)
+    A0, B0 = vfy._trace_free(A.copy()), vfy._trace_free(B.copy())
     # the trace-free pair's statistic is S - E[S] under every permutation
     S0 = np.einsum("ij,pij->p", A0, B0[perms[:, :, None], perms[:, None, :]])
     assert np.max(np.abs(S0 - (S - mean))) <= 1e-10 * np.sqrt(var)
     assert mean == pytest.approx(np.trace(A) * np.trace(B) / (n - 1), rel=1e-10)
-    got_var, got_mu3 = vfy._permutation_moments(A0, B0)
+    ga, gb = (vfy._graph_sums(M, np.empty_like(M)) for M in (A0, B0))
+    got_var, got_mu3 = vfy._permutation_moments(ga, gb, n)
     assert got_var == pytest.approx(var, rel=1e-10)
     assert got_mu3 / got_var**1.5 == pytest.approx(mu3 / var**1.5, rel=1e-10)
 
