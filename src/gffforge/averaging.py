@@ -107,10 +107,6 @@ class SineMeasure:
     def radius(self) -> float:
         return 1.0 / np.sqrt(self.u)
 
-    @property
-    def total_mass(self) -> float:
-        return 2.0 * np.sqrt(self.u)
-
     def discretize(self, offset: int = 0):
         h = np.pi / self.n_nodes
         t = (np.arange(self.n_nodes) + (0.25 if offset == 0 else 0.75)) * h
@@ -163,11 +159,6 @@ class ProcessPath:
         with open(path, "w") as fh:
             for rows in (self.grid[None, :], self.replicas):
                 _write_csv_rows(fh, rows, row)
-
-    @classmethod
-    def from_csv(cls, path) -> "ProcessPath":
-        data = np.loadtxt(path, delimiter=",", ndmin=2)
-        return cls(grid=data[0], replicas=data[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -292,13 +283,13 @@ def sine_lattice_for(
     return halfplane_lattice(width, smallest / points_per_radius)
 
 
-def _sine_weights(lat: LatticeDomain, u: float, r_factor: float = _R_FACTOR):
+def _sine_weights(lat: LatticeDomain, u: float):
     # the sine rule's nodes near the real axis read the Dirichlet row j = 0
     if np.any(lat.interior_ij[:, 1] <= 0):
         raise DomainError("sine averages need a half-plane lattice (every site at j >= 1)")
     region = lambda z: np.abs(z) < 1.0 / np.sqrt(u)
-    build = lambda: _cell_weights(lat, region, 16, f"semi-disk at u={u}", *_sine_rule(r_factor * u))
-    return lat.cached(("sine", float(u), float(r_factor)), build)
+    build = lambda: _cell_weights(lat, region, 16, f"semi-disk at u={u}", *_sine_rule(_R_FACTOR * u))
+    return lat.cached(("sine", float(u)), build)
 
 
 def sine_average_path(

@@ -39,14 +39,10 @@ from .averaging import (
     sine_average_path,
 )
 from .errors import ConfigError, DomainError, NumericalError, ResolutionError
-from .excursions import (
-    sample_excursion_hits,
-    total_mass,
-    weighted_ks_distance,
-)
+from .excursions import sample_excursion_hits, total_mass, weighted_ks_distance
 from .fields import CALIBRATION, FieldSample, dgff_matrix, sample_functionals, stable_matrix
 from .geometry import Mobius, disk_bump
-from .greens import disk_lattice, green_variance_ratio
+from .greens import disk_lattice
 from .rng import derived_seed, openblas_threads, thread_count
 from .verify import TestReport, characterize_bm, test_conformal_invariance, test_wick_fourth
 
@@ -80,6 +76,8 @@ def _parse(key: str, value, default):
         derived_seed(value, 0)  # raises ConfigError for a seed outside [0, 2^64)
     elif key in ("lattice_size", "r", "eps", "n_samples") and not value > 0:
         raise ConfigError(f"{key} must be positive")
+    elif key.startswith("tol.") and value < 0:
+        raise ConfigError(f"{key} must not be negative")
     elif key == "alpha" and not 1.0 < value <= 2.0:
         raise ConfigError("alpha must lie in (1, 2], the stable field's range")
     elif key.endswith("_grid"):
@@ -322,16 +320,6 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--output-dir", default=None)
     v.add_argument("--seed", type=int, default=None)
 
-    e = sub.add_parser("excursions", help="sample excursion hits")
-    e.add_argument("--r", type=float, default=1.0)
-    e.add_argument("--eps", type=float, default=1e-3)
-    e.add_argument("--n", type=int, default=200_000)
-    e.add_argument("--seed", type=int, default=7)
-    e.add_argument("--out", default=None, help="optional hit-record CSV")
-
-    c = sub.add_parser("calibrate", help="re-derive the lattice-to-continuum constant")
-    c.add_argument("--size", type=int, default=128)
-
     w = sub.add_parser("paths", help="generate average-process paths as CSV")
     w.add_argument("--kind", choices=("circle", "sine"), required=True)
     w.add_argument("--backend", choices=("exact", "lattice"), default="exact")
@@ -386,38 +374,6 @@ def _cmd_verify(args) -> int:
     return run(cfg)
 
 
-def _cmd_excursions(args) -> int:
-    sample = sample_excursion_hits(args.r, args.eps, args.n, args.seed)
-    summary = {
-        "mass_estimate": sample.mass_estimate,
-        "mass_stderr": sample.mass_stderr(),
-        "target": total_mass(args.r),
-        "n_hits": int(len(sample.angles)),
-        "hit_angle_ks": weighted_ks_distance(sample.angles, sample.weights),
-    }
-    if args.out:
-        sample.to_csv(args.out)
-    print(json.dumps(summary))
-    return 0
-
-
-def _cmd_calibrate(args) -> int:
-    ratio = green_variance_ratio(disk_lattice(args.size))
-    estimate = 1.0 / np.sqrt(ratio)
-    print(
-        json.dumps(
-            {
-                "size": args.size,
-                "green_ratio": ratio,
-                "two_pi_ratio": float(2.0 * np.pi * ratio),
-                "calibration_estimate": float(estimate),
-                "builtin_calibration": float(CALIBRATION),
-            }
-        )
-    )
-    return 0
-
-
 def _cmd_paths(args) -> int:
     grid = _parse("--grid", args.grid, ())
     if not grid:
@@ -442,8 +398,6 @@ def _cmd_paths(args) -> int:
 _COMMANDS = {
     "sample": _cmd_sample,
     "verify": _cmd_verify,
-    "excursions": _cmd_excursions,
-    "calibrate": _cmd_calibrate,
     "paths": _cmd_paths,
 }
 

@@ -152,7 +152,7 @@ def _smoothstep(t):
     return up / (up + down)
 
 
-def disk_bump(center: complex, radius: float, height: float = 1.0) -> TestFunction:
+def disk_bump(center: complex, radius: float) -> TestFunction:
     """Radially symmetric bump supported on B_center(radius)."""
     center = complex(center)
     if not (np.isfinite(center) and 0 < radius < np.inf):
@@ -163,7 +163,7 @@ def disk_bump(center: complex, radius: float, height: float = 1.0) -> TestFuncti
         out = np.zeros_like(rr2)
         inside = rr2 < 1.0
         # exp(1) rescales the classical exp(-1/(1-r^2)) profile to peak at 1
-        out[inside] = height * np.exp(1.0) * np.exp(-1.0 / (1.0 - rr2[inside]))
+        out[inside] = np.exp(1.0) * np.exp(-1.0 / (1.0 - rr2[inside]))
         return out
 
     def boundary(n):

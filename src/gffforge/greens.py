@@ -187,9 +187,9 @@ def _pair_offset(obs_a, obs_b, g) -> float:
     return float(xw @ g(xn[:, None], yn[None, :]) @ yw)
 
 
-def covariance_of_observables(observables, domain=UnitDisk(), n_quad: int = 48) -> np.ndarray:
-    """(k, k) covariance matrix of k jointly Gaussian field observables,
-    either all test functions or all curve measures.
+def covariance_of_observables(observables, domain=UnitDisk()) -> np.ndarray:
+    """(k, k) covariance matrix of k jointly Gaussian curve measures; test
+    functions pair through ``h_minus1_inner``.
 
     Every entry is the double pairing of G_domain against the pair of
     observables; symmetric by construction.  A curve measure pairs with
@@ -199,18 +199,17 @@ def covariance_of_observables(observables, domain=UnitDisk(), n_quad: int = 48) 
     offset nodes make the rule's angular log mean log r + (log 2)/n).
     """
     obs = list(observables)
-    functions = [isinstance(o, TestFunction) for o in obs]
-    if any(functions) and not all(functions):
-        raise DomainError("cannot pair a test function with a curve measure")
-    g = None if all(functions) else _kernel_parts(domain)[0]
+    if any(isinstance(o, TestFunction) for o in obs):
+        raise DomainError(
+            "covariance_of_observables pairs curve measures; use h_minus1_inner for test functions"
+        )
+    g = _kernel_parts(domain)[0]
     k = len(obs)
     mat = np.zeros((k, k))
     for i in range(k):
         for j in range(i, k):
             a, b = obs[i], obs[j]
-            if functions[i]:
-                v = h_minus1_inner(a, b, domain, n=n_quad)
-            elif i == j or a == b:
+            if i == j or a == b:
                 a2 = replace(a, n_nodes=2 * a.n_nodes)
                 v = 2.0 * _pair_offset(a2, a2, g) - _pair_offset(a, a, g)
             else:

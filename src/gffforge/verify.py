@@ -332,6 +332,8 @@ def _p_gate(p: float) -> float:
 def sigma_hat(Y: ProcessPath) -> float:
     """Diffusivity estimate: sqrt of the mean of Var(increment)/du over
     adjacent grid increments."""
+    if len(Y.grid) < 2 or len(Y.replicas) < 2:
+        raise DomainError("sigma_hat needs at least two grid points and two replicas")
     du = np.diff(Y.grid)
     inc = np.diff(Y.replicas, axis=1)
     return float(np.sqrt(np.mean(inc.var(axis=0, ddof=1) / du)))
@@ -650,6 +652,8 @@ def levy_path(grid, n: int, seed: int, alpha: float = 1.5) -> ProcessPath:
 def compound_poisson_path(grid, n: int, seed: int, rate: float = 1.0) -> ProcessPath:
     """Compound Poisson path with unit Gaussian jumps; piecewise-constant jump
     structure breaks normality of increments and the harness residual."""
+    if not 0.0 < rate < np.inf:
+        raise DomainError("jump rate must be finite and positive")
 
     def increments(rng, du):
         counts = rng.poisson(rate * du)

@@ -17,7 +17,7 @@ import pytest
 
 import gffforge
 from gffforge import verify
-from gffforge.averaging import DEFAULT_T_GRID, DEFAULT_U_GRID, ProcessPath
+from gffforge.averaging import DEFAULT_T_GRID, DEFAULT_U_GRID
 from gffforge.cli import ExperimentConfig, load_config, main, parse_config_file
 from gffforge.errors import ConfigError
 from gffforge.fields import CALIBRATION, FieldSample, dgff_matrix, sample_functionals
@@ -135,12 +135,14 @@ def test_bad_config_exits_2(tmp_path, capsys):
         # NaN passes every comparison and inf every positivity check
         ("excursion-mass", "r = inf\n", "r must be finite, got inf"),
         ("excursion-mass", "tol.mass = nan\n", "tol.mass must be finite, got nan"),
+        # a gate below 0 would fail every run: exit 2, not a failed check
+        ("excursion-mass", "tol.mass = -0.1\n", "tol.mass must not be negative"),
         ("char-bm-gff-sine", "u_grid = 1,2,nan,8\n", "u_grid must be finite"),
     ],
     ids=["wick-alpha", "excursion-u_grid", "excursion-tol.mas", "sine-tol.mass", "stable-alpha-0.9",
          "sine-n_samples-50", "wick-n_samples-999", "sine-no-triple", "circle-3-points",
          "stable-no-triple", "excursion-no-hits", "excursion-one-path", "excursion-r-inf",
-         "excursion-tol.mass-nan", "sine-grid-nan"],
+         "excursion-tol.mass-nan", "excursion-tol.mass-negative", "sine-grid-nan"],
 )
 def test_config_error_exits_2_before_the_output_dir(tmp_path, capsys, experiment, text, message):
     # an unread key would run silently and still be echoed in the manifest
@@ -175,18 +177,33 @@ def test_verify_propagates_resolution_as_3(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_bad_thread_count_exits_2(monkeypatch, capsys):
+def test_bad_thread_count_exits_2(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("GFFFORGE_THREADS", "many")
-    assert main(["excursions", "--eps", "0.05", "--n", "10"]) == 2
+    out = tmp_path / "f.npz"
+    assert main(["sample", "--size", "8", "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: GFFFORGE_THREADS")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
-    "argv", [["--r", "inf"], ["--r", "nan"], ["--eps", "nan"]], ids=["r-inf", "r-nan", "eps-nan"]
+    "line", ["r = inf", "r = nan", "eps = nan"], ids=["r-inf", "r-nan", "eps-nan"]
 )
-def test_excursions_nonfinite_input_exits_2(capsys, argv):
-    assert main(["excursions", *argv, "--n", "10"]) == 2
-    assert "need finite r > 0 and eps > 0" in capsys.readouterr().err
+def test_excursions_nonfinite_input_exits_2(tmp_path, capsys, line):
+    cfg = tmp_path / "e.cfg"
+    cfg.write_text(f"n_samples = 10\n{line}\n")
+    out = tmp_path / "out"
+    argv = ["verify", "--experiment", "excursion-mass", "--config", str(cfg), "--output-dir", str(out)]
+    assert main(argv) == 2
+    assert f"{line.split()[0]} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["excursions", "calibrate"])
+def test_removed_commands_are_invalid_choices(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command])
+    assert exc.value.code == 2
+    assert f"invalid choice: '{command}'" in capsys.readouterr().err
 
 
 def test_uncreatable_output_dir_exits_2(tmp_path, capsys):
@@ -202,9 +219,8 @@ def test_uncreatable_output_dir_exits_2(tmp_path, capsys):
     [
         ["sample", "--size", "8"],
         ["paths", "--kind", "sine", "--grid", "1,2", "--n", "5"],
-        ["excursions", "--eps", "0.05", "--n", "10"],
     ],
-    ids=["sample", "paths", "excursions"],
+    ids=["sample", "paths"],
 )
 def test_out_in_a_missing_directory_exits_2(tmp_path, capsys, argv):
     out = tmp_path / "missing" / "x.csv"
@@ -230,7 +246,7 @@ def test_failed_write_after_the_output_dir_exits_2(tmp_path, capsys):
         ["sample", "--size", "8", "--seed", "-1"],
         ["sample", "--size", "8", "--seed", str(2**64)],
         ["verify", "--experiment", "wick-fourth", "--seed", str(2**64 + 7)],
-        ["excursions", "--eps", "0.05", "--n", "10", "--seed", "-1"],
+        ["verify", "--experiment", "excursion-mass", "--seed", "-1"],
         ["paths", "--kind", "sine", "--grid", "1,2", "--n", "5", "--seed", str(2**64)],
     ],
     ids=["sample-negative", "sample-2^64", "verify-2^64+7", "excursions-negative", "paths-2^64"],
@@ -326,7 +342,10 @@ def test_excursion_experiment_report(excursion_run):
     assert all(r["passed"] for r in rep)
     assert rep[0]["mass_estimate"] == pytest.approx(4.0 / np.pi, rel=0.12)
     assert rep[0]["mass_stderr"] > 0
-    assert (out / "run1" / "hits.csv").exists()
+    # hits.csv carries one "1," row per hit the KS statistic read
+    rows = (out / "run1" / "hits.csv").read_text().splitlines()
+    assert rows[0] == "hit,angle,eps,weight"
+    assert sum(row.startswith("1,") for row in rows[1:]) == rep[1]["n_samples"] > 100
 
 
 def test_manifest_schema(excursion_run, openblas_on_two_threads, tmp_path):
@@ -604,38 +623,15 @@ def test_sample_alpha_only_with_stable_law(tmp_path, capsys):
         assert str(field["law"]) == "stable" and field["alpha"] == 1.5
 
 
-def test_excursions_subcommand(tmp_path, capsys):
-    out = tmp_path / "hits.csv"
-    code = main(["excursions", "--r", "1.0", "--eps", "5e-3", "--n", "2000",
-                 "--seed", "13", "--out", str(out)])
-    assert code == 0
-    summary = json.loads(capsys.readouterr().out)
-    assert summary["target"] == pytest.approx(4.0 / np.pi)
-    assert summary["mass_estimate"] == pytest.approx(4.0 / np.pi, rel=0.2)
-    assert summary["n_hits"] > 100
-    assert 0.0 < summary["hit_angle_ks"] < 0.2
-    rows = out.read_text().splitlines()
-    assert rows[0] == "hit,angle,eps,weight"
-    assert sum(row.startswith("1,") for row in rows[1:]) == summary["n_hits"]
-
-
-def test_calibrate_recovers_lattice_constant(capsys):
-    assert main(["calibrate", "--size", "48"]) == 0
-    summary = json.loads(capsys.readouterr().out)
-    assert summary["two_pi_ratio"] == pytest.approx(1.0, rel=0.05)
-    assert summary["calibration_estimate"] == pytest.approx(CALIBRATION, rel=0.05)
-    assert summary["builtin_calibration"] == pytest.approx(CALIBRATION)
-
-
 def test_paths_subcommand_exact(tmp_path, capsys):
     out = tmp_path / "sp.csv"
     code = main(["paths", "--kind", "sine", "--grid", "1,2,4", "--n", "200",
                  "--seed", "2", "--out", str(out)])
     assert code == 0
     assert json.loads(capsys.readouterr().out)["out"] == str(out)
-    path = ProcessPath.from_csv(out)
-    assert path.replicas.shape == (200, 3)
-    assert tuple(path.grid) == (1.0, 2.0, 4.0)
+    data = np.loadtxt(out, delimiter=",", ndmin=2)
+    assert data[1:].shape == (200, 3)
+    assert tuple(data[0]) == (1.0, 2.0, 4.0)
 
 
 def test_paths_subcommand_lattice_circle(tmp_path):
@@ -644,4 +640,4 @@ def test_paths_subcommand_lattice_circle(tmp_path):
                  "--grid", "0.25,0.5", "--size", "32", "--n", "100",
                  "--seed", "2", "--out", str(out)])
     assert code == 0
-    assert ProcessPath.from_csv(out).replicas.shape == (100, 2)
+    assert np.loadtxt(out, delimiter=",", ndmin=2)[1:].shape == (100, 2)

@@ -1,7 +1,7 @@
 """The demo scripts, canonical configs and README stay in step with the
 library: every name a demo imports from gffforge exists, every config
-loads, and README's config-key table is the harness's.  Nothing here runs
-a demo."""
+loads, and README's config-key table and command block are the
+harness's.  Nothing here runs a demo."""
 
 import ast
 import importlib
@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from gffforge.averaging import DEFAULT_T_GRID, DEFAULT_U_GRID
-from gffforge.cli import EXPERIMENTS, load_config
+from gffforge.cli import _COMMANDS, EXPERIMENTS, load_config
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 SCRIPTS = sorted(DEMOS.glob("*.py"))
@@ -69,3 +69,14 @@ def test_readme_key_table_matches_the_harness():
     }
     for name, grid in (("U", DEFAULT_U_GRID), ("T", DEFAULT_T_GRID)):
         assert f"- {name}: `{', '.join(map(str, grid))}`" in lines
+
+
+def test_readme_command_block_matches_the_parser():
+    # every subcommand is one `gffforge <name>` line of README's command
+    # block, and every such line names a subcommand
+    lines = (DEMOS.parent / "README.md").read_text().splitlines()
+    start = lines.index("## Command line")
+    fence = [i for i in range(start, len(lines)) if lines[i].startswith("```")][:2]
+    block = lines[fence[0] + 1 : fence[1]]
+    named = [line.split()[1] for line in block if line.startswith("gffforge ")]
+    assert sorted(named) == sorted(_COMMANDS)

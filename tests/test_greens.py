@@ -122,7 +122,7 @@ def test_h_minus1_bilinear_and_symmetric():
     f = disk_bump(-0.3, 0.25)
     g = disk_bump(0.2 + 0.2j, 0.25)
     fg = h_minus1_inner(f, g, UnitDisk())
-    f2 = disk_bump(-0.3, 0.25, height=2.0)
+    f2 = replace(f, evaluator=lambda z: 2.0 * f(z))
     assert h_minus1_inner(f2, g, UnitDisk()) == pytest.approx(2 * fg, rel=1e-10)
     assert h_minus1_inner(g, f, UnitDisk()) == pytest.approx(fg, rel=1e-10)
 
@@ -184,18 +184,21 @@ def test_curve_pairings_are_checked_against_the_domain():
         covariance_of_observables([CircleMeasure(0.5, 0.6)], UnitDisk())
 
 
-def test_mixed_function_and_measure_list_is_rejected():
-    obs = [disk_bump(0.0, 0.4), CircleMeasure(0.0, 0.5)]
-    with pytest.raises(DomainError, match="test function with a curve measure"):
-        covariance_of_observables(obs, UnitDisk())
-    with pytest.raises(DomainError, match="test function with a curve measure"):
-        covariance_of_observables(obs[::-1], UnitDisk())
+def test_a_test_function_is_refused():
+    # test functions pair through h_minus1_inner, alone or among measures
+    bump = disk_bump(0.0, 0.4)
+    for obs in ([bump], [bump, CircleMeasure(0.0, 0.5)], [CircleMeasure(0.0, 0.5), bump]):
+        with pytest.raises(DomainError, match="h_minus1_inner"):
+            covariance_of_observables(obs, UnitDisk())
 
 
 def test_single_observable_variance():
-    cov = covariance_of_observables([disk_bump(0.0, 0.4)], UnitDisk())
+    # the harmonic part averages to its value at the center: the variance
+    # of an off-center circle average is log(1 - |c|^2) - log r
+    c, r = 0.5 + 0.2j, 0.3
+    cov = covariance_of_observables([CircleMeasure(c, r)], UnitDisk())
     assert cov.shape == (1, 1)
-    assert cov[0, 0] > 0
+    assert cov[0, 0] == pytest.approx(np.log(1.0 - abs(c) ** 2) - np.log(r), rel=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -206,7 +209,7 @@ def test_covariance_matrices_are_psd(seed):
     for _ in range(k):
         c = 0.5 * (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1))
         obs.append(disk_bump(c, rng.uniform(0.1, 0.3)))
-    cov = covariance_of_observables(obs, UnitDisk(), n_quad=24)
+    cov = np.array([[h_minus1_inner(f, g, UnitDisk(), n=24) for g in obs] for f in obs])
     w = np.linalg.eigvalsh(cov)
     assert w.min() >= -1e-8 * np.trace(cov)
 

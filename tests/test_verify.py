@@ -366,6 +366,14 @@ def test_sigma_hat_recovers_diffusivity():
     assert sigma_hat(Y) == pytest.approx(2.0, rel=0.03)
 
 
+def test_sigma_hat_needs_two_grid_points_and_two_replicas():
+    # one grid point has no increment, one replica no variance: numpy returned
+    # nan for either, with a RuntimeWarning
+    for Y in (ProcessPath([1.0], np.zeros((5, 1))), ProcessPath([1.0, 2.0], np.zeros((1, 2)))):
+        with pytest.raises(DomainError, match="two grid points and two replicas"):
+            sigma_hat(Y)
+
+
 # ---------------------------------------------------------------------------
 # normality and the fourth moment
 # ---------------------------------------------------------------------------
@@ -493,6 +501,12 @@ def test_independence_validation():
         vfy.test_independent_increments(bm_path(SHORT_GRID, 60, 52))
     with pytest.raises(DomainError):
         ar1_increment_path(SHORT_GRID, 10, 1, rho=1.5)
+
+
+@pytest.mark.parametrize("rate", [-1.0, 0.0, np.nan, np.inf])
+def test_compound_poisson_rejects_a_rate_outside_0_inf(rate):
+    with pytest.raises(DomainError, match="jump rate"):
+        compound_poisson_path(SHORT_GRID, 10, 1, rate=rate)
 
 
 # ---------------------------------------------------------------------------
