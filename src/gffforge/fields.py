@@ -37,7 +37,7 @@ test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -216,13 +216,12 @@ def sample_sas(alpha: float, size, rng, scale: float = 1.0) -> np.ndarray:
     """Symmetric alpha-stable variates by the Chambers-Mallows-Stuck method.
 
     At alpha = 2 the formula degenerates to 2 sin(U) sqrt(W), a normal with
-    variance 2 (times scale).
+    variance 2 (times scale), and at alpha = 1 to sin(U) / cos(U), a Cauchy
+    variate (the exponential W is drawn and raised to the power 0).
     """
     if not 0.0 < alpha <= 2.0:
         raise DomainError("sample_sas needs alpha in (0, 2]")
     u = rng.uniform(-np.pi / 2.0, np.pi / 2.0, size)
-    if alpha == 1.0:
-        return scale * np.tan(u)
     w = rng.standard_exponential(size)
     t = np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha)
     s = (np.cos((1.0 - alpha) * u) / w) ** ((1.0 - alpha) / alpha)
@@ -269,6 +268,8 @@ def sample_functionals(
     W = np.asarray(W, dtype=float)
     if W.ndim != 2 or W.shape[0] != lat.n_sites:
         raise DomainError("weights must be (n_sites, k)")
+    if not np.isfinite(W).all():
+        raise DomainError("weights must be finite")
     V = CALIBRATION * lat._root(W, "T")
     if law == "gff":
         V = np.linalg.qr(V, mode="r")
@@ -290,9 +291,8 @@ def markov_decompose(sample: FieldSample, subdomain) -> MarkovDecomposition:
     )
     key = ("cell", idx.dtype.str, idx.shape, idx.tobytes())
     cell = lat.cached(key, lambda: DirichletCell(lat, idx))
-    harm_vals = sample.values.copy()
-    harm_vals[cell.member_idx] = cell.harmonic_extension(sample.values)
-    res_vals = sample.values - harm_vals
-    harmonic = replace(sample, values=harm_vals)
-    residual = replace(sample, values=res_vals)
-    return MarkovDecomposition(sample=sample, cell=cell, harmonic=harmonic, residual=residual)
+    harm = sample.values.copy()
+    harm[cell.member_idx] = cell.harmonic_extension(sample.values)
+    return MarkovDecomposition(
+        sample, cell, FieldSample(lat, harm), FieldSample(lat, sample.values - harm)
+    )

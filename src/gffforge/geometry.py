@@ -67,6 +67,9 @@ class Mobius:
     d: complex
 
     def __post_init__(self):
+        # an infinite coefficient would map every point to NaN
+        if not np.all(np.isfinite([self.a, self.b, self.c, self.d])):
+            raise DomainError("Mobius coefficients must be finite")
         if abs(self.a * self.d - self.b * self.c) == 0:
             raise DomainError("Mobius coefficients are degenerate (ad - bc = 0)")
 
@@ -96,8 +99,8 @@ def mobius_to_disk(z0: complex) -> Mobius:
 
 def gauss_legendre(n: int, a: float, b: float):
     """Gauss-Legendre nodes and weights on [a, b]."""
-    if n < 1:
-        raise DomainError("gauss_legendre needs n >= 1")
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise DomainError(f"gauss_legendre needs an integer n >= 1, got {n!r}")
     if not (np.isfinite(a) and np.isfinite(b) and b > a):
         raise DomainError("gauss_legendre needs finite a < b")
     x, w = _reference_rule(n)

@@ -97,25 +97,25 @@ def _kernel_parts(domain):
 # ---------------------------------------------------------------------------
 
 
-def _radial_pairing(f: TestFunction, g: TestFunction, n: int = 4096) -> float:
+def _radial_pairing(f: TestFunction, g: TestFunction) -> float:
     """Pairing of two radial test functions about the disk center.
 
     Each profile is its function read on the positive real axis, across
     both support radii (``TestFunction.radial``).  The angular average of
     the disk kernel between circles of radii r and rho is exactly
     -log(max(r, rho)), which turns the 4-D integral into a 1-D one with a
-    cumulative-mass factor.
+    cumulative-mass factor, integrated by the trapezoid rule on 4,096 nodes.
     """
     (flo, fhi), (glo, ghi) = f.radial, g.radial
     lo = max(min(flo, glo), 0.0)
     hi = max(fhi, ghi)
-    r = np.linspace(max(lo, 1e-12), hi, n)
+    r = np.linspace(max(lo, 1e-12), hi, 4096)
     mf = 2.0 * np.pi * r * f(r)
     mg = 2.0 * np.pi * r * g(r)
     dr = r[1] - r[0]
     # trapezoid cumulative masses M(r) = integral up to r
-    Mf = np.concatenate([[0.0], np.cumsum(0.5 * (mf[1:] + mf[:-1]) * dr)])[: n]
-    Mg = np.concatenate([[0.0], np.cumsum(0.5 * (mg[1:] + mg[:-1]) * dr)])[: n]
+    Mf = np.concatenate([[0.0], np.cumsum(0.5 * (mf[1:] + mf[:-1]) * dr)])
+    Mg = np.concatenate([[0.0], np.cumsum(0.5 * (mg[1:] + mg[:-1]) * dr)])
     neg_log = -np.log(r)
     inner = np.trapezoid(mf * neg_log * Mg, r) + np.trapezoid(mg * neg_log * Mf, r)
     return float(inner)
@@ -300,6 +300,9 @@ class LatticeDomain:
             raise DomainError("interior_ij must be (m, 2)")
         if len(interior_ij) == 0:
             raise ResolutionError("lattice has no interior sites")
+        # a float site would be truncated toward 0, so (0.5, 2.9) read as (0, 2)
+        if np.any(interior_ij != np.floor(interior_ij)):
+            raise DomainError("lattice sites must be integer pairs")
         if np.abs(interior_ij).max() > _MAX_SITE:
             raise DomainError("site indices must lie in [-2^21, 2^21]")
         order = np.lexsort((interior_ij[:, 1], interior_ij[:, 0]))
@@ -331,13 +334,6 @@ class LatticeDomain:
     @property
     def z(self) -> np.ndarray:
         return (self.interior_ij[:, 0] + 1j * self.interior_ij[:, 1]) * self.spacing
-
-    def site_index(self, ij) -> int:
-        site = np.asarray(ij, dtype=np.int64).reshape(1, 2)
-        pos, found = _lookup(self._codes, _encode(site)[0])
-        if not found or np.abs(site).max() > _MAX_SITE:
-            raise DomainError(f"site {tuple(ij)} is not interior")
-        return int(pos)
 
     def nearest_site(self, z: complex) -> int:
         return int(np.argmin(np.abs(self.z - z)))
@@ -454,6 +450,8 @@ class LatticeDomain:
 
 def disk_lattice(size: int) -> LatticeDomain:
     """size x size lattice covering the unit disk (spacing 2/size)."""
+    if not float(size).is_integer():
+        raise DomainError(f"disk lattice size must be an integer, got {size!r}")
     if size < 8:
         raise ResolutionError("disk lattice needs size >= 8")
     a = 2.0 / size
@@ -515,9 +513,9 @@ class DirichletCell:
             src.append(np.nonzero(outside)[0])
             ring.append(pos[outside])
         self._inc_rows = np.concatenate(src)
-        self._inc_ring = np.concatenate(ring)
-        self.ring_idx = np.unique(self._inc_ring)
-        self._ring_pos = np.searchsorted(self.ring_idx, self._inc_ring)
+        inc_ring = np.concatenate(ring)
+        self.ring_idx = np.unique(inc_ring)
+        self._ring_pos = np.searchsorted(self.ring_idx, inc_ring)
 
     def _solve(self, b) -> np.ndarray:
         """(cell Laplacian)^-1 b by LAPACK dpbtrs on the stored factor, the
@@ -525,20 +523,16 @@ class DirichletCell:
         check that b is finite and has one row per member stays."""
         b = np.asarray(b, dtype=float)
         if b.shape[:1] != self.member_idx.shape or not np.isfinite(b).all():
-            raise ValueError("right-hand side must be finite, with one row per member site")
+            raise DomainError("right-hand side must be finite, with one row per member site")
         return dpbtrs(self._cb, b)[0]
 
-    def _rhs_from_ring(self, ring_values: np.ndarray) -> np.ndarray:
-        rhs_shape = (len(self.member_idx),) + ring_values.shape[1:]
-        rhs = np.zeros(rhs_shape)
-        np.add.at(rhs, self._inc_rows, ring_values[self._ring_pos])
-        return rhs
-
     def harmonic_extension(self, values: np.ndarray) -> np.ndarray:
-        """Extension of the parent-interior ``values`` harmonically into the
-        cell; returns values on the member sites only."""
-        ring_values = values[self.ring_idx]
-        return self._solve(self._rhs_from_ring(ring_values))
+        """Extension of the parent-interior ``values`` (one field, or one per
+        column) harmonically into the cell; returns values on the member
+        sites only."""
+        rhs = np.zeros((len(self.member_idx),) + values.shape[1:])
+        np.add.at(rhs, self._inc_rows, values[self.ring_idx[self._ring_pos]])
+        return self._solve(rhs)
 
     def ring_weights(self, member_coeffs: np.ndarray) -> np.ndarray:
         """Weights w with w . values[ring_idx] = member_coeffs . extension."""
@@ -593,22 +587,12 @@ def _factored_laplacian(codes: np.ndarray) -> np.ndarray:
     return cholesky_banded(ab, overwrite_ab=True, lower=False)
 
 
-def discrete_green(lat: LatticeDomain, x, y) -> float:
-    """Entry (x, y) of the inverse graph Laplacian with Dirichlet boundary.
-
-    ``x`` and ``y`` are integer site pairs (i, j) or complex points (the
-    nearest interior site is used).
-    """
-
-    def resolve(p):
-        if isinstance(p, (tuple, list)) or (isinstance(p, np.ndarray) and p.ndim == 1):
-            return lat.site_index(p)
-        return lat.nearest_site(complex(p))
-
-    kx, ky = resolve(x), resolve(y)
+def discrete_green(lat: LatticeDomain, x: complex, y: complex) -> float:
+    """Entry (x, y) of the inverse graph Laplacian with Dirichlet boundary,
+    at the interior sites nearest the points x and y."""
     e = np.zeros(lat.n_sites)
-    e[ky] = 1.0
-    return float(lat.solve(e)[kx])
+    e[lat.nearest_site(complex(y))] = 1.0
+    return float(lat.solve(e)[lat.nearest_site(complex(x))])
 
 
 def green_variance_ratio(lat: LatticeDomain) -> float:

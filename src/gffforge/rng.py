@@ -22,7 +22,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 from scipy.linalg import _flapack
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 
 GOLDEN = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
@@ -38,7 +38,7 @@ def derived_seed(base_seed: int, k: int) -> int:
     if not 0 <= base_seed <= _MASK64:
         raise ConfigError(f"seed must lie in [0, 2^64), got {base_seed}")
     if k < 0:
-        raise ValueError("replica index must be nonnegative")
+        raise DomainError(f"replica index must be nonnegative, got {k}")
     return (int(base_seed) ^ ((k * GOLDEN) & _MASK64)) & _MASK64
 
 

@@ -179,9 +179,11 @@ def _set_partitions(m: int) -> list:
     return parts
 
 
-def _graph_key(labels: list):
+@cache
+def _graph_key(labels: tuple):
     """The ``_GRAPHS`` key of the graph whose edge l joins ``labels[2l]``
-    and ``labels[2l + 1]``, or None where its sum is 0."""
+    and ``labels[2l + 1]``, or None where its sum is 0; memoised, as the
+    k = 3 weights ask for 203 distinct graphs 2,471 times."""
     edges = list(zip(labels[::2], labels[1::2]))
     ends = {v: labels.count(v) for v in labels}
     loops = [a for a, b in edges if a == b]
@@ -201,7 +203,7 @@ def _moment_weights(k: int) -> np.ndarray:
     for P in _set_partitions(2 * k):
         coef = np.zeros(len(keys))
         for merge in _set_partitions(max(P) + 1):
-            key = _graph_key([merge[b] for b in P])
+            key = _graph_key(tuple(merge[b] for b in P))
             if key is not None:
                 # the Mobius function of the partition lattice from P to Q
                 sizes = [merge.count(b) for b in set(merge)]
@@ -268,7 +270,11 @@ def _pearson3_sf(z: float, skew: float) -> float:
     return float(gammainc(k, max(k - z * np.sqrt(k), 0.0)))
 
 
-def distance_correlation(x, y, seed: int = 0, cap: int = 800) -> tuple:
+# largest sample distance_correlation takes whole; a larger one is subsampled
+_DCOR_CAP = 800
+
+
+def distance_correlation(x, y, seed: int = 0) -> tuple:
     """Distance correlation on a size-capped subsample, with the p-value of
     the hypothesis of independence from the exact permutation law.
 
@@ -278,7 +284,7 @@ def distance_correlation(x, y, seed: int = 0, cap: int = 800) -> tuple:
     permutations are exact (``_permutation_moments``), and the p-value is
     the upper tail of the Pearson type III law with those three moments
     (Mielke, Berry & Johnson 1976).  Nothing is sampled: ``seed`` only
-    picks the subsample of a sample larger than ``cap``.  The p-value is
+    picks the subsample of a sample larger than ``_DCOR_CAP``.  The p-value is
     free of the data's units and of the BLAS thread count.  The third
     moment needs n >= 6, and x and y pair sample by sample; each is 1-D, or
     2-D with one row per sample.
@@ -302,10 +308,9 @@ def distance_correlation(x, y, seed: int = 0, cap: int = 800) -> tuple:
         raise DomainError(f"distance correlation needs paired samples, got {n} and {len(y)}")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise DomainError("distance correlation needs finite samples")
-    if n > cap:
-        idx = replica_rng(seed, 0).choice(n, size=cap, replace=False)
-        x, y = x[idx], y[idx]
-        n = cap
+    if n > _DCOR_CAP:
+        idx = replica_rng(seed, 0).choice(n, size=_DCOR_CAP, replace=False)
+        x, y, n = x[idx], y[idx], _DCOR_CAP
     if n < 6:
         raise DomainError("distance correlation needs at least 6 samples")
     A, B, SA, SB = np.empty((4, n, n))

@@ -156,7 +156,7 @@ def test_circle_weights_match_center_unit_vector(size):
     lat = disk_lattice(size)
     for eps in (0.2, np.exp(-1.0), 0.6, 0.9):
         cell = DirichletCell(lat, lat.indices_of(lambda z: np.abs(z) < eps))
-        e = (cell.member_idx == lat.site_index((0, 0))).astype(float)
+        e = (cell.member_idx == lat.nearest_site(0j)).astype(float)
         ring_idx, w = _circle_weights(lat, eps)
         assert np.array_equal(ring_idx, cell.ring_idx)
         assert np.array_equal(w, cell.ring_weights(e))
@@ -669,6 +669,7 @@ def _dict_pairing_weights(cell, nodes, weights):
             if c != 0.0:
                 key = (int(ix[k] + di), int(iy[k] + dj))
                 coeffs[key] = coeffs.get(key, 0.0) + c
+    site_of = {ij: k for k, ij in enumerate(map(tuple, lat.interior_ij.tolist()))}
     member_pos = {int(k): p for p, k in enumerate(cell.member_idx)}
     ring_pos = {int(k): p for p, k in enumerate(cell.ring_idx)}
     bnd = set(map(tuple, lat.boundary_ij.tolist()))
@@ -677,7 +678,7 @@ def _dict_pairing_weights(cell, nodes, weights):
     for ij, c in coeffs.items():
         if ij in bnd:
             continue
-        site = lat.site_index(ij)
+        site = site_of[ij]
         if site in member_pos:
             q[member_pos[site]] += c
         else:

@@ -367,6 +367,23 @@ def test_sample_functionals_validation():
         sample_functionals(lat, np.ones((lat.n_sites, 1)), 2, seed=0, law="stable", alpha=0.9)
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("law", ["gff", "stable"])
+def test_sample_functionals_reject_non_finite_weights(law, bad):
+    # each law returned NaN replicas
+    lat = disk_lattice(12)
+    W = np.ones((lat.n_sites, 2))
+    W[3, 1] = bad
+    with pytest.raises(DomainError, match="weights must be finite"):
+        sample_functionals(lat, W, 4, seed=0, law=law, alpha=1.5)
+
+
+def test_dgff_rejects_a_negative_replica_offset():
+    # derived_seed raised a bare ValueError
+    with pytest.raises(DomainError, match="replica index must be nonnegative"):
+        dgff_matrix(disk_lattice(12), 2, 1, replica_offset=-1)
+
+
 def test_dgff_sample_metadata():
     lat = disk_lattice(12)
     (s,) = sample_dgff(lat, 1, seed=5)
@@ -414,6 +431,14 @@ def test_stable_alpha_range():
             stable_matrix(lat, alpha, 1, seed=0)
     with pytest.raises(DomainError):
         sample_sas(2.5, 10, np.random.default_rng(0))
+
+
+def test_sas_alpha_one_is_the_cauchy_ratio():
+    # the formula reduces to sin U / cos U: a standard Cauchy variate
+    x = sample_sas(1.0, 1000, replica_rng(3, 0))
+    u = replica_rng(3, 0).uniform(-np.pi / 2.0, np.pi / 2.0, 1000)
+    assert np.array_equal(x, np.sin(u) / np.cos(u))
+    assert stats.kstest(sample_sas(1.0, 4000, replica_rng(4, 0)), "cauchy").pvalue > 0.01
 
 
 def test_sas_alpha_two_is_gaussian():
@@ -496,6 +521,16 @@ def test_markov_rejects_empty_and_foreign_subdomains():
     cell = DirichletCell(other, np.arange(4))
     with pytest.raises(DomainError):
         markov_decompose(s, cell)
+
+
+def test_markov_rejects_a_non_finite_ring_value():
+    # the cell's solve raised a bare ValueError
+    lat = disk_lattice(16)
+    values = np.zeros(lat.n_sites)
+    cell = markov_decompose(FieldSample(lat, values), lambda z: np.abs(z) < 0.5).cell
+    values[cell.ring_idx[0]] = np.nan
+    with pytest.raises(DomainError, match="must be finite"):
+        markov_decompose(FieldSample(lat, values), lambda z: np.abs(z) < 0.5)
 
 
 def test_markov_accepts_boolean_mask():

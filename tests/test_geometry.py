@@ -80,6 +80,13 @@ def test_mobius_requires_invertibility():
         Mobius(1.0, 2.0, 2.0, 4.0)
 
 
+@pytest.mark.parametrize("coef", [np.inf, np.nan, complex(0.0, np.inf)])
+def test_mobius_rejects_non_finite_coefficients(coef):
+    # Mobius(inf, 0, 0, 1) mapped every point to NaN
+    with pytest.raises(DomainError, match="finite"):
+        Mobius(coef, 0, 0, 1)
+
+
 _MAPS = [
     pytest.param(Mobius(1.0 + 0.5j, 0.2, 0.1j, 1.0), id="mobius"),
     pytest.param(Mobius(np.exp(0.7j), 0, 0, 1), id="rotation"),
@@ -160,6 +167,14 @@ def test_gauss_legendre_validation():
         gauss_legendre(0, 0.0, 1.0)
     with pytest.raises(DomainError):
         gauss_legendre(4, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("n", [2.5, 4.0, "4"])
+def test_gauss_legendre_needs_an_integer_order(n):
+    # numpy's leggauss raised a bare TypeError
+    with pytest.raises(DomainError, match="integer n"):
+        gauss_legendre(n, 0.0, 1.0)
+    assert np.array_equal(gauss_legendre(np.int64(4), 0.0, 1.0)[0], gauss_legendre(4, 0.0, 1.0)[0])
 
 
 @pytest.mark.parametrize("a, b", [(0.0, np.inf), (-np.inf, 1.0), (-np.inf, np.inf)])

@@ -221,13 +221,15 @@ def test_covariance_matrices_are_psd(seed):
 
 def test_discrete_green_single_site():
     lat = LatticeDomain(1.0, np.array([[0, 0]]))
-    assert discrete_green(lat, (0, 0), (0, 0)) == pytest.approx(0.25)
+    assert discrete_green(lat, 0j, 0j) == pytest.approx(0.25)
 
 
 def test_discrete_green_symmetry():
     lat = disk_lattice(16)
     pairs = [((0, 0), (2, 3)), ((1, -2), (-3, 1)), ((4, 0), (0, -4))]
-    for x, y in pairs:
+    for (i, j), (k, l) in pairs:
+        x, y = complex(i, j) * lat.spacing, complex(k, l) * lat.spacing
+        assert lat.z[lat.nearest_site(x)] == x and lat.z[lat.nearest_site(y)] == y
         assert discrete_green(lat, x, y) == pytest.approx(
             discrete_green(lat, y, x), abs=1e-10
         )
@@ -235,7 +237,7 @@ def test_discrete_green_symmetry():
 
 def test_discrete_green_nonnegative():
     lat = disk_lattice(16)
-    k = lat.site_index((1, 1))
+    k = lat.nearest_site((1 + 1j) * lat.spacing)
     e = np.zeros(lat.n_sites)
     e[k] = 1.0
     col = lat.solve(e)
@@ -411,10 +413,26 @@ def test_site_indices_beyond_the_code_range_rejected():
     for ij in ([[0, 3 * 2**22]], [[0, 0], [0, 1], [1, -(2**23) + 1]], [[0, 0], [2**21 + 1, 0]]):
         with pytest.raises(DomainError, match=r"must lie in \[-2\^21, 2\^21\]"):
             LatticeDomain(1.0, np.array(ij))
-    lat = LatticeDomain(1.0, np.array([[0, 0], [1, 0]]))
-    assert lat.site_index((1, 0)) == 1
-    with pytest.raises(DomainError, match=r"site \(0, 8388608\) is not interior"):
-        lat.site_index((0, 2**23))  # the code of (1, 0)
+
+
+@pytest.mark.parametrize(
+    "ij", [[[0.5, 0.5], [1.5, 0.5], [2.9, 0.2]], [[0.0, 0.0], [1.0, np.nan]]], ids=["fractional", "nan"]
+)
+def test_lattice_rejects_non_integral_sites(ij):
+    # sites were cast to integers toward 0: the fractional set read as
+    # (0, 0), (1, 0), (2, 0)
+    with pytest.raises(DomainError, match="integer pairs"):
+        LatticeDomain(1.0, np.array(ij))
+    assert LatticeDomain(1.0, np.array([[0.0, 0.0], [1.0, 0.0]])).interior_ij.dtype == np.int64
+
+
+@pytest.mark.parametrize("size", [16.5, np.nan, np.inf])
+def test_disk_lattice_size_must_be_an_integer(size):
+    # 16.5 built a 17 x 17 grid at spacing 2/16.5
+    with pytest.raises(DomainError, match="must be an integer"):
+        disk_lattice(size)
+    for same in (np.int64(16), 16.0):
+        assert np.array_equal(disk_lattice(same).interior_ij, disk_lattice(16).interior_ij)
 
 
 @pytest.mark.parametrize("width, spacing", [(np.nan, 0.1), (1.0, np.nan), (np.inf, 0.1), (1.0, np.inf), (0.1, 0.2)])
@@ -492,12 +510,6 @@ def test_cell_of_a_freed_lattice_raises_reference_error():
     gc.collect()
     with pytest.raises(ReferenceError, match="lattice was freed"):
         cell.pairing_weights(np.array([0.05j]), np.ones(1))
-
-
-def test_lattice_site_lookup_errors():
-    lat = disk_lattice(16)
-    with pytest.raises(DomainError):
-        lat.site_index((500, 0))
 
 
 def _half_disk_cell_field():

@@ -167,8 +167,11 @@ def test_distance_correlation_of_a_regular_simplex_ties_every_permutation():
 def test_distance_correlation_caps_large_samples():
     rng = replica_rng(9, 0)
     x = rng.standard_normal(3000)
-    t, p = distance_correlation(x, x**2, seed=2, cap=400)
+    t, p = distance_correlation(x, x**2, seed=2)
     assert p < 0.01
+    # a sample above 800 is read through the seed's subsample of 800
+    idx = replica_rng(2, 0).choice(3000, size=800, replace=False)
+    assert distance_correlation(x[idx], x[idx] ** 2) == (t, p)
 
 
 def test_distance_correlation_is_free_of_units():
@@ -300,6 +303,21 @@ def test_permutation_moments_match_enumeration(kind, n):
     got_var, got_mu3 = vfy._permutation_moments(ga, gb, n)
     assert got_var == pytest.approx(var, rel=1e-10)
     assert got_mu3 / got_var**1.5 == pytest.approx(mu3 / var**1.5, rel=1e-10)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_moment_weights_match_the_unmemoised_derivation(monkeypatch, k):
+    # _graph_key is memoised on its partition: the weights keep their bits,
+    # and k = 3 asks for 203 distinct graphs 2,471 times
+    memo = vfy._moment_weights(k)
+    vfy._graph_key.cache_clear()
+    again = vfy._moment_weights.__wrapped__(k)
+    calls = {2: (15, 60), 3: (203, 2471)}[k]
+    info = vfy._graph_key.cache_info()
+    assert (info.misses, info.hits + info.misses) == calls
+    monkeypatch.setattr(vfy, "_graph_key", vfy._graph_key.__wrapped__)
+    direct = vfy._moment_weights.__wrapped__(k)
+    assert np.array_equal(memo, direct) and np.array_equal(again, direct)
 
 
 def test_pearson3_tail_matches_scipy():
