@@ -14,9 +14,9 @@ from gffforge.excursions import (
     arc_mass,
     continue_paths,
     hitting_cdf,
+    ks_distance,
     sample_excursion_hits,
     total_mass,
-    weighted_ks_distance,
 )
 
 
@@ -28,15 +28,13 @@ def main():
     print(f"  mass estimate  {sample.mass_estimate:.4f} +- {sample.mass_stderr():.4f}")
     print(f"  analytic mass  {total_mass(r):.4f}  (4 / pi r)")
 
-    ks = weighted_ks_distance(sample.angles, sample.weights)
-    print(f"  weighted KS distance of hit angles to the sine law: {ks:.4f}")
+    ks = ks_distance(sample.angles)
+    print(f"  KS distance of hit angles to the sine law: {ks:.4f}")
 
     print("\nangle-bin occupancy vs the arc mass of the sine density:")
     edges = np.linspace(0.0, np.pi, 7)
-    w_total = sample.weights.sum()
     for a, b in zip(edges[:-1], edges[1:]):
-        sel = (sample.angles >= a) & (sample.angles < b)
-        frac = sample.weights[sel].sum() / w_total
+        frac = np.count_nonzero((sample.angles >= a) & (sample.angles < b)) / len(sample.angles)
         want = arc_mass(r, a, b) / total_mass(r)
         print(f"  [{a:4.2f}, {b:4.2f})  sampled {frac:.4f}   analytic {want:.4f}")
 
@@ -44,10 +42,10 @@ def main():
     # like a fresh radius-2 experiment
     z0 = r * np.exp(1j * sample.angles)
     mask, angles2 = continue_paths(z0, 2.0, seed=11)
-    mass2 = sample.weights[mask].sum() / (sample.n_paths * sample.eps)
+    mass2 = sample.weight * np.count_nonzero(mask) / (sample.n_paths * sample.eps)
     print("\ncontinuation of the hits to radius 2:")
     print(f"  composite mass {mass2:.4f}   analytic {total_mass(2.0):.4f}")
-    ks2 = weighted_ks_distance(angles2[mask], sample.weights[mask])
+    ks2 = ks_distance(angles2[mask])
     print(f"  continued-angle KS to the sine law: {ks2:.4f} "
           f"(median angle {np.median(angles2[mask]):.4f}, "
           f"CDF there {hitting_cdf(float(np.median(angles2[mask]))):.3f})")

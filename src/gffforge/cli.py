@@ -39,7 +39,7 @@ from .averaging import (
     sine_average_path,
 )
 from .errors import ConfigError, DomainError, NumericalError, ResolutionError
-from .excursions import sample_excursion_hits, total_mass, weighted_ks_distance
+from .excursions import ks_distance, sample_excursion_hits, total_mass
 from .fields import CALIBRATION, FieldSample, dgff_matrix, sample_functionals, stable_matrix
 from .geometry import Mobius, disk_bump
 from .greens import disk_lattice
@@ -170,7 +170,7 @@ def _run_excursion_mass(cfg: ExperimentConfig) -> tuple:
     )
     ks = TestReport(
         "hit_angle_ks",
-        weighted_ks_distance(sample.angles, sample.weights),
+        ks_distance(sample.angles),
         None,
         cfg.tol["ks"],
         len(sample.angles),

@@ -34,7 +34,7 @@ __all__ = [
     "arc_mass",
     "sample_excursion_hits",
     "continue_paths",
-    "weighted_ks_distance",
+    "ks_distance",
 ]
 
 # Paths per random stream (see sample_excursion_hits).  Fixed so that the
@@ -77,14 +77,27 @@ def arc_mass(r: float, a: float, b: float) -> float:
     return (2.0 / (np.pi * r)) * (np.cos(a) - np.cos(b))
 
 
+def _radii(r: float, eps: float) -> list:
+    """[eps, 2 eps, 4 eps, ..., r]: the start height, then the half-disk radii a path exits."""
+    # NaN fails every comparison, and for r = inf or eps = 0 the ladder never ends
+    if not (0 < r < np.inf and 0 < eps < np.inf):
+        raise DomainError("need finite r > 0 and eps > 0")
+    radii = [eps]
+    while 2.0 * radii[-1] < r:
+        radii.append(2.0 * radii[-1])
+    radii.append(r)
+    return radii
+
+
 @dataclass
 class ExcursionSample:
     """Hit statistics of a batch of excursion attempts.
 
-    ``angles``/``weights``/``roots`` are per-hit, 1-D and of one length;
-    ``roots`` indexes the originating path, an integer in [0, n_paths), so
-    that per-path totals are independent (splitting correlates fragments
-    of the same path, never across paths).
+    ``angles``/``roots`` are per-hit, 1-D and of one length; ``roots``
+    indexes the originating path, an integer in [0, n_paths), so that
+    per-path totals are independent (splitting correlates fragments of the
+    same path, never across paths).  Every hit carries the one ``weight``
+    that r and eps fix.
     ``n_absorbed`` counts the fragments that ended on the diameter.  Random
     streams are keyed per fixed block of path indices, never per worker,
     so the sample does not depend on the worker count.
@@ -94,18 +107,17 @@ class ExcursionSample:
     eps: float
     n_paths: int
     angles: np.ndarray
-    weights: np.ndarray
     roots: np.ndarray
     n_absorbed: int
 
     def __post_init__(self):
+        _radii(self.r, self.eps)  # an r or eps whose ladder never ends raises
         self.angles = np.asarray(self.angles, dtype=float)
-        self.weights = np.asarray(self.weights, dtype=float)
         self.roots = np.asarray(self.roots)
-        if not (self.angles.ndim == self.weights.ndim == self.roots.ndim == 1):
-            raise DomainError("angles, weights and roots must be one-dimensional")
-        if not len(self.angles) == len(self.weights) == len(self.roots):
-            raise DomainError("angles, weights and roots must have one length per hit")
+        if not (self.angles.ndim == self.roots.ndim == 1):
+            raise DomainError("angles and roots must be one-dimensional")
+        if len(self.angles) != len(self.roots):
+            raise DomainError("angles and roots must have one length per hit")
         # np.add.at in mass_stderr would wrap a negative root onto another path
         if not np.issubdtype(self.roots.dtype, np.integer) or (
             len(self.roots) and not 0 <= self.roots.min() <= self.roots.max() < self.n_paths
@@ -113,30 +125,29 @@ class ExcursionSample:
             raise DomainError(f"roots must be integer path indices in [0, {self.n_paths})")
 
     @property
+    def weight(self) -> float:
+        """The weight of every hit: 2^-(number of half-disks - 1), one halving per split."""
+        return 0.5 ** (len(_radii(self.r, self.eps)) - 2)
+
+    @property
     def mass_estimate(self) -> float:
-        return float(self.weights.sum() / (self.n_paths * self.eps))
+        return float(self.weight * len(self.angles) / (self.n_paths * self.eps))
 
     def mass_stderr(self) -> float:
         if self.n_paths < 2:
             raise DomainError("mass standard error needs at least 2 paths")
         per_root = np.zeros(self.n_paths)
-        np.add.at(per_root, self.roots, self.weights / self.eps)
+        np.add.at(per_root, self.roots, self.weight / self.eps)
         return float(per_root.std(ddof=1) / np.sqrt(self.n_paths))
 
     def to_csv(self, path) -> None:
         """Write ``hit,angle,eps,weight``, one row per hit, each number as
-        ``%.17g``.  Rows go out in runs of equal weight, with eps and the
-        run's weight formatted once into the row template, so only the
-        angle is formatted per row; a sampled batch is one run."""
-        # runs by bits, since -0.0 == 0.0 but they print apart
-        bits = self.weights.view(np.int64)
-        cuts = (np.flatnonzero(bits[1:] != bits[:-1]) + 1).tolist()
+        ``%.17g``; eps and the weight are formatted once into the row
+        template, so only the angle is formatted per row."""
         with open(path, "w") as fh:
             fh.write("hit,angle,eps,weight\n")
-            for lo, hi in zip([0, *cuts], [*cuts, len(bits)]):
-                if lo < hi:
-                    row = f"1,%.17g,{self.eps:.17g},{self.weights[lo]:.17g}\n"
-                    _write_csv_rows(fh, self.angles[lo:hi, None], row)
+            row = f"1,%.17g,{self.eps:.17g},{self.weight:.17g}\n"
+            _write_csv_rows(fh, self.angles[:, None], row)
 
 
 def _exit(a, b, rng):
@@ -180,7 +191,7 @@ def sample_excursion_hits(r: float, eps: float, n: int, seed: int) -> ExcursionS
     finally r, one exact exit each.  Before every exit but the first the
     surviving fragments are doubled and their weights halved, an unbiased
     splitting that keeps about 0.64 fragments per path at every level, so
-    every hit carries the weight 2^-(number of half-disks - 1).
+    every hit carries the sample's ``weight``, 2^-(number of half-disks - 1).
 
     Paths ``[k B, (k+1) B)`` form block k (B = ``_PATH_BLOCK``) and draw
     from ``replica_rng(seed, k)``; split fragments of a path share their
@@ -188,28 +199,20 @@ def sample_excursion_hits(r: float, eps: float, n: int, seed: int) -> ExcursionS
     neither their bounds nor their streams depend on ``GFFFORGE_THREADS``,
     so neither does the sample.
     """
-    # NaN fails every comparison, and r = inf has no last level
-    if not (0 < r < np.inf and 0 < eps < np.inf):
-        raise DomainError("need finite r > 0 and eps > 0")
+    radii = _radii(r, eps)
     if eps >= r / 10:
         raise DomainError("eps must be < r/10 for the excursion limit to apply")
     if n < 1:
         raise DomainError("need n >= 1")
-    radii = [eps]
-    while 2.0 * radii[-1] < r:
-        radii.append(2.0 * radii[-1])
-    radii.append(r)
     parts = [
         _block_hits(radii, min(_PATH_BLOCK, n - lo), replica_rng(seed, k), lo)
         for k, lo in enumerate(range(0, n, _PATH_BLOCK))
     ]
-    angles = np.concatenate([p[0] for p in parts])
     return ExcursionSample(
         r=r,
         eps=eps,
         n_paths=n,
-        angles=angles,
-        weights=np.full(angles.size, 0.5 ** (len(radii) - 2)),
+        angles=np.concatenate([p[0] for p in parts]),
         roots=np.concatenate([p[1] for p in parts]),
         n_absorbed=int(sum(p[2] for p in parts)),
     )
@@ -234,23 +237,17 @@ def continue_paths(z0, r_target: float, seed: int):
     return hit, angles
 
 
-def weighted_ks_distance(values, weights, cdf=hitting_cdf) -> float:
-    """Sup distance between the weighted empirical CDF and a model CDF;
-    the values must be finite, with one weight each, and the weights
-    finite and nonnegative, with a positive sum."""
+def ks_distance(values) -> float:
+    """Sup distance between the empirical CDF of the finite 1-D ``values``
+    and the hit-angle law ``hitting_cdf``."""
     v = np.asarray(values, dtype=float)
-    w = np.asarray(weights, dtype=float)
     if v.size == 0:
         raise DomainError("no values to compare")
-    if v.ndim != 1 or v.shape != w.shape:
-        raise DomainError("values and weights must be 1-D, with one weight per value")
+    if v.ndim != 1:
+        raise DomainError("values must be 1-D")
     if not np.all(np.isfinite(v)):
         raise DomainError("values must be finite")
-    if not (np.all(np.isfinite(w)) and np.all(w >= 0) and w.sum() > 0):
-        raise DomainError("weights must be finite and nonnegative, with a positive sum")
-    order = np.argsort(v)
-    v, w = v[order], w[order]
-    ecdf = np.cumsum(w) / w.sum()
-    model = np.asarray(cdf(v), dtype=float)
-    lo = np.concatenate([[0.0], ecdf[:-1]])
-    return float(np.max(np.maximum(np.abs(ecdf - model), np.abs(lo - model))))
+    v = np.sort(v)
+    model = hitting_cdf(v)
+    steps = np.arange(v.size + 1) / v.size  # the ECDF just below and at each value
+    return float(np.max(np.maximum(np.abs(steps[1:] - model), np.abs(steps[:-1] - model))))

@@ -154,9 +154,9 @@ _REPLICA_BLOCK = 32
 _PARALLEL_SITES = 2_000
 
 
-def _replica_rows(noise, size, n, seed, replica_offset=0, V=None, step=None) -> np.ndarray:
+def _replica_rows(noise, size, n, seed, V=None, step=None) -> np.ndarray:
     """(n, size) array whose row r is ``noise(rng)`` for the generator of
-    replica replica_offset + r, or (n, k) with row r that noise @ V for a
+    replica r, or (n, k) with row r that noise @ V for a
     (size, k) matrix V.  ``step``, if given, is then called on each block's
     rows, which it may rewrite in place.
 
@@ -173,7 +173,7 @@ def _replica_rows(noise, size, n, seed, replica_offset=0, V=None, step=None) -> 
         rng = None
         hi = min(lo + _REPLICA_BLOCK, n)
         for r in range(lo, hi):
-            rng = replica_rng(seed, replica_offset + r, rng)
+            rng = replica_rng(seed, r, rng)
             xi = noise(rng)
             out[r] = xi if V is None else xi @ V
         if step is not None:
@@ -188,8 +188,8 @@ def _replica_rows(noise, size, n, seed, replica_offset=0, V=None, step=None) -> 
     return out
 
 
-def _field_matrix(lat, law, alpha, n, seed, replica_offset) -> np.ndarray:
-    """(n_sites, n) calibrated fields; column r is replica replica_offset + r."""
+def _field_matrix(lat, law, alpha, n, seed) -> np.ndarray:
+    """(n_sites, n) calibrated fields; column r is replica r."""
 
     def solve(rows):
         # each block's fields are scaled into the block's own noise rows: no
@@ -197,13 +197,13 @@ def _field_matrix(lat, law, alpha, n, seed, replica_offset) -> np.ndarray:
         np.multiply(lat.white_to_field(rows.T), CALIBRATION, out=rows.T)
 
     noise = _law_noise(law, alpha, lat.n_sites)
-    return _replica_rows(noise, lat.n_sites, n, seed, replica_offset, step=solve).T
+    return _replica_rows(noise, lat.n_sites, n, seed, step=solve).T
 
 
-def dgff_matrix(lat: LatticeDomain, n: int, seed: int, replica_offset: int = 0) -> np.ndarray:
-    """(n_sites, n) matrix of lattice GFF samples; column r is replica
-    ``replica_offset + r``, so chunked generation matches one big batch."""
-    return _field_matrix(lat, "gff", 2.0, n, seed, replica_offset)
+def dgff_matrix(lat: LatticeDomain, n: int, seed: int) -> np.ndarray:
+    """(n_sites, n) matrix of lattice GFF samples; column r is replica r,
+    so the first m columns of n replicas are the m replicas' draw."""
+    return _field_matrix(lat, "gff", 2.0, n, seed)
 
 
 def sample_dgff(lat: LatticeDomain, n: int, seed: int):
@@ -233,16 +233,10 @@ def sample_sas(alpha: float, size, rng, scale: float = 1.0) -> np.ndarray:
 _SAS_DRIVER_SCALE = 2.0 ** (-0.5)
 
 
-def stable_matrix(
-    lat: LatticeDomain,
-    alpha: float,
-    n: int,
-    seed: int,
-    replica_offset: int = 0,
-) -> np.ndarray:
+def stable_matrix(lat: LatticeDomain, alpha: float, n: int, seed: int) -> np.ndarray:
     """(n_sites, n) matrix of symmetric alpha-stable lattice fields; column
-    r is replica ``replica_offset + r``."""
-    return _field_matrix(lat, "stable", alpha, n, seed, replica_offset)
+    r is replica r."""
+    return _field_matrix(lat, "stable", alpha, n, seed)
 
 
 def sample_functionals(

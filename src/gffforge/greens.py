@@ -423,14 +423,20 @@ class LatticeDomain:
         node, corner-major, and repeated corners are summed in that order.
         The field is zero on the outer lattice boundary, so corners there
         drop out; a corner that is neither interior nor on that boundary
-        raises ResolutionError.
+        raises ResolutionError, and a non-finite node or weight DomainError.
         """
+        nodes, weights = np.asarray(nodes, dtype=complex), np.asarray(weights, dtype=float)
+        if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))):
+            raise DomainError("pairing nodes and weights must be finite")
         x = nodes.real / self.spacing
         y = nodes.imag / self.spacing
-        ix = np.floor(x).astype(np.int64)
-        iy = np.floor(y).astype(np.int64)
+        ix, iy = np.floor(x), np.floor(y)
+        # corners lie at floor, floor + 1; beyond +-(_MAX_SITE + 1) they could alias a site's code
+        if np.any((np.minimum(ix, iy) < -_MAX_SITE - 1) | (np.maximum(ix, iy) > _MAX_SITE)):
+            raise ResolutionError("pairing node corners fall off the lattice")
         fx = x - ix
         fy = y - iy
+        ix, iy = ix.astype(np.int64), iy.astype(np.int64)
         offsets = ((0, 0), (1, 0), (0, 1), (1, 1))
         fracs = ((1 - fx) * (1 - fy), fx * (1 - fy), (1 - fx) * fy, fx * fy)
         corners = np.concatenate([np.stack([ix + di, iy + dj], axis=1) for di, dj in offsets])

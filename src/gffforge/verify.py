@@ -26,7 +26,7 @@ from .averaging import ProcessPath
 from .errors import DomainError
 from .fields import _replica_rows, sample_functionals, sample_sas
 from .geometry import Mobius, TestFunction, pullback_test_function
-from .greens import LatticeDomain, disk_lattice
+from .greens import LatticeDomain
 from .rng import parallel_map, replica_rng
 
 __all__ = [
@@ -488,22 +488,21 @@ def test_conformal_invariance(
     phi: TestFunction,
     n: int,
     seed: int,
-    lattice_src: LatticeDomain | None = None,
+    lattice_src: LatticeDomain,
     alpha: float = 2.0,
 ) -> TestReport:
     """Two-sample KS between source-domain pairings (h, phi) and image
     pairings (h', phi^f) with phi^f the density-corrected pushforward."""
-    lat = lattice_src if lattice_src is not None else disk_lattice(96)
-    dst = _image_lattice(lat, f)
+    dst = _image_lattice(lattice_src, f)
     psi = pullback_test_function(phi, f)
-    srcw = np.asarray(phi(lat.z)) * lat.spacing**2
+    srcw = np.asarray(phi(lattice_src.z)) * lattice_src.spacing**2
     dstw = np.asarray(psi(dst.z)) * dst.spacing**2
-    a = sample_functionals(lat, srcw[:, None], n, seed, law, alpha)[:, 0]
+    a = sample_functionals(lattice_src, srcw[:, None], n, seed, law, alpha)[:, 0]
     b = sample_functionals(dst, dstw[:, None], n, (seed + 1) % 2**64, law, alpha)[:, 0]
     from scipy import stats
 
     ks = stats.ks_2samp(a, b)
-    notes = f"lattice spacings {lat.spacing:.4g} -> {dst.spacing:.4g}; O(spacing) bias applies"
+    notes = f"lattice spacings {lattice_src.spacing:.4g} -> {dst.spacing:.4g}; O(spacing) bias applies"
     if law != "gff":
         notes += (
             "; the stable field's law is invariant only under the symmetries of its"

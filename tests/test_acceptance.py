@@ -17,7 +17,7 @@ from gffforge.averaging import (
     sine_average_path,
     sine_pair,
 )
-from gffforge.excursions import sample_excursion_hits, total_mass, weighted_ks_distance
+from gffforge.excursions import ks_distance, sample_excursion_hits, total_mass
 from gffforge.fields import CALIBRATION, markov_decompose, sample_dgff, sample_functionals
 from gffforge.geometry import UpperHalfPlane, disk_bump, radial_annulus_bump
 from gffforge.greens import (
@@ -40,7 +40,7 @@ def test_criterion_01_excursion_mass():
     t0 = time.time()
     sample = sample_excursion_hits(1.0, 1e-3, 200_000, seed=424242)
     rel = abs(sample.mass_estimate / total_mass(1.0) - 1.0)
-    ks = weighted_ks_distance(sample.angles, sample.weights)
+    ks = ks_distance(sample.angles)
     dt = time.time() - t0
     ok = rel <= 0.03 and ks < 0.02 and dt < 120.0
     detail = (

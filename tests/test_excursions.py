@@ -19,9 +19,9 @@ from gffforge.excursions import (
     continue_paths,
     hitting_cdf,
     hitting_density,
+    ks_distance,
     sample_excursion_hits,
     total_mass,
-    weighted_ks_distance,
 )
 from gffforge.geometry import gauss_legendre
 
@@ -116,7 +116,7 @@ def test_mass_estimate(base_sample):
 def test_hit_angle_law(base_sample):
     s = base_sample
     assert len(s.angles) >= 10000
-    assert weighted_ks_distance(s.angles, s.weights) < 0.02
+    assert ks_distance(s.angles) < 0.02
 
 
 def test_markov_continuation(base_sample):
@@ -125,10 +125,9 @@ def test_markov_continuation(base_sample):
     s = base_sample
     pts = 1.0 * np.exp(1j * s.angles)
     mask, ang2 = continue_paths(pts, 2.0, seed=103)
-    w2 = s.weights[mask]
-    mass2 = w2.sum() / (s.n_paths * s.eps)
+    mass2 = s.weight * np.count_nonzero(mask) / (s.n_paths * s.eps)
     assert abs(mass2 - total_mass(2.0)) < 0.05 * total_mass(2.0)
-    assert weighted_ks_distance(ang2[mask], w2) < 0.03
+    assert ks_distance(ang2[mask]) < 0.03
 
 
 def test_markov_continuation_matches_fresh_start(base_sample):
@@ -137,14 +136,14 @@ def test_markov_continuation_matches_fresh_start(base_sample):
     s = base_sample
     pts = 1.0 * np.exp(1j * s.angles)
     mask_a, ang_a = continue_paths(pts, 2.0, seed=107)
-    w_a = s.weights[mask_a]
 
     rng = np.random.default_rng(109)
     theta = np.arccos(1.0 - 2.0 * rng.uniform(size=4000))  # inverse cdf of (1/2) sin
     mask_b, ang_b = continue_paths(np.exp(1j * theta), 2.0, seed=113)
 
     grid = np.linspace(0.0, np.pi, 400)
-    ecdf_a = np.array([w_a[ang_a[mask_a] <= g].sum() for g in grid]) / w_a.sum()
+    aa = np.sort(ang_a[mask_a])
+    ecdf_a = np.searchsorted(aa, grid, side="right") / len(aa)
     bb = np.sort(ang_b[mask_b])
     ecdf_b = np.searchsorted(bb, grid, side="right") / len(bb)
     assert np.max(np.abs(ecdf_a - ecdf_b)) < 0.05
@@ -207,16 +206,16 @@ import sys
 import numpy as np
 from gffforge.excursions import sample_excursion_hits
 s = sample_excursion_hits(1.0, 1e-3, 200_000, seed=424242)
-np.savez(sys.argv[1], angles=s.angles, weights=s.weights, roots=s.roots,
-         n_absorbed=s.n_absorbed, mass=s.mass_estimate)
+np.savez(sys.argv[1], angles=s.angles, roots=s.roots, n_absorbed=s.n_absorbed,
+         mass=s.mass_estimate)
 """
 
 
 def test_hit_decisions_ignore_simd_dispatch(tmp_path):
     # criterion 1's sample in a child with numpy's AVX-512 kernels off, as
-    # on an AVX2-only CPU: which paths hit, their weights and the mass are
-    # bit-identical, and only the arccos of the returned angles moves, by at
-    # most 1 ulp (measured: 12,373 of 130,593 angles move by exactly 1 ulp;
+    # on an AVX2-only CPU: which paths hit and the mass are bit-identical,
+    # and only the arccos of the returned angles moves, by at most 1 ulp
+    # (measured: 12,373 of 130,593 angles move by exactly 1 ulp;
     # a tan(phi) draw moved them by up to 134,575 ulp).  On a CPU without
     # AVX-512 both runs take the same kernels and this checks nothing.
     from numpy._core._multiarray_umath import __cpu_features__
@@ -230,7 +229,6 @@ def test_hit_decisions_ignore_simd_dispatch(tmp_path):
     assert done.returncode == 0, done.stderr
     child = np.load(out)
     s = sample_excursion_hits(1.0, 1e-3, 200_000, seed=424242)
-    assert_array_equal(child["weights"], s.weights)
     assert_array_equal(child["roots"], s.roots)
     assert int(child["n_absorbed"]) == s.n_absorbed
     assert float(child["mass"]) == s.mass_estimate
@@ -249,7 +247,6 @@ def test_sample_independent_of_thread_count(monkeypatch):
     first = runs[0]
     for s in runs[1:]:
         assert_array_equal(s.angles, first.angles)
-        assert_array_equal(s.weights, first.weights)
         assert_array_equal(s.roots, first.roots)
         assert s.n_absorbed == first.n_absorbed
 
@@ -271,21 +268,15 @@ def test_sampler_validation():
 
 
 def test_sample_rejects_misaligned_hits():
-    # 3 angles with 2 weights wrote 2 rows to hits.csv and read a mass of
-    # 10.0; only mass_stderr raised, a bare ValueError
-    good = {
-        "angles": np.array([0.5, 1.0, 1.5]),
-        "weights": np.array([0.25, 0.25, 0.25]),
-        "roots": np.array([0, 1, 2]),
-    }
+    # only mass_stderr raised on hits of two lengths, a bare ValueError
+    good = {"angles": np.array([0.5, 1.0, 1.5]), "roots": np.array([0, 1, 2])}
     for key, bad in (
-        ("weights", np.array([0.25, 0.25])),
         ("roots", np.array([0, 1])),
         ("angles", np.array([0.5, 1.0, 1.5, 2.0])),
         ("angles", np.array([[0.5], [1.0], [1.5]])),
-        ("weights", np.float64(0.25)),
+        ("roots", np.int64(0)),
     ):
-        with pytest.raises(DomainError, match="angles, weights and roots"):
+        with pytest.raises(DomainError, match="angles and roots"):
             ExcursionSample(1.0, 1e-2, 5, **{**good, key: bad}, n_absorbed=0)
     # a root of -1 was wrapped onto the last path by np.add.at, and a root
     # of n_paths raised a bare IndexError in mass_stderr
@@ -293,7 +284,40 @@ def test_sample_rejects_misaligned_hits():
         with pytest.raises(DomainError, match="roots must be integer path indices"):
             ExcursionSample(1.0, 1e-2, 5, **{**good, "roots": np.array(bad)}, n_absorbed=0)
     s = ExcursionSample(1.0, 1e-2, 5, **good, n_absorbed=0)
-    assert s.mass_estimate == pytest.approx(15.0)
+    assert s.mass_estimate == 3 * 2.0**-6 / (5 * 1e-2)
+
+
+def test_sample_weight_is_fixed_by_r_and_eps():
+    # eps = 2^-10 below r = 1 gives the half-disks 2^-9, ..., 2^-1 and 1:
+    # ten exits, nine splits
+    s = ExcursionSample(1.0, 2.0**-10, 5, np.zeros(0), np.zeros(0, dtype=np.int64), 0)
+    assert s.weight == 2.0**-9
+    # the ladder of an infinite r or a zero eps never ends, and NaN passes
+    # every loop test
+    for r, eps in ((np.inf, 1e-2), (1.0, 0.0), (np.nan, 1e-2), (1.0, np.nan), (1.0, -1e-2)):
+        with pytest.raises(DomainError, match="finite r > 0 and eps > 0"):
+            ExcursionSample(r, eps, 5, np.zeros(0), np.zeros(0, dtype=np.int64), 0)
+
+
+@pytest.mark.parametrize(
+    "r, eps, n, seed", [(1.0, 1e-3, 200_000, 7), (1.0, 1e-2, 20_000, 5), (2.0, 3e-3, 50_000, 11)]
+)
+def test_one_weight_matches_the_per_hit_weight_formulas(r, eps, n, seed):
+    # reference: a per-hit weight array, summed, added up per root and
+    # cumulated into a weighted ECDF; every weight is a power of two, so
+    # the one-weight forms agree bit for bit
+    s = sample_excursion_hits(r, eps, n, seed)
+    w = np.full(len(s.angles), s.weight)
+    assert s.mass_estimate == float(w.sum() / (s.n_paths * s.eps))
+    per_root = np.zeros(s.n_paths)
+    np.add.at(per_root, s.roots, w / s.eps)
+    assert s.mass_stderr() == float(per_root.std(ddof=1) / np.sqrt(s.n_paths))
+    order = np.argsort(s.angles)
+    v, w = s.angles[order], w[order]
+    ecdf = np.cumsum(w) / w.sum()
+    model = hitting_cdf(v)
+    lo = np.concatenate([[0.0], ecdf[:-1]])
+    assert ks_distance(s.angles) == float(np.max(np.maximum(np.abs(ecdf - model), np.abs(lo - model))))
 
 
 def test_continue_paths_validation():
@@ -314,35 +338,21 @@ def test_continue_paths_validation():
             continue_paths(np.array([0.2 + 0.3j, z0]), r_target, seed=1)
 
 
-def test_weighted_ks_validation():
-    with pytest.raises(DomainError):
-        weighted_ks_distance(np.array([]), np.array([]))
-    # a zero sum gave NaN, a negative weight a distance above 1
-    for w in ([0.0, 0.0], [-1.0, 2.0], [1.0, np.nan], [1.0, np.inf]):
-        with pytest.raises(DomainError, match="weights"):
-            weighted_ks_distance(np.array([1.0, 2.0]), np.array(w))
-    # an extra weight was dropped (0.292), a missing one raised IndexError,
-    # and a non-finite value gave NaN
-    for v, w in (([1.0, 2.0], [1.0, 1.0, 5.0]), ([1.0, 2.0], [1.0]), ([[1.0, 2.0]], [[1.0, 1.0]])):
-        with pytest.raises(DomainError, match="one weight per value"):
-            weighted_ks_distance(np.array(v), np.array(w))
+def test_ks_distance_validation():
+    with pytest.raises(DomainError, match="no values to compare"):
+        ks_distance(np.array([]))
+    with pytest.raises(DomainError, match="1-D"):
+        ks_distance(np.array([[1.0, 2.0]]))
+    # a non-finite value gave NaN
     for v in ([1.0, np.nan], [np.inf, 1.0], [-np.inf, 1.0]):
         with pytest.raises(DomainError, match="values must be finite"):
-            weighted_ks_distance(np.array(v), np.ones(2))
+            ks_distance(np.array(v))
 
 
-def test_weighted_ks_weight_semantics():
-    rng = np.random.default_rng(149)
-    v = np.arccos(1.0 - 2.0 * rng.uniform(size=500))
-    plain = weighted_ks_distance(v, np.ones_like(v))
-    doubled = weighted_ks_distance(np.concatenate([v, v]), np.full(1000, 0.5))
-    assert abs(plain - doubled) < 1e-12
-
-
-def test_weighted_ks_detects_wrong_law():
+def test_ks_distance_detects_wrong_law():
     rng = np.random.default_rng(151)
     v = rng.uniform(0.0, np.pi, size=2000)  # uniform, not sine
-    assert weighted_ks_distance(v, np.ones_like(v)) > 0.1
+    assert ks_distance(v) > 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -353,22 +363,20 @@ def test_weighted_ks_detects_wrong_law():
 def _hits_csv(sample) -> str:
     # reference rendering of hits.csv: one row per hit
     rows = ["hit,angle,eps,weight\n"]
-    for a, w in zip(sample.angles, sample.weights):
-        rows.append(f"1,{a:.17g},{sample.eps:.17g},{w:.17g}\n")
+    for a in sample.angles:
+        rows.append(f"1,{a:.17g},{sample.eps:.17g},{sample.weight:.17g}\n")
     return "".join(rows)
 
 
 def test_to_csv_matches_records_rendering(tmp_path):
-    # a sampled batch (one weight run); no hits, which writes the header
-    # only; and 13,000 hand-built hits in weight runs, -0.0 beside 0.0, two
-    # of them across a 4,096-row block edge and the last over three blocks
+    # a sampled batch; no hits, which writes the header only; and 13,000
+    # hand-built hits over four 4,096-row blocks, at another weight
     rng = np.random.default_rng(181)
     n = 13_000
-    weights = np.repeat([0.5, 0.25, -0.0, 0.0, 2.0**-7], [10, 4200, 3, 3, n - 4216])
     samples = (
         sample_excursion_hits(1.0, 1e-2, 400, seed=179),
-        ExcursionSample(1.0, 1e-2, 5, np.zeros(0), np.zeros(0), np.zeros(0, dtype=np.int64), 0),
-        ExcursionSample(1.0, 1e-2, 5, rng.uniform(0.0, np.pi, n), weights, rng.integers(0, 5, n), 0),
+        ExcursionSample(1.0, 1e-2, 5, np.zeros(0), np.zeros(0, dtype=np.int64), 0),
+        ExcursionSample(2.0, 3e-3, 5, rng.uniform(0.0, np.pi, n), rng.integers(0, 5, n), 0),
     )
     f = tmp_path / "hits.csv"
     for s in samples:
@@ -381,4 +389,4 @@ def test_to_csv_matches_records_rendering(tmp_path):
         assert len(rows) == len(s.angles)
         assert np.all(rows[:, 0] == 1)
         assert_array_equal(rows[:, 1], s.angles)
-        assert_array_equal(rows[:, 3], s.weights)
+        assert np.all(rows[:, 3] == s.weight)

@@ -200,9 +200,10 @@ def test_dgff_seed_determinism():
 
 def test_dgff_chunked_generation_matches_one_batch():
     lat = disk_lattice(12)
+    # column r is replica r: a smaller batch is a prefix of a larger one
     whole = dgff_matrix(lat, 6, seed=21)
-    tail = dgff_matrix(lat, 3, seed=21, replica_offset=3)
-    assert_allclose(whole[:, 3:], tail, rtol=0, atol=0)
+    head = dgff_matrix(lat, 3, seed=21)
+    assert_allclose(whole[:, :3], head, rtol=0, atol=0)
 
 
 def _gram_root(lat, W):
@@ -252,12 +253,12 @@ def test_gff_functionals_covariance_matches_exact_gram():
         assert np.all(np.abs(X.T @ X / n - gram) <= 5.0 * se)
 
 
-def _serial_noise(law, alpha, size, n, seed, replica_offset=0):
-    """Reference: row r is replica replica_offset + r's noise, drawn one
-    replica at a time from its own stream."""
+def _serial_noise(law, alpha, size, n, seed):
+    """Reference: row r is replica r's noise, drawn one replica at a time
+    from its own stream."""
     rows = np.empty((n, size))
     for r in range(n):
-        rng = replica_rng(seed, replica_offset + r)
+        rng = replica_rng(seed, r)
         rows[r] = rng.standard_normal(size) if law == "gff" else sample_sas(alpha, size, rng, 2.0**-0.5)
     return rows
 
@@ -282,10 +283,10 @@ def test_replica_blocks_match_serial_reference(monkeypatch, threads):
             assert np.array_equal(sample_functionals(lat, W, n, seed, law, 1.6), ref)
     for lat in (disk_lattice(16), halfplane_lattice(1.2, 0.1)):
         for law, got in (
-            ("gff", dgff_matrix(lat, n, seed, replica_offset=5)),
-            ("stable", stable_matrix(lat, 1.6, n, seed, replica_offset=5)),
+            ("gff", dgff_matrix(lat, n, seed)),
+            ("stable", stable_matrix(lat, 1.6, n, seed)),
         ):
-            rows = _serial_noise(law, 1.6, lat.n_sites, n, seed, replica_offset=5)
+            rows = _serial_noise(law, 1.6, lat.n_sites, n, seed)
             assert np.array_equal(got, CALIBRATION * lat.white_to_field(rows.T))
 
 
@@ -378,12 +379,6 @@ def test_sample_functionals_reject_non_finite_weights(law, bad):
         sample_functionals(lat, W, 4, seed=0, law=law, alpha=1.5)
 
 
-def test_dgff_rejects_a_negative_replica_offset():
-    # derived_seed raised a bare ValueError
-    with pytest.raises(DomainError, match="replica index must be nonnegative"):
-        dgff_matrix(disk_lattice(12), 2, 1, replica_offset=-1)
-
-
 def test_dgff_sample_metadata():
     lat = disk_lattice(12)
     (s,) = sample_dgff(lat, 1, seed=5)
@@ -417,10 +412,8 @@ def test_stable_near_two_matches_gaussian_ks():
 
 def test_stable_heavy_tail_kurtosis():
     lat = point_lattice()
-    excesses = []
-    for b in range(3):
-        vals = stable_matrix(lat, 1.5, 10000, seed=37, replica_offset=10000 * b)[0]
-        excesses.append(stats.kurtosis(vals, fisher=False))
+    vals = stable_matrix(lat, 1.5, 30000, seed=37)[0]
+    excesses = [stats.kurtosis(vals[b : b + 10000], fisher=False) for b in range(0, 30000, 10000)]
     assert np.median(excesses) > 6.0
 
 
@@ -631,16 +624,12 @@ def test_zero_boundary_kills_boundary_bumps():
 def test_anderson_darling_separates_laws():
     lat = disk_lattice(12)
     k = lat.nearest_site(0.0 + 0.0j)
+    # 50 batches of 2,000 replicas, sliced from one draw per law
     batch = 2000
-    rejects_stable = 0
-    rejects_gauss = 0
-    for b in range(50):
-        sv = stable_matrix(lat, 1.5, batch, seed=83, replica_offset=b * batch)[k]
-        _, p = anderson_darling_p(sv)
-        rejects_stable += p < 0.01
-        gv = dgff_matrix(lat, batch, seed=89, replica_offset=b * batch)[k]
-        _, p = anderson_darling_p(gv)
-        rejects_gauss += p < 0.01
+    sv = stable_matrix(lat, 1.5, 50 * batch, seed=83)[k].reshape(50, batch)
+    gv = dgff_matrix(lat, 50 * batch, seed=89)[k].reshape(50, batch)
+    rejects_stable = sum(anderson_darling_p(v)[1] < 0.01 for v in sv)
+    rejects_gauss = sum(anderson_darling_p(v)[1] < 0.01 for v in gv)
     assert rejects_stable >= 48
     assert rejects_gauss <= 4
 

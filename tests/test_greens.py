@@ -415,6 +415,27 @@ def test_site_indices_beyond_the_code_range_rejected():
             LatticeDomain(1.0, np.array(ij))
 
 
+@pytest.mark.parametrize("node", [2**23 * 1j, 1e300 + 0j], ids=["aliased-code", "int64-overflow"])
+def test_site_weights_reject_corners_beyond_the_code_range(node):
+    # the corner (0, 2^23) has the code of (1, 0), and 1e300 wrapped in the
+    # int64 cast: both returned weights on the two sites
+    lat = LatticeDomain(1.0, np.array([[0, 0], [1, 0]]))
+    with pytest.raises(ResolutionError, match="corners fall off the lattice"):
+        lat.site_weights(np.array([node]), np.ones(1))
+
+
+@pytest.mark.parametrize(
+    "node, weight",
+    [(np.nan + 0.1j, 1.0), (complex(0.1, np.inf), 1.0), (0.1 + 0.1j, np.nan), (0.1 + 0.1j, np.inf)],
+    ids=["nan-node", "inf-node", "nan-weight", "inf-weight"],
+)
+def test_site_weights_reject_non_finite_input(node, weight):
+    # each returned four sites with NaN or inf weights, or a corner at the
+    # int64 minimum
+    with pytest.raises(DomainError, match="nodes and weights must be finite"):
+        disk_lattice(16).site_weights(np.array([node]), np.array([weight]))
+
+
 @pytest.mark.parametrize(
     "ij", [[[0.5, 0.5], [1.5, 0.5], [2.9, 0.2]], [[0.0, 0.0], [1.0, np.nan]]], ids=["fractional", "nan"]
 )

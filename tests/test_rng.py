@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from gffforge.errors import ConfigError
+from gffforge.errors import ConfigError, DomainError
 from gffforge.fields import dgff_matrix
 from gffforge.greens import disk_lattice
 from gffforge.rng import GOLDEN, derived_seed, parallel_map, replica_rng, thread_count
@@ -16,7 +16,7 @@ def test_derived_seed_is_deterministic_and_distinct():
     assert derived_seed(123, 1) == 123 ^ GOLDEN
     seeds = {derived_seed(7, k) for k in range(1000)}
     assert len(seeds) == 1000
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError, match="replica index must be nonnegative"):
         derived_seed(7, -1)
 
 
