@@ -16,7 +16,7 @@ U_GRID = (0.5, 1.0, 1.025, 1.05, 1.1, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0)
 
 
 def main():
-    Y = sine_average_path(3000, U_GRID, seed=3, backend="exact")
+    Y = sine_average_path(3000, U_GRID, seed=3)
     print("empirical covariance over u in {1, 2, 4} (analytic: 4.9348 * min(u, s)):")
     cols = [Y.column(u) for u in (1.0, 2.0, 4.0)]
     C = np.cov(np.array(cols))

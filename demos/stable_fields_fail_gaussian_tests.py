@@ -26,8 +26,7 @@ def main():
     lat = disk_lattice(48)
 
     Y = circle_average_path(
-        800, (0.25, 0.5, 0.75, 1.0), seed=21, backend="lattice",
-        lattice=lat, law="stable", alpha=alpha,
+        800, (0.25, 0.5, 0.75, 1.0), seed=21, lattice=lat, law="stable", alpha=alpha,
     )
     inc = (np.diff(Y.replicas, axis=1) / np.sqrt(np.diff(Y.grid))).T.ravel()
     rep = test_normality(inc)

@@ -4,7 +4,7 @@ A sine average at scale u pairs a half-plane field with the measure of
 density sqrt(u) sin(theta) d(theta) on the semicircle of radius 1/sqrt(u)
 (total mass 2 sqrt(u)).  Pairings with singular measures are defined
 through the harmonic part of the domain Markov decomposition; the lattice
-backends below compute exactly that, with every linear functional of a
+routes below compute exactly that, with every linear functional of a
 harmonic extension collapsed once into a weight vector over ring sites;
 ``fields.sample_functionals`` then draws them without building a field.
 """
@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DomainError, ResolutionError
 from .fields import FieldSample, sample_functionals, sample_gff_observables
 from .geometry import gauss_legendre
-from .greens import DirichletCell, LatticeDomain, disk_lattice, halfplane_lattice
+from .greens import DirichletCell, LatticeDomain, halfplane_lattice
 
 __all__ = [
     "CircleMeasure",
@@ -175,22 +175,19 @@ def _cell_weights(lat: LatticeDomain, region, minimum: int, what: str, nodes, we
     return DirichletCell(lat, idx).pairing_weights(nodes, weights)
 
 
-def _average_path(grid, rate, default_lattice, functional, n, seed, backend, lattice, law, alpha):
-    """Either average process on ``grid``.  exact: covariance rate * min(s, s'),
-    so a grid point at 0 reads exactly 0.  lattice: the ring functional
-    ``functional(lat, v)`` as the weight column of each grid point v."""
-    if backend == "exact":
-        if law != "gff":
-            raise DomainError("the exact backend only carries the Gaussian law")
+def _average_path(grid, rate, functional, n, seed, lattice, law, alpha):
+    """Either average process on ``grid``: with no lattice the exact Gaussian
+    path, covariance rate * min(s, s') (a grid point at 0 reads exactly 0);
+    on a lattice, the ring functional ``functional(lat, v)`` as column v."""
+    if lattice is None:
+        if law != "gff" or alpha != 2.0:
+            raise DomainError("the exact backend only carries the Gaussian law, which is alpha = 2")
         return ProcessPath(grid, sample_gff_observables(rate * np.minimum.outer(grid, grid), n, seed))
-    if backend != "lattice":
-        raise DomainError(f"unknown backend {backend!r}")
-    lat = lattice if lattice is not None else default_lattice()
-    weights = [functional(lat, float(v)) for v in grid]
-    W = np.zeros((lat.n_sites, len(grid)))
-    for col, (ring_idx, w) in enumerate(weights):
+    W = np.zeros((lattice.n_sites, len(grid)))
+    for col, v in enumerate(grid):
+        ring_idx, w = functional(lattice, float(v))
         W[ring_idx, col] = w
-    return ProcessPath(grid, sample_functionals(lat, W, n, seed, law, alpha))
+    return ProcessPath(grid, sample_functionals(lattice, W, n, seed, law, alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -218,24 +215,23 @@ def circle_average_path(
     n: int,
     t_grid,
     seed: int,
-    backend: str = "exact",
     lattice: LatticeDomain | None = None,
     law: str = "gff",
     alpha: float = 2.0,
 ) -> ProcessPath:
     """Circle-average process X(t) = h_(e^-t)(0) on a fixed t grid.
 
-    The exact backend draws from the min(t, t') covariance directly; the
-    lattice backend pairs lattice fields (law "gff" or "stable") with the
-    circle-average weights through ``fields.sample_functionals``.
+    With no lattice, drawn from the min(t, t') covariance directly (law
+    "gff" only); on a disk lattice, lattice fields (law "gff" or "stable")
+    paired with the circle-average weights through
+    ``fields.sample_functionals``.
     """
     t = np.asarray(t_grid, dtype=float)
     if np.any(t < 0):
         raise DomainError("t grid must be nonnegative")
     # a ball that exhausts the domain has an empty ring: a zero column
-    return _average_path(t, 1.0, lambda: disk_lattice(128),
-                         lambda lat, v: _circle_weights(lat, np.exp(-v)),
-                         n, seed, backend, lattice, law, alpha)
+    return _average_path(t, 1.0, lambda lat, v: _circle_weights(lat, np.exp(-v)),
+                         n, seed, lattice, law, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +258,15 @@ def sine_pair(f, u: float) -> float:
     return float(np.sum(weights * np.asarray(f(nodes), dtype=float)))
 
 
+def _u_grid(u_grid) -> np.ndarray:
+    """u_grid as a float array, if non-empty, finite, positive and strictly increasing."""
+    u = np.asarray(u_grid, dtype=float)
+    # NaN fails every comparison; an increasing grid is finite if its last value is
+    if not (u.ndim == 1 and u.size and np.all(np.diff(u, prepend=0.0) > 0) and u[-1] < np.inf):
+        raise DomainError("u grid must be non-empty, finite, positive and strictly increasing")
+    return u
+
+
 def sine_lattice_for(
     u_grid, points_per_radius: int = 12, width_factor: float = 8.0
 ) -> LatticeDomain:
@@ -275,9 +280,7 @@ def sine_lattice_for(
     2 s.e. of a variance from 10,000 replicas.  Spacing resolves the
     smallest pairing semicircle with ``points_per_radius`` sites.
     """
-    u = np.asarray(u_grid, dtype=float)
-    if u.size == 0 or not np.all(np.isfinite(u)) or np.any(u <= 0):
-        raise DomainError("u grid must be non-empty, finite and positive")
+    u = _u_grid(u_grid)
     width = width_factor / np.sqrt(u.min())
     smallest = 1.0 / np.sqrt(2.0 * u.max())
     return halfplane_lattice(width, smallest / points_per_radius)
@@ -296,7 +299,6 @@ def sine_average_path(
     n: int,
     u_grid,
     seed: int,
-    backend: str = "exact",
     lattice: LatticeDomain | None = None,
     law: str = "gff",
     alpha: float = 2.0,
@@ -304,22 +306,20 @@ def sine_average_path(
     """Sine-average process Y(u) on a fixed u grid.
 
     The sine measures live on semicircles about the origin in the upper
-    half-plane, the only supported domain: the lattice backend raises
-    DomainError for a lattice with a site at j <= 0.  exact: jointly
+    half-plane, the only supported domain: a lattice with a site at j <= 0
+    raises DomainError.  With no lattice (law "gff" only): jointly
     Gaussian with covariance (pi^2/2) min(u, u'), in closed form: between
     concentric semicircles only the first angular mode of the half-plane
-    kernel survives the sin weights.  lattice: pair the harmonic part of
+    kernel survives the sin weights.  On a lattice such as
+    ``sine_lattice_for(u_grid)``: pair the harmonic part of
     the domain Markov decomposition at semi-disk scale u with the sine
     measure at the fixed test scale 2.0 * u, through
     ``fields.sample_functionals``.  That scale is immaterial: for the same
     reason the harmonic part's sine average is the same on every inner
     semicircle.
     """
-    u = np.asarray(u_grid, dtype=float)
-    if not np.all(np.isfinite(u)) or np.any(u <= 0) or np.any(np.diff(u) <= 0):
-        raise DomainError("u grid must be finite, positive and increasing")
-    return _average_path(u, np.pi**2 / 2.0, lambda: sine_lattice_for(u), _sine_weights,
-                         n, seed, backend, lattice, law, alpha)
+    return _average_path(_u_grid(u_grid), np.pi**2 / 2.0, _sine_weights,
+                         n, seed, lattice, law, alpha)
 
 
 # ---------------------------------------------------------------------------

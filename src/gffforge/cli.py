@@ -37,6 +37,7 @@ from .averaging import (
     _write_csv_rows,
     circle_average_path,
     sine_average_path,
+    sine_lattice_for,
 )
 from .errors import ConfigError, DomainError, NumericalError, ResolutionError
 from .excursions import ks_distance, sample_excursion_hits, total_mass
@@ -185,20 +186,19 @@ def _run_excursion_mass(cfg: ExperimentConfig) -> tuple:
 
 
 def _run_char_bm_gff_sine(cfg: ExperimentConfig) -> tuple:
-    Y = sine_average_path(cfg.n_samples, cfg.u_grid, cfg.seed, backend="exact")
+    Y = sine_average_path(cfg.n_samples, cfg.u_grid, cfg.seed)
     return [asdict(characterize_bm(Y, seed=cfg.seed))], {"sine_path.csv": Y.to_csv}
 
 
 def _run_char_bm_gff_circle(cfg: ExperimentConfig) -> tuple:
-    Y = circle_average_path(cfg.n_samples, cfg.t_grid, cfg.seed, backend="exact")
+    Y = circle_average_path(cfg.n_samples, cfg.t_grid, cfg.seed)
     return [asdict(characterize_bm(Y, seed=cfg.seed))], {"circle_path.csv": Y.to_csv}
 
 
 def _run_char_bm_stable(cfg: ExperimentConfig) -> tuple:
     lat = disk_lattice(cfg.lattice_size)
     Y = circle_average_path(
-        cfg.n_samples, cfg.t_grid, cfg.seed, backend="lattice",
-        lattice=lat, law="stable", alpha=cfg.alpha,
+        cfg.n_samples, cfg.t_grid, cfg.seed, lattice=lat, law="stable", alpha=cfg.alpha
     )
     return [asdict(characterize_bm(Y, seed=cfg.seed))], {"stable_circle_path.csv": Y.to_csv}
 
@@ -381,14 +381,14 @@ def _cmd_paths(args) -> int:
     circle_lattice = args.kind == "circle" and args.backend == "lattice"
     if args.size is not None and not circle_lattice:
         raise ConfigError("--size only applies to --kind circle --backend lattice")
-    # the exact backends reject law "stable" themselves
+    # the exact route rejects law "stable" itself
     kwargs = _law_kwargs(args)
     if circle_lattice:
         kwargs["lattice"] = disk_lattice(128 if args.size is None else args.size)
-    if args.kind == "circle":
-        path = circle_average_path(args.n, grid, args.seed, backend=args.backend, **kwargs)
-    else:
-        path = sine_average_path(args.n, grid, args.seed, backend=args.backend, **kwargs)
+    elif args.backend == "lattice":
+        kwargs["lattice"] = sine_lattice_for(grid)  # checks the grid before building
+    average_path = circle_average_path if args.kind == "circle" else sine_average_path
+    path = average_path(args.n, grid, args.seed, **kwargs)
     out = args.out or f"{args.kind}_path.csv"
     path.to_csv(out)
     print(json.dumps({"kind": args.kind, "backend": args.backend, "n": args.n, "out": str(out)}))

@@ -19,6 +19,7 @@ time step, no stopping shell.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -112,6 +113,10 @@ class ExcursionSample:
 
     def __post_init__(self):
         _radii(self.r, self.eps)  # an r or eps whose ladder never ends raises
+        for name, least in (("n_paths", 1), ("n_absorbed", 0)):
+            count = getattr(self, name)
+            if isinstance(count, bool) or not isinstance(count, Integral) or count < least:
+                raise DomainError(f"{name} must be an integer >= {least}, not {count!r}")
         self.angles = np.asarray(self.angles, dtype=float)
         self.roots = np.asarray(self.roots)
         if not (self.angles.ndim == self.roots.ndim == 1):

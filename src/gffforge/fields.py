@@ -128,8 +128,10 @@ def sample_gff_observables(cov, n: int, seed: int) -> np.ndarray:
 
 def _law_noise(law: str, alpha: float, size: int):
     """The noise of one replica as a function of its generator: ``size``
-    unit Gaussians ("gff") or SaS variates ("stable")."""
+    unit Gaussians ("gff", the alpha = 2 case) or SaS variates ("stable")."""
     if law == "gff":
+        if alpha != 2.0:
+            raise DomainError(f"the Gaussian law is the alpha = 2 case, not alpha = {alpha!r}")
         return lambda rng: rng.standard_normal(size)
     if law == "stable":
         if not 1.0 < alpha <= 2.0:

@@ -516,12 +516,16 @@ def test_conformal_invariance(
 
 def _image_lattice(lat: LatticeDomain, f: Mobius) -> LatticeDomain:
     """Image of lat under f: a scaled copy for z -> (a/d) z with a/d > 0,
-    lat itself for a map of the unit circle onto itself."""
-    ratio = complex(f.a / f.d)
-    if f.b == 0 and f.c == 0 and ratio.imag == 0 and ratio.real > 0:
-        return LatticeDomain(lat.spacing * ratio.real, lat.interior_ij.copy())
+    lat itself for an automorphism of the unit disk (|f| = 1 on the unit
+    circle and |f(0)| < 1; with |f(0)| > 1, f sends the disk onto its
+    outside)."""
+    if f.b == 0 and f.c == 0:  # then ad != 0
+        ratio = complex(f.a / f.d)
+        if ratio.imag == 0 and ratio.real > 0:
+            return LatticeDomain(lat.spacing * ratio.real, lat.interior_ij.copy())
     probe = np.exp(1j * np.linspace(0, 2 * np.pi, 64, endpoint=False))
-    if np.max(np.abs(np.abs(np.asarray(f(probe))) - 1.0)) < 1e-9:
+    on_circle = np.max(np.abs(np.abs(np.asarray(f(probe))) - 1.0)) < 1e-9
+    if on_circle and f.d != 0 and abs(f.b / f.d) < 1:  # f(0) = b/d inside the disk
         return lat
     raise DomainError("cannot derive an image lattice for this map")
 

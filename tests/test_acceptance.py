@@ -74,7 +74,7 @@ def test_criterion_03_sine_covariance():
     t0 = time.time()
     u_values = (1.0, 2.0, 4.0)
     n = 10_000
-    Y = sine_average_path(n, u_values, 4203, backend="exact")
+    Y = sine_average_path(n, u_values, 4203)
     C = np.cov(Y.replicas.T)
     m = np.minimum.outer(u_values, u_values)
     khat = float(np.sum(C * m) / np.sum(m * m))
@@ -103,7 +103,7 @@ def test_criterion_04_battery_null_calibration():
     cond_pass: dict = {}
     consistent = 0
     for s in range(50):
-        Y = sine_average_path(2500, REFINED_U_GRID, 62_000 + s, backend="exact")
+        Y = sine_average_path(2500, REFINED_U_GRID, 62_000 + s)
         verdict = vfy.characterize_bm(Y, seed=62_000 + s)
         consistent += verdict.consistent
         for key, rep in verdict.reports.items():
@@ -125,13 +125,13 @@ def test_criterion_04_battery_null_calibration():
 def test_criterion_05_circle_average_bm():
     t0 = time.time()
     t_grid = (0.25, 0.5, 0.75, 1.0, 1.25)
-    Y = circle_average_path(20_000, t_grid, 4205, backend="exact")
+    Y = circle_average_path(20_000, t_grid, 4205)
     inc = np.diff(Y.replicas, axis=1) / np.sqrt(np.diff(Y.grid))
     pooled = float(inc.var(ddof=1))
     norm = vfy.test_normality(inc.T.ravel()[:10_000])
     indep = vfy.test_independent_increments(Y, seed=4205)
     lat = disk_lattice(128)
-    Yl = circle_average_path(5000, t_grid, 4206, backend="lattice", lattice=lat)
+    Yl = circle_average_path(5000, t_grid, 4206, lattice=lat)
     ratios = np.concatenate(
         [
             [Yl.replicas[:, 0].var(ddof=1) / Yl.grid[0]],
@@ -185,7 +185,7 @@ def test_criterion_07_stable_counterexample():
     rejections = 0
     for b in range(50):
         Yb = circle_average_path(
-            300, t_grid, 5000 + b, backend="lattice", lattice=lat, law="stable", alpha=1.5
+            300, t_grid, 5000 + b, lattice=lat, law="stable", alpha=1.5
         )
         x = (np.diff(Yb.replicas, axis=1) / np.sqrt(np.diff(Yb.grid))).T.ravel()
         rejections += not vfy.test_normality(x).passed

@@ -176,7 +176,7 @@ def test_circle_weights_need_the_center_site():
 @pytest.fixture(scope="module")
 def circle_path_128():
     return circle_average_path(
-        5000, (0.5, 1.0), seed=211, backend="lattice", lattice=disk_lattice(128)
+        5000, (0.5, 1.0), seed=211, lattice=disk_lattice(128)
     )
 
 
@@ -197,7 +197,7 @@ def test_circle_average_increments_uncorrelated(circle_path_128):
 
 def test_circle_path_exact_increment_variance():
     n = 5000
-    path = circle_average_path(n, (0.0, 0.3, 1.0), seed=223, backend="exact")
+    path = circle_average_path(n, (0.0, 0.3, 1.0), seed=223)
     # t = 0: the harmonic part from the full boundary carries variance 0
     assert np.max(np.abs(path.column(0.0))) < 1e-5
     inc = path.column(1.0) - path.column(0.3)
@@ -211,7 +211,7 @@ def test_circle_path_exact_zero_at_t_zero():
     # min(t, t') has a zero row at t = 0; that column is exactly 0, with no
     # jitter leaking into it
     n = 2000
-    path = circle_average_path(n, (0.0, 0.5, 1.0), seed=1, backend="exact")
+    path = circle_average_path(n, (0.0, 0.5, 1.0), seed=1)
     assert np.all(path.column(0.0) == 0.0)
     for t in (0.5, 1.0):
         assert abs(path.column(t).var() - t) < 3.0 * t * np.sqrt(2.0 / n)
@@ -222,7 +222,6 @@ def test_circle_path_stable_increments_fail_normality():
         2000,
         (0.25, 1.0),
         seed=227,
-        backend="lattice",
         lattice=disk_lattice(64),
         law="stable",
         alpha=1.5,
@@ -236,9 +235,7 @@ def test_circle_path_validation():
     with pytest.raises(DomainError):
         circle_average_path(2, (-0.5, 1.0), seed=0)
     with pytest.raises(DomainError):
-        circle_average_path(2, (0.5, 1.0), seed=0, backend="spectral")
-    with pytest.raises(DomainError):
-        circle_average_path(2, (0.5, 1.0), seed=0, backend="exact", law="stable")
+        circle_average_path(2, (0.5, 1.0), seed=0, law="stable")
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +246,7 @@ def test_circle_path_validation():
 def test_sine_path_exact_covariance_structure():
     n = 10000
     us = (1.0, 2.0, 4.0)
-    path = sine_average_path(n, us, seed=233, backend="exact")
+    path = sine_average_path(n, us, seed=233)
     emp = np.cov(path.replicas.T)
     sigma2 = np.pi ** 2 / 2.0
     target = sigma2 * np.minimum.outer(np.array(us), np.array(us))
@@ -260,38 +257,51 @@ def test_sine_path_exact_covariance_structure():
 
 
 def test_sine_path_single_replica():
-    path = sine_average_path(1, (1.0, 2.0), seed=239, backend="exact")
+    path = sine_average_path(1, (1.0, 2.0), seed=239)
     assert path.replicas.shape == (1, 2)
+
+
+_BAD_U_GRID = "u grid must be non-empty, finite, positive and strictly increasing"
 
 
 @pytest.mark.parametrize("grid", [(1.0, np.nan), (1.0, np.inf), (np.nan, 2.0)])
 def test_sine_path_rejects_non_finite_grid(monkeypatch, grid):
     # a NaN or infinite u slipped past the positivity check and failed as a
-    # ResolutionError from the lattice; no lattice or cell may be built now
-    def no_lattice(*args, **kwargs):
-        raise AssertionError("a lattice was built for a non-finite u grid")
+    # ResolutionError from the lattice; no cell may be built now, and the
+    # exact route rejects the grid too
+    def no_cell(*args, **kwargs):
+        raise AssertionError("a cell was built for a non-finite u grid")
 
     lat = halfplane_lattice(1.0, 0.1)
-    monkeypatch.setattr("gffforge.averaging.sine_lattice_for", no_lattice)
-    monkeypatch.setattr("gffforge.averaging._sine_weights", no_lattice)
+    monkeypatch.setattr("gffforge.averaging._sine_weights", no_cell)
     for lattice in (None, lat):
-        with pytest.raises(DomainError, match="u grid must be finite"):
-            sine_average_path(10, grid, 1, "lattice", lattice)
+        with pytest.raises(DomainError, match=_BAD_U_GRID):
+            sine_average_path(10, grid, 1, lattice)
 
 
-@pytest.mark.parametrize("grid", [(1.0, np.nan), (1.0, np.inf), (), (0.0, 1.0)])
-def test_sine_lattice_for_rejects_bad_grid(grid):
+@pytest.mark.parametrize(
+    "grid", [(1.0, np.nan), (1.0, np.inf), (), (0.0, 1.0), (2.0, 1.0), (1.0, 1.0)]
+)
+def test_sine_lattice_for_rejects_bad_grid(monkeypatch, grid):
     # a NaN or infinite u passed the positivity check and failed as a
-    # ResolutionError from the lattice, and an empty grid as a ValueError
-    with pytest.raises(DomainError, match="u grid must be non-empty, finite and positive"):
+    # ResolutionError from the lattice, an empty grid as a ValueError, and a
+    # decreasing one built a lattice; the lattice builder and both path
+    # routes share one check, made before anything is built
+    def no_lattice(*args, **kwargs):
+        raise AssertionError("a lattice was built for a bad u grid")
+
+    monkeypatch.setattr("gffforge.averaging.halfplane_lattice", no_lattice)
+    with pytest.raises(DomainError, match=_BAD_U_GRID):
         sine_lattice_for(grid)
+    with pytest.raises(DomainError, match=_BAD_U_GRID):
+        sine_average_path(2, grid, 1)
 
 
 def test_sine_path_lattice_matches_exact_marginal():
     from scipy import stats
 
     lat = sine_lattice_for((2.0,), points_per_radius=8, width_factor=6.0)
-    path = sine_average_path(2000, (2.0,), seed=241, backend="lattice", lattice=lat)
+    path = sine_average_path(2000, (2.0,), seed=241, lattice=lat)
     sigma = np.sqrt(np.pi ** 2 / 2.0 * 2.0)
     d, _ = stats.kstest(path.column(2.0), "norm", args=(0.0, sigma))
     assert d < 0.05
@@ -328,12 +338,12 @@ def test_lattice_path_is_sample_functionals_of_its_cached_weights(kind, law, alp
     # functional, and the replicas are sample_functionals of those columns
     if kind == "circle":
         lat, grid = disk_lattice(32), (0.25, 0.5, 1.0)
-        path = circle_average_path(40, grid, 311, "lattice", lat, law, alpha)
+        path = circle_average_path(40, grid, 311, lat, law, alpha)
         weights = [_circle_weights(lat, float(r)) for r in np.exp(-np.array(grid))]
     else:
         lat = sine_lattice_for((1.0, 4.0), points_per_radius=6, width_factor=3.0)
         grid = (1.0, 2.0, 4.0)
-        path = sine_average_path(40, grid, 311, "lattice", lat, law, alpha)
+        path = sine_average_path(40, grid, 311, lat, law, alpha)
         weights = [_sine_weights(lat, u) for u in grid]
     W = np.zeros((lat.n_sites, len(grid)))
     for col, (ring_idx, w) in enumerate(weights):
@@ -341,10 +351,47 @@ def test_lattice_path_is_sample_functionals_of_its_cached_weights(kind, law, alp
     assert np.array_equal(path.replicas, sample_functionals(lat, W, 40, 311, law, alpha))
 
 
+@pytest.mark.parametrize("kind", ["circle", "sine"])
+def test_the_lattice_argument_chooses_the_route(monkeypatch, kind):
+    # a path's backend is the lattice it is given: no backend switch, no
+    # lattice built inside averaging, and no route that ignores an argument
+    from gffforge import averaging
+
+    if kind == "circle":
+        average_path, lat, grid, rate = circle_average_path, disk_lattice(32), (0.25, 1.0), 1.0
+        weights = [_circle_weights(lat, float(np.exp(-v))) for v in grid]
+    else:
+        lat = sine_lattice_for((1.0, 4.0), points_per_radius=6, width_factor=3.0)
+        average_path, grid, rate = sine_average_path, (1.0, 4.0), np.pi**2 / 2.0
+        weights = [_sine_weights(lat, v) for v in grid]
+    assert "backend" not in inspect.signature(average_path).parameters
+
+    def no_lattice(self, *args, **kwargs):
+        raise AssertionError("averaging built a lattice")
+
+    monkeypatch.setattr(LatticeDomain, "__init__", no_lattice)
+    W = np.zeros((lat.n_sites, len(grid)))
+    for col, (ring_idx, w) in enumerate(weights):
+        W[ring_idx, col] = w
+    on_lattice = average_path(30, grid, 5, lat)
+    assert np.array_equal(on_lattice.replicas, sample_functionals(lat, W, 30, 5))
+    exact = average_path(30, grid, 5)
+    cov = rate * np.minimum.outer(grid, grid)
+    assert np.array_equal(exact.replicas, averaging.sample_gff_observables(cov, 30, 5))
+    with pytest.raises(DomainError, match="exact backend only carries the Gaussian law"):
+        average_path(30, grid, 5, law="stable", alpha=1.5)
+    # the Gaussian law is the alpha = 2 case: an alpha with it is refused on
+    # both routes, where the draw used to be the alpha = 2 one bit for bit
+    with pytest.raises(DomainError, match="alpha"):
+        average_path(30, grid, 5, law="gff", alpha=1.5)
+    with pytest.raises(DomainError, match="alpha = 2 case"):
+        average_path(30, grid, 5, lat, law="gff", alpha=1.5)
+
+
 def test_sine_path_prefix_invariance():
     lat = sine_lattice_for((1.0,), points_per_radius=6, width_factor=3.0)
-    a = sine_average_path(4, (1.0, 2.0), seed=257, backend="lattice", lattice=lat)
-    b = sine_average_path(11, (1.0, 2.0), seed=257, backend="lattice", lattice=lat)
+    a = sine_average_path(4, (1.0, 2.0), seed=257, lattice=lat)
+    b = sine_average_path(11, (1.0, 2.0), seed=257, lattice=lat)
     # replica r depends on its own stream only, not on the batch size
     assert np.array_equal(a.replicas, b.replicas[:4])
 
@@ -353,15 +400,15 @@ def test_sine_path_validation():
     with pytest.raises(DomainError):
         sine_average_path(2, (2.0, 1.0), seed=0)
     with pytest.raises(DomainError):
-        sine_average_path(2, (1.0, 2.0), seed=0, backend="exact", law="stable")
+        sine_average_path(2, (1.0, 2.0), seed=0, law="stable")
     with pytest.raises(ResolutionError):
         sine_average_path(
-            2, (50.0,), seed=0, backend="lattice", lattice=halfplane_lattice(2.0, 0.25)
+            2, (50.0,), seed=0, lattice=halfplane_lattice(2.0, 0.25)
         )
     # a disk lattice has sites at j <= 0: at u = 1 the ball would exhaust it
     # and read an all-zero column
     with pytest.raises(DomainError, match="half-plane lattice"):
-        sine_average_path(2, (1.0, 2.0, 4.0), seed=3, backend="lattice", lattice=disk_lattice(16))
+        sine_average_path(2, (1.0, 2.0, 4.0), seed=3, lattice=disk_lattice(16))
 
 
 def test_brownian_scaling_of_sine_path():
@@ -369,8 +416,8 @@ def test_brownian_scaling_of_sine_path():
     from scipy import stats
 
     n = 10000
-    a = sine_average_path(n, (1.0, 2.0, 4.0), seed=263, backend="exact")
-    b = sine_average_path(n, (1.0, 2.0, 4.0), seed=269, backend="exact")
+    a = sine_average_path(n, (1.0, 2.0, 4.0), seed=263)
+    b = sine_average_path(n, (1.0, 2.0, 4.0), seed=269)
     for c in (2.0, 4.0):
         d, _ = stats.ks_2samp(a.column(c) / np.sqrt(c), b.column(1.0))
         assert d < 0.02
@@ -747,13 +794,13 @@ def test_weight_cache_hit_builds_no_quadrature_and_no_cell(monkeypatch):
     lat = disk_lattice(48)
     (s,) = sample_dgff(lat, 1, seed=293)
     first = rotational_average_check(s, 2.0, n_angles=16)
-    path = circle_average_path(3, (0.5, 1.0), seed=295, backend="lattice", lattice=lat)
+    path = circle_average_path(3, (0.5, 1.0), seed=295, lattice=lat)
     built = []
     monkeypatch.setattr(averaging, "gauss_legendre", lambda *a: built.append("nodes"))
     monkeypatch.setattr(averaging, "DirichletCell", lambda *a: built.append("cell"))
     monkeypatch.setattr(LatticeDomain, "indices_of", lambda *a: built.append("members"))
     assert rotational_average_check(s, 2.0, n_angles=16) == first
-    again = circle_average_path(3, (0.5, 1.0), seed=295, backend="lattice", lattice=lat)
+    again = circle_average_path(3, (0.5, 1.0), seed=295, lattice=lat)
     assert np.array_equal(again.replicas, path.replicas)
     assert built == []
 
@@ -830,7 +877,7 @@ def test_process_path_column_reads_grid_points_only():
 
 
 def test_process_path_csv_round_trip(tmp_path):
-    path = sine_average_path(5, (0.5, 1.0, 2.0), seed=307, backend="exact")
+    path = sine_average_path(5, (0.5, 1.0, 2.0), seed=307)
     f = tmp_path / "path.csv"
     path.to_csv(f)
     back = np.loadtxt(f, delimiter=",", ndmin=2)

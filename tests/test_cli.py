@@ -283,6 +283,28 @@ def test_paths_rejects_options_it_would_ignore(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "grid, message",
+    [("2,1", "u grid must be non-empty, finite, positive and strictly increasing"),
+     ("1,nan", "--grid must be finite")],
+    ids=["decreasing", "nan"],
+)
+def test_sine_lattice_path_checks_its_grid_before_building_a_lattice(
+    tmp_path, monkeypatch, capsys, grid, message
+):
+    # the command builds the sine lattice from the grid: a bad grid exits 2
+    # before any lattice is built
+    def no_lattice(*args, **kwargs):
+        raise AssertionError("a lattice was built for a bad grid")
+
+    monkeypatch.setattr("gffforge.averaging.halfplane_lattice", no_lattice)
+    out = tmp_path / "p.csv"
+    argv = ["paths", "--kind", "sine", "--backend", "lattice", "--grid", grid, "--n", "5"]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_empty_grid_exits_2(tmp_path, capsys):
     assert main(["paths", "--kind", "sine", "--grid", ",", "--n", "10"]) == 2
 

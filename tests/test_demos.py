@@ -1,10 +1,11 @@
 """The demo scripts, canonical configs and README stay in step with the
-library: every name a demo imports from gffforge exists, every config
-loads, and README's config-key table and command block are the
-harness's.  Nothing here runs a demo."""
+library: every name a demo imports from gffforge exists, every demo runs
+to the end, every config loads, and README's config-key table and command
+block are the harness's."""
 
 import ast
 import importlib
+import runpy
 from pathlib import Path
 
 import pytest
@@ -35,6 +36,14 @@ def test_demo_imports_resolve(script):
         module = importlib.import_module(node.module)
         missing = [a.name for a in node.names if not hasattr(module, a.name)]
         assert not missing, f"{script.name}: {node.module} has no {', '.join(missing)}"
+
+
+@pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.stem)
+def test_demo_runs(script, capsys):
+    # each demo's main(), as `python demos/<name>.py` runs it; a demo prints
+    # its findings and writes no file
+    runpy.run_path(str(script), run_name="__main__")
+    assert capsys.readouterr().out.strip()
 
 
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.stem)

@@ -287,6 +287,23 @@ def test_sample_rejects_misaligned_hits():
     assert s.mass_estimate == 3 * 2.0**-6 / (5 * 1e-2)
 
 
+@pytest.mark.parametrize(
+    "n_paths, n_absorbed",
+    [(0, 0), (2.5, 0), (True, 0), (np.float64(5.0), 0), (5, -4), (5, 1.5), (5, False)],
+    ids=["zero-paths", "fractional-paths", "bool-paths", "float-paths", "negative-absorbed",
+         "fractional-absorbed", "bool-absorbed"],
+)
+def test_sample_rejects_path_counts_that_are_not_counts(n_paths, n_absorbed):
+    # n_paths = 0 raised a bare ZeroDivisionError in mass_estimate, 2.5
+    # divided the mass by 2.5 paths and then failed in mass_stderr, and a
+    # negative n_absorbed was kept
+    empty = np.zeros(0), np.zeros(0, dtype=np.int64)
+    with pytest.raises(DomainError, match="must be an integer >="):
+        ExcursionSample(1.0, 1e-2, n_paths, *empty, n_absorbed)
+    s = ExcursionSample(1.0, 1e-2, np.int64(5), *empty, np.int64(0))
+    assert s.mass_estimate == 0.0
+
+
 def test_sample_weight_is_fixed_by_r_and_eps():
     # eps = 2^-10 below r = 1 gives the half-disks 2^-9, ..., 2^-1 and 1:
     # ten exits, nine splits

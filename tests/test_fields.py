@@ -222,7 +222,8 @@ def test_sample_functionals_matches_field_pairings(law):
     for lat in (disk_lattice(24), halfplane_lattice(1.2, 0.1)):
         z = lat.z
         W = np.stack([np.asarray(disk_bump(0.1j, 0.5)(z)), z.real, np.zeros(lat.n_sites)], axis=1)
-        got = sample_functionals(lat, W, 7, seed=43, law=law, alpha=1.6)
+        # the Gaussian law is the alpha = 2 case
+        got = sample_functionals(lat, W, 7, seed=43, law=law, alpha=2.0 if law == "gff" else 1.6)
         assert got.shape == (7, 3)
         assert np.all(got[:, 2] == 0.0)
         if law == "gff":
@@ -278,9 +279,10 @@ def test_replica_blocks_match_serial_reference(monkeypatch, threads):
         # Gaussian functionals draw k normals through the Gram root R,
         # stable ones the site noise through V = c R_lat^T W
         for law, V in (("gff", _gram_root(lat, W)), ("stable", CALIBRATION * lat._root(W, "T"))):
-            rows = _serial_noise(law, 1.6, V.shape[0], n, seed)
+            alpha = 2.0 if law == "gff" else 1.6
+            rows = _serial_noise(law, alpha, V.shape[0], n, seed)
             ref = np.stack([rows[r] @ V for r in range(n)])
-            assert np.array_equal(sample_functionals(lat, W, n, seed, law, 1.6), ref)
+            assert np.array_equal(sample_functionals(lat, W, n, seed, law, alpha), ref)
     for lat in (disk_lattice(16), halfplane_lattice(1.2, 0.1)):
         for law, got in (
             ("gff", dgff_matrix(lat, n, seed)),
@@ -349,7 +351,7 @@ def test_zero_replicas_on_a_banded_lattice_exit_cleanly():
         "from gffforge.fields import dgff_matrix\n"
         "from gffforge.greens import disk_lattice\n"
         "print(dgff_matrix(disk_lattice(16), 0, 1).shape)\n"
-        "print(circle_average_path(5, [], 1, backend='lattice', lattice=disk_lattice(16)).replicas.shape)\n"
+        "print(circle_average_path(5, [], 1, lattice=disk_lattice(16)).replicas.shape)\n"
     )
     src = str(Path(fields.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
@@ -366,6 +368,11 @@ def test_sample_functionals_validation():
         sample_functionals(lat, np.ones((lat.n_sites, 1)), 2, seed=0, law="cauchy")
     with pytest.raises(DomainError):
         sample_functionals(lat, np.ones((lat.n_sites, 1)), 2, seed=0, law="stable", alpha=0.9)
+    # the Gaussian law is the alpha = 2 case: law "gff" with alpha 1.5 drew
+    # the alpha = 2 functionals bit for bit, the argument ignored
+    for alpha in (1.5, 1.999, np.nan):
+        with pytest.raises(DomainError, match="alpha = 2 case"):
+            sample_functionals(lat, np.ones((lat.n_sites, 1)), 2, seed=0, law="gff", alpha=alpha)
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])

@@ -255,6 +255,34 @@ def test_pullback_preserves_total_integral(seed):
     assert _plane_integral(pulled, n=384) == pytest.approx(_plane_integral(phi, n=384), abs=1e-6)
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_pullback_bbox_bounds_the_image_of_the_support(seed):
+    # the bbox is read from the images of the source bbox's edges: it holds
+    # the image of the support, and a pullback of a pullback keeps the rule
+    rng = np.random.default_rng(100 + seed)
+    z0 = 0.45 * (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1))
+    center, radius = 0.15 * rng.uniform(-1, 1), 0.25
+    f = mobius_to_disk(z0).inverse()
+    g = Mobius(np.exp(1j * rng.uniform(0, np.pi)), 0, 0, 1)
+    phi = disk_bump(center, radius)
+    pulled = pullback_test_function(phi, f)
+    twice = pullback_test_function(pulled, g)
+    rim = center + radius * np.exp(1j * np.linspace(0, 2 * np.pi, 4096))
+    for psi, image in ((pulled, f(rim)), (twice, g(f(rim)))):
+        x0, x1, y0, y1 = psi.bbox
+        assert np.all((x0 < image.real) & (image.real < x1))
+        assert np.all((y0 < image.imag) & (image.imag < y1))
+    assert _plane_integral(twice, n=384) == pytest.approx(_plane_integral(phi, n=384), abs=1e-6)
+
+
+def test_test_function_is_an_evaluator_a_bbox_and_radial_radii():
+    from dataclasses import fields
+
+    from gffforge.geometry import TestFunction
+
+    assert [f.name for f in fields(TestFunction)] == ["evaluator", "bbox", "radial"]
+
+
 def _plane_integral(phi, n):
     """Plane integral of phi by tensor Gauss-Legendre over its bounding box."""
     x0, x1, y0, y1 = phi.bbox

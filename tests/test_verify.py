@@ -652,6 +652,34 @@ def test_conformal_validation(lat48):
     with pytest.raises(DomainError):
         # a translation has no derivable image lattice
         vfy.test_conformal_invariance("gff", Mobius(1, 0.2, 0, 1), phi, 100, 1, lattice_src=lat48)
+    # law "gff" ignored alpha: the report at alpha 1.5 was the alpha = 2 one
+    with pytest.raises(DomainError, match="alpha = 2 case"):
+        vfy.test_conformal_invariance(
+            "gff", Mobius(2.0, 0, 0, 1), phi, 50, 12, lattice_src=lat48, alpha=1.5
+        )
+
+
+def test_image_lattice_refuses_a_map_of_the_disk_onto_its_outside():
+    # |f| = 1 on the unit circle, but f(0) = -a lies outside the disk: the
+    # image of the disk is its outside.  The source lattice was returned,
+    # and the report failed (KS 0.51) against an all-zero image pairing
+    lat = disk_lattice(24)
+    a = 1.7 + 0.3j
+    f = Mobius(1, -a, -np.conj(a), 1)
+    with pytest.raises(DomainError, match="cannot derive an image lattice"):
+        vfy._image_lattice(lat, f)
+    with pytest.raises(DomainError, match="cannot derive an image lattice"):
+        vfy.test_conformal_invariance("gff", f, disk_bump(0.3, 0.25), 200, 3, lattice_src=lat)
+
+
+def test_image_lattice_reads_a_over_d_only_for_a_scaling():
+    # z -> 1/z has a = d = 0: a / d raised a bare ZeroDivisionError before b
+    # and c were read; it maps the circle onto itself but sends 0 to infinity
+    with pytest.raises(DomainError, match="cannot derive an image lattice"):
+        vfy._image_lattice(disk_lattice(24), Mobius(0, 1, 1, 0))
+    # a disk automorphism with f(0) inside the disk keeps the source lattice
+    lat = disk_lattice(24)
+    assert vfy._image_lattice(lat, Mobius(1, -0.3, -0.3, 1)) is lat
 
 
 def test_image_lattice_reads_the_coefficients(lat48):
